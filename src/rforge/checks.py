@@ -53,6 +53,7 @@ from .solve import (
     PROBLEM_MAXPAR,
     PROBLEM_MINLAB,
     PROBLEM_SC_COST,
+    SOLVERS,
     enumerate_feasible_states,
     min_cover,
     min_vertex_cover,
@@ -60,6 +61,7 @@ from .solve import (
     sequence_objective,
     solve_cost_hvc,
     solve_cost_setcover,
+    solve_instance,
     solve_maxpar,
     solve_minlab,
 )
@@ -150,7 +152,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
                     if counterexample is None:
                         counterexample = _ce(
                             {
-                                "instance": serialize.labelcover_instance_payload(inst),
+                                "instance": serialize.instance_payload(inst),
                                 "subfamily": sorted(chosen),
                                 "edge": e_idx,
                                 "covered": covered,
@@ -199,7 +201,7 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
             if counterexample is None:
                 counterexample = _ce(
                     {
-                        "instance": serialize.labelcover_instance_payload(inst),
+                        "instance": serialize.instance_payload(inst),
                         "reason": f"minimum cover {opt} != |V| = {g.n_vertices}",
                     }
                 )
@@ -209,7 +211,7 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
             if counterexample is None:
                 counterexample = _ce(
                     {
-                        "instance": serialize.labelcover_instance_payload(inst),
+                        "instance": serialize.instance_payload(inst),
                         "minlab": str(minlab.value),
                         "cost": str(cost.value),
                     }
@@ -273,7 +275,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
             if counterexample is None:
                 counterexample = _ce(
                     {
-                        "instance": serialize.p2csp_instance_payload(inst),
+                        "instance": serialize.instance_payload(inst),
                         "witness_ok": report.ok,
                         "peak": peak,
                         "minlab": str(minlab.value),
@@ -589,13 +591,14 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
         params = rng_mod.stream(seed, f"approx-params:{t}")
         sub = rng_mod.substream_seed(seed, f"approx:{t}")
         if t % 2 == 0:
+            problem = PROBLEM_SC_COST
             inst = generate.generate_setcover(
                 sub, n_elements=params.randrange(3, 7), n_sets=params.randrange(3, 7)
             )
             instance, start, goal = inst.system, inst.start, inst.goal
             opt = min_cover(instance)
-            solver = solve_cost_setcover
         else:
+            problem = PROBLEM_HVC_COST
             inst = generate.generate_hypergraph(
                 sub,
                 n_vertices=params.randrange(3, 7),
@@ -604,7 +607,6 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
             )
             instance, start, goal = inst.hypergraph, inst.start, inst.goal
             opt = min_vertex_cover(instance)
-            solver = solve_cost_hvc
         seq = two_factor_cover(instance, start, goal)
         report = validate_sequence(instance, seq, start=start, goal=goal)
         peak = max(len(c) for c in seq.states)
@@ -614,7 +616,7 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
         if peak != len(start | goal):
             problems.append("peak differs from |start ∪ goal|")
         try:
-            exact = solver(instance, start, goal, cap=100_000)
+            exact = solve_instance(problem, inst, cap=100_000)
             compared += 1
             if Fraction(peak, opt + 1) > 2 * exact.value:
                 problems.append("approximation ratio above 2")
@@ -623,12 +625,9 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
         if problems:
             violations += 1
             if counterexample is None:
-                payload = (
-                    serialize.setcover_instance_payload(inst)
-                    if t % 2 == 0
-                    else serialize.hvc_instance_payload(inst)
+                counterexample = _ce(
+                    {"instance": serialize.instance_payload(inst), "problems": problems}
                 )
-                counterexample = _ce({"instance": payload, "problems": problems})
     return CheckReport(
         "approx-ratio",
         violations == 0,
@@ -656,41 +655,28 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
         attempt += 1
         try:
             if kind == 0:
-                inst = generate.generate_csp(
+                problem, inst = PROBLEM_MAXPAR, generate.generate_csp(
                     sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=0.9
                 )
-                problem, instance = PROBLEM_MAXPAR, inst.graph
-                start, goal = inst.start, inst.goal
-                res = solve_maxpar(instance, start, goal, cap=100_000)
-                payload = serialize.p2csp_instance_payload(inst)
             elif kind == 1:
-                inst = generate.generate_labelcover(
+                problem, inst = PROBLEM_MINLAB, generate.generate_labelcover(
                     sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=1.0
                 )
-                problem, instance = PROBLEM_MINLAB, inst.graph
-                start, goal = inst.start, inst.goal
-                res = solve_minlab(instance, start, goal, cap=100_000)
-                payload = serialize.labelcover_instance_payload(inst)
             elif kind == 2:
-                inst = generate.generate_setcover(
+                problem, inst = PROBLEM_SC_COST, generate.generate_setcover(
                     sub, n_elements=params.randrange(2, 5), n_sets=params.randrange(2, 5)
                 )
-                problem, instance = PROBLEM_SC_COST, inst.system
-                start, goal = inst.start, inst.goal
-                res = solve_cost_setcover(instance, start, goal, cap=100_000)
-                payload = serialize.setcover_instance_payload(inst)
             else:
-                inst = generate.generate_hypergraph(
+                problem, inst = PROBLEM_HVC_COST, generate.generate_hypergraph(
                     sub, n_vertices=params.randrange(2, 5), n_edges=params.randrange(1, 4)
                 )
-                problem, instance = PROBLEM_HVC_COST, inst.hypergraph
-                start, goal = inst.start, inst.goal
-                res = solve_cost_hvc(instance, start, goal, cap=100_000)
-                payload = serialize.hvc_instance_payload(inst)
+            res = solve_instance(problem, inst, cap=100_000)
+            _, part, _ = SOLVERS[problem]
+            instance = getattr(inst, part)
             states = enumerate_feasible_states(problem, instance)
             if len(states) > 20:
                 continue
-            expected = oracle_value(problem, instance, start, goal)
+            expected = oracle_value(problem, instance, inst.start, inst.goal)
         except StructuralError:
             continue
         done += 1
@@ -700,7 +686,7 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
             if counterexample is None:
                 counterexample = _ce(
                     {
-                        "instance": payload,
+                        "instance": serialize.instance_payload(inst),
                         "problem": problem,
                         "solver": str(res.value),
                         "oracle": str(expected),

@@ -32,19 +32,19 @@ from .core import (
 )
 from .fglss import build_fglss, embed_proof
 from .reductions import (
-    ORIENT_CORRECTED,
-    ORIENT_VERBATIM,
     labelcover_to_hvc,
     labelcover_to_setcover,
     p2csp_to_labelcover,
 )
 from .solve import (
+    PROBLEM_HVC_COST,
+    PROBLEM_MAXPAR,
+    PROBLEM_MINLAB,
+    PROBLEM_SC_COST,
+    SOLVERS,
     min_cover,
     min_vertex_cover,
-    solve_cost_hvc,
-    solve_cost_setcover,
-    solve_maxpar,
-    solve_minlab,
+    solve_instance,
 )
 from .verifier import accept_prob
 
@@ -132,13 +132,13 @@ def _cmd_reduce(args) -> int:
         obj = serialize.load(getattr(args, "in"))
         if not isinstance(obj, LabelCoverInstance):
             raise StructuralError("l2sc expects a label-cover instance")
-        red = labelcover_to_setcover(obj.graph, obj.start, obj.goal, orientation=args.orientation)
+        red = labelcover_to_setcover(obj.graph, obj.start, obj.goal)
         serialize.save(SetCoverInstance(red.system, red.start, red.goal), args.out)
     elif args.step == "l2hvc":
         obj = serialize.load(getattr(args, "in"))
         if not isinstance(obj, LabelCoverInstance):
             raise StructuralError("l2hvc expects a label-cover instance")
-        red = labelcover_to_hvc(obj.graph, obj.start, obj.goal, orientation=args.orientation)
+        red = labelcover_to_hvc(obj.graph, obj.start, obj.goal)
         serialize.save(HvcInstance(red.hypergraph, red.start, red.goal), args.out)
     else:
         raise StructuralError(f"unknown reduction step {args.step!r}")
@@ -152,25 +152,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    obj = serialize.load(getattr(args, "in"))
-    if args.problem == "maxpar":
-        if not isinstance(obj, P2cspInstance):
-            raise StructuralError("maxpar expects a partial-assignment instance")
-        res = solve_maxpar(obj.graph, obj.start, obj.goal, cap=args.cap)
-    elif args.problem == "minlab":
-        if not isinstance(obj, LabelCoverInstance):
-            raise StructuralError("minlab expects a label-cover instance")
-        res = solve_minlab(obj.graph, obj.start, obj.goal, cap=args.cap)
-    elif args.problem == "sc-cost":
-        if not isinstance(obj, SetCoverInstance):
-            raise StructuralError("sc-cost expects a set-cover instance")
-        res = solve_cost_setcover(obj.system, obj.start, obj.goal, cap=args.cap)
-    elif args.problem == "hvc-cost":
-        if not isinstance(obj, HvcInstance):
-            raise StructuralError("hvc-cost expects a vertex-cover instance")
-        res = solve_cost_hvc(obj.hypergraph, obj.start, obj.goal, cap=args.cap)
-    else:
-        raise StructuralError(f"unknown problem {args.problem!r}")
+    res = solve_instance(args.problem, serialize.load(getattr(args, "in")), cap=args.cap)
     if args.out:
         serialize.save(res, args.out)
         print(f"wrote {args.out}")
@@ -244,10 +226,9 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_or_note(solver, *params, cap):
+def _solve_or_note(problem: str, inst, cap):
     try:
-        res = solver(*params, cap=cap)
-        return _fmt_value(res.value)
+        return _fmt_value(solve_instance(problem, inst, cap=cap).value)
     except BudgetExhaustedError:
         return "budget-exhausted"
 
@@ -285,9 +266,7 @@ def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]
         inst = serialize.load(fglss_path)
         g = inst.graph
         rows.append(("fglss", "vertices/edges/alphabet", f"{g.n_vertices}/{len(g.edges)}/{g.n_symbols}"))
-        rows.append(
-            ("fglss", "maxpar", _solve_or_note(solve_maxpar, g, inst.start, inst.goal, cap=cap))
-        )
+        rows.append(("fglss", "maxpar", _solve_or_note(PROBLEM_MAXPAR, inst, cap)))
     norm_path = stage(out_dir / "03_normalized.json")
     if norm_path:
         inst = serialize.load(norm_path)
@@ -297,30 +276,20 @@ def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]
     lc_path = stage(out_dir / "04_labelcover.json")
     if lc_path:
         inst = serialize.load(lc_path)
-        rows.append(
-            ("labelcover", "minlab", _solve_or_note(solve_minlab, inst.graph, inst.start, inst.goal, cap=cap))
-        )
+        rows.append(("labelcover", "minlab", _solve_or_note(PROBLEM_MINLAB, inst, cap)))
     sc_path = stage(out_dir / "05_setcover.json")
     if sc_path:
         inst = serialize.load(sc_path)
         rows.append(("setcover", "universe/sets", f"{inst.system.n_elements}/{inst.system.n_sets}"))
         rows.append(("setcover", "opt", str(min_cover(inst.system))))
-        rows.append(
-            (
-                "setcover",
-                "cost",
-                _solve_or_note(solve_cost_setcover, inst.system, inst.start, inst.goal, cap=cap),
-            )
-        )
+        rows.append(("setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap)))
     hvc_path = stage(out_dir / "06_hvc.json")
     if hvc_path:
         inst = serialize.load(hvc_path)
         h = inst.hypergraph
         rows.append(("hvc", "vertices/hyperedges/uniformity", f"{h.n_vertices}/{len(h.hyperedges)}/{h.uniformity}"))
         rows.append(("hvc", "beta", str(min_vertex_cover(h))))
-        rows.append(
-            ("hvc", "cost", _solve_or_note(solve_cost_hvc, h, inst.start, inst.goal, cap=cap))
-        )
+        rows.append(("hvc", "cost", _solve_or_note(PROBLEM_HVC_COST, inst, cap)))
     return rows
 
 
@@ -443,11 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("step", choices=["fglss", "normalize", "p2l", "l2sc", "l2hvc"])
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--orientation", choices=[ORIENT_CORRECTED, ORIENT_VERBATIM], default=ORIENT_CORRECTED)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("solve", help="solve an instance exactly")
-    p.add_argument("problem", choices=["maxpar", "minlab", "sc-cost", "hvc-cost"])
+    p.add_argument("problem", choices=list(SOLVERS))
     p.add_argument("--in", required=True)
     p.add_argument("--out")
     p.add_argument("--cap", type=int, default=None)

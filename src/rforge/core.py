@@ -329,8 +329,10 @@ def satisfies_multi(g: ConstraintGraph, f: Sequence[frozenset[int]]) -> bool:
 
     An edge ``(v, w)`` is satisfied when some pair in ``f(v) x f(w)`` is
     accepted; an empty set at either endpoint of an edge therefore fails
-    that edge, while a vertex with no incident edges may be empty.  Multi
-    semantics for self-loops is undefined; normalize them away first.
+    that edge.  With admissible sets present (they come from folded
+    self-loops, each a constraint on its vertex) no set may be empty;
+    without them a vertex with no incident edges may be.  Multi semantics
+    for self-loops is undefined; normalize them away first.
     """
     if g.arity != 2:
         raise StructuralError(f"multi-assignment semantics needs arity 2, got {g.arity}")
@@ -345,7 +347,7 @@ def satisfies_multi(g: ConstraintGraph, f: Sequence[frozenset[int]]) -> bool:
     for v, vals in enumerate(f):
         if any(a < 0 or a >= s for a in vals):
             raise StructuralError(f"symbol out of alphabet range at vertex {v}")
-        if g.admissible is not None and not vals <= g.admissible[v]:
+        if g.admissible is not None and not (vals and vals <= g.admissible[v]):
             return False
     for e_idx, (v, w) in enumerate(g.edges):
         tab = g.tables[e_idx]

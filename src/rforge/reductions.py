@@ -6,7 +6,8 @@ Three constructions:
   assignments, with the half-step witness transformation,
 * label cover -> minmax set cover over the universe E x B, where
   B = {0,1}^Sigma and the hypercube gadgets Q̄ and Q turn edge
-  satisfaction into coverage of the edge's block,
+  satisfaction into coverage of the edge's block, plus one element per
+  vertex on no edge,
 * label cover -> minmax hypergraph vertex cover via the inverted index
   of the set-cover instance, padded to a uniform hyperedge size.
 
@@ -34,9 +35,6 @@ from .core import (
     satisfies_multi,
     satisfies_partial,
 )
-
-ORIENT_CORRECTED = "corrected"
-ORIENT_VERBATIM = "verbatim"
 
 
 # ---------------------------------------------------------------------------
@@ -205,44 +203,42 @@ def _edge_lo_hi(g: ConstraintGraph, e_idx: int):
     return lo, hi, sat
 
 
-def _partner_sets(g: ConstraintGraph, e_idx: int, orientation: str):
-    """For each symbol b at the larger endpoint, the smaller endpoint's partners.
+def _build_set_contents(g: ConstraintGraph):
+    """Universe elements and the members of each S_{v,a}.
 
-    "corrected" takes the satisfaction-compatible partners {a : sat(a, b)},
-    which makes coverage of the edge block coincide with edge
-    satisfaction.  "verbatim" instead applies the partner-map definition
-    with the larger endpoint's symbol in the first table slot, which
-    transposes the check and fails on asymmetric tables; it is kept
-    behind this flag for documentation by tests.
+    Elements are (key, label) pairs: (e, x) for each edge e and hypercube
+    vector x, then (v,) for each vertex v on no edge.  S_{v,a} holds the
+    keys of the elements it covers; every S_{v,a} of an edgeless vertex
+    covers (v,), so a cover keeps a label at v as label cover must when
+    admissible sets (folded self-loops) forbid the empty set.  Without
+    admissible sets the identity cannot hold there, and the vertex is
+    rejected.
     """
-    lo, hi, sat = _edge_lo_hi(g, e_idx)
-    s = g.n_symbols
-    lo_adm = g.allowed_symbols(lo)
-    partners = {}
-    for b in range(s):
-        if orientation == ORIENT_CORRECTED:
-            partners[b] = frozenset(a for a in lo_adm if sat(a, b))
-        elif orientation == ORIENT_VERBATIM:
-            partners[b] = frozenset(a for a in lo_adm if sat(b, a))
-        else:
-            raise StructuralError(f"unknown orientation {orientation!r}")
-    return lo, hi, partners
-
-
-def _build_set_contents(g: ConstraintGraph, orientation: str):
-    """Members of S_{v,a} as (edge index, hypercube vector) pairs."""
     space = GadgetSpace(g.n_symbols)
     pairs = [(v, a) for v in range(g.n_vertices) for a in sorted(g.allowed_symbols(v))]
     contents = {pair: set() for pair in pairs}
+    elements = []
     for e_idx in range(len(g.edges)):
-        lo, hi, partners = _partner_sets(g, e_idx, orientation)
+        elements += [((e_idx, x), f"e{e_idx},{format(x, f'0{g.n_symbols}b')}") for x in range(space.size)]
+        lo, hi, sat = _edge_lo_hi(g, e_idx)
         for a in sorted(g.allowed_symbols(lo)):
             for x in qbar_alpha(space, a):
                 contents[(lo, a)].add((e_idx, x))
         for b in sorted(g.allowed_symbols(hi)):
-            for x in q_subset(space, partners[b]):
+            # The satisfaction-compatible partners of b make coverage of
+            # the edge block coincide with edge satisfaction.
+            partners = [a for a in g.allowed_symbols(lo) if sat(a, b)]
+            for x in q_subset(space, partners):
                 contents[(hi, b)].add((e_idx, x))
-    return space, pairs, contents
+    for v in range(g.n_vertices):
+        if g.incident[v]:
+            continue
+        if g.admissible is None:
+            raise StructuralError(f"vertex {g.vertices[v]!r} is on no edge and has no admissible set")
+        elements.append(((v,), g.vertices[v]))
+        for a in g.admissible[v]:
+            contents[(v, a)].add((v,))
+    return pairs, contents, elements
 
 
 @dataclass(frozen=True)
@@ -259,31 +255,26 @@ class SetCoverReduction:
         return self.pairs.index((v, alpha))
 
 
-def labelcover_to_setcover(
-    g: ConstraintGraph, f_start, f_goal, orientation: str = ORIENT_CORRECTED
-) -> SetCoverReduction:
+def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduction:
     """Build the E x B set-cover instance of a loop-free label-cover instance.
 
     One set S_{v,a} per vertex and admissible symbol: for each incident
     edge, the smaller endpoint contributes the edge's block restricted to
     Q̄_a and the larger endpoint the block restricted to Q over its
-    partner symbols.  Covers map to multi assignments by membership.
+    partner symbols; the sets of a vertex on no edge share one element of
+    their own.  Covers map to multi assignments by membership.
     """
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    space, pairs, contents = _build_set_contents(g, orientation)
-    element_index = {}
-    element_labels = []
-    for e_idx in range(len(g.edges)):
-        for x in range(space.size):
-            element_index[(e_idx, x)] = len(element_labels)
-            element_labels.append(f"(e{e_idx},{format(x, f'0{g.n_symbols}b')})")
+    pairs, contents, elements = _build_set_contents(g)
+    element_index = {key: i for i, (key, _) in enumerate(elements)}
     sets = tuple(
         frozenset(element_index[el] for el in contents[pair]) for pair in pairs
     )
     set_labels = tuple(
         f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs
     )
-    system = SetSystem(elements=tuple(element_labels), sets=sets, set_labels=set_labels)
+    element_labels = tuple(f"({label})" for _, label in elements)
+    system = SetSystem(elements=element_labels, sets=sets, set_labels=set_labels)
     lookup = {pair: i for i, pair in enumerate(pairs)}
     start = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_start))
     goal = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_goal))
@@ -331,37 +322,32 @@ class HvcReduction:
     source: ConstraintGraph
 
 
-def labelcover_to_hvc(
-    g: ConstraintGraph, f_start, f_goal, orientation: str = ORIENT_CORRECTED
-) -> HvcReduction:
+def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
     """Inverted index of the set-cover reduction, padded to 2|Sigma|-uniform.
 
     Hyperedge T_{e,x} collects the (vertex, symbol) pairs whose set
-    contains the universe element (e, x); fresh per-hyperedge padding
-    vertices bring every hyperedge to size exactly 2|Sigma|.
+    contains the universe element (e, x), and T_v those of a vertex v on
+    no edge; fresh per-hyperedge padding vertices bring every hyperedge
+    to size exactly 2|Sigma|.
     """
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    space, pairs, contents = _build_set_contents(g, orientation)
+    pairs, contents, elements = _build_set_contents(g)
     uniformity = 2 * g.n_symbols
     real_index = {pair: i for i, pair in enumerate(pairs)}
-    members_by_element: dict[tuple[int, int], set[int]] = {
-        (e_idx, x): set() for e_idx in range(len(g.edges)) for x in range(space.size)
-    }
-    for pair, elements in contents.items():
-        for el in elements:
-            members_by_element[el].add(real_index[pair])
+    members_by_element: dict[tuple, set[int]] = {key: set() for key, _ in elements}
+    for pair, keys in contents.items():
+        for key in keys:
+            members_by_element[key].add(real_index[pair])
     vertex_labels = [f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs]
     hyperedges = []
-    for e_idx in range(len(g.edges)):
-        for x in range(space.size):
-            members = set(members_by_element[(e_idx, x)])
-            if len(members) > uniformity:
-                raise StructuralError("hyperedge exceeds the uniformity bound")
-            pad_needed = uniformity - len(members)
-            for k in range(pad_needed):
-                members.add(len(vertex_labels))
-                vertex_labels.append(f"pad(e{e_idx},{format(x, f'0{g.n_symbols}b')},{k})")
-            hyperedges.append(frozenset(members))
+    for key, label in elements:
+        members = members_by_element[key]
+        if len(members) > uniformity:
+            raise StructuralError("hyperedge exceeds the uniformity bound")
+        for k in range(uniformity - len(members)):
+            members.add(len(vertex_labels))
+            vertex_labels.append(f"pad({label},{k})")
+        hyperedges.append(frozenset(members))
     h = Hypergraph(
         vertices=tuple(vertex_labels),
         hyperedges=tuple(hyperedges),

@@ -8,6 +8,7 @@ round trips are byte-stable.  Files are dispatched on their "type" field.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,74 +204,33 @@ def solve_result_from_payload(obj: dict) -> SolveResult:
     )
 
 
-# Instance bundles (instance plus endpoint states).
+# Instance bundles (instance plus endpoint states): bundle type ->
+# (type tag, field holding the instance, its payload codec, state kind).
+_BUNDLES = {
+    P2cspInstance: ("p2csp_instance", "graph", (graph_payload, graph_from_payload), KIND_PARTIAL),
+    LabelCoverInstance: ("labelcover_instance", "graph", (graph_payload, graph_from_payload), KIND_MULTI),
+    SetCoverInstance: ("setcover_instance", "system", (set_system_payload, set_system_from_payload), KIND_COVER),
+    HvcInstance: ("hvc_instance", "hypergraph", (hypergraph_payload, hypergraph_from_payload), KIND_VERTEX_COVER),
+}
+_BUNDLE_TAGS = {tag: (cls, part, codec, kind) for cls, (tag, part, codec, kind) in _BUNDLES.items()}
 
 
-def p2csp_instance_payload(inst: P2cspInstance) -> dict:
+def instance_payload(inst) -> dict:
+    tag, part, (to_payload, _), kind = _BUNDLES[type(inst)]
     return {
-        "type": "p2csp_instance",
-        "graph": graph_payload(inst.graph),
-        "start": _state_payload(KIND_PARTIAL, inst.start),
-        "goal": _state_payload(KIND_PARTIAL, inst.goal),
+        "type": tag,
+        part: to_payload(getattr(inst, part)),
+        "start": _state_payload(kind, inst.start),
+        "goal": _state_payload(kind, inst.goal),
     }
 
 
-def labelcover_instance_payload(inst: LabelCoverInstance) -> dict:
-    return {
-        "type": "labelcover_instance",
-        "graph": graph_payload(inst.graph),
-        "start": _state_payload(KIND_MULTI, inst.start),
-        "goal": _state_payload(KIND_MULTI, inst.goal),
-    }
-
-
-def setcover_instance_payload(inst: SetCoverInstance) -> dict:
-    return {
-        "type": "setcover_instance",
-        "system": set_system_payload(inst.system),
-        "start": _state_payload(KIND_COVER, inst.start),
-        "goal": _state_payload(KIND_COVER, inst.goal),
-    }
-
-
-def hvc_instance_payload(inst: HvcInstance) -> dict:
-    return {
-        "type": "hvc_instance",
-        "hypergraph": hypergraph_payload(inst.hypergraph),
-        "start": _state_payload(KIND_VERTEX_COVER, inst.start),
-        "goal": _state_payload(KIND_VERTEX_COVER, inst.goal),
-    }
-
-
-def _p2csp_instance_from_payload(obj: dict) -> P2cspInstance:
-    return P2cspInstance(
-        graph=graph_from_payload(obj["graph"]),
-        start=_state_from_payload(KIND_PARTIAL, obj["start"]),
-        goal=_state_from_payload(KIND_PARTIAL, obj["goal"]),
-    )
-
-
-def _labelcover_instance_from_payload(obj: dict) -> LabelCoverInstance:
-    return LabelCoverInstance(
-        graph=graph_from_payload(obj["graph"]),
-        start=_state_from_payload(KIND_MULTI, obj["start"]),
-        goal=_state_from_payload(KIND_MULTI, obj["goal"]),
-    )
-
-
-def _setcover_instance_from_payload(obj: dict) -> SetCoverInstance:
-    return SetCoverInstance(
-        system=set_system_from_payload(obj["system"]),
-        start=_state_from_payload(KIND_COVER, obj["start"]),
-        goal=_state_from_payload(KIND_COVER, obj["goal"]),
-    )
-
-
-def _hvc_instance_from_payload(obj: dict) -> HvcInstance:
-    return HvcInstance(
-        hypergraph=hypergraph_from_payload(obj["hypergraph"]),
-        start=_state_from_payload(KIND_VERTEX_COVER, obj["start"]),
-        goal=_state_from_payload(KIND_VERTEX_COVER, obj["goal"]),
+def _instance_from_payload(obj: dict):
+    bundle_type, part, (_, from_payload), kind = _BUNDLE_TAGS[obj["type"]]
+    return bundle_type(
+        from_payload(obj[part]),
+        _state_from_payload(kind, obj["start"]),
+        _state_from_payload(kind, obj["goal"]),
     )
 
 
@@ -285,10 +245,7 @@ _PAYLOAD_BUILDERS = {
     ExpanderGraph: expander_payload,
     ReconfigSequence: sequence_payload,
     SolveResult: solve_result_payload,
-    P2cspInstance: p2csp_instance_payload,
-    LabelCoverInstance: labelcover_instance_payload,
-    SetCoverInstance: setcover_instance_payload,
-    HvcInstance: hvc_instance_payload,
+    **dict.fromkeys(_BUNDLES, instance_payload),
 }
 
 _PARSERS = {
@@ -299,10 +256,7 @@ _PARSERS = {
     "expander": expander_from_payload,
     "sequence": sequence_from_payload,
     "solve_result": solve_result_from_payload,
-    "p2csp_instance": _p2csp_instance_from_payload,
-    "labelcover_instance": _labelcover_instance_from_payload,
-    "setcover_instance": _setcover_instance_from_payload,
-    "hvc_instance": _hvc_instance_from_payload,
+    **dict.fromkeys(_BUNDLE_TAGS, _instance_from_payload),
 }
 
 
@@ -320,13 +274,27 @@ def dump_bytes(obj, **kwargs) -> bytes:
     return canonical_dumps(builder(obj))
 
 
+# What reading a file that is not valid JSON of the expected shape raises.
+_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, ArithmeticError, RecursionError)
+
+
+@contextmanager
+def _malformed_is_structural():
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise StructuralError(f"malformed input: {type(exc).__name__}: {exc}") from exc
+
+
 def parse_bytes(data: bytes):
-    obj = json.loads(data.decode())
-    kind = obj.get("type")
-    parser = _PARSERS.get(kind)
-    if parser is None:
-        raise StructuralError(f"unknown file type {kind!r}")
-    return parser(obj)
+    """Object of a canonical file; malformed bytes raise ``StructuralError``."""
+    with _malformed_is_structural():
+        obj = json.loads(data.decode())
+        kind = obj.get("type")
+        parser = _PARSERS.get(kind)
+        if parser is None:
+            raise StructuralError(f"unknown file type {kind!r}")
+        return parser(obj)
 
 
 def save(obj, path, **kwargs) -> None:
@@ -339,7 +307,9 @@ def load(path):
 
 def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
     """Load a verifier file keeping its bundled endpoint proofs."""
-    obj = json.loads(Path(path).read_bytes().decode())
-    if obj.get("type") != "verifier":
-        raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
-    return verifier_from_payload(obj)
+    data = Path(path).read_bytes()
+    with _malformed_is_structural():
+        obj = json.loads(data.decode())
+        if obj.get("type") != "verifier":
+            raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
+        return verifier_from_payload(obj)

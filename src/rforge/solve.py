@@ -2,11 +2,16 @@
 
 All four optimization problems (partial-assignment maxmin, multi-label
 minmax, set-cover minmax, hypergraph-vertex-cover minmax) share one
-engine: scan thresholds in the direction of the trivially feasible bound
-and run breadth-first reachability over the implicit graph of feasible
-states obeying the threshold.  The first feasible threshold is the exact
-bottleneck value.  All objective values are exact rationals; no floating
-point enters any solver path.
+engine, `_threshold_search`: scan thresholds in the direction of the
+trivially feasible bound and run breadth-first reachability over the
+implicit graph of feasible states obeying the threshold.  The first
+feasible threshold is the exact bottleneck value.  The engine owns the
+scan, the search, the state budget and the witness path; each solver
+supplies only a state key, a neighbor expansion (a size test against the
+threshold before the feasibility test) and the decoding of the result.
+All objective values are exact rationals; no floating point enters any
+solver path.  `SOLVERS` pairs each problem name with its instance bundle
+type and solver, and `solve_instance` is the one dispatch on it.
 
 A fully materialized bottleneck-path implementation (`oracle_value`) is
 kept deliberately independent of the threshold engine: it enumerates the
@@ -29,11 +34,15 @@ from .core import (
     BudgetExhaustedError,
     ConstraintGraph,
     Hypergraph,
+    HvcInstance,
     KIND_COVER,
     KIND_MULTI,
     KIND_PARTIAL,
     KIND_VERTEX_COVER,
+    LabelCoverInstance,
+    P2cspInstance,
     ReconfigSequence,
+    SetCoverInstance,
     SetSystem,
     StructuralError,
     hamming,
@@ -71,48 +80,54 @@ class SolveResult:
     states_explored: int
 
 
-class _Budget:
-    __slots__ = ("cap", "used")
+def _threshold_search(thetas, start, goal, key, expand, cap: int | None):
+    """First threshold in ``thetas`` at which BFS links start to goal.
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
+    ``thetas`` runs from the bound both endpoints obey towards the
+    trivially feasible one; ``expand(state, theta)`` yields the feasible
+    neighbors obeying ``theta``.  States are deduplicated on
+    ``key(state)``, and every state stored, over all thresholds, counts
+    against the budget (``cap``, else ``RFORGE_CAP``, else
+    ``DEFAULT_CAP``).  Returns the threshold, the parent-pointer path
+    from start to goal and the number of states stored.
+    """
+    cap = resolve_cap(cap)
+    start_key, goal_key = key(start), key(goal)
+    used = 0
+    for theta in thetas:
+        if start_key == goal_key:
+            return theta, [start], used
+        seen = {start_key: (start, None)}
+        used += 1
+        if used > cap:
+            raise _exhausted(cap)
+        queue = deque([start_key])
+        while queue:
+            cur_key = queue.popleft()
+            for state in expand(seen[cur_key][0], theta):
+                k = key(state)
+                if k in seen:
+                    continue
+                seen[k] = (state, cur_key)
+                used += 1
+                if used > cap:
+                    raise _exhausted(cap)
+                if k == goal_key:
+                    path = []
+                    while k is not None:
+                        state, k = seen[k]
+                        path.append(state)
+                    path.reverse()
+                    return theta, path, used
+                queue.append(k)
+    raise StructuralError("endpoints are not connected at any threshold")
 
-    def charge(self) -> None:
-        self.used += 1
-        if self.used > self.cap:
-            raise BudgetExhaustedError(
-                f"state budget exhausted: visited more than {self.cap} states "
-                "(raise --cap or RFORGE_CAP)"
-            )
 
-
-def _bfs(start_key, start, goal_key, expand, budget: _Budget):
-    """Breadth-first reachability with parent pointers over canonical byte keys."""
-    if start_key == goal_key:
-        return [start]
-    seen = {start_key: (start, None)}
-    budget.charge()
-    queue = deque([start_key])
-    while queue:
-        cur_key = queue.popleft()
-        cur = seen[cur_key][0]
-        for key, state in expand(cur):
-            if key in seen:
-                continue
-            seen[key] = (state, cur_key)
-            budget.charge()
-            if key == goal_key:
-                path = []
-                k = key
-                while k is not None:
-                    st, prev = seen[k]
-                    path.append(st)
-                    k = prev
-                path.reverse()
-                return path
-            queue.append(key)
-    return None
+def _exhausted(cap: int) -> BudgetExhaustedError:
+    return BudgetExhaustedError(
+        f"state budget exhausted: visited more than {cap} states "
+        "(raise --cap or RFORGE_CAP)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +152,6 @@ def solve_maxpar(
     allowed = [sorted(g.allowed_symbols(v)) for v in range(n)]
     incident = g.incident
     tables, edges = g.tables, g.edges
-    budget = _Budget(resolve_cap(cap))
 
     def key(f):
         return bytes(x + 1 for x in f)
@@ -150,31 +164,27 @@ def solve_maxpar(
                 return False
         return True
 
+    def expand(f, theta):
+        size = partial_size(f)
+        for v in range(n):
+            cur = f[v]
+            for val in [BOTTOM] + allowed[v]:
+                if val == cur:
+                    continue
+                new_size = size - (cur != BOTTOM) + (val != BOTTOM)
+                if new_size < theta:
+                    continue
+                nf = f[:v] + (val,) + f[v + 1 :]
+                if edges_ok_at(nf, v):
+                    yield nf
+
     top = min(partial_size(f_start), partial_size(f_goal))
-    for theta in range(top, -1, -1):
-
-        def expand(f, _theta=theta):
-            size = partial_size(f)
-            for v in range(n):
-                cur = f[v]
-                for val in [BOTTOM] + allowed[v]:
-                    if val == cur:
-                        continue
-                    new_size = size - (cur != BOTTOM) + (val != BOTTOM)
-                    if new_size < _theta:
-                        continue
-                    nf = f[:v] + (val,) + f[v + 1 :]
-                    if edges_ok_at(nf, v):
-                        yield key(nf), nf
-
-        path = _bfs(key(f_start), f_start, key(f_goal), expand, budget)
-        if path is not None:
-            return SolveResult(
-                value=Fraction(theta, n),
-                witness=ReconfigSequence(kind=KIND_PARTIAL, states=tuple(path)),
-                states_explored=budget.used,
-            )
-    raise StructuralError("unreachable: threshold 0 must connect all partial assignments")
+    theta, path, explored = _threshold_search(range(top, -1, -1), f_start, f_goal, key, expand, cap)
+    return SolveResult(
+        value=Fraction(theta, n),
+        witness=ReconfigSequence(kind=KIND_PARTIAL, states=tuple(path)),
+        states_explored=explored,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,8 @@ def solve_minlab(
                 for a in range(s)
             )
         )
-    budget = _Budget(resolve_cap(cap))
+    # Admissible sets come from folded self-loops, which forbid an empty set.
+    nonempty = g.admissible is not None
 
     def to_masks(f):
         return tuple(sum(1 << a for a in vals) for vals in f)
@@ -232,33 +243,28 @@ def solve_minlab(
                 return False
         return True
 
-    start_masks, goal_masks = to_masks(f_start), to_masks(f_goal)
-    size_start, size_goal = multi_size(f_start), multi_size(f_goal)
+    def expand(masks, theta):
+        size = sum(m.bit_count() for m in masks)
+        for v in range(n):
+            for a in allowed[v]:
+                nm = masks[v] ^ (1 << a)
+                new_size = size + (1 if nm > masks[v] else -1)
+                if new_size > theta or (nm == 0 and nonempty):
+                    continue
+                nxt = masks[:v] + (nm,) + masks[v + 1 :]
+                if edges_ok_at(nxt, v):
+                    yield nxt
+
     total = sum(len(a) for a in allowed)
-    for theta in range(max(size_start, size_goal), total + 1):
-
-        def expand(masks, _theta=theta):
-            size = sum(m.bit_count() for m in masks)
-            for v in range(n):
-                for a in allowed[v]:
-                    nm = masks[v] ^ (1 << a)
-                    new_size = size + (1 if nm > masks[v] else -1)
-                    if new_size > _theta:
-                        continue
-                    nxt = masks[:v] + (nm,) + masks[v + 1 :]
-                    if edges_ok_at(nxt, v):
-                        yield key(nxt), nxt
-
-        path = _bfs(key(start_masks), start_masks, key(goal_masks), expand, budget)
-        if path is not None:
-            return SolveResult(
-                value=Fraction(theta, n + 1),
-                witness=ReconfigSequence(
-                    kind=KIND_MULTI, states=tuple(to_sets(m) for m in path)
-                ),
-                states_explored=budget.used,
-            )
-    raise StructuralError("endpoints are not connected in the full label space")
+    thetas = range(max(multi_size(f_start), multi_size(f_goal)), total + 1)
+    theta, path, explored = _threshold_search(
+        thetas, to_masks(f_start), to_masks(f_goal), key, expand, cap
+    )
+    return SolveResult(
+        value=Fraction(theta, n + 1),
+        witness=ReconfigSequence(kind=KIND_MULTI, states=tuple(to_sets(m) for m in path)),
+        states_explored=explored,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +405,27 @@ def _solve_cover_cost(
     start_mask = sum(1 << i for i in c_start)
     goal_mask = sum(1 << i for i in c_goal)
     key_bytes = (n_items + 7) // 8
-    budget = _Budget(resolve_cap(cap))
 
     def key(mask):
         return mask.to_bytes(key_bytes, "little")
 
-    def to_set(mask):
-        return frozenset(i for i in range(n_items) if mask >> i & 1)
+    def expand(mask, theta):
+        size = mask.bit_count()
+        for i in range(n_items):
+            nm = mask ^ (1 << i)
+            if nm > mask and size + 1 > theta:
+                continue
+            if feasible_mask(nm):
+                yield nm
 
-    for theta in range(max(start_mask.bit_count(), goal_mask.bit_count()), n_items + 1):
-
-        def expand(mask, _theta=theta):
-            size = mask.bit_count()
-            for i in range(n_items):
-                nm = mask ^ (1 << i)
-                if nm > mask and size + 1 > _theta:
-                    continue
-                if feasible_mask(nm):
-                    yield key(nm), nm
-
-        path = _bfs(key(start_mask), start_mask, key(goal_mask), expand, budget)
-        if path is not None:
-            return SolveResult(
-                value=Fraction(theta, denominator),
-                witness=ReconfigSequence(kind=kind, states=tuple(to_set(m) for m in path)),
-                states_explored=budget.used,
-            )
-    raise StructuralError("endpoints are not connected in the full cover space")
+    thetas = range(max(start_mask.bit_count(), goal_mask.bit_count()), n_items + 1)
+    theta, path, explored = _threshold_search(thetas, start_mask, goal_mask, key, expand, cap)
+    states = tuple(frozenset(i for i in range(n_items) if m >> i & 1) for m in path)
+    return SolveResult(
+        value=Fraction(theta, denominator),
+        witness=ReconfigSequence(kind=kind, states=states),
+        states_explored=explored,
+    )
 
 
 def solve_cost_setcover(
@@ -465,6 +465,33 @@ def solve_cost_hvc(h: Hypergraph, c_start, c_goal, cap: int | None = None) -> So
     return _solve_cover_cost(
         h.n_vertices, feasible, c_start, c_goal, beta + 1, KIND_VERTEX_COVER, cap
     )
+
+
+# ---------------------------------------------------------------------------
+# Problem dispatch
+# ---------------------------------------------------------------------------
+
+# Problem name -> (instance bundle type, field holding the instance, solver).
+# Solvers are named rather than referenced so that the call goes through
+# this module's current binding.
+SOLVERS = {
+    PROBLEM_MAXPAR: (P2cspInstance, "graph", "solve_maxpar"),
+    PROBLEM_MINLAB: (LabelCoverInstance, "graph", "solve_minlab"),
+    PROBLEM_SC_COST: (SetCoverInstance, "system", "solve_cost_setcover"),
+    PROBLEM_HVC_COST: (HvcInstance, "hypergraph", "solve_cost_hvc"),
+}
+
+
+def solve_instance(problem: str, inst, cap: int | None = None) -> SolveResult:
+    """Solve an instance bundle exactly with the solver of ``problem``."""
+    if problem not in SOLVERS:
+        raise StructuralError(f"unknown problem {problem!r}")
+    bundle_type, part, solver = SOLVERS[problem]
+    if not isinstance(inst, bundle_type):
+        raise StructuralError(
+            f"{problem} expects a {bundle_type.__name__}, got {type(inst).__name__}"
+        )
+    return globals()[solver](getattr(inst, part), inst.start, inst.goal, cap=cap)
 
 
 # ---------------------------------------------------------------------------

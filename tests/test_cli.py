@@ -8,7 +8,16 @@ from rforge import checks, serialize
 from rforge.checks import CheckReport
 from rforge.cli import main
 from rforge.core import HvcInstance, LabelCoverInstance, P2cspInstance, SetCoverInstance
+from rforge.generate import generate_csp, generate_hypergraph, generate_labelcover, generate_setcover
 from rforge.verifier import TableVerifier
+
+# One small instance bundle per solve problem, of the type that problem takes.
+BUNDLE_OF_PROBLEM = {
+    "maxpar": generate_csp,
+    "minlab": generate_labelcover,
+    "sc-cost": generate_setcover,
+    "hvc-cost": generate_hypergraph,
+}
 
 
 def run(*argv):
@@ -91,6 +100,24 @@ class TestReduceChain:
         fglss = tmp_path / "fglss.json"
         run("reduce", "fglss", "--in", ver, "--out", fglss)
         assert run("solve", "maxpar", "--in", fglss, "--cap", 1) == 3
+
+
+class TestSolveInput:
+    @pytest.mark.parametrize(
+        "problem, given",
+        [(p, q) for p in BUNDLE_OF_PROBLEM for q in BUNDLE_OF_PROBLEM if p != q],
+    )
+    def test_wrong_bundle_type_exits_2(self, tmp_path, problem, given):
+        path = tmp_path / "in.json"
+        serialize.save(BUNDLE_OF_PROBLEM[given](1), path)
+        assert run("solve", problem, "--in", path) == 2
+
+    @pytest.mark.parametrize("data", [b'{"type":"set_system"}', b"[1]", b"nope"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        assert run("solve", "maxpar", "--in", path) == 2
+        assert "malformed input" in capsys.readouterr().err
 
 
 class TestAmplifyCommand:

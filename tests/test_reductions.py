@@ -15,7 +15,6 @@ from rforge.core import (
 from rforge.generate import generate_labelcover
 from rforge.reductions import (
     GadgetSpace,
-    ORIENT_VERBATIM,
     gadget_membership,
     labelcover_to_hvc,
     labelcover_to_setcover,
@@ -33,6 +32,8 @@ from rforge.reductions import (
 from rforge.solve import (
     min_cover,
     min_vertex_cover,
+    solve_cost_hvc,
+    solve_cost_setcover,
     solve_maxpar,
     solve_minlab,
 )
@@ -200,28 +201,6 @@ class TestSetCoverReduction:
                         g, e_idx, f
                     )
 
-    def test_verbatim_orientation_fails_on_asymmetric(self):
-        # the partner map applied with the larger endpoint's symbol in the
-        # first table slot transposes the check; document that it breaks the
-        # equivalence exactly where the table is asymmetric
-        g = graph([(0, 1)], [IMPL])
-        inst = p2csp_to_labelcover(g, (0, 0), (0, 0))
-        red = labelcover_to_setcover(g, inst.start, inst.goal, orientation=ORIENT_VERBATIM)
-        b_size = 2**g.n_symbols
-        mismatches = 0
-        for chosen in all_subfamilies(red.system.n_sets):
-            f = setcover_solution_to_multiassignment(red, chosen)
-            if covers_block(red.system, chosen, 0, b_size) != edge_satisfied(g, 0, f):
-                mismatches += 1
-        assert mismatches > 0
-
-    def test_verbatim_agrees_on_symmetric(self):
-        g = graph([(0, 1)], [EQ])
-        inst = p2csp_to_labelcover(g, (0, 0), (0, 0))
-        red_a = labelcover_to_setcover(g, inst.start, inst.goal)
-        red_b = labelcover_to_setcover(g, inst.start, inst.goal, orientation=ORIENT_VERBATIM)
-        assert red_a.system == red_b.system
-
     def test_self_loops_rejected(self):
         g = graph([(0, 0)], [EQ])
         with pytest.raises(StructuralError, match="normalize"):
@@ -307,7 +286,6 @@ class TestEndToEndWithAdmissibleSets:
         from rforge.core import normalize_self_loops
         from rforge.fglss import build_fglss, embed_proof
         from rforge.generate import generate_verifier_with_accepted_pair
-        from rforge.solve import solve_cost_hvc, solve_cost_setcover
 
         nontrivial = 0
         for seed in range(6):
@@ -327,6 +305,30 @@ class TestEndToEndWithAdmissibleSets:
             assert min_cover(red.system) == norm.n_vertices
             assert min_vertex_cover(hred.hypergraph) == norm.n_vertices
         assert nontrivial > 0  # the admissible machinery was really restricted
+
+
+class TestEdgelessVertices:
+    def test_edgeless_vertex_keeps_a_label_in_every_objective(self):
+        # an admissible set marks a folded self-loop, so the vertex may not
+        # go empty; one element (one hyperedge) covered only by its own sets
+        # makes the covers keep a label there too
+        g = ConstraintGraph(("v",), 2, ("a", "b"), (), (), admissible=(frozenset({0, 1}),))
+        start, goal = (frozenset({0}),), (frozenset({1}),)
+        red = labelcover_to_setcover(g, start, goal)
+        hred = labelcover_to_hvc(g, start, goal)
+        assert red.system.elements == ("(v)",)
+        assert hred.hypergraph.hyperedges == (frozenset({0, 1, 2, 3}),)
+        minlab = solve_minlab(g, start, goal)
+        sc = solve_cost_setcover(red.system, red.start, red.goal)
+        hv = solve_cost_hvc(hred.hypergraph, hred.start, hred.goal)
+        assert minlab.value == sc.value == hv.value == 1
+
+    def test_edgeless_vertex_without_admissible_set_rejected(self):
+        g = graph([], [], n=1)
+        with pytest.raises(StructuralError, match="on no edge"):
+            labelcover_to_setcover(g, (frozenset({0}),), (frozenset({1}),))
+        with pytest.raises(StructuralError, match="on no edge"):
+            labelcover_to_hvc(g, (frozenset({0}),), (frozenset({1}),))
 
 
 @given(st.integers(0, 10**6))

@@ -1,12 +1,15 @@
 """Round-trip and byte-stability of every on-disk schema."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rforge import serialize
 from rforge.amplify import build_expander
 from rforge.core import (
+    BOTTOM,
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
@@ -15,6 +18,7 @@ from rforge.core import (
     KIND_PARTIAL,
     KIND_PROOF,
     LabelCoverInstance,
+    P2cspInstance,
     ReconfigSequence,
     SetCoverInstance,
     SetSystem,
@@ -114,6 +118,91 @@ def test_instance_bundles_roundtrip(tmp_path):
     h = Hypergraph(("x",), (frozenset({0}),))
     hv = HvcInstance(h, frozenset({0}), frozenset({0}))
     assert roundtrip(hv)[0] == hv
+
+
+PINNED_GRAPH = ConstraintGraph(
+    ("x", "y"),
+    2,
+    ("a", "b"),
+    ((0, 1),),
+    (bytes([1, 0, 1, 1]),),
+    admissible=(frozenset({0, 1}), frozenset({1})),
+)
+GRAPH_BYTES = (
+    b'{"admissible":[[0,1],[1]],"alphabet":["a","b"],"arity":2,"edges":[[0,1]],'
+    b'"tables":[[1,0,1,1]],"type":"constraint_graph","vertices":["x","y"]}'
+)
+
+
+@pytest.mark.parametrize(
+    "inst, expected",
+    [
+        (
+            P2cspInstance(PINNED_GRAPH, (0, 1), (BOTTOM, 1)),
+            b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[0,1],"type":"p2csp_instance"}\n',
+        ),
+        (
+            LabelCoverInstance(
+                PINNED_GRAPH,
+                (frozenset({0}), frozenset({1})),
+                (frozenset({0, 1}), frozenset({1})),
+            ),
+            b'{"goal":[[0,1],[1]],"graph":' + GRAPH_BYTES
+            + b',"start":[[0],[1]],"type":"labelcover_instance"}\n',
+        ),
+        (
+            SetCoverInstance(
+                SetSystem(("u", "w"), (frozenset({0, 1}), frozenset({1})), ("A", "B")),
+                frozenset({0}),
+                frozenset({0, 1}),
+            ),
+            b'{"goal":[0,1],"start":[0],"system":{"elements":["u","w"],"set_labels":["A","B"],'
+            b'"sets":[[0,1],[1]],"type":"set_system"},"type":"setcover_instance"}\n',
+        ),
+        (
+            HvcInstance(
+                Hypergraph(("p", "q", "r"), (frozenset({0, 2}), frozenset({1, 2})), 2),
+                frozenset({2}),
+                frozenset({0, 1}),
+            ),
+            b'{"goal":[0,1],"hypergraph":{"hyperedges":[[0,2],[1,2]],"type":"hypergraph",'
+            b'"uniformity":2,"vertices":["p","q","r"]},"start":[2],"type":"hvc_instance"}\n',
+        ),
+    ],
+)
+def test_instance_bundle_bytes_are_pinned(inst, expected):
+    assert serialize.dump_bytes(inst) == expected
+    assert serialize.parse_bytes(expected) == inst
+
+
+_FIELDS = (
+    "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
+    "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",
+    "uniformity", "r", "q", "ell", "entries", "n", "d", "rotation", "lambda", "kind",
+    "states", "value", "witness", "states_explored",
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.sampled_from(["1/0", "x", "cover"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=6),
+    max_leaves=16,
+)
+_FILE_TYPES = st.sampled_from(sorted(serialize._PARSERS))
+
+
+@given(
+    st.binary(max_size=64)
+    | _JSON_VALUES.map(lambda v: json.dumps(v).encode())
+    | st.tuples(_FILE_TYPES, st.dictionaries(st.sampled_from(_FIELDS), _JSON_VALUES)).map(
+        lambda tv: json.dumps({**tv[1], "type": tv[0]}).encode()
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_parse_bytes_fails_only_structurally(data):
+    try:
+        serialize.parse_bytes(data)
+    except StructuralError:
+        pass
 
 
 def test_unknown_type_rejected():
