@@ -78,7 +78,6 @@ from .fglss import (
 )
 from .reductions import (
     GadgetSpace,
-    gadget_membership,
     labelcover_to_hvc,
     labelcover_to_setcover,
     lift_partial_sequence,

@@ -18,7 +18,7 @@ from mpmath import iv
 from mpmath.libmp import to_rational
 
 from .core import StructuralError
-from .verifier import TableVerifier
+from .verifier import TableVerifier, degrees
 from . import rng as rng_mod
 
 # Power iteration settings for spectral certification (desk scale: n <= 4096).
@@ -330,10 +330,7 @@ class DegreeReport:
 
 
 def degree_report(v: TableVerifier, delta: Fraction | None = None, kappa: int | None = None) -> DegreeReport:
-    counts = [0] * v.ell
-    for positions in v.queries:
-        for i in positions:
-            counts[i] += 1
+    counts = degrees(v)
     max_degree = max(counts)
     regular = counts[0] if len(set(counts)) == 1 else None
     bound_value = bound_ok = None
@@ -343,7 +340,7 @@ def degree_report(v: TableVerifier, delta: Fraction | None = None, kappa: int | 
         bound_value = Fraction(delta) ** (-kappa)
         bound_ok = Fraction(max_degree) <= bound_value
     return DegreeReport(
-        degrees=tuple(counts),
+        degrees=counts,
         max_degree=max_degree,
         regular=regular,
         bound_value=bound_value,

@@ -9,16 +9,7 @@ plus lower-order terms.
 
 from __future__ import annotations
 
-from .core import (
-    Hypergraph,
-    KIND_COVER,
-    KIND_VERTEX_COVER,
-    ReconfigSequence,
-    SetSystem,
-    StructuralError,
-    is_cover,
-    is_vertex_cover,
-)
+from .core import KINDS, KIND_COVER, KIND_VERTEX_COVER, ReconfigSequence, StructuralError
 
 
 def two_factor_cover(instance, c_start, c_goal) -> ReconfigSequence:
@@ -29,14 +20,13 @@ def two_factor_cover(instance, c_start, c_goal) -> ReconfigSequence:
     deterministic.
     """
     c_start, c_goal = frozenset(c_start), frozenset(c_goal)
-    if isinstance(instance, SetSystem):
-        kind = KIND_COVER
-        feasible = is_cover
-    elif isinstance(instance, Hypergraph):
-        kind = KIND_VERTEX_COVER
-        feasible = is_vertex_cover
-    else:
+    kind = next(
+        (k for k in (KIND_COVER, KIND_VERTEX_COVER) if isinstance(instance, KINDS[k].instance_type)),
+        None,
+    )
+    if kind is None:
         raise StructuralError(f"expected a set system or hypergraph, got {type(instance).__name__}")
+    feasible = KINDS[kind].feasible
     if not feasible(instance, c_start) or not feasible(instance, c_goal):
         raise StructuralError("infeasible endpoints")
     current = set(c_start)

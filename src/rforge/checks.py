@@ -25,9 +25,12 @@ from .approx import two_factor_cover
 from .core import (
     BOTTOM,
     BudgetExhaustedError,
+    ConstraintGraph,
+    LabelCoverInstance,
     SetSystem,
     StructuralError,
     is_full,
+    multi_edge_satisfied,
     multi_size,
     partial_size,
     satisfies_partial,
@@ -89,10 +92,22 @@ def _ce(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _edge_satisfied(g, e_idx, f) -> bool:
-    v, w = g.edges[e_idx]
-    s = g.n_symbols
-    return any(g.tables[e_idx][a * s + b] for a in f[v] for b in f[w])
+class _Tally:
+    """Violations found so far and the counterexample of the first one found
+    with a witness."""
+
+    def __init__(self):
+        self.violations = 0
+        self.counterexample: str | None = None
+
+    def add(self, payload=None) -> None:
+        self.violations += 1
+        if self.counterexample is None and payload is not None:
+            self.counterexample = _ce(payload)
+
+    def report(self, suite: str, trials: int, notes=(), passed: bool = True) -> CheckReport:
+        ok = passed and self.violations == 0
+        return CheckReport(suite, ok, trials, self.violations, self.counterexample, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +122,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
     tables included).  ``corrupt`` drops one universe element from one set
     after the reduction, as a negative control.
     """
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     for t in range(trials):
         params = rng_mod.stream(seed, f"lemma-params:{t}")
         inst = generate.generate_labelcover(
@@ -140,30 +154,28 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
             chosen = frozenset(i for i in range(m) if mask >> i & 1)
             f = setcover_solution_to_multiassignment(red, chosen)
             if multi_size(f) != len(chosen):
-                violations += 1
+                tally.add()
             for e_idx in range(n_edges):
                 acc = 0
                 for i in chosen:
                     acc |= set_blocks[i][e_idx]
                 covered = acc == full_block
-                satisfied = _edge_satisfied(g, e_idx, f)
+                satisfied = multi_edge_satisfied(g, e_idx, f)
                 if covered != satisfied:
-                    violations += 1
-                    if counterexample is None:
-                        counterexample = _ce(
-                            {
-                                "instance": serialize.instance_payload(inst),
-                                "subfamily": sorted(chosen),
-                                "edge": e_idx,
-                                "covered": covered,
-                                "satisfied": satisfied,
-                            }
-                        )
-            if counterexample is not None and violations:
+                    tally.add(
+                        {
+                            "instance": serialize.instance_payload(inst),
+                            "subfamily": sorted(chosen),
+                            "edge": e_idx,
+                            "covered": covered,
+                            "satisfied": satisfied,
+                        }
+                    )
+            if tally.counterexample is not None:
                 break
-        if counterexample is not None and violations:
+        if tally.counterexample is not None:
             break
-    return CheckReport("lemma-setcover", violations == 0, trials, violations, counterexample)
+    return tally.report("lemma-setcover", trials)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +183,23 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
 # ---------------------------------------------------------------------------
 
 
+def _with_edgeless_vertex(inst: LabelCoverInstance, rng) -> LabelCoverInstance:
+    """``inst`` plus one vertex on no edge with a random nonempty admissible
+    set; every other vertex admits the whole alphabet, and the endpoints
+    give the new vertex a label from its set."""
+    g = inst.graph
+    s = g.n_symbols
+    allowed = rng.sample(range(s), rng.randrange(1, s + 1))
+    admissible = (frozenset(range(s)),) * g.n_vertices + (frozenset(allowed),)
+    graph = ConstraintGraph(g.vertices + (f"v{g.n_vertices}",), 2, g.alphabet, g.edges, g.tables, admissible)
+    start = inst.start + (frozenset({rng.choice(allowed)}),)
+    goal = inst.goal + (frozenset({rng.choice(allowed)}),)
+    return LabelCoverInstance(graph, start, goal)
+
+
 def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
-    violations = 0
-    counterexample = None
-    notes = []
+    """Every fifth trial, from the first, adds one edgeless vertex."""
+    tally = _Tally()
     for t in range(trials):
         params = rng_mod.stream(seed, f"cost-params:{t}")
         inst = generate.generate_labelcover(
@@ -186,6 +211,8 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
             ensure_incident=True,
             distinct_endpoints=True,
         )
+        if t % 5 == 0:
+            inst = _with_edgeless_vertex(inst, rng_mod.stream(seed, f"cost-edgeless:{t}"))
         g = inst.graph
         minlab = solve_minlab(g, inst.start, inst.goal, cap=100_000)
         if target == "setcover":
@@ -197,27 +224,23 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
             opt = min_vertex_cover(red.hypergraph)
             cost = solve_cost_hvc(red.hypergraph, red.start, red.goal, cap=100_000)
         if opt != g.n_vertices:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {
-                        "instance": serialize.instance_payload(inst),
-                        "reason": f"minimum cover {opt} != |V| = {g.n_vertices}",
-                    }
-                )
+            tally.add(
+                {
+                    "instance": serialize.instance_payload(inst),
+                    "reason": f"minimum cover {opt} != |V| = {g.n_vertices}",
+                }
+            )
             continue
         if minlab.value != cost.value:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {
-                        "instance": serialize.instance_payload(inst),
-                        "minlab": str(minlab.value),
-                        "cost": str(cost.value),
-                    }
-                )
+            tally.add(
+                {
+                    "instance": serialize.instance_payload(inst),
+                    "minlab": str(minlab.value),
+                    "cost": str(cost.value),
+                }
+            )
     suite = "cost-equality-sc" if target == "setcover" else "cost-equality-hvc"
-    return CheckReport(suite, violations == 0, trials, violations, counterexample, tuple(notes))
+    return tally.report(suite, trials)
 
 
 def cost_equality_sc(trials: int = 50, seed: int = 0) -> CheckReport:
@@ -245,8 +268,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
     """
     found = 0
     attempts = 0
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     while found < trials and attempts < trials * 100:
         params = rng_mod.stream(seed, f"lift-params:{attempts}")
         inst = generate.generate_csp(
@@ -271,21 +293,18 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
         peak = max(multi_size(f) for f in half.states)
         minlab = solve_minlab(inst.graph, lifted.start, lifted.goal, cap=100_000)
         if not report.ok or peak != inst.graph.n_vertices + 1 or minlab.value != 1:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {
-                        "instance": serialize.instance_payload(inst),
-                        "witness_ok": report.ok,
-                        "peak": peak,
-                        "minlab": str(minlab.value),
-                    }
-                )
+            tally.add(
+                {
+                    "instance": serialize.instance_payload(inst),
+                    "witness_ok": report.ok,
+                    "peak": peak,
+                    "minlab": str(minlab.value),
+                }
+            )
     notes = [f"{attempts} instances sampled for {found} with optimum 1"]
-    passed = violations == 0 and found >= trials
     if found < trials:
         notes.append("not enough optimum-1 instances found")
-    return CheckReport("lift-completeness", passed, found, violations, counterexample, tuple(notes))
+    return tally.report("lift-completeness", found, notes, passed=found >= trials)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +315,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
 def fglss_completeness(trials: int = 10, seed: int = 0) -> CheckReport:
     """A 1-bit step between everywhere-accepted proofs walks through full
     satisfying assignments only, with length 1 + 2 * degree."""
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     for t in range(trials):
         params = rng_mod.stream(seed, f"fcomp-params:{t}")
         q = params.randrange(1, 3)
@@ -313,17 +331,15 @@ def fglss_completeness(trials: int = 10, seed: int = 0) -> CheckReport:
         all_full = all(is_full(f) for f in seq.states)
         report = validate_sequence(g, seq)
         if not all_full or not report.ok or len(seq.states) != expect_len:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {
-                        "verifier": serialize.verifier_payload(v, start, goal),
-                        "sequence_ok": report.ok,
-                        "length": len(seq.states),
-                        "expected_length": expect_len,
-                    }
-                )
-    return CheckReport("fglss-completeness", violations == 0, trials, violations, counterexample)
+            tally.add(
+                {
+                    "verifier": serialize.verifier_payload(v, start, goal),
+                    "sequence_ok": report.ok,
+                    "length": len(seq.states),
+                    "expected_length": expect_len,
+                }
+            )
+    return tally.report("fglss-completeness", trials)
 
 
 def _toy_verifiers(trials: int, seed: int):
@@ -362,8 +378,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
     the assigned fraction.  Single-vertex mutations then exercise the
     interpolation dip bound with exact per-position probabilities.
     """
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     states_seen = 0
     for v in _toy_verifiers(trials, seed):
         g = build_fglss(v)
@@ -388,15 +403,13 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
             if accept_prob(v, proof) < Fraction(partial_size(f), two_r):
                 problems.append("acceptance below the assigned fraction")
             if problems:
-                violations += 1
-                if counterexample is None:
-                    counterexample = _ce(
-                        {
-                            "verifier": serialize.verifier_payload(v),
-                            "assignment": [None if a == BOTTOM else a for a in f],
-                            "problems": problems,
-                        }
-                    )
+                tally.add(
+                    {
+                        "verifier": serialize.verifier_payload(v),
+                        "assignment": [None if a == BOTTOM else a for a in f],
+                        "problems": problems,
+                    }
+                )
                 break
             # Dip bound on a sampled single-vertex mutation of f.
             if sampler.random() < 0.25:
@@ -412,21 +425,16 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                             Fraction(degree(v, i), two_r) for i in diff
                         )
                         if accept_prob(v, inter) < floor:
-                            violations += 1
-                            if counterexample is None:
-                                counterexample = _ce(
-                                    {
-                                        "verifier": serialize.verifier_payload(v),
-                                        "from": proof,
-                                        "to": proof2,
-                                        "interpolant": inter,
-                                    }
-                                )
+                            tally.add(
+                                {
+                                    "verifier": serialize.verifier_payload(v),
+                                    "from": proof,
+                                    "to": proof2,
+                                    "interpolant": inter,
+                                }
+                            )
                             break
-    notes = (f"{states_seen} satisfying assignments enumerated",)
-    return CheckReport(
-        "fglss-popularity", violations == 0, trials, violations, counterexample, notes
-    )
+    return tally.report("fglss-popularity", trials, [f"{states_seen} satisfying assignments enumerated"])
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +458,7 @@ def expander_bounds(trials: int = 12, seed: int = 0) -> CheckReport:
     graphs.append(build_expander(16, 16, 0.2, seed))
     for n, d in ((16, 4), (32, 4), (64, 4)):
         graphs.append(build_expander(n, d, 0.95, seed))
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     checked = 0
     rng = rng_mod.stream(seed, "expander-subsets")
     for x in graphs:
@@ -463,25 +470,16 @@ def expander_bounds(trials: int = 12, seed: int = 0) -> CheckReport:
             for rho in range(1, 5):
                 checked += 1
                 if not _bounds_hold(x, subset, rho):
-                    violations += 1
-                    if counterexample is None:
-                        counterexample = _ce(
-                            {
-                                "n": x.n,
-                                "d": x.d,
-                                "lambda": x.lam,
-                                "subset": sorted(subset),
-                                "rho": rho,
-                            }
-                        )
-    return CheckReport(
-        "expander-bounds",
-        violations == 0,
-        checked,
-        violations,
-        counterexample,
-        (f"{len(graphs)} graphs",),
-    )
+                    tally.add(
+                        {
+                            "n": x.n,
+                            "d": x.d,
+                            "lambda": x.lam,
+                            "subset": sorted(subset),
+                            "rho": rho,
+                        }
+                    )
+    return tally.report("expander-bounds", checked, [f"{len(graphs)} graphs"])
 
 
 def _claim_verifier(seed: int, t: int):
@@ -526,8 +524,7 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     delta = Fraction(11, 20)
     x = build_expander(16, 16, 0.15, seed)
     rho = choose_rho(eps, delta)
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     notes = [f"rho={rho}", f"ratio={x.ratio}"]
     if not Fraction(x.lam) / x.d < eps / 4:
         return CheckReport("claim-accept", False, 0, 1, _ce({"reason": "ratio too large"}), tuple(notes))
@@ -550,13 +547,11 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
                 if not amp < delta:
                     problems.append("low-acceptance proof not driven below delta")
             if problems:
-                violations += 1
-                if counterexample is None:
-                    counterexample = _ce(
-                        {"trial": t, "proof": proof, "base": str(base), "amplified": str(amp), "problems": problems}
-                    )
+                tally.add(
+                    {"trial": t, "proof": proof, "base": str(base), "amplified": str(amp), "problems": problems}
+                )
         if accept_prob(v, planted) != 1:
-            violations += 1
+            tally.add()
     # All subsets of the largest size with |S|/n < 1 - eps; smaller subsets
     # are dominated by monotonicity of the walk event.
     k_max = 0
@@ -566,15 +561,11 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     for subset in combinations(range(x.n), k_max):
         swept += 1
         if not walk_hit_prob(x, frozenset(subset), rho) < delta:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce({"subset": list(subset), "rho": rho})
+            tally.add({"subset": list(subset), "rho": rho})
             break
     notes.append(f"{low_seen} low-acceptance proofs exercised")
     notes.append(f"{swept} subsets of size {k_max} swept")
-    return CheckReport(
-        "claim-accept", violations == 0, trials, violations, counterexample, tuple(notes)
-    )
+    return tally.report("claim-accept", trials, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -584,29 +575,20 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
 
 def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
     """Peak identity and the factor-2 bound against the exact solver."""
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     compared = 0
     for t in range(trials):
         params = rng_mod.stream(seed, f"approx-params:{t}")
         sub = rng_mod.substream_seed(seed, f"approx:{t}")
         if t % 2 == 0:
-            problem = PROBLEM_SC_COST
-            inst = generate.generate_setcover(
+            problem, inst = PROBLEM_SC_COST, generate.generate_setcover(
                 sub, n_elements=params.randrange(3, 7), n_sets=params.randrange(3, 7)
             )
-            instance, start, goal = inst.system, inst.start, inst.goal
-            opt = min_cover(instance)
         else:
-            problem = PROBLEM_HVC_COST
-            inst = generate.generate_hypergraph(
-                sub,
-                n_vertices=params.randrange(3, 7),
-                n_edges=params.randrange(2, 6),
-                max_edge_size=3,
+            problem, inst = PROBLEM_HVC_COST, generate.generate_hypergraph(
+                sub, n_vertices=params.randrange(3, 7), n_edges=params.randrange(2, 6), max_edge_size=3
             )
-            instance, start, goal = inst.hypergraph, inst.start, inst.goal
-            opt = min_vertex_cover(instance)
+        instance, start, goal = getattr(inst, SOLVERS[problem].part), inst.start, inst.goal
         seq = two_factor_cover(instance, start, goal)
         report = validate_sequence(instance, seq, start=start, goal=goal)
         peak = max(len(c) for c in seq.states)
@@ -618,24 +600,32 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
         try:
             exact = solve_instance(problem, inst, cap=100_000)
             compared += 1
-            if Fraction(peak, opt + 1) > 2 * exact.value:
+            if sequence_objective(problem, instance, seq) > 2 * exact.value:
                 problems.append("approximation ratio above 2")
         except BudgetExhaustedError:
             pass
         if problems:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {"instance": serialize.instance_payload(inst), "problems": problems}
-                )
-    return CheckReport(
-        "approx-ratio",
-        violations == 0,
-        trials,
-        violations,
-        counterexample,
-        (f"{compared} exact comparisons",),
-    )
+            tally.add(
+                {"instance": serialize.instance_payload(inst), "problems": problems}
+            )
+    return tally.report("approx-ratio", trials, [f"{compared} exact comparisons"])
+
+
+# Oracle-agreement draws, taken in turn: a problem and a small bundle of it.
+_ORACLE_DRAWS = (
+    (PROBLEM_MAXPAR, lambda sub, params: generate.generate_csp(
+        sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=0.9
+    )),
+    (PROBLEM_MINLAB, lambda sub, params: generate.generate_labelcover(
+        sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=1.0
+    )),
+    (PROBLEM_SC_COST, lambda sub, params: generate.generate_setcover(
+        sub, n_elements=params.randrange(2, 5), n_sets=params.randrange(2, 5)
+    )),
+    (PROBLEM_HVC_COST, lambda sub, params: generate.generate_hypergraph(
+        sub, n_vertices=params.randrange(2, 5), n_edges=params.randrange(1, 4)
+    )),
+)
 
 
 def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
@@ -644,35 +634,18 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
     Instances are drawn small enough that the full feasible state space
     has at most 20 states; larger draws are skipped and redrawn.
     """
-    violations = 0
-    counterexample = None
+    tally = _Tally()
     done = 0
     attempt = 0
     while done < trials and attempt < trials * 20:
         params = rng_mod.stream(seed, f"oracle-params:{attempt}")
         sub = rng_mod.substream_seed(seed, f"oracle:{attempt}")
-        kind = attempt % 4
+        problem, draw = _ORACLE_DRAWS[attempt % 4]
         attempt += 1
         try:
-            if kind == 0:
-                problem, inst = PROBLEM_MAXPAR, generate.generate_csp(
-                    sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=0.9
-                )
-            elif kind == 1:
-                problem, inst = PROBLEM_MINLAB, generate.generate_labelcover(
-                    sub, n_vertices=2, alphabet_size=params.randrange(1, 3), density=1.0
-                )
-            elif kind == 2:
-                problem, inst = PROBLEM_SC_COST, generate.generate_setcover(
-                    sub, n_elements=params.randrange(2, 5), n_sets=params.randrange(2, 5)
-                )
-            else:
-                problem, inst = PROBLEM_HVC_COST, generate.generate_hypergraph(
-                    sub, n_vertices=params.randrange(2, 5), n_edges=params.randrange(1, 4)
-                )
+            inst = draw(sub, params)
             res = solve_instance(problem, inst, cap=100_000)
-            _, part, _ = SOLVERS[problem]
-            instance = getattr(inst, part)
+            instance = getattr(inst, SOLVERS[problem].part)
             states = enumerate_feasible_states(problem, instance)
             if len(states) > 20:
                 continue
@@ -682,20 +655,17 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
         done += 1
         witness_obj = sequence_objective(problem, instance, res.witness)
         if res.value != expected or witness_obj != res.value:
-            violations += 1
-            if counterexample is None:
-                counterexample = _ce(
-                    {
-                        "instance": serialize.instance_payload(inst),
-                        "problem": problem,
-                        "solver": str(res.value),
-                        "oracle": str(expected),
-                        "witness_objective": str(witness_obj),
-                    }
-                )
-    notes = (f"{done} instances with <= 20 states",)
-    passed = violations == 0 and done >= trials
-    return CheckReport("oracle-agreement", passed, done, violations, counterexample, notes)
+            tally.add(
+                {
+                    "instance": serialize.instance_payload(inst),
+                    "problem": problem,
+                    "solver": str(res.value),
+                    "oracle": str(expected),
+                    "witness_objective": str(witness_obj),
+                }
+            )
+    notes = [f"{done} instances with <= 20 states"]
+    return tally.report("oracle-agreement", done, notes, passed=done >= trials)
 
 
 SUITES = {

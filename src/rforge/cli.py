@@ -44,6 +44,7 @@ from .solve import (
     SOLVERS,
     min_cover,
     min_vertex_cover,
+    sequence_objective,
     solve_instance,
 )
 from .verifier import accept_prob
@@ -56,6 +57,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
+    return value
+
+
 def _fmt_value(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} (~{float(value):.6f})"
 
@@ -65,33 +76,31 @@ def _fmt_value(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Generator of each --kind; a verifier comes with its start and goal proofs.
+_GENERATORS = {
+    "csp": lambda a: generate.generate_csp(
+        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
+    ),
+    "labelcover": lambda a: generate.generate_labelcover(
+        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
+    ),
+    "setcover": lambda a: generate.generate_setcover(a.seed, n_elements=a.elements, n_sets=a.sets),
+    "hypergraph": lambda a: generate.generate_hypergraph(
+        a.seed, n_vertices=a.vertices, n_edges=a.edges, max_edge_size=a.max_edge_size
+    ),
+    "verifier": lambda a: generate.generate_verifier(
+        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
+    ),
+}
+
+
 def _cmd_gen(args) -> int:
-    seed = args.seed
-    if args.kind == "csp":
-        inst = generate.generate_csp(
-            seed, n_vertices=args.vertices, alphabet_size=args.alphabet, density=args.density
-        )
-        serialize.save(inst, args.out)
-    elif args.kind == "labelcover":
-        inst = generate.generate_labelcover(
-            seed, n_vertices=args.vertices, alphabet_size=args.alphabet, density=args.density
-        )
-        serialize.save(inst, args.out)
-    elif args.kind == "setcover":
-        inst = generate.generate_setcover(seed, n_elements=args.elements, n_sets=args.sets)
-        serialize.save(inst, args.out)
-    elif args.kind == "hypergraph":
-        inst = generate.generate_hypergraph(
-            seed, n_vertices=args.vertices, n_edges=args.edges, max_edge_size=args.max_edge_size
-        )
-        serialize.save(inst, args.out)
-    elif args.kind == "verifier":
-        v, pi_start, pi_goal = generate.generate_verifier(
-            seed, n_vertices=args.vertices, alphabet_size=args.alphabet, density=args.density
-        )
+    made = _GENERATORS[args.kind](args)
+    if isinstance(made, tuple):
+        v, pi_start, pi_goal = made
         serialize.save(v, args.out, pi_start=pi_start, pi_goal=pi_goal)
     else:
-        raise StructuralError(f"unknown kind {args.kind!r}")
+        serialize.save(made, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -101,16 +110,20 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _proved_verifier(path):
+    v, pi_start, pi_goal = serialize.load_verifier(path)
+    if pi_start is None or pi_goal is None:
+        raise StructuralError("verifier file carries no start/goal proofs")
+    return v, pi_start, pi_goal
+
+
+def _fglss_instance(v, pi_start: str, pi_goal: str) -> P2cspInstance:
+    return P2cspInstance(build_fglss(v), embed_proof(v, pi_start), embed_proof(v, pi_goal))
+
+
 def _cmd_reduce(args) -> int:
     if args.step == "fglss":
-        v, pi_start, pi_goal = serialize.load_verifier(getattr(args, "in"))
-        if pi_start is None or pi_goal is None:
-            raise StructuralError("verifier file carries no start/goal proofs")
-        graph = build_fglss(v)
-        inst = P2cspInstance(
-            graph=graph, start=embed_proof(v, pi_start), goal=embed_proof(v, pi_goal)
-        )
-        serialize.save(inst, args.out)
+        serialize.save(_fglss_instance(*_proved_verifier(getattr(args, "in"))), args.out)
     elif args.step == "normalize":
         obj = serialize.load(getattr(args, "in"))
         if isinstance(obj, ConstraintGraph):
@@ -162,19 +175,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     obj = serialize.load(getattr(args, "in"))
-    if isinstance(obj, SetCoverInstance):
-        seq = two_factor_cover(obj.system, obj.start, obj.goal)
-        denom = min_cover(obj.system) + 1
-    elif isinstance(obj, HvcInstance):
-        seq = two_factor_cover(obj.hypergraph, obj.start, obj.goal)
-        denom = min_vertex_cover(obj.hypergraph) + 1
-    else:
+    problem = next(
+        (p for p in (PROBLEM_SC_COST, PROBLEM_HVC_COST) if isinstance(obj, SOLVERS[p].bundle)), None
+    )
+    if problem is None:
         raise StructuralError("approx expects a set-cover or vertex-cover instance")
-    peak = max(len(c) for c in seq.states)
+    instance = getattr(obj, SOLVERS[problem].part)
+    seq = two_factor_cover(instance, obj.start, obj.goal)
+    cost = sequence_objective(problem, instance, seq)
     if args.out:
         serialize.save(seq, args.out)
         print(f"wrote {args.out}")
-    print(f"peak = {peak}; cost = {_fmt_value(Fraction(peak, denom))}")
+    print(f"peak = {max(len(c) for c in seq.states)}; cost = {_fmt_value(cost)}")
     return 0
 
 
@@ -237,55 +249,42 @@ def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]
     """Recompute the report rows from the staged files (deterministic)."""
     rows: list[tuple[str, str, str]] = []
 
-    def stage(path: Path):
-        return path if path.exists() else None
+    def staged(name: str):
+        path = out_dir / name
+        return serialize.load(path) if path.exists() else None
 
-    ver_path = stage(out_dir / "00_verifier.json")
-    if ver_path:
-        v, pi_start, pi_goal = serialize.load_verifier(ver_path)
+    for name, label in (("00_verifier.json", "verifier"), ("01_amplified_verifier.json", "amplified")):
+        if not (out_dir / name).exists():
+            continue
+        v, pi_start, pi_goal = serialize.load_verifier(out_dir / name)
         rep = degree_report(v)
-        rows.append(("verifier", "r/q/ell", f"{v.r}/{v.q}/{v.ell}"))
-        rows.append(("verifier", "max-degree", str(rep.max_degree)))
-        rows.append(("verifier", "regular", str(rep.regular)))
-        if pi_start is not None:
-            rows.append(("verifier", "accept(start)", str(accept_prob(v, pi_start))))
-        if pi_goal is not None:
-            rows.append(("verifier", "accept(goal)", str(accept_prob(v, pi_goal))))
-    amp_path = stage(out_dir / "01_amplified_verifier.json")
-    if amp_path:
-        v, pi_start, pi_goal = serialize.load_verifier(amp_path)
-        rep = degree_report(v)
-        rows.append(("amplified", "r/q/ell", f"{v.r}/{v.q}/{v.ell}"))
-        rows.append(("amplified", "max-degree", str(rep.max_degree)))
-        if pi_start is not None:
-            rows.append(("amplified", "accept(start)", str(accept_prob(v, pi_start))))
-        if pi_goal is not None:
-            rows.append(("amplified", "accept(goal)", str(accept_prob(v, pi_goal))))
-    fglss_path = stage(out_dir / "02_fglss.json")
-    if fglss_path:
-        inst = serialize.load(fglss_path)
+        rows.append((label, "r/q/ell", f"{v.r}/{v.q}/{v.ell}"))
+        rows.append((label, "max-degree", str(rep.max_degree)))
+        if label == "verifier":
+            rows.append((label, "regular", str(rep.regular)))
+        for end, proof in (("start", pi_start), ("goal", pi_goal)):
+            if proof is not None:
+                rows.append((label, f"accept({end})", str(accept_prob(v, proof))))
+    inst = staged("02_fglss.json")
+    if inst is not None:
         g = inst.graph
         rows.append(("fglss", "vertices/edges/alphabet", f"{g.n_vertices}/{len(g.edges)}/{g.n_symbols}"))
         rows.append(("fglss", "maxpar", _solve_or_note(PROBLEM_MAXPAR, inst, cap)))
-    norm_path = stage(out_dir / "03_normalized.json")
-    if norm_path:
-        inst = serialize.load(norm_path)
+    inst = staged("03_normalized.json")
+    if inst is not None:
         g = inst.graph
         adm = sum(len(a) for a in g.admissible) if g.admissible else g.n_vertices * g.n_symbols
         rows.append(("normalized", "vertices/edges/admissible", f"{g.n_vertices}/{len(g.edges)}/{adm}"))
-    lc_path = stage(out_dir / "04_labelcover.json")
-    if lc_path:
-        inst = serialize.load(lc_path)
+    inst = staged("04_labelcover.json")
+    if inst is not None:
         rows.append(("labelcover", "minlab", _solve_or_note(PROBLEM_MINLAB, inst, cap)))
-    sc_path = stage(out_dir / "05_setcover.json")
-    if sc_path:
-        inst = serialize.load(sc_path)
+    inst = staged("05_setcover.json")
+    if inst is not None:
         rows.append(("setcover", "universe/sets", f"{inst.system.n_elements}/{inst.system.n_sets}"))
         rows.append(("setcover", "opt", str(min_cover(inst.system))))
         rows.append(("setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap)))
-    hvc_path = stage(out_dir / "06_hvc.json")
-    if hvc_path:
-        inst = serialize.load(hvc_path)
+    inst = staged("06_hvc.json")
+    if inst is not None:
         h = inst.hypergraph
         rows.append(("hvc", "vertices/hyperedges/uniformity", f"{h.n_vertices}/{len(h.hyperedges)}/{h.uniformity}"))
         rows.append(("hvc", "beta", str(min_vertex_cover(h))))
@@ -324,9 +323,7 @@ def _stage(name: str, fn):
 def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    v, pi_start, pi_goal = serialize.load_verifier(getattr(args, "in"))
-    if pi_start is None or pi_goal is None:
-        raise StructuralError("verifier file carries no start/goal proofs")
+    v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
     if v.r > args.max_r or v.q > args.max_q:
         raise StructuralError(
             f"verifier too large for the pipeline (r={v.r} q={v.q}, ceilings r<={args.max_r} q<={args.max_q})"
@@ -342,12 +339,9 @@ def _cmd_pipeline(args) -> int:
         serialize.save(x, out_dir / "01_expander.json")
         work = _stage("amplify", lambda: amplify(v, x, rho))
         serialize.save(work, out_dir / "01_amplified_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
-    graph = _stage("fglss", lambda: build_fglss(work))
-    fglss_inst = P2cspInstance(
-        graph=graph, start=embed_proof(work, pi_start), goal=embed_proof(work, pi_goal)
-    )
+    fglss_inst = _stage("fglss", lambda: _fglss_instance(work, pi_start, pi_goal))
     serialize.save(fglss_inst, out_dir / "02_fglss.json")
-    normalized = _stage("normalize", lambda: normalize_self_loops(graph))
+    normalized = _stage("normalize", lambda: normalize_self_loops(fglss_inst.graph))
     norm_inst = P2cspInstance(normalized, fglss_inst.start, fglss_inst.goal)
     serialize.save(norm_inst, out_dir / "03_normalized.json")
     lifted = _stage(
@@ -355,13 +349,9 @@ def _cmd_pipeline(args) -> int:
     )
     serialize.save(lifted, out_dir / "04_labelcover.json")
     if normalized.n_symbols <= args.max_gadget_alphabet:
-        red_sc = _stage(
-            "l2sc", lambda: labelcover_to_setcover(normalized, lifted.start, lifted.goal)
-        )
+        red_sc = _stage("l2sc", lambda: labelcover_to_setcover(normalized, lifted.start, lifted.goal))
         serialize.save(SetCoverInstance(red_sc.system, red_sc.start, red_sc.goal), out_dir / "05_setcover.json")
-        red_hvc = _stage(
-            "l2hvc", lambda: labelcover_to_hvc(normalized, lifted.start, lifted.goal)
-        )
+        red_hvc = _stage("l2hvc", lambda: labelcover_to_hvc(normalized, lifted.start, lifted.goal))
         serialize.save(HvcInstance(red_hvc.hypergraph, red_hvc.start, red_hvc.goal), out_dir / "06_hvc.json")
     else:
         print(
@@ -379,6 +369,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_report(args) -> int:
     rows = _pipeline_rows(Path(args.dir), args.cap)
+    if not rows:
+        raise StructuralError(f"no pipeline stage files in {args.dir}")
     sys.stdout.write(_render_report(rows, args.format))
     return 0
 
@@ -396,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--kind", required=True, choices=["csp", "labelcover", "setcover", "hypergraph", "verifier"])
+    p.add_argument("--kind", required=True, choices=list(_GENERATORS))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertices", type=int, default=3)
@@ -440,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a property-check suite")
     p.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 

@@ -16,13 +16,17 @@ State representations are deliberately plain:
 * a cover (or vertex cover) is a ``frozenset[int]`` of set / vertex
   indices,
 * a proof is a ``str`` of ``'0'``/``'1'`` characters.
+
+``KINDS`` gives each state kind's instance type, feasibility test, size,
+step metric and canonical form; ``BUNDLES`` gives each instance bundle
+type's instance field and endpoint kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 BOTTOM = -1  # sentinel symbol id for "unassigned"; outside the alphabet index range
 
@@ -31,8 +35,6 @@ KIND_PARTIAL = "partial-assignment"
 KIND_MULTI = "multi-assignment"
 KIND_COVER = "cover"
 KIND_VERTEX_COVER = "vertex-cover"
-
-SEQUENCE_KINDS = (KIND_PROOF, KIND_PARTIAL, KIND_MULTI, KIND_COVER, KIND_VERTEX_COVER)
 
 
 class RforgeError(Exception):
@@ -204,7 +206,7 @@ class ReconfigSequence:
     states: tuple
 
     def __post_init__(self):
-        if self.kind not in SEQUENCE_KINDS:
+        if self.kind not in KINDS:
             raise StructuralError(f"unknown sequence kind {self.kind!r}")
         if len(self.states) == 0:
             raise StructuralError("a reconfiguration sequence must be nonempty")
@@ -349,11 +351,14 @@ def satisfies_multi(g: ConstraintGraph, f: Sequence[frozenset[int]]) -> bool:
             raise StructuralError(f"symbol out of alphabet range at vertex {v}")
         if g.admissible is not None and not (vals and vals <= g.admissible[v]):
             return False
-    for e_idx, (v, w) in enumerate(g.edges):
-        tab = g.tables[e_idx]
-        if not any(tab[a * s + b] for a in f[v] for b in f[w]):
-            return False
-    return True
+    return all(multi_edge_satisfied(g, e_idx, f) for e_idx in range(len(g.edges)))
+
+
+def multi_edge_satisfied(g: ConstraintGraph, e_idx: int, f: Sequence[frozenset[int]]) -> bool:
+    """Binary edge ``(v, w)`` accepts some pair in ``f(v) x f(w)``."""
+    v, w = g.edges[e_idx]
+    s, tab = g.n_symbols, g.tables[e_idx]
+    return any(tab[a * s + b] for a in f[v] for b in f[w])
 
 
 def normalize_self_loops(g: ConstraintGraph) -> ConstraintGraph:
@@ -431,39 +436,48 @@ class ValidationReport:
     reason: str | None = None
 
 
-def _state_feasible(kind: str, instance, state) -> bool:
-    if kind == KIND_PROOF:
-        return (
-            isinstance(state, str)
-            and len(state) == instance.ell
-            and all(c in "01" for c in state)
-        )
-    if kind == KIND_PARTIAL:
-        return satisfies_partial(instance, state)
-    if kind == KIND_MULTI:
-        return satisfies_multi(instance, state)
-    if kind == KIND_COVER:
-        return is_cover(instance, state)
-    if kind == KIND_VERTEX_COVER:
-        return is_vertex_cover(instance, state)
-    raise StructuralError(f"unknown sequence kind {kind!r}")
+@runtime_checkable
+class ProofChecker(Protocol):
+    """An instance whose states are ``'0'``/``'1'`` proofs of length ``ell``."""
+
+    ell: int
 
 
-def _step_ok(kind: str, a, b) -> bool:
-    if kind == KIND_PROOF:
-        return hamming(a, b) <= 1
-    if kind == KIND_PARTIAL:
-        return hamming(a, b) <= 1
-    if kind == KIND_MULTI:
-        return multi_step_size(a, b) <= 1
-    return set_step_size(a, b) <= 1
+def _is_proof(v: ProofChecker, proof) -> bool:
+    return isinstance(proof, str) and len(proof) == v.ell and set(proof) <= {"0", "1"}
 
 
-_KIND_INSTANCE_TYPES = {
-    KIND_PARTIAL: ConstraintGraph,
-    KIND_MULTI: ConstraintGraph,
-    KIND_COVER: SetSystem,
-    KIND_VERTEX_COVER: Hypergraph,
+@dataclass(frozen=True)
+class StateKind:
+    """What a state kind means: the instance type its states live on, the
+    feasibility test, the size a solver optimizes (none for proofs), the
+    step metric (a legal step has metric at most 1) and the canonical form
+    of a state given as any iterable."""
+
+    instance_type: type
+    feasible: Callable[[object, object], bool]
+    size: Callable[[object], int] | None
+    step: Callable[[object, object], int]
+    canonical: Callable[[object], object]
+
+
+KINDS = {
+    KIND_PROOF: StateKind(ProofChecker, _is_proof, None, hamming, str),
+    KIND_PARTIAL: StateKind(ConstraintGraph, satisfies_partial, partial_size, hamming, tuple),
+    KIND_MULTI: StateKind(
+        ConstraintGraph, satisfies_multi, multi_size, multi_step_size,
+        lambda f: tuple(frozenset(a) for a in f),
+    ),
+    KIND_COVER: StateKind(SetSystem, is_cover, len, set_step_size, frozenset),
+    KIND_VERTEX_COVER: StateKind(Hypergraph, is_vertex_cover, len, set_step_size, frozenset),
+}
+
+# Instance bundle type -> (field holding the instance, kind of its endpoints).
+BUNDLES = {
+    P2cspInstance: ("graph", KIND_PARTIAL),
+    LabelCoverInstance: ("graph", KIND_MULTI),
+    SetCoverInstance: ("system", KIND_COVER),
+    HvcInstance: ("hypergraph", KIND_VERTEX_COVER),
 }
 
 
@@ -474,22 +488,20 @@ def validate_sequence(instance, seq: ReconfigSequence, start=None, goal=None) ->
     first violation found (scanning states in order, checking feasibility
     of a state before the step into it).
     """
-    expected = _KIND_INSTANCE_TYPES.get(seq.kind)
-    if expected is not None and not isinstance(instance, expected):
+    kind = KINDS[seq.kind]
+    if not isinstance(instance, kind.instance_type):
         raise StructuralError(
             f"sequence kind {seq.kind!r} does not match instance type {type(instance).__name__}"
         )
-    if seq.kind == KIND_PROOF and not hasattr(instance, "ell"):
-        raise StructuralError("proof sequences need a table verifier instance")
     if start is not None and seq.states[0] != start:
         return ValidationReport(False, 0, "sequence does not begin at the start state")
     if goal is not None and seq.states[-1] != goal:
         return ValidationReport(False, len(seq.states) - 1, "sequence does not end at the goal state")
     prev = None
     for t, state in enumerate(seq.states):
-        if not _state_feasible(seq.kind, instance, state):
+        if not kind.feasible(instance, state):
             return ValidationReport(False, t, "infeasible state")
-        if prev is not None and not _step_ok(seq.kind, prev, state):
+        if prev is not None and kind.step(prev, state) > 1:
             return ValidationReport(False, t, "step changes more than one unit")
         prev = state
     return ValidationReport(True)

@@ -143,7 +143,11 @@ def qbar_alpha(space: GadgetSpace, alpha: int) -> frozenset[int]:
 
 
 def q_subset(space: GadgetSpace, symbols) -> frozenset[int]:
-    """Q_S = union of Q_a over a in S; empty S gives the empty set."""
+    """Q_S = union of Q_a over a in S; empty S gives the empty set.
+
+    The law Q̄_a ∪ Q_S = B iff a in S is what the coverage equivalence of
+    the set-cover reduction rests on.
+    """
     mask = 0
     for a in symbols:
         _check_symbol(space, a)
@@ -154,21 +158,6 @@ def q_subset(space: GadgetSpace, symbols) -> frozenset[int]:
 def _check_symbol(space: GadgetSpace, alpha: int) -> None:
     if not 0 <= alpha < space.sigma_size:
         raise StructuralError(f"symbol {alpha} outside the alphabet of size {space.sigma_size}")
-
-
-def gadget_membership(space: GadgetSpace, kind: str, arg) -> frozenset[int]:
-    """Dispatching front door: kind in {"Q", "Qbar", "QS"}.
-
-    The defining law, Q̄_a ∪ Q_S = B iff a in S, is what the coverage
-    equivalence below rests on; it is property-tested exhaustively.
-    """
-    if kind == "Q":
-        return q_alpha(space, arg)
-    if kind == "Qbar":
-        return qbar_alpha(space, arg)
-    if kind == "QS":
-        return q_subset(space, arg)
-    raise StructuralError(f"unknown gadget kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +239,6 @@ class SetCoverReduction:
     goal: frozenset[int]
     pairs: tuple[tuple[int, int], ...]  # set index -> (vertex, symbol)
     source: ConstraintGraph
-
-    def index_of(self, v: int, alpha: int) -> int:
-        return self.pairs.index((v, alpha))
 
 
 def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduction:

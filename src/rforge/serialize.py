@@ -14,14 +14,13 @@ from pathlib import Path
 
 from .core import (
     BOTTOM,
+    BUNDLES,
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
-    KIND_COVER,
     KIND_MULTI,
     KIND_PARTIAL,
     KIND_PROOF,
-    KIND_VERTEX_COVER,
     LabelCoverInstance,
     P2cspInstance,
     ReconfigSequence,
@@ -204,19 +203,20 @@ def solve_result_from_payload(obj: dict) -> SolveResult:
     )
 
 
-# Instance bundles (instance plus endpoint states): bundle type ->
-# (type tag, field holding the instance, its payload codec, state kind).
+# Instance bundles (instance plus endpoint states): bundle type -> (type
+# tag, payload codec of the instance); core.BUNDLES names its field and kind.
 _BUNDLES = {
-    P2cspInstance: ("p2csp_instance", "graph", (graph_payload, graph_from_payload), KIND_PARTIAL),
-    LabelCoverInstance: ("labelcover_instance", "graph", (graph_payload, graph_from_payload), KIND_MULTI),
-    SetCoverInstance: ("setcover_instance", "system", (set_system_payload, set_system_from_payload), KIND_COVER),
-    HvcInstance: ("hvc_instance", "hypergraph", (hypergraph_payload, hypergraph_from_payload), KIND_VERTEX_COVER),
+    P2cspInstance: ("p2csp_instance", (graph_payload, graph_from_payload)),
+    LabelCoverInstance: ("labelcover_instance", (graph_payload, graph_from_payload)),
+    SetCoverInstance: ("setcover_instance", (set_system_payload, set_system_from_payload)),
+    HvcInstance: ("hvc_instance", (hypergraph_payload, hypergraph_from_payload)),
 }
-_BUNDLE_TAGS = {tag: (cls, part, codec, kind) for cls, (tag, part, codec, kind) in _BUNDLES.items()}
+_BUNDLE_TAGS = {tag: (cls, codec) for cls, (tag, codec) in _BUNDLES.items()}
 
 
 def instance_payload(inst) -> dict:
-    tag, part, (to_payload, _), kind = _BUNDLES[type(inst)]
+    tag, (to_payload, _) = _BUNDLES[type(inst)]
+    part, kind = BUNDLES[type(inst)]
     return {
         "type": tag,
         part: to_payload(getattr(inst, part)),
@@ -226,7 +226,8 @@ def instance_payload(inst) -> dict:
 
 
 def _instance_from_payload(obj: dict):
-    bundle_type, part, (_, from_payload), kind = _BUNDLE_TAGS[obj["type"]]
+    bundle_type, (_, from_payload) = _BUNDLE_TAGS[obj["type"]]
+    part, kind = BUNDLES[bundle_type]
     return bundle_type(
         from_payload(obj[part]),
         _state_from_payload(kind, obj["start"]),
@@ -274,8 +275,9 @@ def dump_bytes(obj, **kwargs) -> bytes:
     return canonical_dumps(builder(obj))
 
 
-# What reading a file that is not valid JSON of the expected shape raises.
-_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, ArithmeticError, RecursionError)
+# What reading a file that is missing, unreadable or not valid JSON of the
+# expected shape raises.
+_MALFORMED = (OSError, LookupError, TypeError, AttributeError, ValueError, ArithmeticError, RecursionError)
 
 
 @contextmanager
@@ -302,14 +304,15 @@ def save(obj, path, **kwargs) -> None:
 
 
 def load(path):
-    return parse_bytes(Path(path).read_bytes())
+    """Object of a file; an unreadable file raises ``StructuralError``."""
+    with _malformed_is_structural():
+        return parse_bytes(Path(path).read_bytes())
 
 
 def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
     """Load a verifier file keeping its bundled endpoint proofs."""
-    data = Path(path).read_bytes()
     with _malformed_is_structural():
-        obj = json.loads(data.decode())
+        obj = json.loads(Path(path).read_bytes().decode())
         if obj.get("type") != "verifier":
             raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
         return verifier_from_payload(obj)

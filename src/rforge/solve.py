@@ -10,27 +10,33 @@ scan, the search, the state budget and the witness path; each solver
 supplies only a state key, a neighbor expansion (a size test against the
 threshold before the feasibility test) and the decoding of the result.
 All objective values are exact rationals; no floating point enters any
-solver path.  `SOLVERS` pairs each problem name with its instance bundle
-type and solver, and `solve_instance` is the one dispatch on it.
+solver path.  The problem table `SOLVERS` (bundle type, solver name,
+objective denominator, sense) and the kind table `core.KINDS` drive
+`solve_instance`, the oracle and `sequence_objective`.
 
 A fully materialized bottleneck-path implementation (`oracle_value`) is
 kept deliberately independent of the threshold engine: it enumerates the
 feasible state space outright, derives adjacency from the step metric,
-and runs a heap-based widest/narrowest path search.  It exists to check
-the threshold solvers on tiny instances.
+and runs one heap-based minimax path search (on negated sizes for the
+maxmin problem).  It exists to check the threshold solvers on tiny
+instances.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .core import (
     BOTTOM,
+    BUNDLES,
+    KINDS,
     BudgetExhaustedError,
     ConstraintGraph,
     Hypergraph,
@@ -45,15 +51,12 @@ from .core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
-    hamming,
     is_cover,
     is_vertex_cover,
     multi_size,
-    multi_step_size,
     partial_size,
     satisfies_multi,
     satisfies_partial,
-    set_step_size,
 )
 
 DEFAULT_CAP = 200_000
@@ -340,7 +343,6 @@ def min_vertex_cover(h: Hypergraph) -> int:
         return 0
 
     chosen: set[int] = set()
-    covered_count = 0
     remaining = list(range(len(edges)))
     while remaining:  # greedy upper bound
         gain: dict[int, int] = {}
@@ -349,7 +351,6 @@ def min_vertex_cover(h: Hypergraph) -> int:
                 gain[v] = gain.get(v, 0) + 1
         pick = max(sorted(gain), key=lambda v: gain[v])
         chosen.add(pick)
-        covered_count += 1
         remaining = [e_idx for e_idx in remaining if pick not in edges[e_idx]]
     best = len(chosen)
 
@@ -471,27 +472,54 @@ def solve_cost_hvc(h: Hypergraph, c_start, c_goal, cap: int | None = None) -> So
 # Problem dispatch
 # ---------------------------------------------------------------------------
 
-# Problem name -> (instance bundle type, field holding the instance, solver).
-# Solvers are named rather than referenced so that the call goes through
-# this module's current binding.
+
+class Problem(NamedTuple):
+    """A problem's instance bundle, solver name, objective denominator (a
+    function of the instance) and sense: maximize the minimum state size,
+    or minimize the maximum."""
+
+    bundle: type
+    solver: str
+    denominator: Callable[[object], int]
+    maximize: bool
+
+    @property
+    def part(self) -> str:
+        return BUNDLES[self.bundle][0]
+
+    @property
+    def kind(self) -> str:
+        return BUNDLES[self.bundle][1]
+
+
+# Solvers, ``min_cover`` and ``min_vertex_cover`` are named or called
+# through this module's globals, so a call goes through its current binding.
 SOLVERS = {
-    PROBLEM_MAXPAR: (P2cspInstance, "graph", "solve_maxpar"),
-    PROBLEM_MINLAB: (LabelCoverInstance, "graph", "solve_minlab"),
-    PROBLEM_SC_COST: (SetCoverInstance, "system", "solve_cost_setcover"),
-    PROBLEM_HVC_COST: (HvcInstance, "hypergraph", "solve_cost_hvc"),
+    PROBLEM_MAXPAR: Problem(P2cspInstance, "solve_maxpar", lambda g: g.n_vertices, True),
+    PROBLEM_MINLAB: Problem(LabelCoverInstance, "solve_minlab", lambda g: g.n_vertices + 1, False),
+    PROBLEM_SC_COST: Problem(
+        SetCoverInstance, "solve_cost_setcover", lambda s: min_cover(s) + 1, False
+    ),
+    PROBLEM_HVC_COST: Problem(
+        HvcInstance, "solve_cost_hvc", lambda h: min_vertex_cover(h) + 1, False
+    ),
 }
+
+
+def _problem(problem: str) -> Problem:
+    if problem not in SOLVERS:
+        raise StructuralError(f"unknown problem {problem!r}")
+    return SOLVERS[problem]
 
 
 def solve_instance(problem: str, inst, cap: int | None = None) -> SolveResult:
     """Solve an instance bundle exactly with the solver of ``problem``."""
-    if problem not in SOLVERS:
-        raise StructuralError(f"unknown problem {problem!r}")
-    bundle_type, part, solver = SOLVERS[problem]
-    if not isinstance(inst, bundle_type):
+    p = _problem(problem)
+    if not isinstance(inst, p.bundle):
         raise StructuralError(
-            f"{problem} expects a {bundle_type.__name__}, got {type(inst).__name__}"
+            f"{problem} expects a {p.bundle.__name__}, got {type(inst).__name__}"
         )
-    return globals()[solver](getattr(inst, part), inst.start, inst.goal, cap=cap)
+    return globals()[p.solver](getattr(inst, p.part), inst.start, inst.goal, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -527,50 +555,48 @@ def decide_gap(value: Fraction, c: Fraction, s: Fraction, direction: str) -> str
 # ---------------------------------------------------------------------------
 
 
+def _assignments(g: ConstraintGraph):
+    options = [[BOTTOM] + sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
+    return math.prod(map(len, options)), itertools.product(*options)
+
+
+def _label_sets(g: ConstraintGraph):
+    symbols = [sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
+
+    def states():  # every label subset of every vertex, built only when iterated
+        yield from itertools.product(*(
+            [frozenset(c) for k in range(len(syms) + 1) for c in itertools.combinations(syms, k)]
+            for syms in symbols
+        ))
+
+    return math.prod(2 ** len(syms) for syms in symbols), states()
+
+
+def _subsets(n: int):
+    return 2**n, (frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n))
+
+
+# State kind -> (number of raw states, lazy iterator over them).
+_RAW_STATES = {
+    KIND_PARTIAL: _assignments,
+    KIND_MULTI: _label_sets,
+    KIND_COVER: lambda system: _subsets(system.n_sets),
+    KIND_VERTEX_COVER: lambda h: _subsets(h.n_vertices),
+}
+
+
 def enumerate_feasible_states(problem: str, instance, raw_limit: int = 500_000):
-    """All feasible states of an instance, by brute-force enumeration."""
-    if problem == PROBLEM_MAXPAR:
-        g = instance
-        options = [[BOTTOM] + sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
-        raw = 1
-        for opts in options:
-            raw *= len(opts)
-        if raw > raw_limit:
-            raise StructuralError(f"raw state space {raw} exceeds limit {raw_limit}")
-        return [f for f in itertools.product(*options) if satisfies_partial(g, f)]
-    if problem == PROBLEM_MINLAB:
-        g = instance
-        per_vertex = []
-        raw = 1
-        for v in range(g.n_vertices):
-            subsets = []
-            symbols = sorted(g.allowed_symbols(v))
-            for k in range(len(symbols) + 1):
-                subsets.extend(frozenset(c) for c in itertools.combinations(symbols, k))
-            per_vertex.append(subsets)
-            raw *= len(subsets)
-            if raw > raw_limit:
-                raise StructuralError(f"raw state space exceeds limit {raw_limit}")
-        return [f for f in itertools.product(*per_vertex) if satisfies_multi(g, f)]
-    if problem == PROBLEM_SC_COST:
-        system = instance
-        if 2**system.n_sets > raw_limit:
-            raise StructuralError(f"raw state space exceeds limit {raw_limit}")
-        subsets = (
-            frozenset(i for i in range(system.n_sets) if mask >> i & 1)
-            for mask in range(2**system.n_sets)
-        )
-        return [c for c in subsets if is_cover(system, c)]
-    if problem == PROBLEM_HVC_COST:
-        h = instance
-        if 2**h.n_vertices > raw_limit:
-            raise StructuralError(f"raw state space exceeds limit {raw_limit}")
-        subsets = (
-            frozenset(v for v in range(h.n_vertices) if mask >> v & 1)
-            for mask in range(2**h.n_vertices)
-        )
-        return [c for c in subsets if is_vertex_cover(h, c)]
-    raise StructuralError(f"unknown problem {problem!r}")
+    """All feasible states of an instance, by brute-force enumeration.
+
+    The raw state space is counted, and refused above ``raw_limit``,
+    before any state is built.
+    """
+    p = _problem(problem)
+    raw, states = _RAW_STATES[p.kind](instance)
+    if raw > raw_limit:
+        raise StructuralError(f"raw state space {raw} exceeds limit {raw_limit}")
+    feasible = KINDS[p.kind].feasible
+    return [state for state in states if feasible(instance, state)]
 
 
 def oracle_value(
@@ -580,78 +606,37 @@ def oracle_value(
 
     Independent of the threshold solvers: states come from brute
     enumeration, adjacency from the pairwise step metric, and the optimum
-    from a heap-based bottleneck shortest path (maximize the minimum
-    state weight for the maxmin problem, minimize the maximum for the
-    minmax ones).
+    from a heap-based minimax path search.  The maxmin problem runs it on
+    negated weights.
     """
+    p = _problem(problem)
     states = enumerate_feasible_states(problem, instance)
     if len(states) > state_limit:
         raise StructuralError(f"{len(states)} feasible states exceed limit {state_limit}")
-    if problem == PROBLEM_MAXPAR:
-        weight = [partial_size(f) for f in states]
-        adjacent = lambda a, b: hamming(a, b) <= 1
-        denominator = instance.n_vertices
-        maximize = True
-        start, goal = tuple(start), tuple(goal)
-    elif problem == PROBLEM_MINLAB:
-        weight = [multi_size(f) for f in states]
-        adjacent = lambda a, b: multi_step_size(a, b) <= 1
-        denominator = instance.n_vertices + 1
-        maximize = False
-        start = tuple(frozenset(a) for a in start)
-        goal = tuple(frozenset(a) for a in goal)
-    elif problem == PROBLEM_SC_COST:
-        weight = [len(c) for c in states]
-        adjacent = lambda a, b: set_step_size(a, b) <= 1
-        denominator = min_cover(instance) + 1
-        maximize = False
-        start, goal = frozenset(start), frozenset(goal)
-    elif problem == PROBLEM_HVC_COST:
-        weight = [len(c) for c in states]
-        adjacent = lambda a, b: set_step_size(a, b) <= 1
-        denominator = min_vertex_cover(instance) + 1
-        maximize = False
-        start, goal = frozenset(start), frozenset(goal)
-    else:
-        raise StructuralError(f"unknown problem {problem!r}")
-
+    kind = KINDS[p.kind]
+    sign = -1 if p.maximize else 1
+    weight = [sign * kind.size(state) for state in states]
     index = {state: i for i, state in enumerate(states)}
+    start, goal = kind.canonical(start), kind.canonical(goal)
     if start not in index or goal not in index:
         raise StructuralError("infeasible endpoints")
     neighbors: list[list[int]] = [[] for _ in states]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if adjacent(states[i], states[j]):
+            if kind.step(states[i], states[j]) <= 1:
                 neighbors[i].append(j)
                 neighbors[j].append(i)
 
     s_idx, g_idx = index[start], index[goal]
-    if maximize:
-        dist = [-1] * len(states)  # best achievable minimum weight on a path
-        dist[s_idx] = weight[s_idx]
-        heap = [(-dist[s_idx], s_idx)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            d = -d
-            if d < dist[u]:
-                continue
-            if u == g_idx:
-                return Fraction(d, denominator)
-            for w_idx in neighbors[u]:
-                cand = min(d, weight[w_idx])
-                if cand > dist[w_idx]:
-                    dist[w_idx] = cand
-                    heapq.heappush(heap, (-cand, w_idx))
-        raise StructuralError("endpoints are not connected")
     dist = [None] * len(states)  # least achievable maximum weight on a path
     dist[s_idx] = weight[s_idx]
     heap = [(dist[s_idx], s_idx)]
     while heap:
         d, u = heapq.heappop(heap)
-        if dist[u] is not None and d > dist[u]:
+        if d > dist[u]:
             continue
         if u == g_idx:
-            return Fraction(d, denominator)
+            return Fraction(sign * d, p.denominator(instance))
         for w_idx in neighbors[u]:
             cand = max(d, weight[w_idx])
             if dist[w_idx] is None or cand < dist[w_idx]:
@@ -662,12 +647,6 @@ def oracle_value(
 
 def sequence_objective(problem: str, instance, seq: ReconfigSequence) -> Fraction:
     """Recompute the objective of a witness sequence from scratch."""
-    if problem == PROBLEM_MAXPAR:
-        return Fraction(min(partial_size(f) for f in seq.states), instance.n_vertices)
-    if problem == PROBLEM_MINLAB:
-        return Fraction(max(multi_size(f) for f in seq.states), instance.n_vertices + 1)
-    if problem == PROBLEM_SC_COST:
-        return Fraction(max(len(c) for c in seq.states), min_cover(instance) + 1)
-    if problem == PROBLEM_HVC_COST:
-        return Fraction(max(len(c) for c in seq.states), min_vertex_cover(instance) + 1)
-    raise StructuralError(f"unknown problem {problem!r}")
+    p = _problem(problem)
+    sizes = map(KINDS[p.kind].size, seq.states)
+    return Fraction((min if p.maximize else max)(sizes), p.denominator(instance))

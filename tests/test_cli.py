@@ -120,6 +120,29 @@ class TestSolveInput:
         assert "malformed input" in capsys.readouterr().err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "sc-cost", "--in", "{missing}"],
+            ["approx", "--in", "{missing}"],
+            ["amplify", "--in", "{missing}", "--out", "{tmp}/x.json", "--rho", "2"],
+            ["reduce", "fglss", "--in", "{missing}", "--out", "{tmp}/x.json"],
+            ["pipeline", "--in", "{tmp}", "--out-dir", "{tmp}/stages"],
+        ],
+    )
+    def test_missing_file_or_directory_exits_2(self, tmp_path, capsys, argv):
+        fill = {"missing": tmp_path / "nonexistent.json", "tmp": tmp_path}
+        assert run(*(a.format(**fill) for a in argv)) == 2
+        assert "malformed input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["nonexistent", "empty"])
+    def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
+        (tmp_path / "empty").mkdir()
+        assert run("report", "--dir", tmp_path / where) == 2
+        assert "no pipeline stage files" in capsys.readouterr().err
+
+
 class TestAmplifyCommand:
     def test_amplify_runs_and_chains(self, tmp_path):
         ver = tmp_path / "v.json"
@@ -183,6 +206,12 @@ class TestCheckCommand:
         assert run("check", "--suite", "lemma-setcover", "--trials", 1) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "counterexample" in out
+
+    @pytest.mark.parametrize("trials", ["-3", "0", "two"])
+    def test_trials_must_be_a_positive_int(self, trials):
+        with pytest.raises(SystemExit) as exc:
+            run("check", "--suite", "lemma-setcover", "--trials", trials)
+        assert exc.value.code == 2
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

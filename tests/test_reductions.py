@@ -15,7 +15,6 @@ from rforge.core import (
 from rforge.generate import generate_labelcover
 from rforge.reductions import (
     GadgetSpace,
-    gadget_membership,
     labelcover_to_hvc,
     labelcover_to_setcover,
     lift_partial_sequence,
@@ -143,15 +142,9 @@ class TestGadgets:
                     meets = any(alpha in chosen_s for alpha in chosen_a)
                     assert covers == meets
 
-    def test_dispatch(self):
-        space = GadgetSpace(2)
-        assert gadget_membership(space, "Q", 1) == q_alpha(space, 1)
-        assert gadget_membership(space, "Qbar", 0) == qbar_alpha(space, 0)
-        assert gadget_membership(space, "QS", {0, 1}) == q_subset(space, {0, 1})
+    def test_out_of_range_symbol_rejected(self):
         with pytest.raises(StructuralError):
-            gadget_membership(space, "Q", 5)
-        with pytest.raises(StructuralError):
-            gadget_membership(space, "nope", 0)
+            q_alpha(GadgetSpace(2), 5)
 
 
 class TestSetCoverReduction:

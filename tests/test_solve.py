@@ -1,5 +1,6 @@
 """Exact solvers: frozen examples, oracle agreement, laws, budget errors."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -296,6 +297,43 @@ class TestThresholdMonotonicity:
         for theta in range(2, -1, -1):
             looser = reachable(theta - 1) if theta > 0 else reachable(0)
             assert reachable(theta) <= looser
+
+
+class TestRawLimit:
+    @pytest.mark.parametrize(
+        "problem, instance",
+        [
+            (PROBLEM_MAXPAR, graph([], [], n=12, s=2)),  # 3^12 partial assignments
+            (PROBLEM_MINLAB, graph([], [], n=10, s=2)),  # 4^10 label-set tuples
+            (PROBLEM_SC_COST, SetSystem(("u",), (frozenset({0}),) * 20, tuple(f"S{i}" for i in range(20)))),
+            (PROBLEM_HVC_COST, Hypergraph(tuple(f"w{i}" for i in range(20)), ())),
+        ],
+    )
+    def test_refused_above_the_limit(self, problem, instance):
+        with pytest.raises(StructuralError, match="raw state space"):
+            enumerate_feasible_states(problem, instance)
+
+    def test_limit_is_inclusive(self):
+        system = SetSystem(("u",), (frozenset({0}),) * 4, tuple(f"S{i}" for i in range(4)))
+        assert len(enumerate_feasible_states(PROBLEM_SC_COST, system, raw_limit=16)) == 15
+        with pytest.raises(StructuralError):
+            enumerate_feasible_states(PROBLEM_SC_COST, system, raw_limit=15)
+
+    def test_wide_alphabet_refused_before_building_subsets(self, monkeypatch):
+        built, original = [], itertools.combinations
+
+        def combinations(symbols, k):
+            # Fail fast rather than build the 2^30 label subsets of a vertex.
+            built.append(k)
+            if len(built) > 2:
+                raise AssertionError("label subsets built before the raw-size check")
+            return original(symbols, k)
+
+        monkeypatch.setattr(itertools, "combinations", combinations)
+        g = graph([(0, 1)], [bytes(30 * 30)], s=30)
+        with pytest.raises(StructuralError, match="raw state space"):
+            enumerate_feasible_states(PROBLEM_MINLAB, g)
+        assert built == []
 
 
 class TestOracleAgreementSpot:
