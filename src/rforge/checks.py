@@ -8,7 +8,6 @@ drift apart.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -89,7 +88,7 @@ class CheckReport:
 
 
 def _ce(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return serialize.canonical_dumps(payload).decode().rstrip("\n")
 
 
 class _Tally:
@@ -164,7 +163,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
                 if covered != satisfied:
                     tally.add(
                         {
-                            "instance": serialize.instance_payload(inst),
+                            "instance": serialize.payload(inst),
                             "subfamily": sorted(chosen),
                             "edge": e_idx,
                             "covered": covered,
@@ -226,7 +225,7 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
         if opt != g.n_vertices:
             tally.add(
                 {
-                    "instance": serialize.instance_payload(inst),
+                    "instance": serialize.payload(inst),
                     "reason": f"minimum cover {opt} != |V| = {g.n_vertices}",
                 }
             )
@@ -234,7 +233,7 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
         if minlab.value != cost.value:
             tally.add(
                 {
-                    "instance": serialize.instance_payload(inst),
+                    "instance": serialize.payload(inst),
                     "minlab": str(minlab.value),
                     "cost": str(cost.value),
                 }
@@ -295,7 +294,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
         if not report.ok or peak != inst.graph.n_vertices + 1 or minlab.value != 1:
             tally.add(
                 {
-                    "instance": serialize.instance_payload(inst),
+                    "instance": serialize.payload(inst),
                     "witness_ok": report.ok,
                     "peak": peak,
                     "minlab": str(minlab.value),
@@ -333,7 +332,7 @@ def fglss_completeness(trials: int = 10, seed: int = 0) -> CheckReport:
         if not all_full or not report.ok or len(seq.states) != expect_len:
             tally.add(
                 {
-                    "verifier": serialize.verifier_payload(v, start, goal),
+                    "verifier": serialize.payload(v, start, goal),
                     "sequence_ok": report.ok,
                     "length": len(seq.states),
                     "expected_length": expect_len,
@@ -405,7 +404,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
             if problems:
                 tally.add(
                     {
-                        "verifier": serialize.verifier_payload(v),
+                        "verifier": serialize.payload(v),
                         "assignment": [None if a == BOTTOM else a for a in f],
                         "problems": problems,
                     }
@@ -427,7 +426,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                         if accept_prob(v, inter) < floor:
                             tally.add(
                                 {
-                                    "verifier": serialize.verifier_payload(v),
+                                    "verifier": serialize.payload(v),
                                     "from": proof,
                                     "to": proof2,
                                     "interpolant": inter,
@@ -606,7 +605,7 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
             pass
         if problems:
             tally.add(
-                {"instance": serialize.instance_payload(inst), "problems": problems}
+                {"instance": serialize.payload(inst), "problems": problems}
             )
     return tally.report("approx-ratio", trials, [f"{compared} exact comparisons"])
 
@@ -657,7 +656,7 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
         if res.value != expected or witness_obj != res.value:
             tally.add(
                 {
-                    "instance": serialize.instance_payload(inst),
+                    "instance": serialize.payload(inst),
                     "problem": problem,
                     "solver": str(res.value),
                     "oracle": str(expected),

@@ -11,7 +11,6 @@ budget.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -295,7 +294,7 @@ def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]
 def _render_report(rows, fmt: str) -> str:
     if fmt == "json":
         payload = [{"stage": s, "metric": m, "value": v} for s, m, v in rows]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return serialize.canonical_dumps(payload).decode()
     if fmt == "csv":
         lines = ["stage,metric,value"]
         lines += [f"{s},{m},{v}" for s, m, v in rows]
@@ -322,7 +321,8 @@ def _stage(name: str, fn):
 
 def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with serialize.writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
     if v.r > args.max_r or v.q > args.max_q:
         raise StructuralError(
@@ -361,7 +361,8 @@ def _cmd_pipeline(args) -> int:
     rows = _pipeline_rows(out_dir, args.cap)
     report = _render_report(rows, args.format)
     report_path = out_dir / f"report.{args.format}"
-    report_path.write_text(report)
+    with serialize.writing(report_path):
+        report_path.write_text(report)
     print(report, end="")
     print(f"wrote {report_path}")
     return 0

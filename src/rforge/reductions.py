@@ -269,28 +269,6 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduc
     )
 
 
-def setcover_solution_to_multiassignment(red: SetCoverReduction, cover) -> tuple[frozenset[int], ...]:
-    """f(v) = {a : S_{v,a} chosen}; inverse of multiassignment_to_cover."""
-    chosen = frozenset(cover)
-    values = [set() for _ in range(red.source.n_vertices)]
-    for i in chosen:
-        v, a = red.pairs[i]
-        values[v].add(a)
-    return tuple(frozenset(vals) for vals in values)
-
-
-def multiassignment_to_cover(red: SetCoverReduction, f) -> frozenset[int]:
-    """C_f = {S_{v,a} : a in f(v)}; requires admissible labels only."""
-    lookup = {pair: i for i, pair in enumerate(red.pairs)}
-    chosen = set()
-    for v, vals in enumerate(f):
-        for a in vals:
-            if (v, a) not in lookup:
-                raise StructuralError(f"label {a} at vertex {v} has no set in the family")
-            chosen.add(lookup[(v, a)])
-    return frozenset(chosen)
-
-
 # ---------------------------------------------------------------------------
 # Label cover -> hypergraph vertex cover
 # ---------------------------------------------------------------------------
@@ -346,22 +324,36 @@ def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
     )
 
 
-def vertexcover_solution_to_multiassignment(red: HvcReduction, cover) -> tuple[frozenset[int], ...]:
-    """Project a vertex cover onto labels; padding vertices are dropped."""
+# ---------------------------------------------------------------------------
+# Solution mappings of both cover reductions
+# ---------------------------------------------------------------------------
+
+
+def _cover_to_labels(red: SetCoverReduction | HvcReduction, cover) -> tuple[frozenset[int], ...]:
+    """f(v) = {a : the set or vertex of (v, a) chosen}.
+
+    Indices past ``red.pairs`` (the padding vertices of the hypergraph
+    reduction) carry no label and are dropped.
+    """
     values = [set() for _ in range(red.source.n_vertices)]
     for i in frozenset(cover):
-        if i < red.n_real:
+        if i < len(red.pairs):
             v, a = red.pairs[i]
             values[v].add(a)
     return tuple(frozenset(vals) for vals in values)
 
 
-def multiassignment_to_vertexcover(red: HvcReduction, f) -> frozenset[int]:
+def _labels_to_cover(red: SetCoverReduction | HvcReduction, f) -> frozenset[int]:
+    """C_f = {set or vertex of (v, a) : a in f(v)}; requires admissible labels only."""
     lookup = {pair: i for i, pair in enumerate(red.pairs)}
     chosen = set()
     for v, vals in enumerate(f):
         for a in vals:
             if (v, a) not in lookup:
-                raise StructuralError(f"label {a} at vertex {v} has no vertex in the hypergraph")
+                raise StructuralError(f"label {a} at vertex {v} has no set or vertex in the reduction")
             chosen.add(lookup[(v, a)])
     return frozenset(chosen)
+
+
+setcover_solution_to_multiassignment = vertexcover_solution_to_multiassignment = _cover_to_labels
+multiassignment_to_cover = multiassignment_to_vertexcover = _labels_to_cover

@@ -1,26 +1,36 @@
 """Canonical JSON serialization for every instance and result type.
 
+One codec serves every file type.  A payload is the class's ``"type"``
+tag from ``TAGS`` plus one key per dataclass field, written and read by a
+codec worked out once from the field's type annotation: tuples become
+lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
+nested dataclasses their payloads.  States follow their kind, with
+``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
+entries and may carry endpoint proofs; an expander file adds ``ratio``.
+
 All writers emit sorted-key, tight-separator JSON with a trailing
 newline, so serializing equal objects always produces identical bytes and
-round trips are byte-stable.  Files are dispatched on their "type" field.
+round trips are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .core import (
     BOTTOM,
     BUNDLES,
+    KINDS,
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
-    KIND_MULTI,
-    KIND_PARTIAL,
-    KIND_PROOF,
     LabelCoverInstance,
     P2cspInstance,
     ReconfigSequence,
@@ -37,242 +47,152 @@ def canonical_dumps(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+# Type tag of each file type.
+TAGS = {
+    ConstraintGraph: "constraint_graph",
+    SetSystem: "set_system",
+    Hypergraph: "hypergraph",
+    TableVerifier: "verifier",
+    ExpanderGraph: "expander",
+    ReconfigSequence: "sequence",
+    SolveResult: "solve_result",
+    P2cspInstance: "p2csp_instance",
+    LabelCoverInstance: "labelcover_instance",
+    SetCoverInstance: "setcover_instance",
+    HvcInstance: "hvc_instance",
+}
+_CLASSES = {tag: cls for cls, tag in TAGS.items()}
+
+# Payload keys that differ from their field names.
+_KEYS = {(ExpanderGraph, "lam"): "lambda"}
+
+
+def _same(value):
+    return value
+
+
+_SAME = (_same, _same)
+
+
+def _fraction_in(text: str) -> Fraction:
+    num, den = text.split("/")
+    return Fraction(int(num), int(den))
+
+
+@cache
+def _codec(ann) -> tuple:
+    """(writer, reader) of a value annotated ``ann``, worked out once per annotation."""
+    if ann in (int, float, str):
+        return _SAME
+    if ann is bytes:
+        return list, bytes
+    if ann is Fraction:
+        return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
+    if is_dataclass(ann):
+        return payload, partial(_read, ann)
+    origin, args = get_origin(ann), get_args(ann)
+    if origin in (Union, UnionType):
+        ((write, read),) = (_codec(a) for a in args if a is not NoneType)
+        return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
+    if origin is frozenset:
+        return sorted, frozenset
+    if origin is tuple:
+        items = [_codec(a) for a in args if a is not Ellipsis]
+        if all(c is _SAME for c in items):
+            return list, tuple
+        if args[1:] == (Ellipsis,):
+            ((write, read),) = items
+            return (lambda v: [write(x) for x in v]), (lambda o: tuple(read(x) for x in o))
+    raise TypeError(f"no codec for the annotation {ann!r}")
+
+
+def _state_out(state):
+    """Payload of a state of any kind: sets sorted, ``BOTTOM`` as null."""
+    if isinstance(state, frozenset):
+        return sorted(state)
+    if isinstance(state, tuple):
+        return [None if a == BOTTOM else _state_out(a) for a in state]
+    return state
+
+
+def _state_in(obj, kind: str):
+    """State of ``kind`` from its payload: null is ``BOTTOM``, then the kind's canonical form."""
+    return KINDS[kind].canonical(obj if isinstance(obj, str) else [BOTTOM if a is None else a for a in obj])
+
+
+@cache
+def _fields(cls) -> tuple:
+    """(field name, payload key, writer, reader, may be absent) of each field
+    of ``cls``; a reader takes the value and the kind of the payload's states."""
+    hints = get_type_hints(cls)
+    specs = []
+    for f in fields(cls):
+        # Only bundles have start/goal states and only sequences have states.
+        if f.name in ("start", "goal"):
+            write, read = _state_out, _state_in
+        elif f.name == "states":
+            write, read = _state_out, lambda o, kind: tuple(_state_in(s, kind) for s in o)
+        else:
+            write, read_value = _codec(hints[f.name])
+            read = lambda o, kind, r=read_value: r(o)
+        specs.append((f.name, _KEYS.get((cls, f.name), f.name), write, read, f.default is not MISSING))
+    return tuple(specs)
+
+
 # ---------------------------------------------------------------------------
 # Object <-> plain payload
 # ---------------------------------------------------------------------------
 
 
-def graph_payload(g: ConstraintGraph) -> dict:
-    return {
-        "type": "constraint_graph",
-        "vertices": list(g.vertices),
-        "arity": g.arity,
-        "alphabet": list(g.alphabet),
-        "edges": [list(e) for e in g.edges],
-        "tables": [list(t) for t in g.tables],
-        "admissible": None
-        if g.admissible is None
-        else [sorted(a) for a in g.admissible],
-    }
+def payload(obj, pi_start: str | None = None, pi_goal: str | None = None) -> dict:
+    """Plain payload of any serializable object.
+
+    A ``TableVerifier`` payload also carries the optional endpoint proofs
+    ``pi_start``/``pi_goal``; other types ignore them.
+    """
+    cls = type(obj)
+    if cls not in TAGS:
+        raise StructuralError(f"cannot serialize {cls.__name__}")
+    out = {"type": TAGS[cls]}
+    for name, key, write, _, _ in _fields(cls):
+        out[key] = write(getattr(obj, name))
+    if cls is TableVerifier:
+        rows = zip(out.pop("queries"), out.pop("tables"), strict=True)
+        out["entries"] = [{"R": rnd, "queries": q, "table": t} for rnd, (q, t) in enumerate(rows)]
+        out.update(pi_start=pi_start, pi_goal=pi_goal)
+    elif cls is ExpanderGraph:
+        out["ratio"] = obj.ratio
+    return out
 
 
-def graph_from_payload(obj: dict) -> ConstraintGraph:
-    return ConstraintGraph(
-        vertices=tuple(obj["vertices"]),
-        arity=obj["arity"],
-        alphabet=tuple(obj["alphabet"]),
-        edges=tuple(tuple(e) for e in obj["edges"]),
-        tables=tuple(bytes(t) for t in obj["tables"]),
-        admissible=None
-        if obj.get("admissible") is None
-        else tuple(frozenset(a) for a in obj["admissible"]),
+def _read(cls, obj: dict):
+    """Object of type ``cls`` from its payload; the payload's tag is not read."""
+    if cls is TableVerifier:
+        entries = sorted(obj["entries"], key=lambda e: e["R"])
+        obj = {**obj, "queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
+    kind = BUNDLES[cls][1] if cls in BUNDLES else obj.get("kind")
+    return cls(
+        **{name: read(obj[key], kind) for name, key, _, read, optional in _fields(cls) if key in obj or not optional}
     )
 
 
-def set_system_payload(s: SetSystem) -> dict:
-    return {
-        "type": "set_system",
-        "elements": list(s.elements),
-        "sets": [sorted(members) for members in s.sets],
-        "set_labels": list(s.set_labels),
-    }
-
-
-def set_system_from_payload(obj: dict) -> SetSystem:
-    return SetSystem(
-        elements=tuple(obj["elements"]),
-        sets=tuple(frozenset(m) for m in obj["sets"]),
-        set_labels=tuple(obj["set_labels"]),
-    )
-
-
-def hypergraph_payload(h: Hypergraph) -> dict:
-    return {
-        "type": "hypergraph",
-        "vertices": list(h.vertices),
-        "hyperedges": [sorted(e) for e in h.hyperedges],
-        "uniformity": h.uniformity,
-    }
-
-
-def hypergraph_from_payload(obj: dict) -> Hypergraph:
-    return Hypergraph(
-        vertices=tuple(obj["vertices"]),
-        hyperedges=tuple(frozenset(e) for e in obj["hyperedges"]),
-        uniformity=obj.get("uniformity"),
-    )
-
-
-def verifier_payload(v: TableVerifier, pi_start: str | None = None, pi_goal: str | None = None) -> dict:
-    return {
-        "type": "verifier",
-        "r": v.r,
-        "q": v.q,
-        "ell": v.ell,
-        "entries": [
-            {"R": rnd, "queries": list(v.queries[rnd]), "table": list(v.tables[rnd])}
-            for rnd in range(v.n_entries)
-        ],
-        "pi_start": pi_start,
-        "pi_goal": pi_goal,
-    }
-
-
-def verifier_from_payload(obj: dict) -> tuple[TableVerifier, str | None, str | None]:
-    entries = sorted(obj["entries"], key=lambda e: e["R"])
-    v = TableVerifier(
-        r=obj["r"],
-        q=obj["q"],
-        ell=obj["ell"],
-        queries=tuple(tuple(e["queries"]) for e in entries),
-        tables=tuple(bytes(e["table"]) for e in entries),
-    )
-    return v, obj.get("pi_start"), obj.get("pi_goal")
-
-
-def expander_payload(x: ExpanderGraph) -> dict:
-    return {
-        "type": "expander",
-        "n": x.n,
-        "d": x.d,
-        "rotation": [list(p) for p in x.rotation],
-        "lambda": x.lam,
-        "ratio": x.ratio,
-    }
-
-
-def expander_from_payload(obj: dict) -> ExpanderGraph:
-    return ExpanderGraph(
-        n=obj["n"],
-        d=obj["d"],
-        rotation=tuple(tuple(p) for p in obj["rotation"]),
-        lam=obj["lambda"],
-    )
-
-
-def _state_payload(kind: str, state):
-    if kind == KIND_PROOF:
-        return state
-    if kind == KIND_PARTIAL:
-        return [None if a == BOTTOM else a for a in state]
-    if kind == KIND_MULTI:
-        return [sorted(vals) for vals in state]
-    return sorted(state)
-
-
-def _state_from_payload(kind: str, obj):
-    if kind == KIND_PROOF:
-        return obj
-    if kind == KIND_PARTIAL:
-        return tuple(BOTTOM if a is None else a for a in obj)
-    if kind == KIND_MULTI:
-        return tuple(frozenset(vals) for vals in obj)
-    return frozenset(obj)
-
-
-def sequence_payload(seq: ReconfigSequence) -> dict:
-    return {
-        "type": "sequence",
-        "kind": seq.kind,
-        "states": [_state_payload(seq.kind, s) for s in seq.states],
-    }
-
-
-def sequence_from_payload(obj: dict) -> ReconfigSequence:
-    kind = obj["kind"]
-    return ReconfigSequence(
-        kind=kind, states=tuple(_state_from_payload(kind, s) for s in obj["states"])
-    )
-
-
-def solve_result_payload(res: SolveResult) -> dict:
-    return {
-        "type": "solve_result",
-        "value": f"{res.value.numerator}/{res.value.denominator}",
-        "witness": sequence_payload(res.witness),
-        "states_explored": res.states_explored,
-    }
-
-
-def solve_result_from_payload(obj: dict) -> SolveResult:
-    num, den = obj["value"].split("/")
-    return SolveResult(
-        value=Fraction(int(num), int(den)),
-        witness=sequence_from_payload(obj["witness"]),
-        states_explored=obj["states_explored"],
-    )
-
-
-# Instance bundles (instance plus endpoint states): bundle type -> (type
-# tag, payload codec of the instance); core.BUNDLES names its field and kind.
-_BUNDLES = {
-    P2cspInstance: ("p2csp_instance", (graph_payload, graph_from_payload)),
-    LabelCoverInstance: ("labelcover_instance", (graph_payload, graph_from_payload)),
-    SetCoverInstance: ("setcover_instance", (set_system_payload, set_system_from_payload)),
-    HvcInstance: ("hvc_instance", (hypergraph_payload, hypergraph_from_payload)),
-}
-_BUNDLE_TAGS = {tag: (cls, codec) for cls, (tag, codec) in _BUNDLES.items()}
-
-
-def instance_payload(inst) -> dict:
-    tag, (to_payload, _) = _BUNDLES[type(inst)]
-    part, kind = BUNDLES[type(inst)]
-    return {
-        "type": tag,
-        part: to_payload(getattr(inst, part)),
-        "start": _state_payload(kind, inst.start),
-        "goal": _state_payload(kind, inst.goal),
-    }
-
-
-def _instance_from_payload(obj: dict):
-    bundle_type, (_, from_payload) = _BUNDLE_TAGS[obj["type"]]
-    part, kind = BUNDLES[bundle_type]
-    return bundle_type(
-        from_payload(obj[part]),
-        _state_from_payload(kind, obj["start"]),
-        _state_from_payload(kind, obj["goal"]),
-    )
+def from_payload(obj: dict):
+    """Object of a payload, dispatched on its ``"type"`` tag (a verifier without its proofs)."""
+    tag = obj.get("type")
+    cls = _CLASSES.get(tag)
+    if cls is None:
+        raise StructuralError(f"unknown file type {tag!r}")
+    return _read(cls, obj)
 
 
 # ---------------------------------------------------------------------------
 # Top-level dump/load
 # ---------------------------------------------------------------------------
 
-_PAYLOAD_BUILDERS = {
-    ConstraintGraph: graph_payload,
-    SetSystem: set_system_payload,
-    Hypergraph: hypergraph_payload,
-    ExpanderGraph: expander_payload,
-    ReconfigSequence: sequence_payload,
-    SolveResult: solve_result_payload,
-    **dict.fromkeys(_BUNDLES, instance_payload),
-}
-
-_PARSERS = {
-    "constraint_graph": graph_from_payload,
-    "set_system": set_system_from_payload,
-    "hypergraph": hypergraph_from_payload,
-    "verifier": lambda obj: verifier_from_payload(obj)[0],
-    "expander": expander_from_payload,
-    "sequence": sequence_from_payload,
-    "solve_result": solve_result_from_payload,
-    **dict.fromkeys(_BUNDLE_TAGS, _instance_from_payload),
-}
-
 
 def dump_bytes(obj, **kwargs) -> bytes:
-    """Canonical bytes of any serializable object.
-
-    TableVerifier accepts optional ``pi_start``/``pi_goal`` keyword proofs
-    to bundle endpoint proofs with the verifier file.
-    """
-    if isinstance(obj, TableVerifier):
-        return canonical_dumps(verifier_payload(obj, **kwargs))
-    builder = _PAYLOAD_BUILDERS.get(type(obj))
-    if builder is None:
-        raise StructuralError(f"cannot serialize {type(obj).__name__}")
-    return canonical_dumps(builder(obj))
+    """Canonical bytes of any serializable object; see ``payload`` for a verifier's proofs."""
+    return canonical_dumps(payload(obj, **kwargs))
 
 
 # What reading a file that is missing, unreadable or not valid JSON of the
@@ -288,19 +208,26 @@ def _malformed_is_structural():
         raise StructuralError(f"malformed input: {type(exc).__name__}: {exc}") from exc
 
 
+@contextmanager
+def writing(path):
+    """Context in which failing to write ``path`` raises ``StructuralError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise StructuralError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def parse_bytes(data: bytes):
     """Object of a canonical file; malformed bytes raise ``StructuralError``."""
     with _malformed_is_structural():
-        obj = json.loads(data.decode())
-        kind = obj.get("type")
-        parser = _PARSERS.get(kind)
-        if parser is None:
-            raise StructuralError(f"unknown file type {kind!r}")
-        return parser(obj)
+        return from_payload(json.loads(data.decode()))
 
 
 def save(obj, path, **kwargs) -> None:
-    Path(path).write_bytes(dump_bytes(obj, **kwargs))
+    """Write the canonical bytes of ``obj``; an unwritable path raises ``StructuralError``."""
+    data = dump_bytes(obj, **kwargs)
+    with writing(path):
+        Path(path).write_bytes(data)
 
 
 def load(path):
@@ -315,4 +242,4 @@ def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
         obj = json.loads(Path(path).read_bytes().decode())
         if obj.get("type") != "verifier":
             raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
-        return verifier_from_payload(obj)
+        return _read(TableVerifier, obj), obj.get("pi_start"), obj.get("pi_goal")

@@ -136,6 +136,31 @@ class TestUnreadableInput:
         assert run(*(a.format(**fill) for a in argv)) == 2
         assert "malformed input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "csp", "--out", "{nodir}/x.json"],
+            ["reduce", "normalize", "--in", "{csp}", "--out", "{nodir}/x.json"],
+            ["solve", "maxpar", "--in", "{csp}", "--out", "{nodir}/x.json"],
+            ["approx", "--in", "{sc}", "--out", "{nodir}/x.json"],
+            ["amplify", "--in", "{ver}", "--out", "{nodir}/x.json", "--rho", "2"],
+            ["amplify", "--in", "{ver}", "--out", "{tmp}/a.json", "--rho", "2", "--expander-out", "{nodir}/x.json"],
+            ["pipeline", "--in", "{ver}", "--out-dir", "{csp}"],
+        ],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        fill = {
+            "nodir": tmp_path / "nonexistent",
+            "tmp": tmp_path,
+            "csp": tmp_path / "csp.json",
+            "sc": tmp_path / "sc.json",
+            "ver": toy_verifier_file(tmp_path / "v.json"),
+        }
+        serialize.save(generate_csp(1), fill["csp"])
+        serialize.save(generate_setcover(1), fill["sc"])
+        assert run(*(a.format(**fill) for a in argv)) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["nonexistent", "empty"])
     def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
         (tmp_path / "empty").mkdir()

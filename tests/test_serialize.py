@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rforge import serialize
-from rforge.amplify import build_expander
+from rforge.amplify import ExpanderGraph, build_expander
 from rforge.core import (
     BOTTOM,
     ConstraintGraph,
@@ -17,6 +17,7 @@ from rforge.core import (
     KIND_MULTI,
     KIND_PARTIAL,
     KIND_PROOF,
+    KIND_VERTEX_COVER,
     LabelCoverInstance,
     P2cspInstance,
     ReconfigSequence,
@@ -25,7 +26,7 @@ from rforge.core import (
     StructuralError,
 )
 from rforge.generate import generate_csp, generate_verifier
-from rforge.solve import solve_maxpar
+from rforge.solve import SolveResult, solve_maxpar
 from rforge.verifier import TableVerifier
 
 EQ = bytes([1, 0, 0, 1])
@@ -133,6 +134,14 @@ GRAPH_BYTES = (
     b'"tables":[[1,0,1,1]],"type":"constraint_graph","vertices":["x","y"]}'
 )
 
+PINNED_VERIFIER = TableVerifier(
+    r=1, q=2, ell=3, queries=((0, 2), (1,)), tables=(bytes([1, 0, 0, 1]), bytes([0, 1]))
+)
+VERIFIER_BYTES = (
+    b'{"ell":3,"entries":[{"R":0,"queries":[0,2],"table":[1,0,0,1]},'
+    b'{"R":1,"queries":[1],"table":[0,1]}],"pi_goal":%s,"pi_start":%s,"q":2,"r":1,"type":"verifier"}\n'
+)
+
 
 @pytest.mark.parametrize(
     "inst, expected",
@@ -168,11 +177,77 @@ GRAPH_BYTES = (
             b'{"goal":[0,1],"hypergraph":{"hyperedges":[[0,2],[1,2]],"type":"hypergraph",'
             b'"uniformity":2,"vertices":["p","q","r"]},"start":[2],"type":"hvc_instance"}\n',
         ),
+        (PINNED_VERIFIER, VERIFIER_BYTES % (b'"011"', b'"010"')),
+        (PINNED_VERIFIER, VERIFIER_BYTES % (b"null", b"null")),
+        (
+            ExpanderGraph(2, 2, ((1, 0), (1, 1), (0, 0), (0, 1)), 0.5),
+            b'{"d":2,"lambda":0.5,"n":2,"ratio":0.25,"rotation":[[1,0],[1,1],[0,0],[0,1]],'
+            b'"type":"expander"}\n',
+        ),
+        (
+            ReconfigSequence(KIND_PROOF, ("010", "011")),
+            b'{"kind":"proof","states":["010","011"],"type":"sequence"}\n',
+        ),
+        (
+            ReconfigSequence(KIND_PARTIAL, ((0, BOTTOM), (0, 1))),
+            b'{"kind":"partial-assignment","states":[[0,null],[0,1]],"type":"sequence"}\n',
+        ),
+        (
+            ReconfigSequence(KIND_MULTI, ((frozenset({1, 0}), frozenset()),)),
+            b'{"kind":"multi-assignment","states":[[[0,1],[]]],"type":"sequence"}\n',
+        ),
+        (
+            ReconfigSequence(KIND_COVER, (frozenset({2, 0}), frozenset({2}))),
+            b'{"kind":"cover","states":[[0,2],[2]],"type":"sequence"}\n',
+        ),
+        (
+            ReconfigSequence(KIND_VERTEX_COVER, (frozenset({1}),)),
+            b'{"kind":"vertex-cover","states":[[1]],"type":"sequence"}\n',
+        ),
+        (
+            SolveResult(
+                Fraction(3, 4), ReconfigSequence(KIND_COVER, (frozenset({0}), frozenset({0, 1}))), 7
+            ),
+            b'{"states_explored":7,"type":"solve_result","value":"3/4","witness":{"kind":"cover",'
+            b'"states":[[0],[0,1]],"type":"sequence"}}\n',
+        ),
     ],
 )
-def test_instance_bundle_bytes_are_pinned(inst, expected):
-    assert serialize.dump_bytes(inst) == expected
+def test_instance_bundle_bytes_are_pinned(inst, expected, tmp_path):
+    # A verifier file carries its endpoint proofs beside the verifier.
+    proofs = {k: p for k, p in json.loads(expected).items() if k.startswith("pi_")}
+    assert serialize.dump_bytes(inst, **proofs) == expected
     assert serialize.parse_bytes(expected) == inst
+    if proofs:
+        path = tmp_path / "v.json"
+        path.write_bytes(expected)
+        assert serialize.load_verifier(path) == (inst, proofs["pi_start"], proofs["pi_goal"])
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (
+            b'{"alphabet":["a"],"arity":2,"edges":[],"tables":[],"type":"constraint_graph",'
+            b'"vertices":["x"]}',
+            ConstraintGraph(("x",), 2, ("a",), (), ()),
+        ),
+        (
+            b'{"hyperedges":[[0]],"type":"hypergraph","vertices":["x"]}',
+            Hypergraph(("x",), (frozenset({0}),)),
+        ),
+        (
+            b'{"ell":3,"entries":[{"R":0,"queries":[0,2],"table":[1,0,0,1]},'
+            b'{"R":1,"queries":[1],"table":[0,1]}],"q":2,"r":1,"type":"verifier"}',
+            (PINNED_VERIFIER, None, None),
+        ),
+    ],
+)
+def test_absent_optional_keys_take_defaults(data, expected, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    loaded = serialize.load_verifier(path) if isinstance(expected, tuple) else serialize.load(path)
+    assert loaded == expected
 
 
 _FIELDS = (
@@ -187,7 +262,7 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=6),
     max_leaves=16,
 )
-_FILE_TYPES = st.sampled_from(sorted(serialize._PARSERS))
+_FILE_TYPES = st.sampled_from(sorted(serialize.TAGS.values()))
 
 
 @given(
@@ -216,7 +291,6 @@ def test_verifier_payload_orders_entries():
     v = TableVerifier(
         r=1, q=1, ell=2, queries=((0,), (1,)), tables=(bytes([1, 0]), bytes([0, 1]))
     )
-    payload = serialize.verifier_payload(v)
+    payload = serialize.payload(v)
     shuffled = dict(payload, entries=list(reversed(payload["entries"])))
-    rebuilt, _, _ = serialize.verifier_from_payload(shuffled)
-    assert rebuilt == v
+    assert serialize.from_payload(shuffled) == v
