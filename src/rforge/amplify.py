@@ -72,29 +72,22 @@ class ExpanderGraph:
         return counts
 
 
-def _complete_rotation(n: int) -> tuple[tuple[int, int], ...]:
-    # K_n: vertex v's port p leads to the p-th other vertex in index order.
-    rot: list[tuple[int, int]] = [(0, 0)] * (n * (n - 1))
-    for v in range(n):
-        for p in range(n - 1):
-            w = p if p < v else p + 1
-            back = v if v < w else v - 1
-            rot[v * (n - 1) + p] = (w, back)
-    return tuple(rot)
-
-
-def _complete_plus_matching_rotation(n: int) -> tuple[tuple[int, int], ...]:
-    # K_n plus the perfect matching v <-> v + n/2, giving degree n with lambda = 2.
-    d = n
-    half = n // 2
+def _complete_rotation(n: int, d: int) -> list[tuple[int, int]]:
+    # K_n at stride d: vertex v's port p < n - 1 leads to the p-th other
+    # vertex in index order; ports n - 1 to d - 1 are left to the caller.
     rot: list[tuple[int, int]] = [(0, 0)] * (n * d)
     for v in range(n):
         for p in range(n - 1):
             w = p if p < v else p + 1
-            back = v if v < w else v - 1
-            rot[v * d + p] = (w, back)
-        partner = (v + half) % n
-        rot[v * d + (d - 1)] = (partner, d - 1)
+            rot[v * d + p] = (w, v if v < w else v - 1)
+    return rot
+
+
+def _complete_plus_matching_rotation(n: int) -> tuple[tuple[int, int], ...]:
+    # K_n plus the perfect matching v <-> v + n/2, giving degree n with lambda = 2.
+    rot = _complete_rotation(n, n)
+    for v in range(n):
+        rot[v * n + n - 1] = ((v + n // 2) % n, n - 1)
     return tuple(rot)
 
 
@@ -170,7 +163,7 @@ def build_expander(n: int, d: int, target_ratio: float, seed: int, attempts: int
         if d == n - 1:
             lam = 1.0 if n > 2 else 0.0
             if lam / d < target_ratio:
-                return ExpanderGraph(n=n, d=d, rotation=_complete_rotation(n), lam=lam)
+                return ExpanderGraph(n=n, d=d, rotation=tuple(_complete_rotation(n, d)), lam=lam)
             raise StructuralError(
                 f"complete graph on {n} vertices has ratio {lam / d}, target {target_ratio} infeasible"
             )
@@ -316,33 +309,17 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int, max_positions: int = 2
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Per-position query degrees plus an optional probability-bound check.
-
-    ``bound_ok`` reports whether max_i Pr[i queried] <= delta^(-kappa) / 2^r,
-    i.e. whether the maximum degree is at most delta^(-kappa).
-    """
+    """Per-position query degrees, their maximum, and the common degree if regular."""
 
     degrees: tuple[int, ...]
     max_degree: int
     regular: int | None
-    bound_value: Fraction | None = None
-    bound_ok: bool | None = None
 
 
-def degree_report(v: TableVerifier, delta: Fraction | None = None, kappa: int | None = None) -> DegreeReport:
+def degree_report(v: TableVerifier) -> DegreeReport:
     counts = degrees(v)
-    max_degree = max(counts)
-    regular = counts[0] if len(set(counts)) == 1 else None
-    bound_value = bound_ok = None
-    if delta is not None:
-        if kappa is None:
-            raise StructuralError("kappa is required when delta is supplied")
-        bound_value = Fraction(delta) ** (-kappa)
-        bound_ok = Fraction(max_degree) <= bound_value
     return DegreeReport(
         degrees=counts,
-        max_degree=max_degree,
-        regular=regular,
-        bound_value=bound_value,
-        bound_ok=bound_ok,
+        max_degree=max(counts),
+        regular=counts[0] if len(set(counts)) == 1 else None,
     )

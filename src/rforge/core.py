@@ -411,6 +411,19 @@ def is_cover(system: SetSystem, cover: Iterable[int]) -> bool:
     return len(covered) == system.n_elements
 
 
+def transpose(sets: Sequence[Iterable[int]], n: int) -> list[list[int]]:
+    """For each of ``n`` items, the indices of the sets containing it, ascending.
+
+    The transpose of a set system's sets is a hypergraph whose vertex
+    covers are the system's covers.
+    """
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for i, members in enumerate(sets):
+        for item in members:
+            containing[item].append(i)
+    return containing
+
+
 def is_vertex_cover(h: Hypergraph, cover: Iterable[int]) -> bool:
     chosen = frozenset(cover)
     if any(v < 0 or v >= h.n_vertices for v in chosen):

@@ -8,8 +8,9 @@ Three constructions:
   B = {0,1}^Sigma and the hypercube gadgets Q̄ and Q turn edge
   satisfaction into coverage of the edge's block, plus one element per
   vertex on no edge,
-* label cover -> minmax hypergraph vertex cover via the inverted index
-  of the set-cover instance, padded to a uniform hyperedge size.
+* label cover -> minmax hypergraph vertex cover as the transpose of the
+  set-cover instance (one hyperedge per element, holding the sets that
+  contain it), padded to a uniform hyperedge size.
 
 Reduced instances carry provenance labels ("(v,a)" for sets and real
 vertices, "(e,bits)" for universe elements and hyperedges) so solution
@@ -34,6 +35,7 @@ from .core import (
     multi_size,
     satisfies_multi,
     satisfies_partial,
+    transpose,
 )
 
 
@@ -192,42 +194,47 @@ def _edge_lo_hi(g: ConstraintGraph, e_idx: int):
     return lo, hi, sat
 
 
-def _build_set_contents(g: ConstraintGraph):
-    """Universe elements and the members of each S_{v,a}.
+def _cover_sets(g: ConstraintGraph, f_start, f_goal):
+    """The set-cover reduction both cover reductions are built from.
 
-    Elements are (key, label) pairs: (e, x) for each edge e and hypercube
-    vector x, then (v,) for each vertex v on no edge.  S_{v,a} holds the
-    keys of the elements it covers; every S_{v,a} of an edgeless vertex
-    covers (v,), so a cover keeps a label at v as label cover must when
-    admissible sets (folded self-loops) forbid the empty set.  Without
-    admissible sets the identity cannot hold there, and the vertex is
-    rejected.
+    Returns the (vertex, symbol) pair and the label of each set S_{v,a},
+    each set's members as universe element indices, the element labels,
+    and the start and goal covers.  Elements are (e, x) for each edge e
+    and hypercube vector x, then one element per vertex v on no edge.
+    Every S_{v,a} of an edgeless vertex covers v's element, so a cover
+    keeps a label at v as label cover must when admissible sets (folded
+    self-loops) forbid the empty set.  Without admissible sets the
+    identity cannot hold there, and the vertex is rejected.
     """
+    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
     space = GadgetSpace(g.n_symbols)
     pairs = [(v, a) for v in range(g.n_vertices) for a in sorted(g.allowed_symbols(v))]
-    contents = {pair: set() for pair in pairs}
-    elements = []
+    lookup = {pair: i for i, pair in enumerate(pairs)}
+    members: list[set[int]] = [set() for _ in pairs]
+    elements: list[str] = []
     for e_idx in range(len(g.edges)):
-        elements += [((e_idx, x), f"e{e_idx},{format(x, f'0{g.n_symbols}b')}") for x in range(space.size)]
+        base = len(elements)
+        elements += [f"e{e_idx},{format(x, f'0{g.n_symbols}b')}" for x in range(space.size)]
         lo, hi, sat = _edge_lo_hi(g, e_idx)
         for a in sorted(g.allowed_symbols(lo)):
-            for x in qbar_alpha(space, a):
-                contents[(lo, a)].add((e_idx, x))
+            members[lookup[(lo, a)]].update(base + x for x in qbar_alpha(space, a))
         for b in sorted(g.allowed_symbols(hi)):
             # The satisfaction-compatible partners of b make coverage of
             # the edge block coincide with edge satisfaction.
             partners = [a for a in g.allowed_symbols(lo) if sat(a, b)]
-            for x in q_subset(space, partners):
-                contents[(hi, b)].add((e_idx, x))
+            members[lookup[(hi, b)]].update(base + x for x in q_subset(space, partners))
     for v in range(g.n_vertices):
         if g.incident[v]:
             continue
         if g.admissible is None:
             raise StructuralError(f"vertex {g.vertices[v]!r} is on no edge and has no admissible set")
-        elements.append(((v,), g.vertices[v]))
         for a in g.admissible[v]:
-            contents[(v, a)].add((v,))
-    return pairs, contents, elements
+            members[lookup[(v, a)]].add(len(elements))
+        elements.append(g.vertices[v])
+    set_labels = [f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs]
+    start = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_start))
+    goal = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_goal))
+    return tuple(pairs), set_labels, tuple(map(frozenset, members)), elements, start, goal
 
 
 @dataclass(frozen=True)
@@ -250,23 +257,11 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduc
     partner symbols; the sets of a vertex on no edge share one element of
     their own.  Covers map to multi assignments by membership.
     """
-    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    pairs, contents, elements = _build_set_contents(g)
-    element_index = {key: i for i, (key, _) in enumerate(elements)}
-    sets = tuple(
-        frozenset(element_index[el] for el in contents[pair]) for pair in pairs
+    pairs, set_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
+    system = SetSystem(
+        elements=tuple(f"({label})" for label in elements), sets=sets, set_labels=tuple(set_labels)
     )
-    set_labels = tuple(
-        f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs
-    )
-    element_labels = tuple(f"({label})" for _, label in elements)
-    system = SetSystem(elements=element_labels, sets=sets, set_labels=set_labels)
-    lookup = {pair: i for i, pair in enumerate(pairs)}
-    start = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_start))
-    goal = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_goal))
-    return SetCoverReduction(
-        system=system, start=start, goal=goal, pairs=tuple(pairs), source=g
-    )
+    return SetCoverReduction(system=system, start=start, goal=goal, pairs=pairs, source=g)
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +282,29 @@ class HvcReduction:
 
 
 def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
-    """Inverted index of the set-cover reduction, padded to 2|Sigma|-uniform.
+    """Transpose of the set-cover reduction, padded to 2|Sigma|-uniform.
 
     Hyperedge T_{e,x} collects the (vertex, symbol) pairs whose set
     contains the universe element (e, x), and T_v those of a vertex v on
-    no edge; fresh per-hyperedge padding vertices bring every hyperedge
-    to size exactly 2|Sigma|.
+    no edge; fresh per-hyperedge padding vertices ``pad(<element>,k)``
+    bring every hyperedge to size exactly 2|Sigma|.
     """
-    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    pairs, contents, elements = _build_set_contents(g)
+    pairs, vertex_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
     uniformity = 2 * g.n_symbols
-    real_index = {pair: i for i, pair in enumerate(pairs)}
-    members_by_element: dict[tuple, set[int]] = {key: set() for key, _ in elements}
-    for pair, keys in contents.items():
-        for key in keys:
-            members_by_element[key].add(real_index[pair])
-    vertex_labels = [f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs]
-    hyperedges = []
-    for key, label in elements:
-        members = members_by_element[key]
-        if len(members) > uniformity:
+    hyperedges = transpose(sets, len(elements))
+    for edge, label in zip(hyperedges, elements):
+        if len(edge) > uniformity:
             raise StructuralError("hyperedge exceeds the uniformity bound")
-        for k in range(uniformity - len(members)):
-            members.add(len(vertex_labels))
+        for k in range(uniformity - len(edge)):
+            edge.append(len(vertex_labels))
             vertex_labels.append(f"pad({label},{k})")
-        hyperedges.append(frozenset(members))
     h = Hypergraph(
         vertices=tuple(vertex_labels),
-        hyperedges=tuple(hyperedges),
+        hyperedges=tuple(map(frozenset, hyperedges)),
         uniformity=uniformity,
     )
-    start = frozenset(real_index[(v, next(iter(vals)))] for v, vals in enumerate(f_start))
-    goal = frozenset(real_index[(v, next(iter(vals)))] for v, vals in enumerate(f_goal))
     return HvcReduction(
-        hypergraph=h, start=start, goal=goal, pairs=tuple(pairs), n_real=len(pairs), source=g
+        hypergraph=h, start=start, goal=goal, pairs=pairs, n_real=len(pairs), source=g
     )
 
 

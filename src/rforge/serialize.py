@@ -4,7 +4,8 @@ One codec serves every file type.  A payload is the class's ``"type"``
 tag from ``TAGS`` plus one key per dataclass field, written and read by a
 codec worked out once from the field's type annotation: tuples become
 lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
-nested dataclasses their payloads.  States follow their kind, with
+nested dataclasses their payloads; the readers of the list forms
+accept only a JSON list.  States follow their kind, with
 ``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
 entries and may carry endpoint proofs; an expander file adds ``ratio``.
 
@@ -74,6 +75,17 @@ def _same(value):
 _SAME = (_same, _same)
 
 
+def _from_list(read):
+    """``read`` restricted to a JSON list: a string or a number is malformed."""
+
+    def from_list(obj):
+        if not isinstance(obj, list):
+            raise StructuralError(f"expected a list, got {type(obj).__name__}")
+        return read(obj)
+
+    return from_list
+
+
 def _fraction_in(text: str) -> Fraction:
     num, den = text.split("/")
     return Fraction(int(num), int(den))
@@ -85,7 +97,7 @@ def _codec(ann) -> tuple:
     if ann in (int, float, str):
         return _SAME
     if ann is bytes:
-        return list, bytes
+        return list, _from_list(bytes)
     if ann is Fraction:
         return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
     if is_dataclass(ann):
@@ -95,14 +107,14 @@ def _codec(ann) -> tuple:
         ((write, read),) = (_codec(a) for a in args if a is not NoneType)
         return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
     if origin is frozenset:
-        return sorted, frozenset
+        return sorted, _from_list(frozenset)
     if origin is tuple:
         items = [_codec(a) for a in args if a is not Ellipsis]
         if all(c is _SAME for c in items):
-            return list, tuple
+            return list, _from_list(tuple)
         if args[1:] == (Ellipsis,):
             ((write, read),) = items
-            return (lambda v: [write(x) for x in v]), (lambda o: tuple(read(x) for x in o))
+            return (lambda v: [write(x) for x in v]), _from_list(lambda o: tuple(read(x) for x in o))
     raise TypeError(f"no codec for the annotation {ann!r}")
 
 
@@ -242,4 +254,7 @@ def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
         obj = json.loads(Path(path).read_bytes().decode())
         if obj.get("type") != "verifier":
             raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
-        return _read(TableVerifier, obj), obj.get("pi_start"), obj.get("pi_goal")
+        proofs = obj.get("pi_start"), obj.get("pi_goal")
+        if not all(p is None or isinstance(p, str) for p in proofs):
+            raise StructuralError("pi_start and pi_goal must be strings or null")
+        return _read(TableVerifier, obj), *proofs

@@ -14,6 +14,11 @@ solver path.  The problem table `SOLVERS` (bundle type, solver name,
 objective denominator, sense) and the kind table `core.KINDS` drive
 `solve_instance`, the oracle and `sequence_objective`.
 
+Both exact minimum covers, opt of a set system and beta of a
+hypergraph, come from one minimum hitting-set branch and bound
+(`_min_hitting`): a cover hits every element's family of containing
+sets, and a vertex cover hits every hyperedge.
+
 A fully materialized bottleneck-path implementation (`oracle_value`) is
 kept deliberately independent of the threshold engine: it enumerates the
 feasible state space outright, derives adjacency from the step metric,
@@ -28,7 +33,7 @@ import heapq
 import itertools
 import math
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -57,6 +62,7 @@ from .core import (
     partial_size,
     satisfies_multi,
     satisfies_partial,
+    transpose,
 )
 
 DEFAULT_CAP = 200_000
@@ -275,118 +281,74 @@ def solve_minlab(
 # ---------------------------------------------------------------------------
 
 
-def min_cover(system: SetSystem) -> int:
-    """Exact minimum cover size by branch and bound.
+def _min_hitting(hitsets) -> int:
+    """Fewest items meeting every hit set, by branch and bound.
 
-    Greedy gives the upper bound; the lower bound is the trivial
-    ceil(uncovered / largest set size).  Branching picks the uncovered
-    element with the fewest candidate sets and tries them in index order,
-    so the search is deterministic.
+    Each distinct hit set is kept once, ranked by size (a stable sort).
+    The search branches on the items, ascending, of the first unmet hit
+    set in rank order, so it is deterministic.  Greedy picks from those
+    same hit sets give the upper bound; unmet hit sets pairwise disjoint
+    from each other give the lower bound, since each needs its own item.
+    Every hit set must be nonempty.
     """
-    m, n = system.n_sets, system.n_elements
-    full = (1 << n) - 1
-    masks = [sum(1 << e for e in s) for s in system.sets]
-    union = 0
-    for mk in masks:
-        union |= mk
-    if union != full:
-        raise StructuralError("universe is not coverable by the family")
-    if n == 0:
-        return 0
-    containing = [[i for i in range(m) if masks[i] >> e & 1] for e in range(n)]
-    max_set = max((mk.bit_count() for mk in masks), default=0)
+    ranked = sorted(dict.fromkeys(tuple(sorted(t)) for t in hitsets), key=len)
+    # The unmet hit sets are a bitmask over ranks, and an item's mask has
+    # the ranks of the hit sets it meets.  Only items in two or more hit
+    # sets store one: an item of hit set r alone has mask 1 << r, and most
+    # vertices of a padded hypergraph are such items.
+    occurrences = Counter(i for t in ranked for i in t)
+    shared: dict[int, int] = {}
+    for r, t in enumerate(ranked):
+        for i in t:
+            if occurrences[i] > 1:
+                shared[i] = shared.get(i, 0) | 1 << r
 
-    covered, best = 0, 0
-    while covered != full:  # greedy upper bound
-        gain, pick = -1, -1
-        for i in range(m):
-            g = (masks[i] & ~covered).bit_count()
-            if g > gain:
-                gain, pick = g, i
-        covered |= masks[pick]
-        best += 1
+    def first_masks(unmet: int) -> list[int]:
+        """The masks of the items, ascending, of the first unmet hit set."""
+        r = (unmet & -unmet).bit_length() - 1
+        return [shared.get(i, 1 << r) for i in ranked[r]]
 
-    def rec(cov: int, count: int) -> None:
-        nonlocal best
-        if cov == full:
-            best = min(best, count)
-            return
-        remaining = (full & ~cov).bit_count()
-        if count + -(-remaining // max_set) >= best:
-            return
-        pivot, fewest = -1, m + 1
-        probe = full & ~cov
-        while probe:
-            e = (probe & -probe).bit_length() - 1
-            cands = sum(1 for i in containing[e] if masks[i] & ~cov)
-            if cands < fewest:
-                fewest, pivot = cands, e
-            probe &= probe - 1
-        for i in containing[pivot]:
-            rec(cov | masks[i], count + 1)
-
-    rec(0, 0)
-    return best
-
-
-def min_vertex_cover(h: Hypergraph) -> int:
-    """Exact minimum vertex cover size by branch and bound.
-
-    Branches on the vertices of the first uncovered hyperedge (ascending
-    vertex index); the lower bound counts greedily chosen pairwise
-    disjoint uncovered hyperedges.
-    """
-    if any(not e for e in h.hyperedges):
-        raise StructuralError("hypergraph has an empty hyperedge")
-    edges = [tuple(sorted(e)) for e in h.hyperedges]
-    if not edges:
-        return 0
-
-    chosen: set[int] = set()
-    remaining = list(range(len(edges)))
-    while remaining:  # greedy upper bound
-        gain: dict[int, int] = {}
-        for e_idx in remaining:
-            for v in edges[e_idx]:
-                gain[v] = gain.get(v, 0) + 1
-        pick = max(sorted(gain), key=lambda v: gain[v])
-        chosen.add(pick)
-        remaining = [e_idx for e_idx in remaining if pick not in edges[e_idx]]
-    best = len(chosen)
-
-    def lower_bound(cover: set[int]) -> int:
-        used: set[int] = set()
+    def lower_bound(unmet: int) -> int:
         count = 0
-        for e in edges:
-            if any(v in cover for v in e):
-                continue
-            if any(v in used for v in e):
-                continue
-            used.update(e)
+        while unmet:  # take the first unmet hit set, drop every one it meets
+            for m in first_masks(unmet):
+                unmet &= ~m
             count += 1
         return count
 
-    def first_uncovered(cover: set[int]):
-        for e in edges:
-            if not any(v in cover for v in e):
-                return e
-        return None
-
-    def rec(cover: set[int]) -> None:
+    def rec(unmet: int, count: int) -> None:
         nonlocal best
-        if len(cover) + lower_bound(cover) >= best:
+        if not unmet:
+            best = count
             return
-        edge = first_uncovered(cover)
-        if edge is None:
-            best = len(cover)
+        if count + lower_bound(unmet) >= best:
             return
-        for v in edge:
-            cover.add(v)
-            rec(cover)
-            cover.discard(v)
+        for m in first_masks(unmet):
+            rec(unmet & ~m, count + 1)
 
-    rec(set())
+    full = (1 << len(ranked)) - 1
+    unmet, best = full, 0
+    while unmet:  # greedy upper bound
+        unmet &= ~max(first_masks(unmet), key=lambda m: (m & unmet).bit_count())
+        best += 1
+    rec(full, 0)
     return best
+
+
+def min_cover(system: SetSystem) -> int:
+    """Exact minimum cover size: the fewest sets hitting every element's
+    family of containing sets."""
+    containing = transpose(system.sets, system.n_elements)
+    if not all(containing):
+        raise StructuralError("universe is not coverable by the family")
+    return _min_hitting(containing)
+
+
+def min_vertex_cover(h: Hypergraph) -> int:
+    """Exact minimum vertex cover size: the fewest vertices hitting every hyperedge."""
+    if not all(h.hyperedges):
+        raise StructuralError("hypergraph has an empty hyperedge")
+    return _min_hitting(h.hyperedges)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,3 @@ class TestDegreeReport:
                 for i in positions:
                     expected[i] += 1
         assert list(degree_report(amped).degrees) == expected
-
-    def test_probability_bound_check(self):
-        v = always_accepting(r=2, q=2, ell=4)
-        rep = degree_report(v, delta=Fraction(1, 2), kappa=2)
-        assert rep.bound_value == 4
-        assert rep.bound_ok == (rep.max_degree <= 4)

@@ -161,6 +161,15 @@ class TestUnreadableInput:
         assert run(*(a.format(**fill) for a in argv)) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, out_flag", [(["reduce", "fglss"], "--out"), (["pipeline"], "--out-dir")])
+    @pytest.mark.parametrize("proof", [5, ["0"]])
+    def test_non_string_proof_exits_2(self, tmp_path, capsys, command, out_flag, proof):
+        ver = toy_verifier_file(tmp_path / "v.json")
+        obj = json.loads(ver.read_bytes())
+        ver.write_text(json.dumps({**obj, "pi_start": proof}))
+        assert run(*command, "--in", ver, out_flag, tmp_path / "out") == 2
+        assert "pi_start and pi_goal must be strings or null" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["nonexistent", "empty"])
     def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
         (tmp_path / "empty").mkdir()

@@ -1,8 +1,11 @@
 """Gap-preserving reductions: lifting, gadgets, coverage equivalence, padding."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rforge.cli import main
 from rforge.core import (
     ConstraintGraph,
     StructuralError,
@@ -249,6 +252,22 @@ class TestHvcReduction:
         red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
         f = vertexcover_solution_to_multiassignment(red, red.start | {red.n_real})
         assert multiassignment_to_vertexcover(red, f) == red.start
+
+    def test_readme_seed7_bytes_are_pinned(self, tmp_path):
+        # sha256 of the `reduce l2sc`/`l2hvc` files of the README seed-7
+        # verifier, captured before both reductions were built from one builder.
+        def reduce(step, src, dst):
+            assert main(["reduce", step, "--in", str(tmp_path / src), "--out", str(tmp_path / dst)]) == 0
+
+        main(["gen", "--kind", "verifier", "--out", str(tmp_path / "v.json"), "--seed", "7"])
+        reduce("fglss", "v.json", "fglss.json")
+        reduce("normalize", "fglss.json", "norm.json")
+        reduce("p2l", "norm.json", "lc.json")
+        reduce("l2sc", "lc.json", "sc.json")
+        reduce("l2hvc", "lc.json", "hvc.json")
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("sc.json") == "2d79aaf5a9dd426b68d33b4030fc69c0d2769dbf8b2e493cc9ca7545f280a601"
+        assert digest("hvc.json") == "f2a93c8698df8a40caa50aab5dc0eef50273f1f0db073ccd9754ba01b03d161f"
 
 
 class TestStoredEdgeOrder:

@@ -250,6 +250,25 @@ def test_absent_optional_keys_take_defaults(data, expected, tmp_path):
     assert loaded == expected
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # An integer table is not n zero bytes, in a graph or a verifier.
+        b'{"alphabet":["a"],"arity":2,"edges":[[0,1]],"tables":[1],"type":"constraint_graph",'
+        b'"vertices":["x","y"]}',
+        b'{"ell":1,"entries":[{"R":0,"queries":[0],"table":2}],"q":1,"r":0,"type":"verifier"}',
+        # A string is not a list of its characters.
+        b'{"alphabet":"ab","arity":2,"edges":[],"tables":[],"type":"constraint_graph","vertices":["x"]}',
+        b'{"alphabet":["a"],"arity":2,"edges":[],"tables":"","type":"constraint_graph","vertices":["x"]}',
+        b'{"elements":[],"set_labels":["s"],"sets":[""],"type":"set_system"}',
+    ],
+    ids=["graph-int-table", "verifier-int-table", "str-alphabet", "str-tables", "str-set"],
+)
+def test_list_fields_reject_other_json(data):
+    with pytest.raises(StructuralError, match="expected a list"):
+        serialize.parse_bytes(data)
+
+
 _FIELDS = (
     "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
     "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",

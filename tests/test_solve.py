@@ -1,6 +1,7 @@
 """Exact solvers: frozen examples, oracle agreement, laws, budget errors."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rforge.core import (
     StructuralError,
     multi_size,
     partial_size,
+    transpose,
     validate_sequence,
 )
 from rforge.generate import (
@@ -155,7 +157,7 @@ class TestMinCover:
 
     def test_uncoverable(self):
         ss = SetSystem(("1", "2"), (frozenset({0}),), ("A",))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="universe is not coverable by the family"):
             min_cover(ss)
 
     def test_random_against_bruteforce(self):
@@ -180,7 +182,7 @@ class TestMinVertexCover:
 
     def test_empty_hyperedge_rejected(self):
         h = Hypergraph(("a",), (frozenset(),))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="hypergraph has an empty hyperedge"):
             min_vertex_cover(h)
 
     def test_random_against_bruteforce(self):
@@ -195,6 +197,61 @@ class TestMinVertexCover:
                 )
             )
             assert min_vertex_cover(h) == brute
+
+
+def _covers(n_items, hitsets):
+    """Sizes of all item subsets meeting every hit set, by brute force."""
+    return [
+        bin(mask).count("1")
+        for mask in range(2**n_items)
+        if all(any(mask >> i & 1 for i in t) for t in hitsets)
+    ]
+
+
+class TestMinHitting:
+    @pytest.mark.parametrize("first_seed", range(0, 200, 25))
+    def test_cover_of_system_equals_vertex_cover_of_transpose(self, first_seed):
+        duplicates = 0
+        for seed in range(first_seed, first_seed + 25):
+            rng = random.Random(seed)
+            n, m = rng.randint(0, 9), rng.randint(1, 7)
+            sets = [{e for e in range(n) if rng.random() < 0.3} for _ in range(m)]
+            for e in range(n):  # make the family cover the universe
+                sets[rng.randrange(m)].add(e)
+            if n and rng.random() < 0.5:  # an element copying another's family
+                e, copy = rng.randrange(n), rng.randrange(n)
+                for members in sets:
+                    if copy in members:
+                        members.add(e)
+                    else:
+                        members.discard(e)
+            ss = SetSystem(
+                tuple(map(str, range(n))), tuple(map(frozenset, sets)), tuple(map(str, range(m)))
+            )
+            families = transpose(ss.sets, n)
+            h = Hypergraph(tuple(map(str, range(m))), tuple(map(frozenset, families)))
+            duplicates += len(set(h.hyperedges)) < len(h.hyperedges)
+            assert min_cover(ss) == min_vertex_cover(h) == min(_covers(m, families))
+        assert duplicates > 0
+
+    def test_search_beats_the_greedy_bound(self):
+        # The path 3-4-1-2-0: greedy takes vertex 1 for the first edge and
+        # ends with three vertices, but {2, 4} covers every edge.
+        edges = tuple(map(frozenset, [{1, 4}, {3, 4}, {1, 2}, {0, 2}]))
+        h = Hypergraph(tuple("abcde"), edges)
+        ss = SetSystem(tuple("wxyz"), tuple(map(frozenset, transpose(edges, 5))), tuple("abcde"))
+        assert min_vertex_cover(h) == min_cover(ss) == 2
+
+    @pytest.mark.parametrize(
+        "solve, instance",
+        [
+            (min_cover, SetSystem((), (frozenset(),), ("A",))),
+            (min_cover, SetSystem((), (), ())),
+            (min_vertex_cover, Hypergraph(("a",), ())),
+        ],
+    )
+    def test_nothing_to_meet_needs_nothing(self, solve, instance):
+        assert solve(instance) == 0
 
 
 class TestCostSetcover:
