@@ -199,13 +199,13 @@ class TestMinVertexCover:
             assert min_vertex_cover(h) == brute
 
 
-def _covers(n_items, hitsets):
-    """Sizes of all item subsets meeting every hit set, by brute force."""
-    return [
+def _brute_min_hitting(n_items, hitsets):
+    """Fewest of ``n_items`` items meeting every hit set, over all subsets."""
+    return min(
         bin(mask).count("1")
         for mask in range(2**n_items)
         if all(any(mask >> i & 1 for i in t) for t in hitsets)
-    ]
+    )
 
 
 class TestMinHitting:
@@ -231,7 +231,7 @@ class TestMinHitting:
             families = transpose(ss.sets, n)
             h = Hypergraph(tuple(map(str, range(m))), tuple(map(frozenset, families)))
             duplicates += len(set(h.hyperedges)) < len(h.hyperedges)
-            assert min_cover(ss) == min_vertex_cover(h) == min(_covers(m, families))
+            assert min_cover(ss) == min_vertex_cover(h) == _brute_min_hitting(m, families)
         assert duplicates > 0
 
     def test_search_beats_the_greedy_bound(self):
