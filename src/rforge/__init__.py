@@ -41,7 +41,6 @@ from .core import (
 )
 from .solve import (
     SolveResult,
-    decide_gap,
     min_cover,
     min_vertex_cover,
     oracle_value,

@@ -196,32 +196,40 @@ def _with_edgeless_vertex(inst: LabelCoverInstance, rng) -> LabelCoverInstance:
     return LabelCoverInstance(graph, start, goal)
 
 
+def _cost_instance(seed: int, t: int) -> LabelCoverInstance:
+    """Label-cover instance of trial ``t`` of the cost-equality suites.
+
+    Every fifth trial, from the first, adds one edgeless vertex.
+    """
+    params = rng_mod.stream(seed, f"cost-params:{t}")
+    inst = generate.generate_labelcover(
+        rng_mod.substream_seed(seed, f"cost:{t}"),
+        n_vertices=params.randrange(2, 4),
+        alphabet_size=params.randrange(1, 3),
+        density=0.9,
+        accept_p=params.choice((0.5, 0.7, 0.9)),
+        ensure_incident=True,
+        distinct_endpoints=True,
+    )
+    if t % 5 == 0:
+        inst = _with_edgeless_vertex(inst, rng_mod.stream(seed, f"cost-edgeless:{t}"))
+    return inst
+
+
 def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
-    """Every fifth trial, from the first, adds one edgeless vertex."""
     tally = _Tally()
     for t in range(trials):
-        params = rng_mod.stream(seed, f"cost-params:{t}")
-        inst = generate.generate_labelcover(
-            rng_mod.substream_seed(seed, f"cost:{t}"),
-            n_vertices=params.randrange(2, 4),
-            alphabet_size=params.randrange(1, 3),
-            density=0.9,
-            accept_p=params.choice((0.5, 0.7, 0.9)),
-            ensure_incident=True,
-            distinct_endpoints=True,
-        )
-        if t % 5 == 0:
-            inst = _with_edgeless_vertex(inst, rng_mod.stream(seed, f"cost-edgeless:{t}"))
+        inst = _cost_instance(seed, t)
         g = inst.graph
         minlab = solve_minlab(g, inst.start, inst.goal, cap=100_000)
         if target == "setcover":
             red = labelcover_to_setcover(g, inst.start, inst.goal)
             opt = min_cover(red.system)
-            cost = solve_cost_setcover(red.system, red.start, red.goal, cap=100_000)
+            cost = solve_cost_setcover(red.system, red.start, red.goal, cap=100_000, opt=opt)
         else:
             red = labelcover_to_hvc(g, inst.start, inst.goal)
             opt = min_vertex_cover(red.hypergraph)
-            cost = solve_cost_hvc(red.hypergraph, red.start, red.goal, cap=100_000)
+            cost = solve_cost_hvc(red.hypergraph, red.start, red.goal, cap=100_000, opt=opt)
         if opt != g.n_vertices:
             tally.add(
                 {

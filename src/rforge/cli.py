@@ -237,9 +237,9 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_or_note(problem: str, inst, cap):
+def _solve_or_note(problem: str, inst, cap, **known):
     try:
-        return _fmt_value(solve_instance(problem, inst, cap=cap).value)
+        return _fmt_value(solve_instance(problem, inst, cap=cap, **known).value)
     except BudgetExhaustedError:
         return "budget-exhausted"
 
@@ -280,14 +280,16 @@ def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]
     inst = staged("05_setcover.json")
     if inst is not None:
         rows.append(("setcover", "universe/sets", f"{inst.system.n_elements}/{inst.system.n_sets}"))
-        rows.append(("setcover", "opt", str(min_cover(inst.system))))
-        rows.append(("setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap)))
+        opt = min_cover(inst.system)
+        rows.append(("setcover", "opt", str(opt)))
+        rows.append(("setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap, opt=opt)))
     inst = staged("06_hvc.json")
     if inst is not None:
         h = inst.hypergraph
         rows.append(("hvc", "vertices/hyperedges/uniformity", f"{h.n_vertices}/{len(h.hyperedges)}/{h.uniformity}"))
-        rows.append(("hvc", "beta", str(min_vertex_cover(h))))
-        rows.append(("hvc", "cost", _solve_or_note(PROBLEM_HVC_COST, inst, cap)))
+        beta = min_vertex_cover(h)
+        rows.append(("hvc", "beta", str(beta)))
+        rows.append(("hvc", "cost", _solve_or_note(PROBLEM_HVC_COST, inst, cap, opt=beta)))
     return rows
 
 

@@ -29,6 +29,7 @@ from .core import (
     BOTTOM,
     BUNDLES,
     KINDS,
+    KIND_PROOF,
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
@@ -128,8 +129,13 @@ def _state_out(state):
 
 
 def _state_in(obj, kind: str):
-    """State of ``kind`` from its payload: null is ``BOTTOM``, then the kind's canonical form."""
-    return KINDS[kind].canonical(obj if isinstance(obj, str) else [BOTTOM if a is None else a for a in obj])
+    """State of ``kind`` from its payload: a proof is a string; any other
+    state is a list, with null as ``BOTTOM``, read in the kind's canonical form."""
+    proof = kind == KIND_PROOF
+    if isinstance(obj, str) != proof:
+        expected = "a string" if proof else "a list"
+        raise StructuralError(f"a {kind} state must be {expected}, got {type(obj).__name__}")
+    return KINDS[kind].canonical(obj if proof else [BOTTOM if a is None else a for a in obj])
 
 
 @cache

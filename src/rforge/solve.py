@@ -14,10 +14,13 @@ solver path.  The problem table `SOLVERS` (bundle type, solver name,
 objective denominator, sense) and the kind table `core.KINDS` drive
 `solve_instance`, the oracle and `sequence_objective`.
 
-Both exact minimum covers, opt of a set system and beta of a
-hypergraph, come from one minimum hitting-set branch and bound
-(`_min_hitting`): a cover hits every element's family of containing
-sets, and a vertex cover hits every hyperedge.
+Both cover problems are hitting-set problems: a cover hits every
+element's family of containing sets, and a vertex cover hits every
+hyperedge.  So one branch and bound (`_min_hitting`) gives both exact
+minimum covers, opt of a set system and beta of a hypergraph, and one
+reconfiguration core (`_cover_cost`) gives both costs.  The core first
+shrinks the instance to a kernel with the same optimum (`_kernel`, the
+data-reduction rules of Weihe 1998), then runs the threshold scan on it.
 
 A fully materialized bottleneck-path implementation (`oracle_value`) is
 kept deliberately independent of the threshold engine: it enumerates the
@@ -352,82 +355,138 @@ def min_vertex_cover(h: Hypergraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cover reconfiguration costs
+# Cover reconfiguration costs: one hitting-set core over a kernel
 # ---------------------------------------------------------------------------
 
 
-def _solve_cover_cost(
-    n_items: int,
-    feasible_mask,
-    c_start: frozenset,
-    c_goal: frozenset,
-    denominator: int,
-    kind: str,
-    cap: int | None,
-) -> SolveResult:
-    start_mask = sum(1 << i for i in c_start)
-    goal_mask = sum(1 << i for i in c_goal)
-    key_bytes = (n_items + 7) // 8
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def key(mask):
-        return mask.to_bytes(key_bytes, "little")
+
+def _kernel(hitsets, keep: frozenset) -> tuple[list[int], list[frozenset[int]]]:
+    """Items and hit sets of a smaller instance with the same minmax value.
+
+    ``keep`` holds the items of start and goal, which are never dropped.
+    A single-incidence pass first drops every other item that lies in one
+    hit set alone.  Then two rules run until neither applies: (a) drop a
+    hit set that contains another; (b) drop an item outside ``keep`` when
+    another live item meets every hit set it meets, or when it meets none.
+    No rule changes the optimum, and every kernel state hits every
+    original hit set.  Returns the kernel's items, ascending, and its hit
+    sets.
+    """
+    distinct = set(map(frozenset, hitsets))
+    occurrences = Counter(i for t in distinct for i in t)
+    # Start meets every hit set, so this pass never empties one: it is rule
+    # (b) with an item of start as the dominating item.
+    reduced = [frozenset(i for i in t if occurrences[i] > 1 or i in keep) for t in distinct]
+    items = sorted(keep.union(*reduced))
+    position = {i: j for j, i in enumerate(items)}
+    sets = [sum(1 << position[i] for i in t) for t in reduced]
+    live = (1 << len(items)) - 1
+    dropped = True
+    while dropped:
+        minimal: list[int] = []  # (a), smallest first, so a contained hit set comes first
+        for t in sorted(set(sets), key=int.bit_count):
+            if all(s & ~t for s in minimal):
+                minimal.append(t)
+        meets = [0] * len(items)  # each item's hit sets, as a mask over ranks
+        for r, t in enumerate(minimal):
+            for j in _bits(t):
+                meets[j] |= 1 << r
+        dropped = False
+        for j, m in enumerate(meets):  # (b)
+            if items[j] in keep or not live >> j & 1:
+                continue
+            # An item meeting every hit set that j meets is in j's first one.
+            first = minimal[(m & -m).bit_length() - 1] if m else 0
+            if not m or any(u != j and not m & ~meets[u] for u in _bits(first & live)):
+                live &= ~(1 << j)
+                dropped = True
+        sets = [t & live for t in minimal]
+    return [items[j] for j in _bits(live)], [frozenset(items[j] for j in _bits(t)) for t in sets]
+
+
+def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str, cap) -> SolveResult:
+    """Min over sequences of states hitting every hit set, from start to
+    goal, of (max state size) / (opt + 1).
+
+    The threshold scan runs over the kernel's items.  Adding an item keeps
+    a state feasible, and removing item i keeps it feasible iff every hit
+    set containing i still meets the state, so a move tests only i's hit
+    sets.  Kernel items are original items, so the witness is a sequence of
+    the original instance as it stands.
+    """
+    if start == goal:
+        return SolveResult(Fraction(len(start), opt + 1), ReconfigSequence(kind, (start,)), 0)
+    items, kernel_sets = _kernel(hitsets, start | goal)
+    position = {i: j for j, i in enumerate(items)}
+
+    def to_mask(state) -> int:
+        return sum(1 << position[i] for i in state)
+
+    containing: list[list[int]] = [[] for _ in items]
+    for t in kernel_sets:
+        mask = to_mask(t)
+        for i in t:
+            containing[position[i]].append(mask)
 
     def expand(mask, theta):
-        size = mask.bit_count()
-        for i in range(n_items):
-            nm = mask ^ (1 << i)
-            if nm > mask and size + 1 > theta:
-                continue
-            if feasible_mask(nm):
-                yield nm
+        grow = mask.bit_count() < theta
+        for j, hit in enumerate(containing):
+            bit = 1 << j
+            if not mask & bit:
+                if grow:
+                    yield mask | bit
+            elif all((mask ^ bit) & t for t in hit):
+                yield mask ^ bit
 
-    thetas = range(max(start_mask.bit_count(), goal_mask.bit_count()), n_items + 1)
-    theta, path, explored = _threshold_search(thetas, start_mask, goal_mask, key, expand, cap)
-    states = tuple(frozenset(i for i in range(n_items) if m >> i & 1) for m in path)
+    thetas = range(max(len(start), len(goal)), len(items) + 1)
+    # A state is a mask over the kernel's items, and its own key.
+    theta, path, explored = _threshold_search(thetas, to_mask(start), to_mask(goal), int, expand, cap)
+    states = tuple(frozenset(items[j] for j in _bits(mask)) for mask in path)
     return SolveResult(
-        value=Fraction(theta, denominator),
+        value=Fraction(theta, opt + 1),
         witness=ReconfigSequence(kind=kind, states=states),
         states_explored=explored,
     )
 
 
 def solve_cost_setcover(
-    system: SetSystem, c_start, c_goal, cap: int | None = None
+    system: SetSystem, c_start, c_goal, cap: int | None = None, opt: int | None = None
 ) -> SolveResult:
-    """Min over cover sequences of (max cover size) / (opt + 1), ascending."""
+    """Min over cover sequences of (max cover size) / (opt + 1), ascending.
+
+    A cover hits every element's family of containing sets.  ``opt``, the
+    minimum cover size, is computed unless the caller already has it.
+    """
     c_start, c_goal = frozenset(c_start), frozenset(c_goal)
     if not is_cover(system, c_start) or not is_cover(system, c_goal):
         raise StructuralError("infeasible endpoints: start/goal must cover the universe")
-    opt = min_cover(system)
-    full = (1 << system.n_elements) - 1
-    masks = [sum(1 << e for e in s) for s in system.sets]
-
-    def feasible(mask: int) -> bool:
-        acc = 0
-        probe = mask
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            acc |= masks[i]
-            probe &= probe - 1
-        return acc == full
-
-    return _solve_cover_cost(system.n_sets, feasible, c_start, c_goal, opt + 1, KIND_COVER, cap)
+    if opt is None:
+        opt = min_cover(system)
+    families = transpose(system.sets, system.n_elements)
+    return _cover_cost(families, c_start, c_goal, opt, KIND_COVER, cap)
 
 
-def solve_cost_hvc(h: Hypergraph, c_start, c_goal, cap: int | None = None) -> SolveResult:
-    """Min over vertex-cover sequences of (max size) / (beta + 1), ascending."""
+def solve_cost_hvc(
+    h: Hypergraph, c_start, c_goal, cap: int | None = None, opt: int | None = None
+) -> SolveResult:
+    """Min over vertex-cover sequences of (max size) / (beta + 1), ascending.
+
+    A vertex cover hits every hyperedge.  ``opt``, here beta, is computed
+    unless the caller already has it.
+    """
     c_start, c_goal = frozenset(c_start), frozenset(c_goal)
     if not is_vertex_cover(h, c_start) or not is_vertex_cover(h, c_goal):
         raise StructuralError("infeasible endpoints: start/goal must be vertex covers")
-    beta = min_vertex_cover(h)
-    edge_masks = [sum(1 << v for v in e) for e in h.hyperedges]
-
-    def feasible(mask: int) -> bool:
-        return all(mask & em for em in edge_masks)
-
-    return _solve_cover_cost(
-        h.n_vertices, feasible, c_start, c_goal, beta + 1, KIND_VERTEX_COVER, cap
-    )
+    if opt is None:
+        opt = min_vertex_cover(h)
+    return _cover_cost(h.hyperedges, c_start, c_goal, opt, KIND_VERTEX_COVER, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -474,42 +533,18 @@ def _problem(problem: str) -> Problem:
     return SOLVERS[problem]
 
 
-def solve_instance(problem: str, inst, cap: int | None = None) -> SolveResult:
-    """Solve an instance bundle exactly with the solver of ``problem``."""
+def solve_instance(problem: str, inst, cap: int | None = None, **known) -> SolveResult:
+    """Solve an instance bundle exactly with the solver of ``problem``.
+
+    ``known`` passes on what the caller has already computed, such as the
+    ``opt`` of a cover-cost problem.
+    """
     p = _problem(problem)
     if not isinstance(inst, p.bundle):
         raise StructuralError(
             f"{problem} expects a {p.bundle.__name__}, got {type(inst).__name__}"
         )
-    return globals()[p.solver](getattr(inst, p.part), inst.start, inst.goal, cap=cap)
-
-
-# ---------------------------------------------------------------------------
-# Gap classification
-# ---------------------------------------------------------------------------
-
-
-def decide_gap(value: Fraction, c: Fraction, s: Fraction, direction: str) -> str:
-    """Classify a value against a (c, s) promise gap.
-
-    ``max``-type asks value >= c (complete) versus value < s (sound);
-    ``min``-type asks value <= c versus value > s.  Values inside the gap
-    return "neither".
-    """
-    value, c, s = Fraction(value), Fraction(c), Fraction(s)
-    if direction == "max":
-        if not s <= c:
-            raise StructuralError(f"max-type gap needs s <= c, got s={s}, c={c}")
-        if value >= c:
-            return "complete"
-        return "sound" if value < s else "neither"
-    if direction == "min":
-        if not c <= s:
-            raise StructuralError(f"min-type gap needs c <= s, got c={c}, s={s}")
-        if value <= c:
-            return "complete"
-        return "sound" if value > s else "neither"
-    raise StructuralError(f"direction must be 'max' or 'min', got {direction!r}")
+    return globals()[p.solver](getattr(inst, p.part), inst.start, inst.goal, cap=cap, **known)
 
 
 # ---------------------------------------------------------------------------

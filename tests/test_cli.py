@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rforge import checks, serialize
+from rforge import checks, cli, serialize, solve
 from rforge.checks import CheckReport
 from rforge.cli import main
 from rforge.core import HvcInstance, LabelCoverInstance, P2cspInstance, SetCoverInstance
@@ -170,6 +170,20 @@ class TestUnreadableInput:
         assert run(*command, "--in", ver, out_flag, tmp_path / "out") == 2
         assert "pi_start and pi_goal must be strings or null" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {**serialize.payload(generate_setcover(1)), "start": "0"},
+            {"type": "sequence", "kind": "cover", "states": ["01", "1"]},
+        ],
+        ids=["setcover-start", "sequence"],
+    )
+    def test_string_cover_state_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert run("solve", "sc-cost", "--in", path) == 2
+        assert "a cover state must be a list, got str" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["nonexistent", "empty"])
     def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
         (tmp_path / "empty").mkdir()
@@ -263,6 +277,21 @@ class TestPipeline:
         assert "| labelcover | minlab | 1/1" in report
         assert "| setcover | cost | 1/1" in report
         assert "| hvc | cost | 1/1" in report
+
+    def test_opt_and_beta_are_computed_once(self, tmp_path, monkeypatch, capsys):
+        calls = {"min_cover": 0, "min_vertex_cover": 0}
+        for name in calls:
+            original = getattr(solve, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solve, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        ver = toy_verifier_file(tmp_path / "v.json")
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "out", "--no-amplify") == 0
+        assert calls == {"min_cover": 1, "min_vertex_cover": 1}
 
     def test_no_amplify_matches_direct_fglss(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")

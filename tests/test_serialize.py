@@ -269,6 +269,25 @@ def test_list_fields_reject_other_json(data):
         serialize.parse_bytes(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"kind":"cover","states":["01"],"type":"sequence"}', "a cover state must be a list, got str"),
+        (b'{"kind":"partial-assignment","states":["0"],"type":"sequence"}', "must be a list, got str"),
+        (b'{"kind":"proof","states":[["0","1"]],"type":"sequence"}', "a proof state must be a string, got list"),
+        (
+            b'{"goal":[0],"start":"0","system":{"elements":["u"],"set_labels":["s"],"sets":[[0]],'
+            b'"type":"set_system"},"type":"setcover_instance"}',
+            "a cover state must be a list, got str",
+        ),
+    ],
+    ids=["cover-sequence", "partial-sequence", "proof-list", "setcover-start"],
+)
+def test_only_a_proof_state_is_a_string(data, message):
+    with pytest.raises(StructuralError, match=message):
+        serialize.parse_bytes(data)
+
+
 _FIELDS = (
     "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
     "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from rforge import checks, serialize, solve
+from rforge.cli import main
 from rforge.core import (
     BudgetExhaustedError,
     ConstraintGraph,
@@ -22,13 +24,14 @@ from rforge.generate import (
     generate_hypergraph,
     generate_labelcover,
     generate_setcover,
+    generate_verifier,
 )
+from rforge.reductions import labelcover_to_hvc, labelcover_to_setcover
 from rforge.solve import (
     PROBLEM_HVC_COST,
     PROBLEM_MAXPAR,
     PROBLEM_MINLAB,
     PROBLEM_SC_COST,
-    decide_gap,
     enumerate_feasible_states,
     min_cover,
     min_vertex_cover,
@@ -316,20 +319,148 @@ class TestCostHvc:
         assert res.value == Fraction(1, 2)
 
 
-class TestDecideGap:
-    def test_examples(self):
-        assert decide_gap(Fraction(1), Fraction(1), Fraction(1, 2), "max") == "complete"
-        # a value inside a min-type gap interval
-        assert decide_gap(Fraction(3, 2), Fraction(1), Fraction(9, 5), "min") == "neither"
-        assert decide_gap(Fraction(3, 2), Fraction(1), Fraction(4, 3), "min") == "sound"
+def _padded_instance(rng: random.Random):
+    """Random hit sets padded with single-incidence items and superset hit
+    sets, and feasible start and goal, equal in some draws.  Item n meets
+    the same hit sets as another item, so each dominates the other, and
+    start holds it."""
+    n = rng.randint(2, 4)
+    hitsets = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 4))]
+    hitsets += [t | {rng.randrange(n)} for t in hitsets if rng.random() < 0.5]
+    copied = rng.randrange(n)
+    for t in hitsets:
+        if copied in t:
+            t.add(n)
+    items = n + 1
+    for t in hitsets:
+        for _ in range(rng.randint(0, 2)):
+            if items < 9:
+                t.add(items)
+                items += 1
 
-    def test_malformed_thresholds(self):
-        with pytest.raises(StructuralError):
-            decide_gap(Fraction(1), Fraction(1, 2), Fraction(1), "max")
-        with pytest.raises(StructuralError):
-            decide_gap(Fraction(1), Fraction(2), Fraction(1), "min")
-        with pytest.raises(StructuralError):
-            decide_gap(Fraction(1), Fraction(1), Fraction(1), "sideways")
+    def feasible():
+        state = {i for i in range(items) if rng.random() < 0.3}
+        return frozenset(state | {min(t) for t in hitsets if not state & t})
+
+    start = feasible() | {n}
+    goal = start if rng.random() < 0.2 else feasible()
+    return items, [frozenset(t) for t in hitsets], start, goal
+
+
+class TestKernel:
+    """The cover-cost core solves a kernel with the optimum of the instance."""
+
+    @pytest.mark.parametrize("first_seed", range(0, 120, 30))
+    def test_kernel_solve_equals_the_oracle(self, first_seed):
+        same = shrunk = 0
+        for seed in range(first_seed, first_seed + 30):
+            n, hitsets, start, goal = _padded_instance(random.Random(seed))
+            items, _ = solve._kernel(hitsets, start | goal)
+            assert start | goal <= set(items)
+            same += start == goal
+            shrunk += len(items) < n
+            labels = tuple(f"i{i}" for i in range(n))
+            h = Hypergraph(labels, tuple(hitsets))
+            elements = tuple(f"t{r}" for r in range(len(hitsets)))
+            ss = SetSystem(elements, tuple(map(frozenset, transpose(hitsets, n))), labels)
+            for problem, instance, solver in (
+                (PROBLEM_HVC_COST, h, solve_cost_hvc),
+                (PROBLEM_SC_COST, ss, solve_cost_setcover),
+            ):
+                res = solver(instance, start, goal)
+                assert res.value == oracle_value(problem, instance, start, goal), (seed, problem)
+                assert validate_sequence(instance, res.witness, start=start, goal=goal).ok
+                assert sequence_objective(problem, instance, res.witness) == res.value
+        assert same and shrunk
+
+    def test_rules_run_to_a_fixpoint(self):
+        # (a) drops {0,1,2}, which contains {0,1}; (b) drops 2, which 3
+        # dominates; then (a) drops {3,4}, (b) drops 4 and (a) drops {0,1}.
+        # Item 0 is in start, so it stays though it meets no hit set.
+        hitsets = [{0, 1}, {0, 1, 2}, {2, 3}, {1, 4}, {3, 4}]
+        items, sets = solve._kernel(hitsets, frozenset({0, 3}))
+        assert items == [0, 1, 3]
+        assert set(sets) == {frozenset({1}), frozenset({3})}
+
+    def test_equal_endpoints_build_no_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("kernel built for equal endpoints")
+
+        monkeypatch.setattr(solve, "_kernel", no_kernel)
+        h = Hypergraph(tuple("abc"), (frozenset({0, 1}), frozenset({1, 2})))
+        res = solve_cost_hvc(h, frozenset({0, 2}), frozenset({0, 2}), cap=0)
+        assert res.value == 1
+        assert (res.witness.states, res.states_explored) == ((frozenset({0, 2}),), 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hvc_kernel_is_the_setcover_kernel(self, seed):
+        # Padding is exactly what the single-incidence pass removes.
+        def labeled(kernel, labels):
+            items, sets = kernel
+            return [labels[i] for i in items], {frozenset(labels[i] for i in t) for t in sets}
+
+        for t in range(50):
+            inst = checks._cost_instance(seed, t)
+            sc = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
+            hv = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+            families = transpose(sc.system.sets, sc.system.n_elements)
+            sc_kernel = solve._kernel(families, sc.start | sc.goal)
+            hv_kernel = solve._kernel(hv.hypergraph.hyperedges, hv.start | hv.goal)
+            assert labeled(sc_kernel, sc.system.set_labels) == labeled(hv_kernel, hv.hypergraph.vertices)
+
+
+README_SEED7_REPORT = """\
+| stage | metric | value |
+| --- | --- | --- |
+| verifier | r/q/ell | 2/2/3 |
+| verifier | max-degree | 3 |
+| verifier | regular | None |
+| verifier | accept(start) | 1 |
+| verifier | accept(goal) | 1 |
+| fglss | vertices/edges/alphabet | 4/10/9 |
+| fglss | maxpar | 3/4 (~0.750000) |
+| normalized | vertices/edges/admissible | 4/6/20 |
+| labelcover | minlab | 6/5 (~1.200000) |
+| setcover | universe/sets | 3072/20 |
+| setcover | opt | 4 |
+| setcover | cost | 6/5 (~1.200000) |
+| hvc | vertices/hyperedges/uniformity | 34820/3072/18 |
+| hvc | beta | 4 |
+| hvc | cost | 6/5 (~1.200000) |
+"""
+
+
+class TestKernelPipelines:
+    """`pipeline --no-amplify` on verifiers whose padded hvc-cost search
+    did not finish before the kernel."""
+
+    @staticmethod
+    def _pipeline(tmp_path, seed: int) -> tuple[str, dict]:
+        v, pi_start, pi_goal = generate_verifier(seed)
+        serialize.save(v, tmp_path / "v.json", pi_start=pi_start, pi_goal=pi_goal)
+        stages = tmp_path / "stages"
+        argv = ["pipeline", "--in", str(tmp_path / "v.json"), "--out-dir", str(stages), "--no-amplify"]
+        assert main(argv) == 0
+        report = (stages / "report.md").read_text()
+        rows = (line.strip("|").split("|") for line in report.splitlines()[2:])
+        return report, {(s.strip(), m.strip()): v.strip() for s, m, v in rows}
+
+    def test_readme_seed7_report_is_pinned(self, tmp_path, capsys):
+        report, _ = self._pipeline(tmp_path, 7)
+        assert report == README_SEED7_REPORT
+        # Both kernels have 16 items and 18 hit sets, against 20 sets and
+        # 3,072 elements, or 34,820 vertices and 3,072 hyperedges.
+        sc = serialize.load(tmp_path / "stages" / "05_setcover.json")
+        hv = serialize.load(tmp_path / "stages" / "06_hvc.json")
+        families = transpose(sc.system.sets, sc.system.n_elements)
+        for hitsets, inst in ((families, sc), (hv.hypergraph.hyperedges, hv)):
+            items, sets = solve._kernel(hitsets, inst.start | inst.goal)
+            assert (len(items), len(sets)) == (16, 18)
+
+    @pytest.mark.parametrize("seed", [2, 3, 6, 9])
+    def test_costs_agree(self, tmp_path, capsys, seed):
+        _, rows = self._pipeline(tmp_path, seed)
+        assert rows["labelcover", "minlab"] == rows["setcover", "cost"] == rows["hvc", "cost"]
 
 
 class TestThresholdMonotonicity:
