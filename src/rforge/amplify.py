@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 from mpmath import iv
@@ -63,13 +65,18 @@ class ExpanderGraph:
     def step(self, v: int, port: int) -> int:
         return self.rotation[v * self.d + port][0]
 
-    def adjacency_counts(self) -> list[list[int]]:
-        """Multiplicity matrix; row sums equal d (a self-loop counts both ports)."""
+    @cached_property
+    def _counts(self) -> tuple[tuple[int, ...], ...]:
+        # Multiplicity matrix, built once per graph on first use.
         counts = [[0] * self.n for _ in range(self.n)]
         for v in range(self.n):
             for p in range(self.d):
                 counts[v][self.rotation[v * self.d + p][0]] += 1
-        return counts
+        return tuple(map(tuple, counts))
+
+    def adjacency_counts(self) -> list[list[int]]:
+        """Multiplicity matrix; row sums equal d (a self-loop counts both ports)."""
+        return [list(row) for row in self._counts]
 
 
 def _complete_rotation(n: int, d: int) -> list[tuple[int, int]]:
@@ -193,27 +200,22 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
 
     The walk has rho vertices and rho - 1 steps: a uniform start vertex
     followed by uniform port choices.  Computed by transfer matrix over
-    integer walk counts, so the result is an exact rational.
+    integer walk counts restricted to the subset's members, so the result
+    is an exact rational and a step costs O(|subset|^2).
     """
     if rho < 1:
         raise StructuralError(f"walk needs at least one vertex, got rho={rho}")
-    chosen = frozenset(subset)
-    if any(v < 0 or v >= x.n for v in chosen):
+    members = sorted(frozenset(subset))
+    if members and (members[0] < 0 or members[-1] >= x.n):
         raise StructuralError("subset leaves the vertex set")
-    counts = x.adjacency_counts()
-    # inside[v]: number of port sequences for the walk so far that stayed in
-    # the subset and currently sit at v.
-    inside = [1 if v in chosen else 0 for v in range(x.n)]
-    for _ in range(rho - 1):
-        nxt = [0] * x.n
-        for v in range(x.n):
-            cv = inside[v]
-            if cv:
-                row = counts[v]
-                for w in range(x.n):
-                    if row[w] and w in chosen:
-                        nxt[w] += cv * row[w]
-        inside = nxt
+    # inside[j]: number of port sequences for the walk so far that stayed in
+    # the subset and currently sit at members[j].
+    inside = [1] * len(members)
+    if rho > 1:
+        counts = x._counts
+        columns = [[counts[v][w] for v in members] for w in members]
+        for _ in range(rho - 1):
+            inside = [sum(map(mul, inside, column)) for column in columns]
     return Fraction(sum(inside), x.n * x.d ** (rho - 1))
 
 

@@ -397,8 +397,9 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
             problems = []
             if not sat_flag:
                 problems.append("decode flagged a satisfying assignment")
+            accepting = accepting_set(v, proof)
             for rnd in range(two_r):
-                if f[rnd] != BOTTOM and not v.entry_accepts(rnd, proof):
+                if f[rnd] != BOTTOM and rnd not in accepting:
                     problems.append(f"assigned entry {rnd} rejects the decoded proof")
             for i in range(v.ell):
                 seen = set()
@@ -407,7 +408,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                         seen.add(symbol_coords(f[rnd], v.q)[v.queries[rnd].index(i)])
                 if 0 in seen and 1 in seen:
                     problems.append(f"incomparable label sets vote on position {i}")
-            if accept_prob(v, proof) < Fraction(partial_size(f), two_r):
+            if len(accepting) < partial_size(f):
                 problems.append("acceptance below the assigned fraction")
             if problems:
                 tally.add(
@@ -425,7 +426,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                 mutated = f[:rnd] + (alt,) + f[rnd + 1 :]
                 if mutated != f and satisfies_partial(g, mutated):
                     proof2, _ = plurality_decode(v, mutated, g)
-                    base = accept_prob(v, proof)
+                    base = Fraction(len(accepting), two_r)
                     for inter in interpolate_proofs(v, proof, proof2).states:
                         diff = [i for i in range(v.ell) if inter[i] != proof[i]]
                         floor = base - sum(
@@ -541,9 +542,10 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
         amped = amplify(v, x, rho)
         for word in range(2**v.ell):
             proof = format(word, f"0{v.ell}b")
-            base = accept_prob(v, proof)
+            accepting = accepting_set(v, proof)
+            base = Fraction(len(accepting), v.n_entries)
             amp = accept_prob(amped, proof)
-            via_walk = walk_hit_prob(x, accepting_set(v, proof), rho)
+            via_walk = walk_hit_prob(x, accepting, rho)
             problems = []
             if amp != via_walk:
                 problems.append("amplified acceptance != walk probability")

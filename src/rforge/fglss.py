@@ -27,7 +27,7 @@ from .core import (
     satisfies_partial,
     validate_sequence,
 )
-from .verifier import TableVerifier, accept_prob
+from .verifier import TableVerifier, accept_prob, accepting_set
 
 # Coordinate encoding of a local-view entry: {0}, {1}, or the joint {0,1}.
 COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
@@ -157,8 +157,9 @@ def completeness_sequence(v: TableVerifier, start: str, goal: str) -> ReconfigSe
     if dist > 1:
         raise StructuralError(f"proofs differ in {dist} positions, expected at most 1")
     for name, proof in (("start", start), ("goal", goal)):
+        accepting = accepting_set(v, proof)
         for rnd in range(v.n_entries):
-            if not v.entry_accepts(rnd, proof):
+            if rnd not in accepting:
                 raise StructuralError(f"{name} proof is rejected by entry {rnd}")
     f = list(embed_proof(v, start))
     states = [tuple(f)]

@@ -5,8 +5,8 @@ tag from ``TAGS`` plus one key per dataclass field, written and read by a
 codec worked out once from the field's type annotation: tuples become
 lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
 nested dataclasses their payloads; the readers of the list forms
-accept only a JSON list.  States follow their kind, with
-``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
+accept only a JSON list, and no reader takes a JSON boolean for an
+integer.  States follow their kind, with ``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
 entries and may carry endpoint proofs; an expander file adds ``ratio``.
 
 All writers emit sorted-key, tight-separator JSON with a trailing
@@ -87,6 +87,21 @@ def _from_list(read):
     return from_list
 
 
+def _no_bools(items):
+    """``items`` unless one is a JSON boolean, which is never an integer index."""
+    if bool in map(type, items):
+        raise StructuralError("expected an integer, got a boolean")
+    return items
+
+
+def _int_in(obj) -> int:
+    return _no_bools((obj,))[0]
+
+
+# Codec of an int: written as is, read with booleans refused.
+_INT = (_same, _int_in)
+
+
 def _fraction_in(text: str) -> Fraction:
     num, den = text.split("/")
     return Fraction(int(num), int(den))
@@ -95,10 +110,12 @@ def _fraction_in(text: str) -> Fraction:
 @cache
 def _codec(ann) -> tuple:
     """(writer, reader) of a value annotated ``ann``, worked out once per annotation."""
-    if ann in (int, float, str):
+    if ann in (float, str):
         return _SAME
+    if ann is int:
+        return _INT
     if ann is bytes:
-        return list, _from_list(bytes)
+        return list, _from_list(lambda o: bytes(_no_bools(o)))
     if ann is Fraction:
         return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
     if is_dataclass(ann):
@@ -107,12 +124,13 @@ def _codec(ann) -> tuple:
     if origin in (Union, UnionType):
         ((write, read),) = (_codec(a) for a in args if a is not NoneType)
         return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
-    if origin is frozenset:
-        return sorted, _from_list(frozenset)
-    if origin is tuple:
+    if origin in (tuple, frozenset):
         items = [_codec(a) for a in args if a is not Ellipsis]
-        if all(c is _SAME for c in items):
-            return list, _from_list(tuple)
+        # A list of scalars is read in one call, scanned for booleans if it holds ints.
+        if all(c in (_SAME, _INT) for c in items):
+            make = tuple if origin is tuple else frozenset
+            check = _no_bools if _INT in items else _same
+            return (list if origin is tuple else sorted), _from_list(lambda o: make(check(o)))
         if args[1:] == (Ellipsis,):
             ((write, read),) = items
             return (lambda v: [write(x) for x in v]), _from_list(lambda o: tuple(read(x) for x in o))
@@ -135,7 +153,11 @@ def _state_in(obj, kind: str):
     if isinstance(obj, str) != proof:
         expected = "a string" if proof else "a list"
         raise StructuralError(f"a {kind} state must be {expected}, got {type(obj).__name__}")
-    return KINDS[kind].canonical(obj if proof else [BOTTOM if a is None else a for a in obj])
+    if proof:
+        return KINDS[kind].canonical(obj)
+    # A boolean is refused at either depth: an index, or inside a label set.
+    items = (_no_bools(a) if isinstance(a, list) else a for a in _no_bools(obj))
+    return KINDS[kind].canonical([BOTTOM if a is None else a for a in items])
 
 
 @cache

@@ -57,16 +57,6 @@ class TableVerifier:
     def n_entries(self) -> int:
         return 2**self.r
 
-    def local_view(self, proof: str, rnd: int) -> int:
-        """Index of the bits this entry reads, big-endian in query order."""
-        idx = 0
-        for i in self.queries[rnd]:
-            idx = (idx << 1) | (proof[i] == "1")
-        return idx
-
-    def entry_accepts(self, rnd: int, proof: str) -> bool:
-        return self.tables[rnd][self.local_view(proof, rnd)] == 1
-
 
 def _check_proof(v: TableVerifier, proof: str) -> None:
     if len(proof) != v.ell:
@@ -77,15 +67,25 @@ def _check_proof(v: TableVerifier, proof: str) -> None:
 
 def accept_prob(v: TableVerifier, proof: str) -> Fraction:
     """Exact fraction of randomness strings accepting the proof."""
-    _check_proof(v, proof)
-    hits = sum(1 for rnd in range(v.n_entries) if v.entry_accepts(rnd, proof))
-    return Fraction(hits, v.n_entries)
+    return Fraction(len(accepting_set(v, proof)), v.n_entries)
 
 
 def accepting_set(v: TableVerifier, proof: str) -> frozenset[int]:
-    """Randomness strings that accept the proof."""
+    """Randomness strings that accept the proof.
+
+    The proof is read once; each entry's view indexes its decision table
+    with the bits it reads, big-endian in query order.
+    """
     _check_proof(v, proof)
-    return frozenset(rnd for rnd in range(v.n_entries) if v.entry_accepts(rnd, proof))
+    bits = [c == "1" for c in proof]
+    accepting = []
+    for rnd, (positions, table) in enumerate(zip(v.queries, v.tables)):
+        view = 0
+        for i in positions:
+            view = (view << 1) | bits[i]
+        if table[view]:
+            accepting.append(rnd)
+    return frozenset(accepting)
 
 
 def degree(v: TableVerifier, i: int) -> int:

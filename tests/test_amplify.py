@@ -1,12 +1,15 @@
 """Expander construction, exact walk probabilities, amplification."""
 
+import random
 from fractions import Fraction
+from itertools import count, product
 
 import numpy as np
 import pytest
 
 from rforge.amplify import (
     ExpanderGraph,
+    _config_model_rotation,
     amplify,
     build_expander,
     choose_rho,
@@ -107,6 +110,57 @@ class TestWalkHitProb:
                     lower = max(Fraction(0), mu - 2 * lam / x.d) ** rho
                     upper = (mu + 2 * lam / x.d) ** rho
                     assert lower <= p <= upper
+
+
+def multigraph(n, d, seed):
+    """Configuration-model multigraph with at least one self-loop and one multi-edge."""
+    for s in count(seed):
+        x = ExpanderGraph(n=n, d=d, rotation=_config_model_rotation(n, d, random.Random(s)), lam=float(d))
+        ends = [[x.step(v, p) for p in range(d)] for v in range(n)]
+        loop = any(v in ends[v] for v in range(n))
+        multi = any(ends[v].count(w) > 1 for v in range(n) for w in ends[v] if w != v)
+        if loop and multi:
+            return x
+
+
+def brute_walk_hit_prob(x, members, rho):
+    """Share of all n * d^(rho-1) (start, port sequence) walks that stay in members."""
+    hits = 0
+    for start in range(x.n):
+        for ports in product(range(x.d), repeat=rho - 1):
+            walk = [start]
+            for p in ports:
+                walk.append(x.step(walk[-1], p))
+            hits += all(w in members for w in walk)
+    return Fraction(hits, x.n * x.d ** (rho - 1))
+
+
+class TestWalkOracle:
+    # Each case builds a fresh subset iterable for an n-vertex graph.
+    SUBSETS = {
+        "empty": lambda n: [],
+        "full": lambda n: range(n),
+        "unsorted-duplicates": lambda n: [n - 1, 3, 0, 3, n - 1, 5],
+        "range": lambda n: range(1, n, 3),
+        "generator": lambda n: (v for v in range(n) if v % 3 != 1),
+        "random-duplicates": lambda n: random.Random(n).choices(range(n), k=n // 2),
+    }
+
+    @pytest.mark.parametrize("n, d", [(10, 4), (16, 4), (12, 6)])
+    def test_matches_brute_force_walks(self, n, d):
+        x = multigraph(n, d, seed=n * d)
+        for make in self.SUBSETS.values():
+            members = set(make(n))
+            for rho in range(1, 5):
+                assert walk_hit_prob(x, make(n), rho) == brute_walk_hit_prob(x, members, rho)
+
+    def test_rejects_bad_arguments(self):
+        x = multigraph(10, 4, seed=0)
+        with pytest.raises(StructuralError):
+            walk_hit_prob(x, [0, 1], 0)
+        for subset in ([0, 10], [-1, 2], (v for v in (3, 10))):
+            with pytest.raises(StructuralError):
+                walk_hit_prob(x, subset, 2)
 
 
 class TestChooseRho:

@@ -184,6 +184,34 @@ class TestUnreadableInput:
         assert run("solve", "sc-cost", "--in", path) == 2
         assert "a cover state must be a list, got str" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, command",
+        [
+            (
+                {"type": "hvc_instance", "start": [True, 0], "goal": [0],
+                 "hypergraph": {"type": "hypergraph", "vertices": ["a", "b"], "hyperedges": [[0, 1]]}},
+                ["solve", "hvc-cost"],
+            ),
+            (
+                {"type": "setcover_instance", "start": [1], "goal": [0],
+                 "system": {"type": "set_system", "elements": ["u", "v"], "set_labels": ["s", "t"],
+                            "sets": [[0, True], [0, 1]]}},
+                ["solve", "sc-cost"],
+            ),
+            (
+                {"type": "constraint_graph", "vertices": ["x", "y"], "arity": 2, "alphabet": ["a"],
+                 "edges": [[True, 0]], "tables": [[1]]},
+                ["reduce", "normalize"],
+            ),
+        ],
+        ids=["cover-state", "setcover-set", "graph-edge"],
+    )
+    def test_boolean_index_exits_2(self, tmp_path, capsys, data, command):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        assert run(*command, "--in", path, "--out", tmp_path / "out.json") == 2
+        assert "expected an integer, got a boolean" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["nonexistent", "empty"])
     def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
         (tmp_path / "empty").mkdir()

@@ -288,6 +288,31 @@ def test_only_a_proof_state_is_a_string(data, message):
         serialize.parse_bytes(data)
 
 
+# A JSON boolean where an integer index belongs, in each place one is read.
+BOOLEAN_INDICES = {
+    "cover-state": b'{"goal":[0],"start":[true,0],"hypergraph":{"hyperedges":[[0,1]],"type":"hypergraph",'
+    b'"vertices":["a","b"]},"type":"hvc_instance"}',
+    "setcover-set": b'{"goal":[0],"start":[1],"system":{"elements":["u","v"],"set_labels":["s","t"],'
+    b'"sets":[[0,true],[0,1]],"type":"set_system"},"type":"setcover_instance"}',
+    "graph-edge": b'{"alphabet":["a"],"arity":2,"edges":[[true,0]],"tables":[[1]],"type":"constraint_graph",'
+    b'"vertices":["x","y"]}',
+    "graph-table": b'{"alphabet":["a"],"arity":2,"edges":[[1,0]],"tables":[[true]],"type":"constraint_graph",'
+    b'"vertices":["x","y"]}',
+    "graph-arity": b'{"alphabet":["a"],"arity":true,"edges":[],"tables":[],"type":"constraint_graph",'
+    b'"vertices":["x"]}',
+    "multi-label": b'{"kind":"multi-assignment","states":[[[true],[]]],"type":"sequence"}',
+    "partial-symbol": b'{"kind":"partial-assignment","states":[[false,null]],"type":"sequence"}',
+}
+
+
+@pytest.mark.parametrize("data", BOOLEAN_INDICES.values(), ids=BOOLEAN_INDICES.keys())
+def test_a_boolean_is_not_an_index(data):
+    with pytest.raises(StructuralError, match="expected an integer, got a boolean"):
+        serialize.parse_bytes(data)
+    # The same file with 1 or 0 in place of the boolean reads.
+    serialize.parse_bytes(data.replace(b"true", b"1").replace(b"false", b"0"))
+
+
 _FIELDS = (
     "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
     "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",

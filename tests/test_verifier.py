@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from rforge.amplify import amplify, build_expander
 from rforge.core import ConstraintGraph, StructuralError, satisfies_partial
 from rforge.generate import generate_csp
 from rforge.verifier import (
     TableVerifier,
     accept_prob,
+    accepting_set,
     csp_to_verifier,
     degree,
     degrees,
@@ -93,6 +95,43 @@ class TestAcceptProb:
         v = always_accepting()
         with pytest.raises(StructuralError):
             accept_prob(v, "00")
+
+
+def amplified_verifiers():
+    """Walk-amplified verifiers whose entries read different numbers of positions."""
+    import random
+
+    rng = random.Random(17)
+    for seed in range(3):
+        ell = 5
+        queries = tuple(tuple(rng.sample(range(ell), 2)) for _ in range(8))
+        tables = tuple(bytes(rng.choice((0, 1, 1)) for _ in range(4)) for _ in range(8))
+        v = TableVerifier(r=3, q=2, ell=ell, queries=queries, tables=tables)
+        yield amplify(v, build_expander(8, 4, 0.95, seed=seed), 2 + seed % 2)
+
+
+class TestAcceptingSet:
+    def test_against_per_entry_enumeration(self):
+        for v in amplified_verifiers():
+            assert len({len(positions) for positions in v.queries}) > 1
+            for word in range(2**v.ell):
+                proof = format(word, f"0{v.ell}b")
+                # Each entry on its own: its view is the read bits as a binary numeral.
+                expected = {
+                    rnd
+                    for rnd in range(v.n_entries)
+                    if v.tables[rnd][int("".join(proof[i] for i in v.queries[rnd]), 2)] == 1
+                }
+                got = accepting_set(v, proof)
+                assert got == expected
+                assert accept_prob(v, proof) == Fraction(len(got), 2**v.r)
+
+    @pytest.mark.parametrize("proof", ["0000", "000000", "00200", "0 101", ""])
+    def test_malformed_proof_raises(self, proof):
+        v = next(amplified_verifiers())
+        for fn in (accepting_set, accept_prob):
+            with pytest.raises(StructuralError):
+                fn(v, proof)
 
 
 class TestDegrees:
