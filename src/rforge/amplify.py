@@ -48,6 +48,8 @@ class ExpanderGraph:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise StructuralError("expander needs n >= 1 and d >= 1")
+        if not 0 <= self.lam <= self.d:  # NaN fails every comparison
+            raise StructuralError(f"lambda must be a finite number in [0, d], got {self.lam!r}")
         if len(self.rotation) != self.n * self.d:
             raise StructuralError("rotation map must have n*d entries")
         for v in range(self.n):
@@ -150,7 +152,8 @@ def _estimate_lambda(rotation: tuple[tuple[int, int], ...], n: int, d: int, seed
                 break
             est = new_est
         best = max(best, est)
-    return best * (1.0 + _CERT_REL_SLACK) + _CERT_ABS_SLACK
+    # No eigenvalue of a d-regular graph exceeds d, so d is itself a certificate.
+    return min(float(d), best * (1.0 + _CERT_REL_SLACK) + _CERT_ABS_SLACK)
 
 
 def build_expander(n: int, d: int, target_ratio: float, seed: int, attempts: int = 64) -> ExpanderGraph:

@@ -6,7 +6,7 @@ codec worked out once from the field's type annotation: tuples become
 lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
 nested dataclasses their payloads; the readers of the list forms
 accept only a JSON list, and no reader takes a JSON boolean for an
-integer.  States follow their kind, with ``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
+integer or a float.  States follow their kind, with ``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
 entries and may carry endpoint proofs; an expander file adds ``ratio``.
 
 All writers emit sorted-key, tight-separator JSON with a trailing
@@ -102,6 +102,17 @@ def _int_in(obj) -> int:
 _INT = (_same, _int_in)
 
 
+def _float_in(obj) -> float:
+    # ``type`` and not ``isinstance``: a JSON boolean reads as a bool, an int.
+    if type(obj) not in (int, float):
+        raise StructuralError(f"expected a number, got {type(obj).__name__}")
+    return obj
+
+
+# Codec of a float: written as is, read as a JSON number that is not a boolean.
+_FLOAT = (_same, _float_in)
+
+
 def _fraction_in(text: str) -> Fraction:
     num, den = text.split("/")
     return Fraction(int(num), int(den))
@@ -110,8 +121,10 @@ def _fraction_in(text: str) -> Fraction:
 @cache
 def _codec(ann) -> tuple:
     """(writer, reader) of a value annotated ``ann``, worked out once per annotation."""
-    if ann in (float, str):
+    if ann is str:
         return _SAME
+    if ann is float:
+        return _FLOAT
     if ann is int:
         return _INT
     if ann is bytes:

@@ -7,8 +7,14 @@ trivially feasible bound and run breadth-first reachability over the
 implicit graph of feasible states obeying the threshold.  The first
 feasible threshold is the exact bottleneck value.  The engine owns the
 scan, the search, the state budget and the witness path; each solver
-supplies only a state key, a neighbor expansion (a size test against the
-threshold before the feasibility test) and the decoding of the result.
+supplies only its endpoints, a neighbor expansion (a size test against
+the threshold before the feasibility test) and the decoding of the
+result.  Every solver's state is an int that is its own key: a bitmask
+over the kernel's items for the cover costs, and bit ``v * s + a`` for
+vertex v holding symbol a for the graph solvers (`_graph_links`).  Moves
+that grow a cover or a label set, or unassign a vertex, keep a state
+feasible and need no test; every other move tests only the hit sets or
+edges at the item or vertex it changes.
 All objective values are exact rationals; no floating point enters any
 solver path.  The problem table `SOLVERS` (bundle type, solver name,
 objective denominator, sense) and the kind table `core.KINDS` drive
@@ -92,46 +98,44 @@ class SolveResult:
     states_explored: int
 
 
-def _threshold_search(thetas, start, goal, key, expand, cap: int | None):
+def _threshold_search(thetas, start: int, goal: int, expand, cap: int | None):
     """First threshold in ``thetas`` at which BFS links start to goal.
 
     ``thetas`` runs from the bound both endpoints obey towards the
     trivially feasible one; ``expand(state, theta)`` yields the feasible
-    neighbors obeying ``theta``.  States are deduplicated on
-    ``key(state)``, and every state stored, over all thresholds, counts
-    against the budget (``cap``, else ``RFORGE_CAP``, else
-    ``DEFAULT_CAP``).  Returns the threshold, the parent-pointer path
-    from start to goal and the number of states stored.
+    neighbors obeying ``theta``.  A state is an int and its own key.
+    Every state stored, over all thresholds, counts against the budget
+    (``cap``, else ``RFORGE_CAP``, else ``DEFAULT_CAP``).  Returns the
+    threshold, the parent-pointer path from start to goal and the number
+    of states stored.
     """
     cap = resolve_cap(cap)
-    start_key, goal_key = key(start), key(goal)
     used = 0
     for theta in thetas:
-        if start_key == goal_key:
+        if start == goal:
             return theta, [start], used
-        seen = {start_key: (start, None)}
+        parent = {start: None}
         used += 1
         if used > cap:
             raise _exhausted(cap)
-        queue = deque([start_key])
+        queue = deque([start])
         while queue:
-            cur_key = queue.popleft()
-            for state in expand(seen[cur_key][0], theta):
-                k = key(state)
-                if k in seen:
+            cur = queue.popleft()
+            for state in expand(cur, theta):
+                if state in parent:
                     continue
-                seen[k] = (state, cur_key)
+                parent[state] = cur
                 used += 1
                 if used > cap:
                     raise _exhausted(cap)
-                if k == goal_key:
+                if state == goal:
                     path = []
-                    while k is not None:
-                        state, k = seen[k]
+                    while state is not None:
                         path.append(state)
+                        state = parent[state]
                     path.reverse()
                     return theta, path, used
-                queue.append(k)
+                queue.append(state)
     raise StructuralError("endpoints are not connected at any threshold")
 
 
@@ -140,6 +144,55 @@ def _exhausted(cap: int) -> BudgetExhaustedError:
         f"state budget exhausted: visited more than {cap} states "
         "(raise --cap or RFORGE_CAP)"
     )
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# ---------------------------------------------------------------------------
+# Constraint-graph states: one packed int for both graph solvers
+# ---------------------------------------------------------------------------
+
+
+class _Accepts(dict):
+    """One edge seen from its endpoint v: maps a mask of symbols at the
+    other endpoint to the mask of the symbols at v that the edge accepts
+    with at least one of them.  Built with the one-symbol masks; a wider
+    mask is the union of two narrower ones, stored on first use."""
+
+    def __missing__(self, partner: int) -> int:
+        low = partner & -partner
+        mask = self[partner] = self[low] | self[partner ^ low] if partner else 0
+        return mask
+
+
+def _graph_links(g: ConstraintGraph):
+    """What a move at each vertex of a binary graph must test.
+
+    A state is an int with bit ``v * s + a`` set when vertex v holds
+    symbol a.  Returns, per vertex v, the shift of v's bits, the mask of
+    the symbols v may hold, and per edge at v the shift of its other
+    endpoint's bits and the edge's ``_Accepts`` seen from v.  A self-loop at v only ever reads its
+    diagonal, so it restricts v to the symbols the diagonal accepts (as
+    ``normalize_self_loops`` does) and adds no link.
+    """
+    s = g.n_symbols
+    allowed = [sum(1 << a for a in g.allowed_symbols(v)) for v in range(g.n_vertices)]
+    links: list[list[tuple[int, _Accepts]]] = [[] for _ in allowed]
+    for (v, w), table in zip(g.edges, g.tables):
+        if v == w:
+            allowed[v] &= sum(1 << a for a in range(s) if table[a * s + a])
+            continue
+        at_v = {1 << b: sum(1 << a for a in range(s) if table[a * s + b]) for b in range(s)}
+        at_w = {1 << a: sum(1 << b for b in range(s) if table[a * s + b]) for a in range(s)}
+        links[v].append((w * s, _Accepts(at_v)))
+        links[w].append((v * s, _Accepts(at_w)))
+    return list(zip(range(0, len(allowed) * s, s), allowed, links))
 
 
 # ---------------------------------------------------------------------------
@@ -155,46 +208,47 @@ def solve_maxpar(
     Neighbors change one vertex to any other symbol or to unassigned.
     Thresholds descend from min(start, goal) sizes; everything is
     reachable at threshold 0 through the all-unassigned state, so the scan
-    always terminates (unless the budget runs out first).
+    always terminates (unless the budget runs out first).  A state holds
+    at most one bit per vertex, none for unassigned.  Unassigning needs no
+    test; assigning a symbol at v tests only v's edges to assigned
+    partners.
     """
     f_start, f_goal = tuple(f_start), tuple(f_goal)
     if not satisfies_partial(g, f_start) or not satisfies_partial(g, f_goal):
         raise StructuralError("infeasible endpoints: start/goal must satisfy the graph")
     n, s = g.n_vertices, g.n_symbols
-    allowed = [sorted(g.allowed_symbols(v)) for v in range(n)]
-    incident = g.incident
-    tables, edges = g.tables, g.edges
+    full = (1 << s) - 1
+    vertices = _graph_links(g)
 
-    def key(f):
-        return bytes(x + 1 for x in f)
+    def pack(f) -> int:
+        return sum(1 << (v * s + a) for v, a in enumerate(f) if a != BOTTOM)
 
-    def edges_ok_at(f, v) -> bool:
-        for e_idx in incident[v]:
-            a, b = edges[e_idx]
-            fa, fb = f[a], f[b]
-            if fa != BOTTOM and fb != BOTTOM and tables[e_idx][fa * s + fb] != 1:
-                return False
-        return True
-
-    def expand(f, theta):
-        size = partial_size(f)
-        for v in range(n):
-            cur = f[v]
-            for val in [BOTTOM] + allowed[v]:
-                if val == cur:
-                    continue
-                new_size = size - (cur != BOTTOM) + (val != BOTTOM)
-                if new_size < theta:
-                    continue
-                nf = f[:v] + (val,) + f[v + 1 :]
-                if edges_ok_at(nf, v):
-                    yield nf
+    def expand(state, theta):
+        shrink = state.bit_count() > theta
+        for base, ok, edges in vertices:
+            cur = state >> base & full
+            rest = state ^ cur << base
+            if cur and shrink:  # unassign
+                yield rest
+            ok &= ~cur
+            for shift, accepts in edges:
+                partner = state >> shift & full
+                if partner:
+                    ok &= accepts[partner]
+            while ok:  # assign, symbols ascending
+                low = ok & -ok
+                yield rest | low << base
+                ok ^= low
 
     top = min(partial_size(f_start), partial_size(f_goal))
-    theta, path, explored = _threshold_search(range(top, -1, -1), f_start, f_goal, key, expand, cap)
+    theta, path, explored = _threshold_search(
+        range(top, -1, -1), pack(f_start), pack(f_goal), expand, cap
+    )
+    # An empty vertex mask has bit_length 0, which decodes to BOTTOM (-1).
+    states = tuple(tuple((m >> b & full).bit_length() - 1 for b in range(0, n * s, s)) for m in path)
     return SolveResult(
         value=Fraction(theta, n),
-        witness=ReconfigSequence(kind=KIND_PARTIAL, states=tuple(path)),
+        witness=ReconfigSequence(kind=KIND_PARTIAL, states=states),
         states_explored=explored,
     )
 
@@ -213,68 +267,50 @@ def solve_minlab(
     are satisfying multi assignments; with admissible sets present the
     per-vertex label sets stay inside them.  Everything is reachable at
     the threshold equal to the total admissible symbol count (grow both
-    endpoints to the full assignment), so the scan terminates.
+    endpoints to the full assignment), so the scan terminates.  Adding a
+    label needs no test.  Removing label a at v tests only v's edges: each
+    must still accept some remaining label at v with a partner's label.
     """
     f_start = tuple(frozenset(a) for a in f_start)
     f_goal = tuple(frozenset(a) for a in f_goal)
     if not satisfies_multi(g, f_start) or not satisfies_multi(g, f_goal):
         raise StructuralError("infeasible endpoints: start/goal must satisfy the graph")
     n, s = g.n_vertices, g.n_symbols
-    allowed = [sorted(g.allowed_symbols(v)) for v in range(n)]
-    incident = g.incident
-    edges = g.edges
-    mask_bytes = (s + 7) // 8
-    # row_masks[e][a] = bitmask of partner symbols b with table accepting (a, b).
-    row_masks = []
-    for e_idx in range(len(edges)):
-        tab = g.tables[e_idx]
-        row_masks.append(
-            tuple(
-                sum(1 << b for b in range(s) if tab[a * s + b])
-                for a in range(s)
-            )
-        )
+    full = (1 << s) - 1
+    vertices = [(base, list(_bits(ok)), edges) for base, ok, edges in _graph_links(g)]
     # Admissible sets come from folded self-loops, which forbid an empty set.
     nonempty = g.admissible is not None
 
-    def to_masks(f):
-        return tuple(sum(1 << a for a in vals) for vals in f)
+    def pack(f) -> int:
+        return sum(1 << (v * s + a) for v, labels in enumerate(f) for a in labels)
 
-    def to_sets(masks):
-        return tuple(frozenset(a for a in range(s) if m >> a & 1) for m in masks)
+    def expand(state, theta):
+        grow = state.bit_count() < theta
+        for base, symbols, edges in vertices:
+            labels = state >> base & full
+            # A label is pinned when removing it would empty an admissible
+            # set, or when it is the only label at v that an edge accepts
+            # with some label of the partner.
+            pinned = labels if nonempty and not labels & (labels - 1) else 0
+            for shift, accepts in edges:
+                support = accepts[state >> shift & full] & labels
+                if not support & (support - 1):
+                    pinned |= support
+            for a in symbols:
+                bit = 1 << a
+                if labels & bit:
+                    if not pinned & bit:
+                        yield state ^ bit << base
+                elif grow:
+                    yield state | bit << base
 
-    def key(masks):
-        return b"".join(m.to_bytes(mask_bytes, "little") for m in masks)
-
-    def edges_ok_at(masks, v) -> bool:
-        for e_idx in incident[v]:
-            a, b = edges[e_idx]
-            ma, mb = masks[a], masks[b]
-            rows = row_masks[e_idx]
-            if not any(rows[x] & mb for x in range(s) if ma >> x & 1):
-                return False
-        return True
-
-    def expand(masks, theta):
-        size = sum(m.bit_count() for m in masks)
-        for v in range(n):
-            for a in allowed[v]:
-                nm = masks[v] ^ (1 << a)
-                new_size = size + (1 if nm > masks[v] else -1)
-                if new_size > theta or (nm == 0 and nonempty):
-                    continue
-                nxt = masks[:v] + (nm,) + masks[v + 1 :]
-                if edges_ok_at(nxt, v):
-                    yield nxt
-
-    total = sum(len(a) for a in allowed)
+    total = sum(len(symbols) for _, symbols, _ in vertices)
     thetas = range(max(multi_size(f_start), multi_size(f_goal)), total + 1)
-    theta, path, explored = _threshold_search(
-        thetas, to_masks(f_start), to_masks(f_goal), key, expand, cap
-    )
+    theta, path, explored = _threshold_search(thetas, pack(f_start), pack(f_goal), expand, cap)
+    states = tuple(tuple(frozenset(_bits(m >> b & full)) for b in range(0, n * s, s)) for m in path)
     return SolveResult(
         value=Fraction(theta, n + 1),
-        witness=ReconfigSequence(kind=KIND_MULTI, states=tuple(to_sets(m) for m in path)),
+        witness=ReconfigSequence(kind=KIND_MULTI, states=states),
         states_explored=explored,
     )
 
@@ -359,14 +395,6 @@ def min_vertex_cover(h: Hypergraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bits(mask: int):
-    """Positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _kernel(hitsets, keep: frozenset) -> tuple[list[int], list[frozenset[int]]]:
     """Items and hit sets of a smaller instance with the same minmax value.
 
@@ -447,7 +475,7 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
 
     thetas = range(max(len(start), len(goal)), len(items) + 1)
     # A state is a mask over the kernel's items, and its own key.
-    theta, path, explored = _threshold_search(thetas, to_mask(start), to_mask(goal), int, expand, cap)
+    theta, path, explored = _threshold_search(thetas, to_mask(start), to_mask(goal), expand, cap)
     states = tuple(frozenset(items[j] for j in _bits(mask)) for mask in path)
     return SolveResult(
         value=Fraction(theta, opt + 1),

@@ -269,6 +269,21 @@ class TestHvcReduction:
         assert digest("sc.json") == "2d79aaf5a9dd426b68d33b4030fc69c0d2769dbf8b2e493cc9ca7545f280a601"
         assert digest("hvc.json") == "f2a93c8698df8a40caa50aab5dc0eef50273f1f0db073ccd9754ba01b03d161f"
 
+    def test_readme_seed7_solve_bytes_are_pinned(self, tmp_path):
+        # sha256 of the `solve maxpar --out` file of the README seed-7 FGLSS
+        # instance and of the `solve minlab --out` file of its label cover,
+        # captured before both graph solvers packed their states into one
+        # int.  Each pins the value, the witness and states_explored.
+        path = lambda name: str(tmp_path / name)
+        main(["gen", "--kind", "verifier", "--out", path("v.json"), "--seed", "7"])
+        for step, src, dst in (("fglss", "v", "fglss"), ("normalize", "fglss", "norm"), ("p2l", "norm", "lc")):
+            assert main(["reduce", step, "--in", path(f"{src}.json"), "--out", path(f"{dst}.json")]) == 0
+        assert main(["solve", "maxpar", "--in", path("fglss.json"), "--out", path("maxpar.json")]) == 0
+        assert main(["solve", "minlab", "--in", path("lc.json"), "--out", path("minlab.json")]) == 0
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("maxpar.json") == "b52fec35d5083c90239791ed39313f3c41140b6db715d747184699b8d0b63383"
+        assert digest("minlab.json") == "66336b3b4be3b4c4ddb2a56705e9fc1148d5e45d0f25804474ea72803f75f428"
+
 
 class TestStoredEdgeOrder:
     def test_reversed_stored_edges_keep_the_equivalence(self):

@@ -80,6 +80,27 @@ def test_expander_roundtrip():
     assert again == x
 
 
+# An expander's lambda read from a file: a JSON number in [0, d] (d = 4).
+BAD_LAMBDAS = {
+    "boolean": (True, "expected a number, got bool"),
+    "string": ("x", "expected a number, got str"),
+    "null": (None, "expected a number, got NoneType"),
+    "negative": (-3.0, "lambda must be a finite number in \\[0, d\\], got -3.0"),
+    "above-d": (99.0, "lambda must be a finite number in \\[0, d\\], got 99.0"),
+    "nan": (float("nan"), "lambda must be a finite number in \\[0, d\\], got nan"),
+    "infinity": (float("inf"), "lambda must be a finite number in \\[0, d\\], got inf"),
+}
+
+
+@pytest.mark.parametrize("value, message", BAD_LAMBDAS.values(), ids=BAD_LAMBDAS.keys())
+def test_expander_lambda_is_a_number_in_range(value, message):
+    data = serialize.payload(build_expander(8, 4, 0.95, seed=1))
+    with pytest.raises(StructuralError, match=message):
+        serialize.parse_bytes(json.dumps({**data, "lambda": value}).encode())
+    for edge in (0, 4, 0.0, 4.0):  # both ends of the range read
+        assert serialize.parse_bytes(json.dumps({**data, "lambda": edge}).encode()).lam == edge
+
+
 @pytest.mark.parametrize(
     "seq",
     [

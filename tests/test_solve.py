@@ -16,6 +16,7 @@ from rforge.core import (
     StructuralError,
     multi_size,
     partial_size,
+    satisfies_partial,
     transpose,
     validate_sequence,
 )
@@ -100,6 +101,50 @@ class TestMaxpar:
         monkeypatch.setenv("RFORGE_CAP", "10000")
         assert solve_maxpar(g, (0, 0), (1, 1)).value == Fraction(1, 2)
 
+    @staticmethod
+    def looped_csps(count: int):
+        """Generated CSPs with self-loops, random diagonals, added at some
+        vertices; only draws whose endpoints still satisfy the graph."""
+        rng = random.Random(2024)
+        seed = 0
+        while count:
+            seed += 1
+            inst = generate_csp(seed, n_vertices=rng.randrange(3, 6), alphabet_size=rng.randrange(2, 4))
+            g = inst.graph
+            s = g.n_symbols
+            edges, tables = list(g.edges), list(g.tables)
+            for v in range(g.n_vertices):
+                if rng.random() < 0.5:
+                    at = rng.randrange(len(edges) + 1)
+                    edges.insert(at, (v, v))
+                    tables.insert(at, bytes(rng.random() < 0.6 for _ in range(s * s)))
+            looped = ConstraintGraph(g.vertices, 2, g.alphabet, tuple(edges), tuple(tables))
+            if looped.has_self_loops() and all(
+                satisfies_partial(looped, f) for f in (inst.start, inst.goal)
+            ):
+                count -= 1
+                yield looped, inst.start, inst.goal
+
+    def test_self_loops_restrict_their_vertex(self):
+        # A loop at v reads only its diagonal, so it bars v from the symbols
+        # the diagonal rejects, on every state of the witness.
+        for g, start, goal in self.looped_csps(40):
+            res = solve_maxpar(g, start, goal)
+            assert res.value == oracle_value(PROBLEM_MAXPAR, g, start, goal)
+            assert validate_sequence(g, res.witness, start=start, goal=goal).ok
+            assert sequence_objective(PROBLEM_MAXPAR, g, res.witness) == res.value
+
+    def test_a_loop_bars_a_bridge_symbol(self):
+        # Symbol 2 goes with anything on the edge, but both loops' diagonals
+        # reject it.  Without the loops (0,0) -> (2,0) -> (2,1) -> (1,1)
+        # keeps both vertices assigned; with them a vertex must unassign.
+        bridge = bytes([1, 0, 1, 0, 1, 1, 1, 1, 1])
+        diagonal = bytes([1, 0, 0, 0, 1, 0, 0, 0, 0])
+        g = graph([(0, 0), (0, 1), (1, 1)], [diagonal, bridge, diagonal], s=3)
+        res = solve_maxpar(g, (0, 0), (1, 1))
+        assert res.value == Fraction(1, 2) == oracle_value(PROBLEM_MAXPAR, g, (0, 0), (1, 1))
+        assert validate_sequence(g, res.witness, start=(0, 0), goal=(1, 1)).ok
+
 
 class TestMinlab:
     def test_singleton_sequence_value(self):
@@ -135,6 +180,29 @@ class TestMinlab:
             n = inst.graph.n_vertices
             assert res.value >= Fraction(multi_size(inst.start), n + 1)
             assert res.value >= Fraction(n, n + 1)
+
+
+class TestBudgetBoundary:
+    # Each instance's states_explored, captured before the graph solvers
+    # packed their states into one int: the budget counts the same stored
+    # states, so exactly that many is enough and one fewer runs out.
+    CASES = {
+        "maxpar-3": (PROBLEM_MAXPAR, lambda: generate_csp(3, n_vertices=4, alphabet_size=3), 20),
+        "maxpar-4": (PROBLEM_MAXPAR, lambda: generate_csp(4, n_vertices=4, alphabet_size=3), 33),
+        "minlab-2": (PROBLEM_MINLAB, lambda: generate_labelcover(2), 9),
+        "minlab-3": (PROBLEM_MINLAB, lambda: generate_labelcover(3), 12),
+        "sc-cost-1": (PROBLEM_SC_COST, lambda: generate_setcover(1, n_elements=6), 4),
+        "sc-cost-5": (PROBLEM_SC_COST, lambda: generate_setcover(5, n_elements=6), 5),
+        "hvc-cost-0": (PROBLEM_HVC_COST, lambda: generate_hypergraph(0, 6, 5, 3), 7),
+        "hvc-cost-5": (PROBLEM_HVC_COST, lambda: generate_hypergraph(5, 6, 5, 3), 12),
+    }
+
+    @pytest.mark.parametrize("problem, make, states", CASES.values(), ids=CASES.keys())
+    def test_cap_of_states_explored_is_exactly_enough(self, problem, make, states):
+        inst = make()
+        assert solve.solve_instance(problem, inst, cap=states).states_explored == states
+        with pytest.raises(BudgetExhaustedError):
+            solve.solve_instance(problem, inst, cap=states - 1)
 
 
 class TestMinCover:
