@@ -43,6 +43,7 @@ from .solve import (
     SOLVERS,
     min_cover,
     min_vertex_cover,
+    resolve_cap,
     sequence_objective,
     solve_instance,
 )
@@ -469,6 +470,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "cap"):  # refuse a bad state budget before any work
+            args.cap = resolve_cap(args.cap)
         return args.func(args)
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)

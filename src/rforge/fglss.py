@@ -17,7 +17,6 @@ from itertools import product
 
 from .core import (
     BOTTOM,
-    BudgetExhaustedError,
     ConstraintGraph,
     KIND_PARTIAL,
     KIND_PROOF,
@@ -27,6 +26,7 @@ from .core import (
     satisfies_partial,
     validate_sequence,
 )
+from .solve import _satisfying
 from .verifier import TableVerifier, accept_prob, accepting_set
 
 # Coordinate encoding of a local-view entry: {0}, {1}, or the joint {0,1}.
@@ -249,42 +249,8 @@ def enumerate_satisfying_partials(graph: ConstraintGraph, limit: int = 2_000_000
     """Yield every satisfying partial assignment by pruned backtracking.
 
     Vertices are assigned in index order over (BOTTOM, then admissible
-    symbols); edges with both endpoints decided are checked as soon as
-    possible.  ``limit`` bounds the number of search nodes visited.
+    symbols); a symbol is tried only if every edge to an assigned earlier
+    vertex accepts it.  ``limit`` bounds the number of search nodes, one
+    per value a vertex offers (`solve._satisfying`).
     """
-    n, s = graph.n_vertices, graph.n_symbols
-    allowed = [sorted(graph.allowed_symbols(u)) for u in range(n)]
-    edges_by_later = [[] for _ in range(n)]
-    for e_idx, (a, b) in enumerate(graph.edges):
-        edges_by_later[max(a, b)].append((e_idx, min(a, b)))
-    state: list[int] = [BOTTOM] * n
-    nodes = 0
-
-    def consistent(u: int) -> bool:
-        if state[u] == BOTTOM:
-            return True
-        for e_idx, other in edges_by_later[u]:
-            if state[other] == BOTTOM:
-                continue
-            a, b = graph.edges[e_idx]
-            if graph.tables[e_idx][state[a] * s + state[b]] != 1:
-                return False
-        return True
-
-    def rec(u: int):
-        nonlocal nodes
-        if u == n:
-            yield tuple(state)
-            return
-        for val in [BOTTOM] + allowed[u]:
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExhaustedError(
-                    f"satisfying-assignment enumeration exceeded {limit} nodes"
-                )
-            state[u] = val
-            if consistent(u):
-                yield from rec(u + 1)
-        state[u] = BOTTOM
-
-    yield from rec(0)
+    yield from _satisfying(graph, bottom=True, limit=limit)

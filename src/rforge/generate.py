@@ -3,13 +3,16 @@
 Every generator is a pure function of its parameters and seed; all
 randomness flows through named streams (`rng.stream`), so regenerating
 with the same arguments is byte-identical after serialization.  Start and
-goal states are rejection-sampled to be feasible and certified by the
-exact checkers before an instance is returned.
+goal states are feasible by construction.  A CSP's start and goal are
+drawn from its satisfying full assignments, which one pruned depth-first
+search lists in lexicographic order (`solve._satisfying`, shared with
+`fglss.enumerate_satisfying_partials`); no product of all s^n
+assignments is built or filtered.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 from .core import (
     ConstraintGraph,
@@ -22,8 +25,8 @@ from .core import (
     StructuralError,
     is_cover,
     is_vertex_cover,
-    satisfies_partial,
 )
+from .solve import _satisfying
 from .verifier import TableVerifier, csp_to_verifier, encode_assignment
 from . import rng as rng_mod
 
@@ -42,13 +45,14 @@ def _random_tables(rng, n_edges: int, s: int, accept_p: float, planted, edges):
 
 
 def _full_satisfying(g: ConstraintGraph, limit: int = 200_000):
-    options = [sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
-    raw = 1
-    for opts in options:
-        raw *= len(opts)
-    if raw > limit:
+    """Every satisfying full assignment, in lexicographic order.
+
+    Refuses graphs whose raw assignment space exceeds ``limit``, so what
+    a generator accepts does not depend on how well the search prunes.
+    """
+    if math.prod(len(g.allowed_symbols(v)) for v in range(g.n_vertices)) > limit:
         raise StructuralError("instance too large to enumerate satisfying assignments")
-    return [f for f in itertools.product(*options) if satisfies_partial(g, f)]
+    return list(_satisfying(g, bottom=False))
 
 
 def generate_csp(

@@ -14,7 +14,9 @@ over the kernel's items for the cover costs, and bit ``v * s + a`` for
 vertex v holding symbol a for the graph solvers (`_graph_links`).  Moves
 that grow a cover or a label set, or unassign a vertex, keep a state
 feasible and need no test; every other move tests only the hit sets or
-edges at the item or vertex it changes.
+edges at the item or vertex it changes.  The same packed state drives the
+one search for satisfying assignments (`_satisfying`), which serves both
+the FGLSS enumeration of partial assignments and the CSP generator.
 All objective values are exact rationals; no floating point enters any
 solver path.  The problem table `SOLVERS` (bundle type, solver name,
 objective denominator, sense) and the kind table `core.KINDS` drive
@@ -83,10 +85,24 @@ PROBLEM_HVC_COST = "hvc-cost"
 
 
 def resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("RFORGE_CAP")
-    return int(env) if env else DEFAULT_CAP
+    """The state budget: ``cap``, else ``RFORGE_CAP``, else ``DEFAULT_CAP``.
+
+    A negative cap, or an ``RFORGE_CAP`` that is not an integer, raises
+    ``StructuralError``.  A cap of 0 is valid: it admits only equal endpoints.
+    """
+    source = "cap"
+    if cap is None:
+        env = os.environ.get("RFORGE_CAP")
+        if not env:
+            return DEFAULT_CAP
+        source = "RFORGE_CAP"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise StructuralError(f"RFORGE_CAP must be a non-negative integer, got {env!r}") from None
+    if cap < 0:
+        raise StructuralError(f"{source} must be a non-negative integer, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -154,6 +170,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(flags: bytes) -> int:
+    """The int with bit a set where the 0/1 byte ``flags[a]`` is 1."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
 # ---------------------------------------------------------------------------
 # Constraint-graph states: one packed int for both graph solvers
 # ---------------------------------------------------------------------------
@@ -182,17 +206,73 @@ def _graph_links(g: ConstraintGraph):
     ``normalize_self_loops`` does) and adds no link.
     """
     s = g.n_symbols
-    allowed = [sum(1 << a for a in g.allowed_symbols(v)) for v in range(g.n_vertices)]
+    if g.admissible is None:
+        allowed = [(1 << s) - 1] * g.n_vertices
+    else:
+        allowed = [sum(1 << a for a in symbols) for symbols in g.admissible]
     links: list[list[tuple[int, _Accepts]]] = [[] for _ in allowed]
     for (v, w), table in zip(g.edges, g.tables):
         if v == w:
-            allowed[v] &= sum(1 << a for a in range(s) if table[a * s + a])
+            allowed[v] &= _mask(table[:: s + 1])  # the diagonal
             continue
-        at_v = {1 << b: sum(1 << a for a in range(s) if table[a * s + b]) for b in range(s)}
-        at_w = {1 << a: sum(1 << b for b in range(s) if table[a * s + b]) for a in range(s)}
+        at_v = {1 << b: _mask(table[b::s]) for b in range(s)}  # column b
+        at_w = {1 << a: _mask(table[a * s : a * s + s]) for a in range(s)}  # row a
         links[v].append((w * s, _Accepts(at_v)))
         links[w].append((v * s, _Accepts(at_w)))
     return list(zip(range(0, len(allowed) * s, s), allowed, links))
+
+
+def _satisfying(g: ConstraintGraph, bottom: bool, limit: float = math.inf):
+    """Every satisfying assignment of a binary graph, by pruned depth-first search.
+
+    Vertices are decided in index order, each over BOTTOM first when
+    ``bottom`` is set and then its symbols ascending, so assignments come
+    out in that lexicographic order.  The symbols tried at v are v's
+    allowed mask cut by one ``_Accepts`` lookup per assigned earlier
+    neighbour, as in maxpar's assign move.  ``limit`` bounds the search
+    nodes: one per value a vertex offers, BOTTOM and pruned symbols
+    included, so the count does not depend on how early a symbol is pruned.
+    """
+    n, s = g.n_vertices, g.n_symbols
+    full = (1 << s) - 1
+    head = (BOTTOM,) if bottom else ()
+    levels = []
+    for v, (base, ok, edges) in enumerate(_graph_links(g)):
+        allowed = sorted(g.allowed_symbols(v))
+        # Each value v offers -> (its rank among them, its bit in the state).
+        values = {a: (rank, 1 << base + a) for rank, a in enumerate(allowed, len(head) + 1)}
+        values[BOTTOM] = (1, 0)
+        earlier = [(shift, accepts) for shift, accepts in edges if shift < base]
+        levels.append((ok, earlier, values, len(head) + len(allowed)))
+    f = [BOTTOM] * n
+    nodes = 0
+
+    def rec(v: int, state: int):
+        nonlocal nodes
+        if v == n:
+            yield tuple(f)
+            return
+        ok, earlier, values, width = levels[v]
+        for shift, accepts in earlier:
+            partner = state >> shift & full
+            if partner:
+                ok &= accepts[partner]
+        tried = 0
+        for a in itertools.chain(head, _bits(ok)):
+            rank, bit = values[a]
+            nodes += rank - tried
+            tried = rank
+            if nodes > limit:
+                break
+            f[v] = a
+            yield from rec(v + 1, state | bit)
+        else:
+            nodes += width - tried
+            if nodes <= limit:
+                return
+        raise BudgetExhaustedError(f"satisfying-assignment enumeration exceeded {limit} nodes")
+
+    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: files, chains, pipeline, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,45 @@ class TestGen:
         v, pi_start, _ = serialize.load_verifier(out)
         assert accept_prob(v, pi_start) == 1
 
+    # sha256 of each file, captured while assignments still came from a
+    # filtered product of all s^n of them: the pruned search must list the
+    # same assignments in the same order, or the endpoint draws change.
+    PINNED = {
+        "csp-8x4-4": (["csp", 4, "--vertices", 8, "--alphabet", 4, "--density", 0.5],
+                      "5c33dd3a34f224f51a434b7f6e95cd4e2b75237baf1b678d8aa8bf82bf0fd6a8"),
+        "csp-8x4-9": (["csp", 9, "--vertices", 8, "--alphabet", 4, "--density", 0.5],
+                      "389efec5e9526952b791ce6b129b309125b5bd51cac49a3ccad1722f0695a360"),
+        "csp-8x4-13": (["csp", 13, "--vertices", 8, "--alphabet", 4, "--density", 0.5],
+                       "8d181bc495cea8b059f86154a410bd4ec9d455a036057febd66f0f8ce91e306e"),
+        "csp-8x4-14": (["csp", 14, "--vertices", 8, "--alphabet", 4, "--density", 0.5],
+                       "e0655ed5eb78a481f79438bc720f90f7765970347899021cc0bb7beca8555940"),
+        "labelcover-6x5-1": (["labelcover", 1, "--vertices", 6, "--alphabet", 5],
+                             "3b6a99d529258b9b30d24ec4e6e3ad708b2772ae73c7ae064f1c7316be9f2895"),
+        "labelcover-6x5-7": (["labelcover", 7, "--vertices", 6, "--alphabet", 5],
+                             "7ac733ce1dd26bd03172339c73778d145f59459f6f4aa568e6b50d7f39ef7272"),
+        "labelcover-6x5-8": (["labelcover", 8, "--vertices", 6, "--alphabet", 5],
+                             "7a64db966fa8c72089f23f4b1bfc86d9aabaa88410a1cca95dc8ef682c350f4b"),
+        "labelcover-6x5-9": (["labelcover", 9, "--vertices", 6, "--alphabet", 5],
+                             "301bf1e7d13cc2a3aafe546b43d4dea0dea489df19dbee0a93daaa07514636c5"),
+        "readme-csp": (["csp", 7, "--vertices", 3, "--alphabet", 2, "--density", 0.8],
+                       "64cdda1ded8497a85d6bbcfa87cbe39161c8a2efea9a52ee0e6ad087fdd3a9c2"),
+        "readme-verifier": (["verifier", 7],
+                            "85ae7ecbd4b1a289d8455155d2db0a52d3f033bbe7b79280df4433da4072a39c"),
+    }
+
+    @pytest.mark.parametrize("argv, sha", PINNED.values(), ids=PINNED.keys())
+    def test_gen_bytes_are_pinned(self, tmp_path, argv, sha):
+        kind, seed, *sizes = argv
+        out = tmp_path / "out.json"
+        assert run("gen", "--kind", kind, "--out", out, "--seed", seed, *sizes) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+    def test_too_large_to_enumerate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        assert run("gen", "--kind", "csp", "--vertices", 9, "--alphabet", 4, "--out", out) == 2
+        assert "too large to enumerate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReduceChain:
     def test_full_chain_and_solves(self, tmp_path):
@@ -100,6 +140,45 @@ class TestReduceChain:
         fglss = tmp_path / "fglss.json"
         run("reduce", "fglss", "--in", ver, "--out", fglss)
         assert run("solve", "maxpar", "--in", fglss, "--cap", 1) == 3
+
+
+class TestCap:
+    """A state budget that is not a non-negative integer exits 2 before any work."""
+
+    @pytest.mark.parametrize("env, flag", [("abc", None), ("-1", None), ("1.5", None), (None, -5)])
+    def test_bad_cap_on_solve_exits_2(self, tmp_path, capsys, monkeypatch, env, flag):
+        fglss = tmp_path / "fglss.json"
+        run("reduce", "fglss", "--in", toy_verifier_file(tmp_path / "v.json"), "--out", fglss)
+        if env is not None:
+            monkeypatch.setenv("RFORGE_CAP", env)
+        argv = ["solve", "maxpar", "--in", fglss] + (["--cap", flag] if flag is not None else [])
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, flag", [("abc", None), (None, -1)])
+    def test_bad_cap_on_pipeline_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("RFORGE_CAP", env)
+        ver = toy_verifier_file(tmp_path / "v.json")
+        argv = ["pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--no-amplify"]
+        argv += ["--cap", flag] if flag is not None else []
+        assert run(*argv) == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_bad_cap_on_report_exits_2(self, tmp_path, monkeypatch):
+        ver = toy_verifier_file(tmp_path / "v.json")
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--no-amplify") == 0
+        monkeypatch.setenv("RFORGE_CAP", "x")
+        assert run("report", "--dir", tmp_path / "s") == 2
+
+    def test_cap_zero_and_empty_env_are_valid(self, monkeypatch):
+        assert solve.resolve_cap(0) == 0
+        monkeypatch.setenv("RFORGE_CAP", "0")
+        assert solve.resolve_cap(None) == 0
+        monkeypatch.setenv("RFORGE_CAP", "")
+        assert solve.resolve_cap(None) == solve.DEFAULT_CAP
 
 
 class TestSolveInput:

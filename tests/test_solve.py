@@ -9,18 +9,22 @@ import pytest
 from rforge import checks, serialize, solve
 from rforge.cli import main
 from rforge.core import (
+    BOTTOM,
     BudgetExhaustedError,
     ConstraintGraph,
     Hypergraph,
     SetSystem,
     StructuralError,
     multi_size,
+    normalize_self_loops,
     partial_size,
     satisfies_partial,
     transpose,
     validate_sequence,
 )
+from rforge.fglss import build_fglss, enumerate_satisfying_partials
 from rforge.generate import (
+    _full_satisfying,
     generate_csp,
     generate_hypergraph,
     generate_labelcover,
@@ -203,6 +207,91 @@ class TestBudgetBoundary:
         assert solve.solve_instance(problem, inst, cap=states).states_explored == states
         with pytest.raises(BudgetExhaustedError):
             solve.solve_instance(problem, inst, cap=states - 1)
+
+
+class TestSatisfying:
+    """The one pruned search behind both assignment enumerators, checked
+    against product-then-filter on graphs with self-loops, parallel and
+    reversed edges and admissible sets, which generated CSPs lack."""
+
+    @staticmethod
+    def random_graphs(count: int):
+        rng = random.Random(10)
+        for _ in range(count):
+            n, s = rng.randint(1, 5), rng.randint(1, 3)
+            edges = []
+            for _ in range(rng.randint(0, 2 * n)):
+                v = rng.randrange(n)
+                edges.append((v, v if rng.random() < 0.25 else rng.randrange(n)))
+            tables = [bytes(rng.random() < 0.6 for _ in range(s * s)) for _ in edges]
+            admissible = None
+            if rng.random() < 0.5:
+                admissible = tuple(frozenset(rng.sample(range(s), rng.randint(1, s))) for _ in range(n))
+            yield ConstraintGraph(
+                vertices=tuple(f"v{i}" for i in range(n)),
+                arity=2,
+                alphabet=tuple(str(a) for a in range(s)),
+                edges=tuple(edges),
+                tables=tuple(tables),
+                admissible=admissible,
+            )
+
+    @staticmethod
+    def brute(g, bottom: bool, prefix: int | None = None):
+        """Satisfying assignments of the first ``prefix`` vertices (all by
+        default), the rest unassigned, in lexicographic order."""
+        k = g.n_vertices if prefix is None else prefix
+        options = [([BOTTOM] if bottom else []) + sorted(g.allowed_symbols(v)) for v in range(k)]
+        rest = (BOTTOM,) * (g.n_vertices - k)
+        return [f + rest for f in itertools.product(*options) if satisfies_partial(g, f + rest)]
+
+    def test_the_graphs_have_loops_and_admissible_sets(self):
+        graphs = list(self.random_graphs(200))
+        assert sum(any(v == w for v, w in g.edges) for g in graphs) > 50
+        assert sum(g.admissible is not None for g in graphs) > 50
+
+    def test_full_assignments_match_a_filtered_product(self):
+        for g in self.random_graphs(200):
+            assert _full_satisfying(g) == self.brute(g, bottom=False)
+
+    def test_partial_assignments_match_a_bottom_first_product(self):
+        for g in self.random_graphs(200):
+            assert list(enumerate_satisfying_partials(g)) == self.brute(g, bottom=True)
+
+    def test_node_budget_boundary(self):
+        for g in self.random_graphs(120):
+            # Every consistent prefix offers its next vertex BOTTOM and each
+            # allowed symbol, pruned ones included: one node per value.
+            nodes = sum(
+                len(self.brute(g, True, k)) * (1 + len(g.allowed_symbols(k)))
+                for k in range(g.n_vertices)
+            )
+            every = self.brute(g, bottom=True)
+            assert list(enumerate_satisfying_partials(g, limit=nodes)) == every
+            # The last node offers every vertex its largest symbol; when that
+            # assignment satisfies, it is the last one yielded, after the node.
+            last = tuple(max(g.allowed_symbols(v)) for v in range(g.n_vertices))
+            expected = every[:-1] if every[-1] == last else every
+            got = []
+            with pytest.raises(BudgetExhaustedError, match=f"exceeded {nodes - 1} nodes"):
+                for f in enumerate_satisfying_partials(g, limit=nodes - 1):
+                    got.append(f)
+            assert got == expected
+
+    @pytest.mark.parametrize("normalized, nodes", [(False, 1100), (True, 660)])
+    def test_readme_seed7_node_counts_are_pinned(self, normalized, nodes):
+        # Captured before the two enumerators were merged.  The self-loops
+        # of the unnormalized graph reject symbols that still count as nodes.
+        g = build_fglss(generate_verifier(7)[0])
+        if normalized:
+            g = normalize_self_loops(g)
+        assert len(list(enumerate_satisfying_partials(g, limit=nodes))) == 253
+        for limit, yielded in ((nodes - 1, 253), (nodes // 2, 126)):
+            got = []
+            with pytest.raises(BudgetExhaustedError):
+                for f in enumerate_satisfying_partials(g, limit=limit):
+                    got.append(f)
+            assert len(got) == yielded
 
 
 class TestMinCover:
