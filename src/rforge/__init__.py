@@ -76,15 +76,12 @@ from .fglss import (
     plurality_decode,
 )
 from .reductions import (
-    GadgetSpace,
+    cover_to_labels,
     labelcover_to_hvc,
     labelcover_to_setcover,
+    labels_to_cover,
     lift_partial_sequence,
-    multiassignment_to_cover,
-    multiassignment_to_vertexcover,
     p2csp_to_labelcover,
-    setcover_solution_to_multiassignment,
-    vertexcover_solution_to_multiassignment,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,6 @@ from functools import cached_property
 from operator import mul
 
 import numpy as np
-from mpmath import iv
-from mpmath.libmp import to_rational
 
 from .core import StructuralError
 from .verifier import TableVerifier, degrees
@@ -29,6 +27,9 @@ _POWER_MIN_ITERS = 64
 _POWER_MAX_ITERS = 20000
 _CERT_REL_SLACK = 1e-6
 _CERT_ABS_SLACK = 1e-9
+
+# Most positions an amplified entry may read; its table has 2^positions rows.
+MAX_POSITIONS = 20
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,33 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
     return Fraction(sum(inside), x.n * x.d ** (rho - 1))
 
 
-def choose_rho(eps: Fraction, delta: Fraction) -> int:
-    """ceil((2 / eps) * ln(1 / delta)) with outward-rounded interval arithmetic.
+def _exp_exceeds(y: Fraction, r: Fraction) -> bool:
+    """Whether e^y > r, for rational y > 0.
 
-    The log is evaluated as a certified interval at increasing precision
-    until both interval ends share a ceiling, so the result can never be
-    an underestimate of the true ceiling.
+    Taylor partial sums of e^y bound it from below; after the term
+    y^i / i! the rest is at most that term times q / (1 - q), with
+    q = y / (i + 1) < 1.  e^y is irrational, so it never equals r and
+    one of the two bounds settles the comparison.
+    """
+    term = total = Fraction(1)
+    i = 0
+    while True:
+        i += 1
+        term *= y / i
+        total += term
+        if total > r:
+            return True
+        q = y / (i + 1)
+        if q < 1 and total + term * q / (1 - q) < r:
+            return False
+
+
+def choose_rho(eps: Fraction, delta: Fraction) -> int:
+    """ceil((2 / eps) * ln(1 / delta)), exactly.
+
+    That is the least k >= 1 with e^(k eps / 2) > 1 / delta (never equal,
+    see ``_exp_exceeds``).  A float estimate of k is moved by one until
+    exact comparisons bracket it.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -235,25 +257,17 @@ def choose_rho(eps: Fraction, delta: Fraction) -> int:
         raise StructuralError(f"eps must lie in (0, 1], got {eps}")
     if not 0 < delta < 1:
         raise StructuralError(f"delta must lie in (0, 1), got {delta}")
-    saved_prec = iv.prec
-    try:
-        for prec in (80, 160, 320, 640, 1280):
-            iv.prec = prec
-            log_iv = iv.log(iv.mpf(delta.denominator) / iv.mpf(delta.numerator))
-            val = (2 * iv.mpf(eps.denominator) / iv.mpf(eps.numerator)) * log_iv
-            lo_end, hi_end = val._mpi_
-            lo = math.ceil(Fraction(int(to_rational(lo_end)[0]), int(to_rational(lo_end)[1])))
-            hi = math.ceil(Fraction(int(to_rational(hi_end)[0]), int(to_rational(hi_end)[1])))
-            if lo == hi:
-                return int(lo)
-    finally:
-        iv.prec = saved_prec
-    raise StructuralError(
-        f"could not settle ceil((2/{eps}) ln(1/{delta})) at 1280 bits of precision"
-    )
+    bound = 1 / delta
+    log_bound = math.log(delta.denominator) - math.log(delta.numerator)
+    k = max(1, math.ceil(2 * Fraction(log_bound) / eps))
+    while k > 1 and _exp_exceeds((k - 1) * eps / 2, bound):
+        k -= 1
+    while not _exp_exceeds(k * eps / 2, bound):
+        k += 1
+    return k
 
 
-def amplify(v: TableVerifier, x: ExpanderGraph, rho: int, max_positions: int = 20) -> TableVerifier:
+def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
     """Walk-amplified verifier: run v on every vertex of a rho-vertex walk.
 
     Randomness encodes (start vertex, rho - 1 port choices); the degree
@@ -290,9 +304,9 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int, max_positions: int = 2
                 if i not in index_of:
                     index_of[i] = len(merged)
                     merged.append(i)
-        if len(merged) > max_positions:
+        if len(merged) > MAX_POSITIONS:
             raise StructuralError(
-                f"amplified entry reads {len(merged)} positions, ceiling is {max_positions}"
+                f"amplified entry reads {len(merged)} positions, ceiling is {MAX_POSITIONS}"
             )
         m = len(merged)
         table = bytearray(2**m)

@@ -44,11 +44,11 @@ from .fglss import (
     symbol_coords,
 )
 from .reductions import (
+    cover_to_labels,
     labelcover_to_hvc,
     labelcover_to_setcover,
     lift_partial_sequence,
     p2csp_to_labelcover,
-    setcover_solution_to_multiassignment,
 )
 from .solve import (
     PROBLEM_HVC_COST,
@@ -61,8 +61,6 @@ from .solve import (
     min_vertex_cover,
     oracle_value,
     sequence_objective,
-    solve_cost_hvc,
-    solve_cost_setcover,
     solve_instance,
     solve_maxpar,
     solve_minlab,
@@ -151,7 +149,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
         m = system.n_sets
         for mask in range(2**m):
             chosen = frozenset(i for i in range(m) if mask >> i & 1)
-            f = setcover_solution_to_multiassignment(red, chosen)
+            f = cover_to_labels(g, chosen)
             if multi_size(f) != len(chosen):
                 tally.add()
             for e_idx in range(n_edges):
@@ -216,20 +214,24 @@ def _cost_instance(seed: int, t: int) -> LabelCoverInstance:
     return inst
 
 
-def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
+# Reduction from label cover and minimum-cover solver of each cover-cost
+# problem, named so that a call goes through this module's globals.
+_COST_REDUCTIONS = {
+    PROBLEM_SC_COST: ("labelcover_to_setcover", "min_cover"),
+    PROBLEM_HVC_COST: ("labelcover_to_hvc", "min_vertex_cover"),
+}
+
+
+def _cost_equality(trials: int, seed: int, problem: str) -> CheckReport:
+    reduction, minimum = _COST_REDUCTIONS[problem]
     tally = _Tally()
     for t in range(trials):
         inst = _cost_instance(seed, t)
         g = inst.graph
-        minlab = solve_minlab(g, inst.start, inst.goal, cap=100_000)
-        if target == "setcover":
-            red = labelcover_to_setcover(g, inst.start, inst.goal)
-            opt = min_cover(red.system)
-            cost = solve_cost_setcover(red.system, red.start, red.goal, cap=100_000, opt=opt)
-        else:
-            red = labelcover_to_hvc(g, inst.start, inst.goal)
-            opt = min_vertex_cover(red.hypergraph)
-            cost = solve_cost_hvc(red.hypergraph, red.start, red.goal, cap=100_000, opt=opt)
+        minlab = solve_instance(PROBLEM_MINLAB, inst, cap=100_000)
+        red = globals()[reduction](g, inst.start, inst.goal)
+        opt = globals()[minimum](getattr(red, SOLVERS[problem].part))
+        cost = solve_instance(problem, red, cap=100_000, opt=opt)
         if opt != g.n_vertices:
             tally.add(
                 {
@@ -246,18 +248,17 @@ def _cost_equality(trials: int, seed: int, target: str) -> CheckReport:
                     "cost": str(cost.value),
                 }
             )
-    suite = "cost-equality-sc" if target == "setcover" else "cost-equality-hvc"
-    return tally.report(suite, trials)
+    return tally.report(f"cost-equality-{problem.removesuffix('-cost')}", trials)
 
 
 def cost_equality_sc(trials: int = 50, seed: int = 0) -> CheckReport:
     """Exact rational equality of the label minmax and the reduced cover minmax."""
-    return _cost_equality(trials, seed, "setcover")
+    return _cost_equality(trials, seed, PROBLEM_SC_COST)
 
 
 def cost_equality_hvc(trials: int = 50, seed: int = 0) -> CheckReport:
     """Exact rational equality against the padded vertex-cover reduction."""
-    return _cost_equality(trials, seed, "hypergraph")
+    return _cost_equality(trials, seed, PROBLEM_HVC_COST)
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +692,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 0, **kwargs) -> CheckReport:
+def run_suite(name: str, trials: int | None = None, seed: int = 0) -> CheckReport:
     if name not in SUITES:
         raise StructuralError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     fn = SUITES[name]
     if trials is None:
-        return fn(seed=seed, **kwargs)
-    return fn(trials=trials, seed=seed, **kwargs)
+        return fn(seed=seed)
+    return fn(trials=trials, seed=seed)

@@ -14,6 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import checks, generate, serialize
 from .amplify import amplify, build_expander, choose_rho, degree_report
@@ -21,11 +22,9 @@ from .approx import two_factor_cover
 from .core import (
     BudgetExhaustedError,
     ConstraintGraph,
-    HvcInstance,
     LabelCoverInstance,
     P2cspInstance,
     RforgeError,
-    SetCoverInstance,
     StructuralError,
     normalize_self_loops,
 )
@@ -117,44 +116,61 @@ def _proved_verifier(path):
     return v, pi_start, pi_goal
 
 
-def _fglss_instance(v, pi_start: str, pi_goal: str) -> P2cspInstance:
+def _fglss_instance(proved) -> P2cspInstance:
+    v, pi_start, pi_goal = proved
     return P2cspInstance(build_fglss(v), embed_proof(v, pi_start), embed_proof(v, pi_goal))
 
 
+def _normalized(obj):
+    if isinstance(obj, ConstraintGraph):
+        return normalize_self_loops(obj)
+    return P2cspInstance(normalize_self_loops(obj.graph), obj.start, obj.goal)
+
+
+def _lifted(inst: P2cspInstance) -> LabelCoverInstance:
+    if inst.graph.has_self_loops():
+        raise StructuralError("p2l needs a loop-free graph; run reduce normalize first")
+    return p2csp_to_labelcover(inst.graph, inst.start, inst.goal)
+
+
+class _Step(NamedTuple):
+    """A reduction: the input types it accepts, named in its type error,
+    the reduction, its pipeline stage file, and how ``reduce`` reads its input."""
+
+    accepts: tuple[type, ...]
+    expects: str
+    reduce: Callable
+    stage_file: str
+    load: Callable = lambda path: serialize.load(path)
+
+
+# Traced functions are called through this module's globals, never stored,
+# so a call goes through their current binding.  ``fglss`` takes a
+# (verifier, pi_start, pi_goal) tuple.
+_STEPS = {
+    "fglss": _Step((tuple,), "a verifier file", _fglss_instance, "02_fglss.json", _proved_verifier),
+    "normalize": _Step(
+        (ConstraintGraph, P2cspInstance), "a constraint graph or assignment instance", _normalized,
+        "03_normalized.json",
+    ),
+    "p2l": _Step((P2cspInstance,), "a partial-assignment instance", _lifted, "04_labelcover.json"),
+    "l2sc": _Step(
+        (LabelCoverInstance,), "a label-cover instance",
+        lambda inst: labelcover_to_setcover(inst.graph, inst.start, inst.goal), "05_setcover.json",
+    ),
+    "l2hvc": _Step(
+        (LabelCoverInstance,), "a label-cover instance",
+        lambda inst: labelcover_to_hvc(inst.graph, inst.start, inst.goal), "06_hvc.json",
+    ),
+}
+
+
 def _cmd_reduce(args) -> int:
-    if args.step == "fglss":
-        serialize.save(_fglss_instance(*_proved_verifier(getattr(args, "in"))), args.out)
-    elif args.step == "normalize":
-        obj = serialize.load(getattr(args, "in"))
-        if isinstance(obj, ConstraintGraph):
-            serialize.save(normalize_self_loops(obj), args.out)
-        elif isinstance(obj, P2cspInstance):
-            serialize.save(
-                P2cspInstance(normalize_self_loops(obj.graph), obj.start, obj.goal), args.out
-            )
-        else:
-            raise StructuralError("normalize expects a constraint graph or assignment instance")
-    elif args.step == "p2l":
-        obj = serialize.load(getattr(args, "in"))
-        if not isinstance(obj, P2cspInstance):
-            raise StructuralError("p2l expects a partial-assignment instance")
-        if obj.graph.has_self_loops():
-            raise StructuralError("p2l needs a loop-free graph; run reduce normalize first")
-        serialize.save(p2csp_to_labelcover(obj.graph, obj.start, obj.goal), args.out)
-    elif args.step == "l2sc":
-        obj = serialize.load(getattr(args, "in"))
-        if not isinstance(obj, LabelCoverInstance):
-            raise StructuralError("l2sc expects a label-cover instance")
-        red = labelcover_to_setcover(obj.graph, obj.start, obj.goal)
-        serialize.save(SetCoverInstance(red.system, red.start, red.goal), args.out)
-    elif args.step == "l2hvc":
-        obj = serialize.load(getattr(args, "in"))
-        if not isinstance(obj, LabelCoverInstance):
-            raise StructuralError("l2hvc expects a label-cover instance")
-        red = labelcover_to_hvc(obj.graph, obj.start, obj.goal)
-        serialize.save(HvcInstance(red.hypergraph, red.start, red.goal), args.out)
-    else:
-        raise StructuralError(f"unknown reduction step {args.step!r}")
+    step = _STEPS[args.step]
+    obj = step.load(getattr(args, "in"))
+    if not isinstance(obj, step.accepts):
+        raise StructuralError(f"{args.step} expects {step.expects}")
+    serialize.save(step.reduce(obj), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -315,11 +331,14 @@ class _StageError(RforgeError):
         self.exit_code = cause.exit_code
 
 
-def _stage(name: str, fn):
+def _stage(name: str, fn, path: Path, **proofs):
+    """Run stage ``name`` and write what it made to ``path``."""
     try:
-        return fn()
+        made = fn()
     except RforgeError as exc:
         raise _StageError(name, exc) from exc
+    serialize.save(made, path, **proofs)
+    return made
 
 
 def _cmd_pipeline(args) -> int:
@@ -338,27 +357,21 @@ def _cmd_pipeline(args) -> int:
         x = _stage(
             "amplify",
             lambda: build_expander(v.n_entries, args.expander_d, args.target_ratio, args.seed),
+            out_dir / "01_expander.json",
         )
-        serialize.save(x, out_dir / "01_expander.json")
-        work = _stage("amplify", lambda: amplify(v, x, rho))
-        serialize.save(work, out_dir / "01_amplified_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
-    fglss_inst = _stage("fglss", lambda: _fglss_instance(work, pi_start, pi_goal))
-    serialize.save(fglss_inst, out_dir / "02_fglss.json")
-    normalized = _stage("normalize", lambda: normalize_self_loops(fglss_inst.graph))
-    norm_inst = P2cspInstance(normalized, fglss_inst.start, fglss_inst.goal)
-    serialize.save(norm_inst, out_dir / "03_normalized.json")
-    lifted = _stage(
-        "p2l", lambda: p2csp_to_labelcover(normalized, norm_inst.start, norm_inst.goal)
-    )
-    serialize.save(lifted, out_dir / "04_labelcover.json")
-    if normalized.n_symbols <= args.max_gadget_alphabet:
-        red_sc = _stage("l2sc", lambda: labelcover_to_setcover(normalized, lifted.start, lifted.goal))
-        serialize.save(SetCoverInstance(red_sc.system, red_sc.start, red_sc.goal), out_dir / "05_setcover.json")
-        red_hvc = _stage("l2hvc", lambda: labelcover_to_hvc(normalized, lifted.start, lifted.goal))
-        serialize.save(HvcInstance(red_hvc.hypergraph, red_hvc.start, red_hvc.goal), out_dir / "06_hvc.json")
+        work = _stage(
+            "amplify", lambda: amplify(v, x, rho), out_dir / "01_amplified_verifier.json",
+            pi_start=pi_start, pi_goal=pi_goal,
+        )
+    inst = (work, pi_start, pi_goal)
+    for name in ("fglss", "normalize", "p2l"):
+        inst = _stage(name, lambda: _STEPS[name].reduce(inst), out_dir / _STEPS[name].stage_file)
+    if inst.graph.n_symbols <= args.max_gadget_alphabet:
+        for name in ("l2sc", "l2hvc"):
+            _stage(name, lambda: _STEPS[name].reduce(inst), out_dir / _STEPS[name].stage_file)
     else:
         print(
-            f"skipping cover stages: alphabet {normalized.n_symbols} exceeds "
+            f"skipping cover stages: alphabet {inst.graph.n_symbols} exceeds "
             f"--max-gadget-alphabet {args.max_gadget_alphabet}"
         )
     rows = _pipeline_rows(out_dir, args.cap)
@@ -405,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("reduce", help="run one reduction step")
-    p.add_argument("step", choices=["fglss", "normalize", "p2l", "l2sc", "l2hvc"])
+    p.add_argument("step", choices=list(_STEPS))
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reduce)

@@ -131,6 +131,14 @@ class ConstraintGraph:
         return self.tables[e_idx][idx] == 1
 
     @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(v, a) for each vertex v and admissible symbol a, by vertex, then symbol.
+
+        The reductions index their sets and real hypergraph vertices by it.
+        """
+        return tuple((v, a) for v in range(self.n_vertices) for a in sorted(self.allowed_symbols(v)))
+
+    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices touching each vertex (each edge listed once per vertex)."""
         inc: list[list[int]] = [[] for _ in range(self.n_vertices)]

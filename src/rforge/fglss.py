@@ -34,7 +34,8 @@ COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
 COORD_SETS = ((0,), (1,), (0, 1))
 COORD_LABELS = ("0", "1", "01")
 
-DEFAULT_QUERY_CEILING = 6
+# Most positions an entry may read; the FGLSS alphabet has 3^q symbols.
+QUERY_CEILING = 6
 
 
 def symbol_coords(idx: int, width: int) -> tuple[int, ...]:
@@ -71,16 +72,14 @@ def _valid_view(v: TableVerifier, rnd: int, coords: tuple[int, ...]) -> bool:
     return True
 
 
-def build_fglss(v: TableVerifier, query_ceiling: int = DEFAULT_QUERY_CEILING) -> ConstraintGraph:
+def build_fglss(v: TableVerifier) -> ConstraintGraph:
     """Build the squared-alphabet constraint graph of a table verifier.
 
     Alphabet size is 3^q; the build refuses verifiers whose maximum query
-    count exceeds ``query_ceiling`` rather than approximating.
+    count exceeds ``QUERY_CEILING`` rather than approximating.
     """
-    if v.q > query_ceiling:
-        raise StructuralError(
-            f"verifier reads {v.q} positions per entry, ceiling is {query_ceiling}"
-        )
+    if v.q > QUERY_CEILING:
+        raise StructuralError(f"verifier reads {v.q} positions per entry, ceiling is {QUERY_CEILING}")
     n = v.n_entries
     width = v.q
     n_symbols = 3**width

@@ -12,9 +12,8 @@ assignments is built or filtered.
 
 from __future__ import annotations
 
-import math
-
 from .core import (
+    BudgetExhaustedError,
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
@@ -44,15 +43,21 @@ def _random_tables(rng, n_edges: int, s: int, accept_p: float, planted, edges):
     return tables
 
 
-def _full_satisfying(g: ConstraintGraph, limit: int = 200_000):
+# Search nodes the satisfying-assignment enumeration may visit.  Any graph
+# whose raw space s^n is at most 200,000 needs at most 2 s^n of them.
+_ENUMERATION_NODES = 400_000
+
+
+def _full_satisfying(g: ConstraintGraph):
     """Every satisfying full assignment, in lexicographic order.
 
-    Refuses graphs whose raw assignment space exceeds ``limit``, so what
-    a generator accepts does not depend on how well the search prunes.
+    Refuses graphs whose pruned search needs more than
+    ``_ENUMERATION_NODES`` nodes.
     """
-    if math.prod(len(g.allowed_symbols(v)) for v in range(g.n_vertices)) > limit:
-        raise StructuralError("instance too large to enumerate satisfying assignments")
-    return list(_satisfying(g, bottom=False))
+    try:
+        return list(_satisfying(g, bottom=False, limit=_ENUMERATION_NODES))
+    except BudgetExhaustedError:
+        raise StructuralError("instance too large to enumerate satisfying assignments") from None
 
 
 def generate_csp(

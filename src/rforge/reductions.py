@@ -12,23 +12,25 @@ Three constructions:
   set-cover instance (one hyperedge per element, holding the sets that
   contain it), padded to a uniform hyperedge size.
 
-Reduced instances carry provenance labels ("(v,a)" for sets and real
-vertices, "(e,bits)" for universe elements and hyperedges) so solution
-mappings are label-driven and auditable.
+Each reduction returns the instance bundle it feeds.  Sets and real
+vertices follow the source graph's ``pairs``, its (vertex, symbol) order
+over admissible symbols, which ``cover_to_labels`` and ``labels_to_cover``
+read back; they carry provenance labels ("(v,a)" for sets and real
+vertices, "(e,bits)" for universe elements and hyperedges).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     BOTTOM,
     ConstraintGraph,
+    HvcInstance,
     Hypergraph,
     KIND_MULTI,
     KIND_PARTIAL,
     LabelCoverInstance,
     ReconfigSequence,
+    SetCoverInstance,
     SetSystem,
     StructuralError,
     is_full,
@@ -110,56 +112,39 @@ def project_multi_sequence(g: ConstraintGraph, seq: ReconfigSequence) -> Reconfi
 
 
 # ---------------------------------------------------------------------------
-# Hypercube gadgets
+# Hypercube gadgets over B = {0,1}^sigma (bit j of x is x's value at symbol j)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetSpace:
-    """The hypercube B = {0,1}^Sigma, indexed so bit j of x is x's value at symbol j."""
-
-    sigma_size: int
-
-    def __post_init__(self):
-        if self.sigma_size < 1:
-            raise StructuralError("gadget space needs at least one symbol")
-
-    @property
-    def size(self) -> int:
-        return 2**self.sigma_size
-
-    def members(self, predicate) -> frozenset[int]:
-        return frozenset(x for x in range(self.size) if predicate(x))
+def _cube(sigma: int, symbols, meets: bool) -> frozenset[int]:
+    """Vectors of {0,1}^sigma that meet (or miss) the bits of ``symbols``."""
+    if sigma < 1:
+        raise StructuralError("gadget space needs at least one symbol")
+    mask = 0
+    for a in symbols:
+        if not 0 <= a < sigma:
+            raise StructuralError(f"symbol {a} outside the alphabet of size {sigma}")
+        mask |= 1 << a
+    return frozenset(x for x in range(2**sigma) if bool(x & mask) == meets)
 
 
-def q_alpha(space: GadgetSpace, alpha: int) -> frozenset[int]:
+def q_alpha(sigma: int, alpha: int) -> frozenset[int]:
     """Q_a = vectors with bit a set."""
-    _check_symbol(space, alpha)
-    return space.members(lambda x: x >> alpha & 1)
+    return _cube(sigma, (alpha,), True)
 
 
-def qbar_alpha(space: GadgetSpace, alpha: int) -> frozenset[int]:
+def qbar_alpha(sigma: int, alpha: int) -> frozenset[int]:
     """Q̄_a = vectors with bit a clear."""
-    _check_symbol(space, alpha)
-    return space.members(lambda x: not x >> alpha & 1)
+    return _cube(sigma, (alpha,), False)
 
 
-def q_subset(space: GadgetSpace, symbols) -> frozenset[int]:
+def q_subset(sigma: int, symbols) -> frozenset[int]:
     """Q_S = union of Q_a over a in S; empty S gives the empty set.
 
     The law Q̄_a ∪ Q_S = B iff a in S is what the coverage equivalence of
     the set-cover reduction rests on.
     """
-    mask = 0
-    for a in symbols:
-        _check_symbol(space, a)
-        mask |= 1 << a
-    return space.members(lambda x: x & mask)
-
-
-def _check_symbol(space: GadgetSpace, alpha: int) -> None:
-    if not 0 <= alpha < space.sigma_size:
-        raise StructuralError(f"symbol {alpha} outside the alphabet of size {space.sigma_size}")
+    return _cube(sigma, symbols, True)
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +182,32 @@ def _edge_lo_hi(g: ConstraintGraph, e_idx: int):
 def _cover_sets(g: ConstraintGraph, f_start, f_goal):
     """The set-cover reduction both cover reductions are built from.
 
-    Returns the (vertex, symbol) pair and the label of each set S_{v,a},
-    each set's members as universe element indices, the element labels,
-    and the start and goal covers.  Elements are (e, x) for each edge e
-    and hypercube vector x, then one element per vertex v on no edge.
-    Every S_{v,a} of an edgeless vertex covers v's element, so a cover
-    keeps a label at v as label cover must when admissible sets (folded
-    self-loops) forbid the empty set.  Without admissible sets the
-    identity cannot hold there, and the vertex is rejected.
+    Returns the label of each set S_{v,a}, each set's members as universe
+    element indices, the element labels, and the start and goal covers.
+    Elements are (e, x) for each edge e and hypercube vector x, then one
+    element per vertex v on no edge.  Every S_{v,a} of an edgeless vertex
+    covers v's element, so a cover keeps a label at v as label cover must
+    when admissible sets (folded self-loops) forbid the empty set.  Without
+    admissible sets the identity cannot hold there, and the vertex is
+    rejected.
     """
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    space = GadgetSpace(g.n_symbols)
-    pairs = [(v, a) for v in range(g.n_vertices) for a in sorted(g.allowed_symbols(v))]
+    sigma = g.n_symbols
+    pairs = g.pairs
     lookup = {pair: i for i, pair in enumerate(pairs)}
     members: list[set[int]] = [set() for _ in pairs]
     elements: list[str] = []
     for e_idx in range(len(g.edges)):
         base = len(elements)
-        elements += [f"e{e_idx},{format(x, f'0{g.n_symbols}b')}" for x in range(space.size)]
+        elements += [f"e{e_idx},{format(x, f'0{sigma}b')}" for x in range(2**sigma)]
         lo, hi, sat = _edge_lo_hi(g, e_idx)
         for a in sorted(g.allowed_symbols(lo)):
-            members[lookup[(lo, a)]].update(base + x for x in qbar_alpha(space, a))
+            members[lookup[(lo, a)]].update(base + x for x in qbar_alpha(sigma, a))
         for b in sorted(g.allowed_symbols(hi)):
             # The satisfaction-compatible partners of b make coverage of
             # the edge block coincide with edge satisfaction.
             partners = [a for a in g.allowed_symbols(lo) if sat(a, b)]
-            members[lookup[(hi, b)]].update(base + x for x in q_subset(space, partners))
+            members[lookup[(hi, b)]].update(base + x for x in q_subset(sigma, partners))
     for v in range(g.n_vertices):
         if g.incident[v]:
             continue
@@ -232,23 +217,12 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
             members[lookup[(v, a)]].add(len(elements))
         elements.append(g.vertices[v])
     set_labels = [f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs]
-    start = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_start))
-    goal = frozenset(lookup[(v, next(iter(vals)))] for v, vals in enumerate(f_goal))
-    return tuple(pairs), set_labels, tuple(map(frozenset, members)), elements, start, goal
+    start = labels_to_cover(g, f_start)
+    goal = labels_to_cover(g, f_goal)
+    return set_labels, tuple(map(frozenset, members)), elements, start, goal
 
 
-@dataclass(frozen=True)
-class SetCoverReduction:
-    """Reduced set-cover instance plus the label-driven solution mapping."""
-
-    system: SetSystem
-    start: frozenset[int]
-    goal: frozenset[int]
-    pairs: tuple[tuple[int, int], ...]  # set index -> (vertex, symbol)
-    source: ConstraintGraph
-
-
-def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduction:
+def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInstance:
     """Build the E x B set-cover instance of a loop-free label-cover instance.
 
     One set S_{v,a} per vertex and admissible symbol: for each incident
@@ -257,11 +231,11 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduc
     partner symbols; the sets of a vertex on no edge share one element of
     their own.  Covers map to multi assignments by membership.
     """
-    pairs, set_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
+    set_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
     system = SetSystem(
         elements=tuple(f"({label})" for label in elements), sets=sets, set_labels=tuple(set_labels)
     )
-    return SetCoverReduction(system=system, start=start, goal=goal, pairs=pairs, source=g)
+    return SetCoverInstance(system, start, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +243,16 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverReduc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HvcReduction:
-    """Reduced vertex-cover instance; real vertices precede padding vertices."""
-
-    hypergraph: Hypergraph
-    start: frozenset[int]
-    goal: frozenset[int]
-    pairs: tuple[tuple[int, int], ...]  # real vertex index -> (vertex, symbol)
-    n_real: int
-    source: ConstraintGraph
-
-
-def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
+def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcInstance:
     """Transpose of the set-cover reduction, padded to 2|Sigma|-uniform.
 
     Hyperedge T_{e,x} collects the (vertex, symbol) pairs whose set
     contains the universe element (e, x), and T_v those of a vertex v on
     no edge; fresh per-hyperedge padding vertices ``pad(<element>,k)``
-    bring every hyperedge to size exactly 2|Sigma|.
+    bring every hyperedge to size exactly 2|Sigma|.  The real vertices,
+    one per pair in set order, precede the padding vertices.
     """
-    pairs, vertex_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
+    vertex_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
     uniformity = 2 * g.n_symbols
     hyperedges = transpose(sets, len(elements))
     for edge, label in zip(hyperedges, elements):
@@ -303,9 +266,7 @@ def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
         hyperedges=tuple(map(frozenset, hyperedges)),
         uniformity=uniformity,
     )
-    return HvcReduction(
-        hypergraph=h, start=start, goal=goal, pairs=pairs, n_real=len(pairs), source=g
-    )
+    return HvcInstance(h, start, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +274,24 @@ def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcReduction:
 # ---------------------------------------------------------------------------
 
 
-def _cover_to_labels(red: SetCoverReduction | HvcReduction, cover) -> tuple[frozenset[int], ...]:
-    """f(v) = {a : the set or vertex of (v, a) chosen}.
+def cover_to_labels(g: ConstraintGraph, cover) -> tuple[frozenset[int], ...]:
+    """f(v) = {a : the set or real vertex of (v, a) chosen}.
 
-    Indices past ``red.pairs`` (the padding vertices of the hypergraph
+    Indices past the pairs (the padding vertices of the hypergraph
     reduction) carry no label and are dropped.
     """
-    values = [set() for _ in range(red.source.n_vertices)]
+    pairs = g.pairs
+    values = [set() for _ in range(g.n_vertices)]
     for i in frozenset(cover):
-        if i < len(red.pairs):
-            v, a = red.pairs[i]
+        if i < len(pairs):
+            v, a = pairs[i]
             values[v].add(a)
     return tuple(frozenset(vals) for vals in values)
 
 
-def _labels_to_cover(red: SetCoverReduction | HvcReduction, f) -> frozenset[int]:
-    """C_f = {set or vertex of (v, a) : a in f(v)}; requires admissible labels only."""
-    lookup = {pair: i for i, pair in enumerate(red.pairs)}
+def labels_to_cover(g: ConstraintGraph, f) -> frozenset[int]:
+    """C_f = {set or real vertex of (v, a) : a in f(v)}; requires admissible labels only."""
+    lookup = {pair: i for i, pair in enumerate(g.pairs)}
     chosen = set()
     for v, vals in enumerate(f):
         for a in vals:
@@ -337,7 +299,3 @@ def _labels_to_cover(red: SetCoverReduction | HvcReduction, f) -> frozenset[int]
                 raise StructuralError(f"label {a} at vertex {v} has no set or vertex in the reduction")
             chosen.add(lookup[(v, a)])
     return frozenset(chosen)
-
-
-setcover_solution_to_multiassignment = vertexcover_solution_to_multiassignment = _cover_to_labels
-multiassignment_to_cover = multiassignment_to_vertexcover = _labels_to_cover

@@ -660,6 +660,10 @@ def solve_instance(problem: str, inst, cap: int | None = None, **known) -> Solve
 # ---------------------------------------------------------------------------
 
 
+# Most feasible states the oracle materializes before it refuses.
+ORACLE_STATE_LIMIT = 4096
+
+
 def _assignments(g: ConstraintGraph):
     options = [[BOTTOM] + sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
     return math.prod(map(len, options)), itertools.product(*options)
@@ -704,9 +708,7 @@ def enumerate_feasible_states(problem: str, instance, raw_limit: int = 500_000):
     return [state for state in states if feasible(instance, state)]
 
 
-def oracle_value(
-    problem: str, instance, start, goal, state_limit: int = 4096
-) -> Fraction:
+def oracle_value(problem: str, instance, start, goal) -> Fraction:
     """Bottleneck-path optimum over the fully materialized state graph.
 
     Independent of the threshold solvers: states come from brute
@@ -716,8 +718,8 @@ def oracle_value(
     """
     p = _problem(problem)
     states = enumerate_feasible_states(problem, instance)
-    if len(states) > state_limit:
-        raise StructuralError(f"{len(states)} feasible states exceed limit {state_limit}")
+    if len(states) > ORACLE_STATE_LIMIT:
+        raise StructuralError(f"{len(states)} feasible states exceed limit {ORACLE_STATE_LIMIT}")
     kind = KINDS[p.kind]
     sign = -1 if p.maximize else 1
     weight = [sign * kind.size(state) for state in states]

@@ -1,6 +1,8 @@
 """Expander construction, exact walk probabilities, amplification."""
 
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, product
 
@@ -171,6 +173,25 @@ class TestChooseRho:
 
     def test_log_two_case(self):
         assert choose_rho(Fraction(1, 2), Fraction(1, 2)) == 3  # ceil(4 ln 2)
+
+    def test_near_ties_beyond_float_precision(self):
+        # e^-2 = 0.13533528323661269189...: delta on either side of it, at
+        # 16 digits, puts 2 ln(1/delta) on either side of 4
+        assert choose_rho(Fraction(1), Fraction(1353352832366127, 10**16)) == 4
+        assert choose_rho(Fraction(1), Fraction(1353352832366126, 10**16)) == 5
+        # e^(-1/6) = 0.84648172489061413...: 6 ln(1/delta) is just below 1,
+        # and the float estimate of the ceiling is 2
+        assert choose_rho(Fraction(1, 3), Fraction(169296344978123, 200000000000000)) == 1
+
+    def test_agrees_with_decimal_logarithm(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for eb in range(1, 8):
+                for ea in range(1, eb + 1):
+                    for db in range(2, 13):
+                        for da in range(1, db):
+                            x = 2 * Decimal(eb) / Decimal(ea) * (Decimal(db) / Decimal(da)).ln()
+                            assert choose_rho(Fraction(ea, eb), Fraction(da, db)) == math.ceil(x)
 
     def test_domain(self):
         with pytest.raises(StructuralError):

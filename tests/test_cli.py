@@ -95,10 +95,19 @@ class TestGen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
     def test_too_large_to_enumerate_exits_2(self, tmp_path, capsys):
+        # 4^10 satisfying assignments: the search exceeds its node budget
         out = tmp_path / "big.json"
-        assert run("gen", "--kind", "csp", "--vertices", 9, "--alphabet", 4, "--out", out) == 2
+        argv = ["gen", "--kind", "csp", "--vertices", 10, "--alphabet", 4, "--density", 0, "--out", out]
+        assert run(*argv) == 2
         assert "too large to enumerate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pruned_search_enumerates_past_the_raw_space(self, tmp_path):
+        # 4^9 raw assignments, but the pruned search visits few nodes
+        out = tmp_path / "csp.json"
+        assert run("gen", "--kind", "csp", "--vertices", 9, "--alphabet", 4, "--out", out) == 0
+        inst = serialize.load(out)
+        assert isinstance(inst, P2cspInstance) and inst.graph.n_vertices == 9
 
 
 class TestReduceChain:
@@ -129,11 +138,34 @@ class TestReduceChain:
         seq = tmp_path / "seq.json"
         assert run("approx", "--in", sc, "--out", seq) == 0
 
-    def test_p2l_requires_loop_free(self, tmp_path):
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("fglss", "expected a verifier file, got 'p2csp_instance'"),
+            ("normalize", "normalize expects a constraint graph or assignment instance"),
+            ("p2l", "p2l expects a partial-assignment instance"),
+            ("l2sc", "l2sc expects a label-cover instance"),
+            ("l2hvc", "l2hvc expects a label-cover instance"),
+        ],
+    )
+    def test_wrong_input_exits_2(self, tmp_path, capsys, step, message):
+        # fglss reads a p2csp file, the others a set-cover file
+        src = tmp_path / "in.json"
+        if step == "fglss":
+            serialize.save(generate_csp(0), src)
+        else:
+            serialize.save(generate_setcover(0), src)
+        capsys.readouterr()
+        assert run("reduce", step, "--in", src, "--out", tmp_path / "out.json") == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_p2l_requires_loop_free(self, tmp_path, capsys):
         ver = toy_verifier_file(tmp_path / "v.json")
         fglss = tmp_path / "fglss.json"
         run("reduce", "fglss", "--in", ver, "--out", fglss)
         assert run("reduce", "p2l", "--in", fglss, "--out", tmp_path / "x.json") == 2
+        assert "p2l needs a loop-free graph; run reduce normalize first" in capsys.readouterr().err
 
     def test_cap_exhaustion_exits_3(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")

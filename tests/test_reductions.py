@@ -17,19 +17,16 @@ from rforge.core import (
 )
 from rforge.generate import generate_labelcover
 from rforge.reductions import (
-    GadgetSpace,
+    cover_to_labels,
     labelcover_to_hvc,
     labelcover_to_setcover,
+    labels_to_cover,
     lift_partial_sequence,
-    multiassignment_to_cover,
-    multiassignment_to_vertexcover,
     p2csp_to_labelcover,
     project_multi_sequence,
     q_alpha,
     q_subset,
     qbar_alpha,
-    setcover_solution_to_multiassignment,
-    vertexcover_solution_to_multiassignment,
 )
 from rforge.solve import (
     min_cover,
@@ -115,39 +112,39 @@ class TestLifting:
 
 class TestGadgets:
     def test_basic_laws_two_symbols(self):
-        space = GadgetSpace(2)
-        b = frozenset(range(space.size))
-        assert qbar_alpha(space, 0) | q_subset(space, {0}) == b
+        b = frozenset(range(4))
+        assert qbar_alpha(2, 0) | q_subset(2, {0}) == b
         # x with bit 0 set and bit 1 clear escapes Qbar_0 ∪ Q_{1}
-        assert qbar_alpha(space, 0) | q_subset(space, {1}) == b - {1}
+        assert qbar_alpha(2, 0) | q_subset(2, {1}) == b - {1}
 
     def test_empty_subset_never_completes(self):
-        space = GadgetSpace(3)
-        b = frozenset(range(space.size))
-        assert q_subset(space, ()) == frozenset()
+        b = frozenset(range(8))
+        assert q_subset(3, ()) == frozenset()
         for alpha in range(3):
-            assert qbar_alpha(space, alpha) | q_subset(space, ()) != b
+            assert q_alpha(3, alpha) | qbar_alpha(3, alpha) == b
+            assert qbar_alpha(3, alpha) | q_subset(3, ()) != b
 
     def test_multi_value_law_exhaustive(self):
         # union of Qbar over A plus Q_S covers the cube iff A meets S
         for sigma in range(1, 5):
-            space = GadgetSpace(sigma)
-            b = frozenset(range(space.size))
+            b = frozenset(range(2**sigma))
             symbols = list(range(sigma))
             for a_mask in range(2**sigma):
                 chosen_a = [x for x in symbols if a_mask >> x & 1]
                 for s_mask in range(2**sigma):
                     chosen_s = {x for x in symbols if s_mask >> x & 1}
-                    union = q_subset(space, chosen_s)
+                    union = q_subset(sigma, chosen_s)
                     for alpha in chosen_a:
-                        union |= qbar_alpha(space, alpha)
+                        union |= qbar_alpha(sigma, alpha)
                     covers = union == b
                     meets = any(alpha in chosen_s for alpha in chosen_a)
                     assert covers == meets
 
     def test_out_of_range_symbol_rejected(self):
-        with pytest.raises(StructuralError):
-            q_alpha(GadgetSpace(2), 5)
+        for gadget in (q_alpha, qbar_alpha, lambda sigma, a: q_subset(sigma, {0, a})):
+            for alpha in (5, 2, -1):
+                with pytest.raises(StructuralError, match="outside the alphabet"):
+                    gadget(2, alpha)
 
 
 class TestSetCoverReduction:
@@ -175,8 +172,8 @@ class TestSetCoverReduction:
         inst = generate_labelcover(5, n_vertices=3, alphabet_size=2)
         red = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
         for chosen in all_subfamilies(red.system.n_sets):
-            f = setcover_solution_to_multiassignment(red, chosen)
-            assert multiassignment_to_cover(red, f) == chosen
+            f = cover_to_labels(inst.graph, chosen)
+            assert labels_to_cover(inst.graph, f) == chosen
             assert multi_size(f) == len(chosen)
 
     def test_coverage_equivalence_exhaustive(self):
@@ -191,7 +188,7 @@ class TestSetCoverReduction:
             red = labelcover_to_setcover(g, inst.start, inst.goal)
             b_size = 2**g.n_symbols
             for chosen in all_subfamilies(red.system.n_sets):
-                f = setcover_solution_to_multiassignment(red, chosen)
+                f = cover_to_labels(g, chosen)
                 for e_idx in range(len(g.edges)):
                     assert covers_block(red.system, chosen, e_idx, b_size) == edge_satisfied(
                         g, e_idx, f
@@ -215,10 +212,11 @@ class TestHvcReduction:
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2, ensure_incident=True)
             red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
             u = 2 * inst.graph.n_symbols
+            n_real = sum(len(inst.graph.allowed_symbols(v)) for v in range(inst.graph.n_vertices))
             assert red.hypergraph.uniformity == u
             for edge in red.hypergraph.hyperedges:
                 assert len(edge) == u
-                real = [w for w in edge if w < red.n_real]
+                real = [w for w in edge if w < n_real]
                 assert len(real) <= u
 
     def test_beta_equals_vertex_count(self):
@@ -238,7 +236,9 @@ class TestHvcReduction:
         beta = min_vertex_cover(h)
         assert beta == 3
         edge_masks = [sum(1 << v for v in e) for e in h.hyperedges]
-        pad_mask = ((1 << h.n_vertices) - 1) ^ ((1 << red.n_real) - 1)
+        n_real = g.n_vertices * g.n_symbols
+        assert all(label.startswith("pad(") for label in h.vertices[n_real:])
+        pad_mask = ((1 << h.n_vertices) - 1) ^ ((1 << n_real) - 1)
         # enumerate all minimum covers over the real vertices plus each pad
         from itertools import combinations
 
@@ -250,24 +250,38 @@ class TestHvcReduction:
     def test_roundtrip_ignores_padding(self):
         inst = generate_labelcover(7, n_vertices=2, alphabet_size=2, ensure_incident=True)
         red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
-        f = vertexcover_solution_to_multiassignment(red, red.start | {red.n_real})
-        assert multiassignment_to_vertexcover(red, f) == red.start
+        g = inst.graph
+        n_real = g.n_vertices * g.n_symbols
+        labels = red.hypergraph.vertices
+        assert not any(label.startswith("pad(") for label in labels[:n_real])
+        assert all(label.startswith("pad(") for label in labels[n_real:])
+        f = cover_to_labels(g, red.start | {n_real})
+        assert labels_to_cover(g, f) == red.start
 
     def test_readme_seed7_bytes_are_pinned(self, tmp_path):
-        # sha256 of the `reduce l2sc`/`l2hvc` files of the README seed-7
-        # verifier, captured before both reductions were built from one builder.
-        def reduce(step, src, dst):
-            assert main(["reduce", step, "--in", str(tmp_path / src), "--out", str(tmp_path / dst)]) == 0
-
+        # sha256 of the `reduce` files of the README seed-7 verifier and of
+        # its `pipeline --no-amplify` stage files and report, captured before
+        # both cover reductions were built from one builder (sc, hvc) and
+        # before one step table drove `reduce` and `pipeline` (the rest).
+        pinned = {
+            "fglss": "158ef02f2ac2b6760573972d347eb811364440c6af758e1368dfc1a30feb4eba",
+            "normalize": "aa0d1a7637ae77f74737a60ec1e6e8320afc09ae85e2f96a207e9d4d8ebf543b",
+            "p2l": "37ce86d98f5f5a009d1cd99e842e50394fc7d0b46ab27be321f913a93239ddae",
+            "l2sc": "2d79aaf5a9dd426b68d33b4030fc69c0d2769dbf8b2e493cc9ca7545f280a601",
+            "l2hvc": "f2a93c8698df8a40caa50aab5dc0eef50273f1f0db073ccd9754ba01b03d161f",
+        }
+        digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
         main(["gen", "--kind", "verifier", "--out", str(tmp_path / "v.json"), "--seed", "7"])
-        reduce("fglss", "v.json", "fglss.json")
-        reduce("normalize", "fglss.json", "norm.json")
-        reduce("p2l", "norm.json", "lc.json")
-        reduce("l2sc", "lc.json", "sc.json")
-        reduce("l2hvc", "lc.json", "hvc.json")
-        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest("sc.json") == "2d79aaf5a9dd426b68d33b4030fc69c0d2769dbf8b2e493cc9ca7545f280a601"
-        assert digest("hvc.json") == "f2a93c8698df8a40caa50aab5dc0eef50273f1f0db073ccd9754ba01b03d161f"
+        sources = {"fglss": "v", "normalize": "fglss", "p2l": "normalize", "l2sc": "p2l", "l2hvc": "p2l"}
+        for step, src in sources.items():
+            argv = ["reduce", step, "--in", str(tmp_path / f"{src}.json"), "--out", str(tmp_path / f"{step}.json")]
+            assert main(argv) == 0
+        assert {step: digest(tmp_path / f"{step}.json") for step in pinned} == pinned
+        stages = tmp_path / "stages"
+        assert main(["pipeline", "--in", str(tmp_path / "v.json"), "--out-dir", str(stages), "--no-amplify"]) == 0
+        files = ("02_fglss", "03_normalized", "04_labelcover", "05_setcover", "06_hvc")
+        assert [digest(stages / f"{name}.json") for name in files] == list(pinned.values())
+        assert digest(stages / "report.md") == "336f6a3532086e0351a372427081fffd0209714b6cc6b53a3fdaf2ad649e1a44"
 
     def test_readme_seed7_solve_bytes_are_pinned(self, tmp_path):
         # sha256 of the `solve maxpar --out` file of the README seed-7 FGLSS
@@ -299,7 +313,7 @@ class TestStoredEdgeOrder:
         red_r = labelcover_to_setcover(g_rev, inst.start, inst.goal)
         assert red_f.system.sets == red_r.system.sets
         for chosen in all_subfamilies(red_r.system.n_sets):
-            f = setcover_solution_to_multiassignment(red_r, chosen)
+            f = cover_to_labels(g_rev, chosen)
             assert covers_block(red_r.system, chosen, 0, b_size) == edge_satisfied(
                 g_rev, 0, f
             )
