@@ -18,7 +18,7 @@ from operator import mul
 import numpy as np
 
 from .core import StructuralError
-from .verifier import TableVerifier, degrees
+from .verifier import TableVerifier, degrees, row_of, table_of
 from . import rng as rng_mod
 
 # Power iteration settings for spectral certification (desk scale: n <= 4096).
@@ -30,6 +30,9 @@ _CERT_ABS_SLACK = 1e-9
 
 # Most positions an amplified entry may read; its table has 2^positions rows.
 MAX_POSITIONS = 20
+
+# Most random bits an amplified verifier may use; it has 2^r entries.
+MAX_RANDOMNESS = 18
 
 
 @dataclass(frozen=True)
@@ -286,42 +289,25 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
         raise StructuralError(f"expander degree must be a power of two, got {x.d}")
     port_bits = x.d.bit_length() - 1
     new_r = v.r + (rho - 1) * port_bits
+    if new_r > MAX_RANDOMNESS:
+        raise StructuralError(f"amplified verifier needs r={new_r} random bits, ceiling is {MAX_RANDOMNESS}")
     queries: list[tuple[int, ...]] = []
     tables: list[bytes] = []
     for rnd in range(2**new_r):
-        ports_word = rnd & ((1 << ((rho - 1) * port_bits)) - 1)
-        vertex = rnd >> ((rho - 1) * port_bits)
-        walk = [vertex]
-        for k in range(rho - 1):
-            shift = ((rho - 2 - k) * port_bits)
-            port = (ports_word >> shift) & (x.d - 1)
-            vertex = x.step(vertex, port)
-            walk.append(vertex)
-        merged: list[int] = []
-        index_of: dict[int, int] = {}
-        for rk in walk:
-            for i in v.queries[rk]:
-                if i not in index_of:
-                    index_of[i] = len(merged)
-                    merged.append(i)
+        # The start vertex, then the ports from the most significant down.
+        walk = [rnd >> (new_r - v.r)]
+        for k in reversed(range(rho - 1)):
+            walk.append(x.step(walk[-1], rnd >> (k * port_bits) & (x.d - 1)))
+        # Positions in order of first read along the walk.
+        merged = tuple(dict.fromkeys(i for rk in walk for i in v.queries[rk]))
         if len(merged) > MAX_POSITIONS:
             raise StructuralError(
                 f"amplified entry reads {len(merged)} positions, ceiling is {MAX_POSITIONS}"
             )
-        m = len(merged)
-        table = bytearray(2**m)
-        for bits in range(2**m):
-            ok = True
-            for rk in walk:
-                view = 0
-                for i in v.queries[rk]:
-                    view = (view << 1) | ((bits >> (m - 1 - index_of[i])) & 1)
-                if v.tables[rk][view] != 1:
-                    ok = False
-                    break
-            table[bits] = 1 if ok else 0
-        queries.append(tuple(merged))
-        tables.append(bytes(table))
+        queries.append(merged)
+        tables.append(
+            table_of(merged, lambda read: all(v.tables[rk][row_of(read, v.queries[rk])] for rk in walk))
+        )
     q_max = max(len(i) for i in queries)
     return TableVerifier(r=new_r, q=q_max, ell=v.ell, queries=tuple(queries), tables=tuple(tables))
 

@@ -26,7 +26,6 @@ from .core import (
     BudgetExhaustedError,
     ConstraintGraph,
     LabelCoverInstance,
-    SetSystem,
     StructuralError,
     is_full,
     multi_edge_satisfied,
@@ -65,7 +64,7 @@ from .solve import (
     solve_maxpar,
     solve_minlab,
 )
-from .verifier import accept_prob, accepting_set, degree
+from .verifier import TableVerifier, accept_prob, accepting_set, degree, table_of
 
 
 @dataclass
@@ -112,12 +111,11 @@ class _Tally:
 # ---------------------------------------------------------------------------
 
 
-def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> CheckReport:
+def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
     """Every subfamily covers an edge block iff the mapped labels satisfy the edge.
 
     Exhaustive over all subfamilies of each generated instance (asymmetric
-    tables included).  ``corrupt`` drops one universe element from one set
-    after the reduction, as a negative control.
+    tables included).
     """
     tally = _Tally()
     for t in range(trials):
@@ -130,13 +128,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0, corrupt: bool = False) -> C
             accept_p=params.choice((0.4, 0.6, 0.8)),
         )
         g = inst.graph
-        red = labelcover_to_setcover(g, inst.start, inst.goal)
-        system = red.system
-        if corrupt:
-            victim = next(i for i, s in enumerate(system.sets) if s)
-            broken = list(system.sets)
-            broken[victim] = frozenset(sorted(broken[victim])[1:])
-            system = SetSystem(system.elements, tuple(broken), system.set_labels)
+        system = labelcover_to_setcover(g, inst.start, inst.goal).system
         b_size = 2**g.n_symbols
         n_edges = len(g.edges)
         set_blocks = []
@@ -357,8 +349,6 @@ def _toy_verifiers(trials: int, seed: int):
     8-vertex graph) whose tight tables keep the enumeration small; the
     seeded rest stay at 2 or 4 vertices.
     """
-    from .verifier import TableVerifier
-
     eq = bytes([1, 0, 0, 1])
     queries = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 3), (1, 2))
     out = [
@@ -493,8 +483,6 @@ def expander_bounds(trials: int = 12, seed: int = 0) -> CheckReport:
 
 def _claim_verifier(seed: int, t: int):
     """r=4 verifier over an 8-bit proof with one planted always-accepted proof."""
-    from .verifier import TableVerifier
-
     rng = rng_mod.stream(seed, f"claim-verifier:{t}")
     ell = 8
     planted = "".join(rng.choice("01") for _ in range(ell))
@@ -504,16 +492,9 @@ def _claim_verifier(seed: int, t: int):
         positions = (rnd % ell, (rnd + 1 + rnd // ell) % ell)
         if positions[0] == positions[1]:
             positions = (positions[0], (positions[1] + 1) % ell)
-        positions = tuple(positions)
-        table = bytearray(4)
-        for bits in range(4):
-            table[bits] = 1 if rng.random() < 0.25 else 0
-        view = 0
-        for i in positions:
-            view = (view << 1) | (planted[i] == "1")
-        table[view] = 1
+        view = {i: int(planted[i]) for i in positions}
         queries.append(positions)
-        tables.append(bytes(table))
+        tables.append(table_of(positions, lambda read: rng.random() < 0.25 or read == view))
     v = TableVerifier(r=4, q=2, ell=ell, queries=tuple(queries), tables=tuple(tables))
     return v, planted
 

@@ -211,9 +211,12 @@ def _cmd_approx(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_rho(args) -> int:
+def _resolve_rho(args, default: int | None = None) -> int:
+    """--rho, else the rho that --eps and --delta call for, else ``default``."""
     if args.rho is not None:
         return args.rho
+    if args.eps is None and args.delta is None and default is not None:
+        return default
     if args.eps is None or args.delta is None:
         raise StructuralError("give either --rho or both --eps and --delta")
     return choose_rho(args.eps, args.delta)
@@ -353,7 +356,7 @@ def _cmd_pipeline(args) -> int:
     serialize.save(v, out_dir / "00_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
     work = v
     if not args.no_amplify:
-        rho = _resolve_rho(args)
+        rho = _resolve_rho(args, default=2)
         x = _stage(
             "amplify",
             lambda: build_expander(v.n_entries, args.expander_d, args.target_ratio, args.seed),
@@ -457,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--no-amplify", action="store_true")
-    p.add_argument("--rho", type=int, default=2)
+    p.add_argument("--rho", type=int, default=None)
     p.add_argument("--eps", type=_fraction, default=None)
     p.add_argument("--delta", type=_fraction, default=None)
     p.add_argument("--expander-d", type=int, default=4)

@@ -27,7 +27,7 @@ from .core import (
     validate_sequence,
 )
 from .solve import _satisfying
-from .verifier import TableVerifier, accept_prob, accepting_set
+from .verifier import TableVerifier, accept_prob, accepting_set, row_of
 
 # Coordinate encoding of a local-view entry: {0}, {1}, or the joint {0,1}.
 COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
@@ -58,25 +58,28 @@ def symbol_label(coords) -> str:
     return ",".join(COORD_LABELS[c] for c in coords)
 
 
-def _valid_view(v: TableVerifier, rnd: int, coords: tuple[int, ...]) -> bool:
-    """Every bit selection from the view is accepted; unused coordinates are {0}."""
-    m = len(v.queries[rnd])
-    if any(c != COORD_ZERO for c in coords[m:]):
-        return False
-    for bits in product(*(COORD_SETS[c] for c in coords[:m])):
-        view = 0
-        for b in bits:
-            view = (view << 1) | b
-        if v.tables[rnd][view] != 1:
-            return False
-    return True
+def _pins(v: TableVerifier, rnd: int, coords: tuple[int, ...]) -> tuple[int, int] | None:
+    """Masks of the proof positions a valid view pins to 0 and to 1, or None.
+
+    A view is valid iff its unused coordinates are {0} and the entry's
+    table accepts every bit selection from it (listed in query order).
+    """
+    positions = v.queries[rnd]
+    m = len(positions)
+    if any(c != COORD_ZERO for c in coords[m:]) or not all(
+        v.tables[rnd][row_of(bits, range(m))] for bits in product(*(COORD_SETS[c] for c in coords[:m]))
+    ):
+        return None
+    return tuple(sum(1 << i for i, c in zip(positions, coords) if c == pin) for pin in (COORD_ZERO, COORD_ONE))
 
 
 def build_fglss(v: TableVerifier) -> ConstraintGraph:
     """Build the squared-alphabet constraint graph of a table verifier.
 
     Alphabet size is 3^q; the build refuses verifiers whose maximum query
-    count exceeds ``QUERY_CEILING`` rather than approximating.
+    count exceeds ``QUERY_CEILING`` rather than approximating.  Entries
+    are adjacent iff their read masks meet, and two valid views are
+    comparable iff neither pins to 0 a position the other pins to 1.
     """
     if v.q > QUERY_CEILING:
         raise StructuralError(f"verifier reads {v.q} positions per entry, ceiling is {QUERY_CEILING}")
@@ -86,39 +89,23 @@ def build_fglss(v: TableVerifier) -> ConstraintGraph:
     symbols = tuple(symbol_coords(i, width) for i in range(n_symbols))
     alphabet = tuple(symbol_label(c) for c in symbols)
     vertices = tuple(format(rnd, f"0{max(1, v.r)}b") for rnd in range(n))
+    reads = [sum(1 << i for i in positions) for positions in v.queries]
+    # (symbol, zero pins, one pins) of each entry's valid views.
     valid = [
-        tuple(_valid_view(v, rnd, coords) for coords in symbols) for rnd in range(n)
+        [(idx, *pins) for idx, coords in enumerate(symbols) if (pins := _pins(v, rnd, coords))]
+        for rnd in range(n)
     ]
     edges: list[tuple[int, int]] = []
     tables: list[bytes] = []
     for r1 in range(n):
-        q1 = v.queries[r1]
-        pos1 = {i: j for j, i in enumerate(q1)}
         for r2 in range(r1, n):
-            q2 = v.queries[r2]
-            shared = [(pos1[i], j) for j, i in enumerate(q2) if i in pos1]
-            if not shared:
+            if not reads[r1] & reads[r2]:
                 continue
             table = bytearray(n_symbols * n_symbols)
-            for i1 in range(n_symbols):
-                if not valid[r1][i1]:
-                    continue
-                c1 = symbols[i1]
+            for i1, zero1, one1 in valid[r1]:
                 base = i1 * n_symbols
-                for i2 in range(n_symbols):
-                    if not valid[r2][i2]:
-                        continue
-                    c2 = symbols[i2]
-                    ok = True
-                    for j1, j2 in shared:
-                        a, b = c1[j1], c2[j2]
-                        # {0} and {1} are the only incomparable pair.
-                        if (a == COORD_ZERO and b == COORD_ONE) or (
-                            a == COORD_ONE and b == COORD_ZERO
-                        ):
-                            ok = False
-                            break
-                    if ok:
+                for i2, zero2, one2 in valid[r2]:
+                    if not (zero1 & one2 or one1 & zero2):
                         table[base + i2] = 1
             edges.append((r1, r2))
             tables.append(bytes(table))

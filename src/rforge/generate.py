@@ -26,7 +26,7 @@ from .core import (
     is_vertex_cover,
 )
 from .solve import _satisfying
-from .verifier import TableVerifier, csp_to_verifier, encode_assignment
+from .verifier import TableVerifier, csp_to_verifier, encode_assignment, table_of
 from . import rng as rng_mod
 
 
@@ -249,15 +249,8 @@ def generate_verifier_with_accepted_pair(
     tables = []
     for _ in range(2**r):
         positions = tuple(sorted(rng.sample(range(ell), q)))
-        table = bytearray(2**q)
-        for bits in range(2**q):
-            table[bits] = 1 if rng.random() < accept_p else 0
-        for proof in (start, goal):
-            view = 0
-            for i in positions:
-                view = (view << 1) | (proof[i] == "1")
-            table[view] = 1
+        planted = [{i: int(proof[i]) for i in positions} for proof in (start, goal)]
         queries.append(positions)
-        tables.append(bytes(table))
+        tables.append(table_of(positions, lambda read: rng.random() < accept_p or read in planted))
     v = TableVerifier(r=r, q=q, ell=ell, queries=tuple(queries), tables=tuple(tables))
     return v, start, goal

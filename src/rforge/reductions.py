@@ -41,6 +41,11 @@ from .core import (
 )
 
 
+# Most universe elements a cover reduction builds, 21 times the README
+# seed-7 universe; a 196,608-element hypergraph already takes 1.2 GB.
+MAX_UNIVERSE = 2**16
+
+
 # ---------------------------------------------------------------------------
 # Partial assignments -> label cover
 # ---------------------------------------------------------------------------
@@ -193,6 +198,9 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
     """
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
     sigma = g.n_symbols
+    size = len(g.edges) * 2**sigma + sum(not edges for edges in g.incident)
+    if size > MAX_UNIVERSE:
+        raise StructuralError(f"set-cover universe would have {size} elements, ceiling is {MAX_UNIVERSE}")
     pairs = g.pairs
     lookup = {pair: i for i, pair in enumerate(pairs)}
     members: list[set[int]] = [set() for _ in pairs]

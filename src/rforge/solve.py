@@ -245,34 +245,42 @@ def _satisfying(g: ConstraintGraph, bottom: bool, limit: float = math.inf):
         earlier = [(shift, accepts) for shift, accepts in edges if shift < base]
         levels.append((ok, earlier, values, len(head) + len(allowed)))
     f = [BOTTOM] * n
-    nodes = 0
 
-    def rec(v: int, state: int):
-        nonlocal nodes
-        if v == n:
-            yield tuple(f)
-            return
-        ok, earlier, values, width = levels[v]
-        for shift, accepts in earlier:
+    def offered(v: int, state: int):
+        ok = levels[v][0]
+        for shift, accepts in levels[v][1]:
             partner = state >> shift & full
             if partner:
                 ok &= accepts[partner]
-        tried = 0
-        for a in itertools.chain(head, _bits(ok)):
-            rank, bit = values[a]
-            nodes += rank - tried
-            tried = rank
-            if nodes > limit:
-                break
-            f[v] = a
-            yield from rec(v + 1, state | bit)
-        else:
-            nodes += width - tried
-            if nodes <= limit:
-                return
-        raise BudgetExhaustedError(f"satisfying-assignment enumeration exceeded {limit} nodes")
+        return itertools.chain(head, _bits(ok))
 
-    return rec(0, 0)
+    def search():
+        nodes = 0
+        # One frame per vertex being decided: the values it has left to
+        # offer, the rank of the last one tried, and the state before it.
+        # Running out of values counts the rest up to the vertex's width.
+        frames = [[offered(0, 0), 0, 0]]
+        while frames:
+            v = len(frames) - 1
+            frame = frames[-1]
+            _, _, values, width = levels[v]
+            a = next(frame[0], None)
+            rank, bit = (width, 0) if a is None else values[a]
+            nodes += rank - frame[1]
+            frame[1] = rank
+            if nodes > limit:
+                raise BudgetExhaustedError(f"satisfying-assignment enumeration exceeded {limit} nodes")
+            if a is None:
+                frames.pop()
+                continue
+            f[v] = a
+            state = frame[2] | bit
+            if v + 1 == n:
+                yield tuple(f)
+            else:
+                frames.append([offered(v + 1, state), 0, state])
+
+    return search()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 from .core import BOTTOM, ConstraintGraph, StructuralError, normalize_self_loops
 
@@ -74,18 +75,41 @@ def accepting_set(v: TableVerifier, proof: str) -> frozenset[int]:
     """Randomness strings that accept the proof.
 
     The proof is read once; each entry's view indexes its decision table
-    with the bits it reads, big-endian in query order.
+    at ``row_of``, inlined here because this is the hottest loop of the
+    amplification checks.
     """
     _check_proof(v, proof)
     bits = [c == "1" for c in proof]
     accepting = []
     for rnd, (positions, table) in enumerate(zip(v.queries, v.tables)):
-        view = 0
+        row = 0
         for i in positions:
-            view = (view << 1) | bits[i]
-        if table[view]:
+            row = (row << 1) | bits[i]
+        if table[row]:
             accepting.append(rnd)
     return frozenset(accepting)
+
+
+def row_of(bits: Mapping[int, int] | Sequence[int], positions: Sequence[int]) -> int:
+    """The decision-table row a read selects: ``bits[i]`` for i in
+    ``positions``, big-endian in query order."""
+    row = 0
+    for i in positions:
+        row = (row << 1) | bits[i]
+    return row
+
+
+def table_of(positions: Sequence[int], accepts: Callable[[dict[int, int]], bool]) -> bytes:
+    """The decision table over ``positions``: row k is 1 iff ``accepts`` takes its read.
+
+    ``accepts`` is called once per row, rows ascending, with the read as a
+    position -> bit dict (``row_of(read, positions) == k``).  Generators
+    that draw from a random stream inside ``accepts`` rely on this order.
+    """
+    return bytes(
+        1 if accepts(dict(zip(positions, bits))) else 0
+        for bits in product((0, 1), repeat=len(positions))
+    )
 
 
 def degree(v: TableVerifier, i: int) -> int:
@@ -140,8 +164,7 @@ def csp_to_verifier(g: ConstraintGraph) -> TableVerifier:
     norm = normalize_self_loops(g)
     if not norm.edges:
         raise StructuralError("constraint graph has no non-loop edges to check")
-    s = norm.n_symbols
-    b = symbol_bits(s)
+    b = symbol_bits(norm.n_symbols)
     ell = b * norm.n_vertices
     n_edges = len(norm.edges)
     r = max(1, (n_edges - 1).bit_length())
@@ -150,16 +173,13 @@ def csp_to_verifier(g: ConstraintGraph) -> TableVerifier:
     for rnd in range(2**r):
         e_idx = rnd % n_edges
         v, w = norm.edges[e_idx]
-        positions = tuple(range(v * b, (v + 1) * b)) + tuple(range(w * b, (w + 1) * b))
-        table = bytearray(2 ** (2 * b))
-        for bits in range(len(table)):
-            alpha = bits >> b
-            beta = bits & ((1 << b) - 1)
-            if alpha >= s or beta >= s:
-                continue
-            if alpha not in norm.admissible[v] or beta not in norm.admissible[w]:
-                continue
-            table[bits] = norm.tables[e_idx][alpha * s + beta]
+        at_v, at_w = range(v * b, (v + 1) * b), range(w * b, (w + 1) * b)
+
+        def accepts(read):
+            alpha, beta = row_of(read, at_v), row_of(read, at_w)
+            return alpha in norm.admissible[v] and beta in norm.admissible[w] and norm.accepts(e_idx, (alpha, beta))
+
+        positions = (*at_v, *at_w)
         queries.append(positions)
-        tables.append(bytes(table))
+        tables.append(table_of(positions, accepts))
     return TableVerifier(r=r, q=2 * b, ell=ell, queries=tuple(queries), tables=tuple(tables))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rforge.amplify import (
+    MAX_RANDOMNESS,
     ExpanderGraph,
     _config_model_rotation,
     amplify,
@@ -253,6 +254,15 @@ class TestAmplify:
         x = build_expander(4, 3, 0.9, seed=0)
         with pytest.raises(StructuralError):
             amplify(v, x, 2)
+
+    def test_randomness_ceiling_refuses_before_enumerating(self):
+        # Two port bits per step: the first rho past the ceiling is refused
+        # before any of its entries is enumerated.
+        v = always_accepting(r=1, q=1, ell=1)
+        x = build_expander(2, 4, 0.9, seed=0)
+        rho = (MAX_RANDOMNESS - v.r) // 2 + 2
+        with pytest.raises(StructuralError, match=f"r={v.r + 2 * (rho - 1)} random bits, ceiling is {MAX_RANDOMNESS}"):
+            amplify(v, x, rho)
 
 
 class TestDegreeReport:

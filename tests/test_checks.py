@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rforge import checks
-from rforge.core import StructuralError
+from rforge.core import SetCoverInstance, SetSystem, StructuralError
 
 
 def test_registry_names():
@@ -33,12 +33,23 @@ def test_run_suite_threads_trials_and_seed():
     assert rep.trials == 3 and rep.passed
 
 
-def test_corrupted_gadget_fails_with_counterexample():
+def test_corrupted_gadget_fails_with_counterexample(monkeypatch):
     # negative control: the harness must notice a broken gadget and report
     # the offending instance verbatim
-    rep = checks.lemma_setcover(trials=10, seed=4, corrupt=True)
+    reduce = checks.labelcover_to_setcover
+
+    def corrupted(g, start, goal):
+        inst = reduce(g, start, goal)
+        sets = list(inst.system.sets)
+        victim = next(i for i, members in enumerate(sets) if members)
+        sets[victim] = frozenset(sorted(sets[victim])[1:])
+        system = SetSystem(inst.system.elements, tuple(sets), inst.system.set_labels)
+        return SetCoverInstance(system, inst.start, inst.goal)
+
+    monkeypatch.setattr(checks, "labelcover_to_setcover", corrupted)
+    rep = checks.lemma_setcover(trials=10, seed=4)
     assert not rep.passed
-    assert rep.violations > 0
+    assert rep.violations == 1
     payload = json.loads(rep.counterexample)
     assert payload["instance"]["type"] == "labelcover_instance"
     assert "FAIL" in rep.summary()

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rforge
 from rforge import checks, cli, serialize, solve
 from rforge.checks import CheckReport
 from rforge.cli import main
@@ -23,6 +28,14 @@ BUNDLE_OF_PROBLEM = {
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_bounded(*argv, seconds=60):
+    """Run the CLI in a child process that is killed after ``seconds``."""
+    src = str(Path(rforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "rforge.cli", *map(str, argv)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=seconds, env=env)
 
 
 def toy_verifier_file(path):
@@ -101,6 +114,14 @@ class TestGen:
         assert run(*argv) == 2
         assert "too large to enumerate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_thousand_vertex_csp_is_written(self, tmp_path):
+        # one satisfying assignment, found 1,200 vertices deep
+        out = tmp_path / "csp.json"
+        argv = ["gen", "--kind", "csp", "--vertices", 1200, "--alphabet", 1, "--density", 0, "--out", out]
+        assert run(*argv) == 0
+        inst = serialize.load(out)
+        assert inst.graph.n_vertices == 1200 and inst.start == inst.goal == (0,) * 1200
 
     def test_pruned_search_enumerates_past_the_raw_space(self, tmp_path):
         # 4^9 raw assignments, but the pruned search visits few nodes
@@ -378,6 +399,15 @@ class TestAmplifyCommand:
         ver = toy_verifier_file(tmp_path / "v.json")
         assert run("amplify", "--in", ver, "--out", tmp_path / "x.json") == 2
 
+    def test_randomness_ceiling_exits_2_at_once(self, tmp_path):
+        # rho = 28 would enumerate 2^55 entries
+        ver = toy_verifier_file(tmp_path / "v.json")
+        out = tmp_path / "amp.json"
+        done = run_bounded("amplify", "--in", ver, "--out", out, "--eps", "1/3", "--delta", "1/100")
+        assert done.returncode == 2
+        assert "amplified verifier needs r=55 random bits, ceiling is 18" in done.stderr
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_passing_suite_exits_0(self, capsys):
@@ -464,6 +494,23 @@ class TestPipeline:
         assert "| amplified | accept(start) | 1 |" in report
         assert "| fglss | maxpar | 1/1" in report
         assert "| labelcover | minlab | 1/1" in report
+
+    def test_eps_delta_choose_rho(self, tmp_path):
+        # choose_rho(1, 1/3) = ceil(2 ln 3) = 3, so two 2-bit port choices
+        ver = toy_verifier_file(tmp_path / "v.json")
+        small = ["--cap", 100, "--max-gadget-alphabet", 2]
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "eps", "--eps", 1, "--delta", "1/3", *small) == 0
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "rho", "--rho", 3, *small) == 0
+        amped = (tmp_path / "eps" / "01_amplified_verifier.json").read_bytes()
+        assert amped == (tmp_path / "rho" / "01_amplified_verifier.json").read_bytes()
+        assert serialize.load_verifier(tmp_path / "eps" / "01_amplified_verifier.json")[0].r == 5
+
+    def test_randomness_ceiling_carries_the_stage_name(self, tmp_path):
+        ver = toy_verifier_file(tmp_path / "v.json")
+        done = run_bounded("pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--rho", 28)
+        assert done.returncode == 2
+        assert "error: [stage amplify] amplified verifier needs r=55 random bits" in done.stderr
+        assert not (tmp_path / "s" / "01_amplified_verifier.json").exists()
 
     def test_report_regenerates_byte_identically(self, tmp_path, capsys):
         ver = toy_verifier_file(tmp_path / "v.json")

@@ -5,9 +5,11 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rforge import reductions, serialize
 from rforge.cli import main
 from rforge.core import (
     ConstraintGraph,
+    LabelCoverInstance,
     StructuralError,
     is_cover,
     is_vertex_cover,
@@ -370,6 +372,38 @@ class TestEdgelessVertices:
             labelcover_to_setcover(g, (frozenset({0}),), (frozenset({1}),))
         with pytest.raises(StructuralError, match="on no edge"):
             labelcover_to_hvc(g, (frozenset({0}),), (frozenset({1}),))
+
+
+class TestUniverseCeiling:
+    @pytest.mark.parametrize("reduce", [labelcover_to_setcover, labelcover_to_hvc])
+    def test_readme_seed7_universe_sits_at_a_ceiling_of_its_size(self, tmp_path, monkeypatch, reduce):
+        path = lambda name: str(tmp_path / name)
+        main(["gen", "--kind", "verifier", "--out", path("v.json"), "--seed", "7"])
+        for step, src, dst in (("fglss", "v", "fglss"), ("normalize", "fglss", "norm"), ("p2l", "norm", "lc")):
+            assert main(["reduce", step, "--in", path(f"{src}.json"), "--out", path(f"{dst}.json")]) == 0
+        inst = serialize.load(tmp_path / "lc.json")
+        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 3072)
+        reduce(inst.graph, inst.start, inst.goal)
+        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 3071)
+        with pytest.raises(StructuralError, match="universe would have 3072 elements, ceiling is 3071"):
+            reduce(inst.graph, inst.start, inst.goal)
+
+    @pytest.mark.parametrize("step", ["l2sc", "l2hvc"])
+    def test_oversized_label_cover_exits_2_before_building(self, tmp_path, capsys, step):
+        # one edge over 16 symbols (2^16 block elements) and one vertex on
+        # no edge: one element past the ceiling
+        n_symbols = 16
+        g = ConstraintGraph(
+            ("u", "v", "w"), 2, tuple(map(str, range(n_symbols))), ((0, 1),), (bytes([1] * n_symbols**2),),
+            admissible=(frozenset(range(n_symbols)),) * 3,
+        )
+        assert 2**n_symbols == reductions.MAX_UNIVERSE
+        labels = (frozenset({0}),) * 3
+        serialize.save(LabelCoverInstance(g, labels, labels), tmp_path / "lc.json")
+        out = tmp_path / "out.json"
+        assert main(["reduce", step, "--in", str(tmp_path / "lc.json"), "--out", str(out)]) == 2
+        assert "universe would have 65537 elements" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @given(st.integers(0, 10**6))

@@ -1,13 +1,16 @@
 """Table verifiers: acceptance, degrees, regularity, CSP wrapping."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from rforge import checks, serialize
 from rforge.amplify import amplify, build_expander
+from rforge.cli import main
 from rforge.core import ConstraintGraph, StructuralError, satisfies_partial
-from rforge.generate import generate_csp
+from rforge.generate import generate_csp, generate_verifier_with_accepted_pair
 from rforge.verifier import (
     TableVerifier,
     accept_prob,
@@ -17,7 +20,9 @@ from rforge.verifier import (
     degrees,
     encode_assignment,
     regularity,
+    row_of,
     symbol_bits,
+    table_of,
 )
 
 EQ = bytes([1, 0, 0, 1])
@@ -224,3 +229,62 @@ class TestCspToVerifier:
         assert v.r == 2
         assert v.queries[3] == v.queries[0]
         assert v.tables[3] == v.tables[0]
+
+
+class TestRows:
+    def test_row_is_big_endian_in_query_order(self):
+        read = {5: 1, 2: 0, 7: 1}
+        assert row_of(read, (5, 2, 7)) == 0b101
+        assert row_of(read, (7, 2, 5)) == 0b101
+        assert row_of(read, (2, 5, 7)) == 0b011
+        assert row_of([0, 1, 1], (2, 0)) == 0b10
+
+    def test_table_calls_once_per_row_in_row_order(self):
+        positions = (4, 1, 6)
+        seen = []
+        table = table_of(positions, lambda read: seen.append(read) or row_of(read, positions) % 3 == 0)
+        assert [row_of(read, positions) for read in seen] == list(range(8))
+        assert all(set(read) == set(positions) for read in seen)
+        assert table == bytes([1, 0, 0, 1, 0, 0, 1, 0])
+
+    def test_empty_read_gives_one_row(self):
+        assert table_of((), lambda read: read == {}) == bytes([1])
+
+
+class TestTableBytesArePinned:
+    """sha256 of tables written before one module owned the row order."""
+
+    def test_readme_amplify_and_its_fglss(self, tmp_path):
+        path = lambda name: str(tmp_path / name)
+        main(["gen", "--kind", "verifier", "--out", path("v.json"), "--seed", "7"])
+        argv = ["amplify", "--in", path("v.json"), "--out", path("amp.json"), "--eps", "3/5", "--delta", "11/20"]
+        assert main(argv + ["--expander-d", "4", "--target-ratio", "0.9", "--seed", "1"]) == 0
+        assert main(["reduce", "fglss", "--in", path("amp.json"), "--out", path("fglss.json")]) == 0
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("amp.json") == "8e6453774a0c949cec790d602e4bda9fa964d334fe59bdc1fff1ef2948abc4d8"
+        assert digest("fglss.json") == "a55e23106b9001499e3f8ab0ceba837c89fe83cea1fad50d40601eed015d8cbf"
+
+    @pytest.mark.parametrize(
+        "shape, seed, sha",
+        [
+            ((2, 2, 4), 0, "66d73ef82a9409267bb13510c5bfddaa0b8b28afde2d795df7c1a8e0c89a190b"),
+            ((3, 2, 5), 1, "f32417147c7eb03e3acaf56e1c7a22402b031278f2ded4206c557450a12bbf72"),
+            ((2, 3, 4), 2, "9af91575afcf46a9a039aad0525ca8cc511cbac58fd46b4ef330c73057df7edc"),
+        ],
+    )
+    def test_planted_pair_verifiers(self, tmp_path, shape, seed, sha):
+        v, start, goal = generate_verifier_with_accepted_pair(seed, *shape)
+        serialize.save(v, tmp_path / "v.json", pi_start=start, pi_goal=goal)
+        assert hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize(
+        "seed, t, sha",
+        [
+            (0, 0, "e265fbfda411ab0db0527beb30fb4ea98d469569c38b7e9c2c400fd0243c4de7"),
+            (7, 2, "73c3ee891efeb8258444e6952bd075d6524f44a23ffee7a311f208cd1f7f41d3"),
+        ],
+    )
+    def test_claim_accept_verifiers(self, tmp_path, seed, t, sha):
+        v, planted = checks._claim_verifier(seed, t)
+        serialize.save(v, tmp_path / "v.json", pi_start=planted, pi_goal=planted)
+        assert hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest() == sha
