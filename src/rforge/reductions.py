@@ -4,10 +4,11 @@ Three constructions:
 
 * singleton lifting of partial assignments to label-cover multi
   assignments, with the half-step witness transformation,
-* label cover -> minmax set cover over the universe E x B, where
-  B = {0,1}^Sigma and the hypercube gadgets Q̄ and Q turn edge
-  satisfaction into coverage of the edge's block, plus one element per
-  vertex on no edge,
+* label cover -> minmax set cover over one block per edge, where the
+  block B_e holds the vectors of {0,1}^Sigma supported on the admissible
+  symbols of the edge's endpoint with fewer of them, and the hypercube
+  gadgets Q̄ and Q turn edge satisfaction into coverage of that block,
+  plus one element per vertex on no edge,
 * label cover -> minmax hypergraph vertex cover as the transpose of the
   set-cover instance (one hyperedge per element, holding the sets that
   contain it), padded to a uniform hyperedge size.
@@ -41,8 +42,9 @@ from .core import (
 )
 
 
-# Most universe elements a cover reduction builds, 21 times the README
-# seed-7 universe; a 196,608-element hypergraph already takes 1.2 GB.
+# Most universe elements a cover reduction builds, counted over the edge
+# blocks before any is built; a 196,608-element hypergraph already takes
+# 1.2 GB.
 MAX_UNIVERSE = 2**16
 
 
@@ -117,20 +119,36 @@ def project_multi_sequence(g: ConstraintGraph, seq: ReconfigSequence) -> Reconfi
 
 
 # ---------------------------------------------------------------------------
-# Hypercube gadgets over B = {0,1}^sigma (bit j of x is x's value at symbol j)
+# Hypercube gadgets over {0,1}^sigma (bit j of x is x's value at symbol j),
+# optionally restricted to the vectors supported on a symbol set
 # ---------------------------------------------------------------------------
 
 
-def _cube(sigma: int, symbols, meets: bool) -> frozenset[int]:
-    """Vectors of {0,1}^sigma that meet (or miss) the bits of ``symbols``."""
-    if sigma < 1:
-        raise StructuralError("gadget space needs at least one symbol")
+def _mask(sigma: int, symbols) -> int:
+    """Bitmask of ``symbols``, each checked against the alphabet."""
     mask = 0
     for a in symbols:
         if not 0 <= a < sigma:
             raise StructuralError(f"symbol {a} outside the alphabet of size {sigma}")
         mask |= 1 << a
-    return frozenset(x for x in range(2**sigma) if bool(x & mask) == meets)
+    return mask
+
+
+def _cube(sigma: int, symbols, meets: bool, support=None) -> frozenset[int]:
+    """Vectors of {0,1}^sigma that meet (or miss) the bits of ``symbols``.
+
+    Only vectors whose set bits lie in ``support`` (default: the whole
+    alphabet) are considered.
+    """
+    if sigma < 1:
+        raise StructuralError("gadget space needs at least one symbol")
+    mask = _mask(sigma, symbols)
+    within = (1 << sigma) - 1 if support is None else _mask(sigma, support)
+    vectors = [0]
+    for a in range(sigma):
+        if within >> a & 1:
+            vectors += [x | 1 << a for x in vectors]
+    return frozenset(x for x in vectors if bool(x & mask) == meets)
 
 
 def q_alpha(sigma: int, alpha: int) -> frozenset[int]:
@@ -138,18 +156,20 @@ def q_alpha(sigma: int, alpha: int) -> frozenset[int]:
     return _cube(sigma, (alpha,), True)
 
 
-def qbar_alpha(sigma: int, alpha: int) -> frozenset[int]:
+def qbar_alpha(sigma: int, alpha: int, support=None) -> frozenset[int]:
     """Q̄_a = vectors with bit a clear."""
-    return _cube(sigma, (alpha,), False)
+    return _cube(sigma, (alpha,), False, support)
 
 
-def q_subset(sigma: int, symbols) -> frozenset[int]:
+def q_subset(sigma: int, symbols, support=None) -> frozenset[int]:
     """Q_S = union of Q_a over a in S; empty S gives the empty set.
 
-    The law Q̄_a ∪ Q_S = B iff a in S is what the coverage equivalence of
-    the set-cover reduction rests on.
+    Within the block B_A of vectors supported on A, the law
+    Q̄_a ∪ Q_S ⊇ B_A iff a in S (for a in A and S ⊆ A; the witness is
+    the vector {a}) is what the coverage equivalence of the set-cover
+    reduction rests on.
     """
-    return _cube(sigma, symbols, True)
+    return _cube(sigma, symbols, True, support)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +193,15 @@ def _check_labelcover_endpoints(g: ConstraintGraph, f_start, f_goal):
 
 
 def _edge_lo_hi(g: ConstraintGraph, e_idx: int):
-    """Orient an edge by vertex index; sat(a_lo, b_hi) reads the stored table."""
+    """Orient an edge for the gadget; sat(a_lo, b_hi) reads the stored table.
+
+    ``lo`` is the endpoint with fewer admissible symbols, the lower vertex
+    index on a tie: its sets take the Q̄ gadgets, and its admissible
+    symbols span the edge's block.
+    """
     v, w = g.edges[e_idx]
-    if v <= w:
+    key = lambda u: (len(g.allowed_symbols(u)), u)
+    if key(v) <= key(w):
         lo, hi = v, w
         sat = lambda a, b: g.tables[e_idx][a * g.n_symbols + b] == 1
     else:
@@ -189,33 +215,39 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
 
     Returns the label of each set S_{v,a}, each set's members as universe
     element indices, the element labels, and the start and goal covers.
-    Elements are (e, x) for each edge e and hypercube vector x, then one
-    element per vertex v on no edge.  Every S_{v,a} of an edgeless vertex
-    covers v's element, so a cover keeps a label at v as label cover must
-    when admissible sets (folded self-loops) forbid the empty set.  Without
-    admissible sets the identity cannot hold there, and the vertex is
-    rejected.
+    Elements are (e, x) for each edge e and each vector x of its block,
+    then one element per vertex v on no edge.  The block of e = (lo, hi)
+    is B_e = {x in {0,1}^Sigma : supp(x) ⊆ A(lo)}, ascending, with A(lo)
+    the admissible symbols of the endpoint ``_edge_lo_hi`` picks; only
+    those bits tell the sets of e's endpoints apart.  Every S_{v,a} of an
+    edgeless vertex covers v's element, so a cover keeps a label at v as
+    label cover must when admissible sets (folded self-loops) forbid the
+    empty set.  Without admissible sets the identity cannot hold there,
+    and the vertex is rejected.
     """
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
     sigma = g.n_symbols
-    size = len(g.edges) * 2**sigma + sum(not edges for edges in g.incident)
+    sides = [_edge_lo_hi(g, e_idx) for e_idx in range(len(g.edges))]
+    size = sum(2 ** len(g.allowed_symbols(lo)) for lo, _, _ in sides)
+    size += sum(not edges for edges in g.incident)
     if size > MAX_UNIVERSE:
         raise StructuralError(f"set-cover universe would have {size} elements, ceiling is {MAX_UNIVERSE}")
     pairs = g.pairs
     lookup = {pair: i for i, pair in enumerate(pairs)}
     members: list[set[int]] = [set() for _ in pairs]
     elements: list[str] = []
-    for e_idx in range(len(g.edges)):
-        base = len(elements)
-        elements += [f"e{e_idx},{format(x, f'0{sigma}b')}" for x in range(2**sigma)]
-        lo, hi, sat = _edge_lo_hi(g, e_idx)
-        for a in sorted(g.allowed_symbols(lo)):
-            members[lookup[(lo, a)]].update(base + x for x in qbar_alpha(sigma, a))
+    for e_idx, (lo, hi, sat) in enumerate(sides):
+        support = g.allowed_symbols(lo)
+        block = sorted(_cube(sigma, (), False, support))  # no x meets (): all of B_e
+        index = {x: len(elements) + i for i, x in enumerate(block)}
+        elements += [f"e{e_idx},{format(x, f'0{sigma}b')}" for x in block]
+        for a in sorted(support):
+            members[lookup[(lo, a)]].update(index[x] for x in qbar_alpha(sigma, a, support))
         for b in sorted(g.allowed_symbols(hi)):
             # The satisfaction-compatible partners of b make coverage of
             # the edge block coincide with edge satisfaction.
-            partners = [a for a in g.allowed_symbols(lo) if sat(a, b)]
-            members[lookup[(hi, b)]].update(base + x for x in q_subset(sigma, partners))
+            partners = [a for a in support if sat(a, b)]
+            members[lookup[(hi, b)]].update(index[x] for x in q_subset(sigma, partners, support))
     for v in range(g.n_vertices):
         if g.incident[v]:
             continue
@@ -231,13 +263,14 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
 
 
 def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInstance:
-    """Build the E x B set-cover instance of a loop-free label-cover instance.
+    """Build the set-cover instance over the edge blocks of a loop-free label cover.
 
     One set S_{v,a} per vertex and admissible symbol: for each incident
-    edge, the smaller endpoint contributes the edge's block restricted to
-    Q̄_a and the larger endpoint the block restricted to Q over its
-    partner symbols; the sets of a vertex on no edge share one element of
-    their own.  Covers map to multi assignments by membership.
+    edge, the endpoint with fewer admissible symbols contributes the
+    edge's block restricted to Q̄_a and the other endpoint the block
+    restricted to Q over its partner symbols; the sets of a vertex on no
+    edge share one element of their own.  Covers map to multi assignments
+    by membership.
     """
     set_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
     system = SetSystem(
@@ -252,16 +285,18 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInsta
 
 
 def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcInstance:
-    """Transpose of the set-cover reduction, padded to 2|Sigma|-uniform.
+    """Transpose of the set-cover reduction, padded to 2k-uniform.
 
-    Hyperedge T_{e,x} collects the (vertex, symbol) pairs whose set
-    contains the universe element (e, x), and T_v those of a vertex v on
-    no edge; fresh per-hyperedge padding vertices ``pad(<element>,k)``
-    bring every hyperedge to size exactly 2|Sigma|.  The real vertices,
-    one per pair in set order, precede the padding vertices.
+    k is the largest admissible set, max_v |A(v)|.  Hyperedge T_{e,x}
+    collects the (vertex, symbol) pairs whose set contains the universe
+    element (e, x), at most |A(v)| + |A(w)| for e = (v, w), and T_v those
+    of a vertex v on no edge; fresh per-hyperedge padding vertices
+    ``pad(<element>,i)`` bring every hyperedge to size exactly 2k.  The
+    real vertices, one per pair in set order, precede the padding
+    vertices.
     """
     vertex_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
-    uniformity = 2 * g.n_symbols
+    uniformity = 2 * max(len(g.allowed_symbols(v)) for v in range(g.n_vertices))
     hyperedges = transpose(sets, len(elements))
     for edge, label in zip(hyperedges, elements):
         if len(edge) > uniformity:

@@ -1,6 +1,7 @@
 """Gap-preserving reductions: lifting, gadgets, coverage equivalence, padding."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from rforge.core import (
     StructuralError,
     is_cover,
     is_vertex_cover,
+    multi_edge_satisfied,
     multi_size,
     satisfies_multi,
     validate_sequence,
@@ -143,10 +145,109 @@ class TestGadgets:
                     assert covers == meets
 
     def test_out_of_range_symbol_rejected(self):
-        for gadget in (q_alpha, qbar_alpha, lambda sigma, a: q_subset(sigma, {0, a})):
+        gadgets = (
+            q_alpha,
+            qbar_alpha,
+            lambda sigma, a: q_subset(sigma, {0, a}),
+            lambda sigma, a: qbar_alpha(sigma, 0, {0, a}),  # a in the support
+        )
+        for gadget in gadgets:
             for alpha in (5, 2, -1):
                 with pytest.raises(StructuralError, match="outside the alphabet"):
                     gadget(2, alpha)
+
+
+def uneven_labelcover(seed: int) -> LabelCoverInstance:
+    """A generated 3-vertex label cover over 3 symbols with a random
+    admissible set per vertex that keeps its start and goal labels; a
+    vertex may be on no edge."""
+    rng = random.Random(seed)
+    inst = generate_labelcover(seed, n_vertices=3, alphabet_size=3, density=0.7, ensure_incident=False)
+    g = inst.graph
+    admissible = []
+    for v in range(g.n_vertices):
+        keep = inst.start[v] | inst.goal[v]
+        extra = [a for a in range(g.n_symbols) if a not in keep]
+        admissible.append(keep | frozenset(rng.sample(extra, rng.randrange(len(extra) + 1))))
+    graph = ConstraintGraph(g.vertices, 2, g.alphabet, g.edges, g.tables, tuple(admissible))
+    return LabelCoverInstance(graph, inst.start, inst.goal)
+
+
+class TestRestrictedGadgets:
+    """Each edge's block spans only the admissible symbols A of its endpoint
+    with fewer of them: B_A = {x : supp(x) ⊆ A}."""
+
+    def test_law_on_every_support(self):
+        # Q̄_a ∪ Q_S ⊇ B_A iff a in S, for every A ⊆ Sigma, a in A, S ⊆ A
+        for sigma in range(1, 5):
+            for a_mask in range(1, 2**sigma):
+                support = [x for x in range(sigma) if a_mask >> x & 1]
+                block = frozenset(x for x in range(2**sigma) if x & ~a_mask == 0)
+                for s_mask in range(2**sigma):
+                    if s_mask & ~a_mask:
+                        continue
+                    chosen_s = {x for x in support if s_mask >> x & 1}
+                    q = q_subset(sigma, chosen_s, support)
+                    assert q <= block
+                    for alpha in support:
+                        qbar = qbar_alpha(sigma, alpha, support)
+                        assert qbar <= block
+                        assert (qbar | q >= block) == (alpha in chosen_s)
+
+    def test_coverage_is_edge_satisfaction_on_uneven_admissible_sets(self):
+        flipped = 0
+        for seed in range(20):
+            inst = uneven_labelcover(seed)
+            g = inst.graph
+            flipped += sum(len(g.admissible[w]) < len(g.admissible[v]) for v, w in g.edges)
+            system = labelcover_to_setcover(g, inst.start, inst.goal).system
+            blocks = [
+                {i for i, label in enumerate(system.elements) if label.startswith(f"(e{e_idx},")}
+                for e_idx in range(len(g.edges))
+            ]
+            for chosen in all_subfamilies(system.n_sets):
+                f = cover_to_labels(g, chosen)
+                covered = set().union(*(system.sets[i] for i in chosen))
+                for e_idx, block in enumerate(blocks):
+                    assert (block <= covered) == multi_edge_satisfied(g, e_idx, f)
+        assert flipped > 0  # some edges put their higher-index endpoint on the Q̄ side
+
+    def test_costs_and_sizes_on_uneven_admissible_sets(self):
+        flipped = above_one = edgeless = 0
+        for seed in range(40):
+            inst = uneven_labelcover(seed)
+            g = inst.graph
+            flipped += sum(len(g.admissible[w]) < len(g.admissible[v]) for v, w in g.edges)
+            red = labelcover_to_setcover(g, inst.start, inst.goal)
+            hred = labelcover_to_hvc(g, inst.start, inst.goal)
+            k = [len(g.admissible[v]) for v in range(g.n_vertices)]
+            n_edgeless = sum(not edges for edges in g.incident)
+            edgeless += n_edgeless
+            size = sum(2 ** min(k[v], k[w]) for v, w in g.edges) + n_edgeless
+            assert red.system.n_elements == len(hred.hypergraph.hyperedges) == size
+            assert hred.hypergraph.uniformity == 2 * max(k)
+            minlab = solve_minlab(g, inst.start, inst.goal)
+            sc = solve_cost_setcover(red.system, red.start, red.goal)
+            hv = solve_cost_hvc(hred.hypergraph, hred.start, hred.goal)
+            assert minlab.value == sc.value == hv.value
+            above_one += minlab.value > 1
+        assert flipped > 0 and above_one > 0 and edgeless > 0
+
+    def test_graph_without_admissible_sets_keeps_its_bytes(self, tmp_path):
+        # Without admissible sets every block is the full cube and edges
+        # keep their lower-index endpoint on the Q̄ side.  sha256 captured
+        # before the blocks were restricted.
+        pinned = {
+            "l2sc": "3675d93c172a6b7b5246ce069ed74d75986ebb332cd73ae06c60def36e513326",
+            "l2hvc": "fc580b959fa32593144cf8e7a3a9748830cbe562f700aeb91252d81ea0e4a231",
+        }
+        lc = str(tmp_path / "lc.json")
+        main(["gen", "--kind", "labelcover", "--out", lc, "--seed", "5", "--vertices", "4", "--alphabet", "3"])
+        assert serialize.load(lc).graph.admissible is None
+        for step in pinned:
+            assert main(["reduce", step, "--in", lc, "--out", str(tmp_path / f"{step}.json")]) == 0
+        digest = lambda step: hashlib.sha256((tmp_path / f"{step}.json").read_bytes()).hexdigest()
+        assert {step: digest(step) for step in pinned} == pinned
 
 
 class TestSetCoverReduction:
@@ -263,14 +364,16 @@ class TestHvcReduction:
     def test_readme_seed7_bytes_are_pinned(self, tmp_path):
         # sha256 of the `reduce` files of the README seed-7 verifier and of
         # its `pipeline --no-amplify` stage files and report, captured before
-        # both cover reductions were built from one builder (sc, hvc) and
-        # before one step table drove `reduce` and `pipeline` (the rest).
+        # one step table drove `reduce` and `pipeline` (fglss, normalize,
+        # p2l) and when each edge's gadget block came to span only the
+        # admissible symbols of its endpoint with fewer of them (sc, hvc,
+        # report).
         pinned = {
             "fglss": "158ef02f2ac2b6760573972d347eb811364440c6af758e1368dfc1a30feb4eba",
             "normalize": "aa0d1a7637ae77f74737a60ec1e6e8320afc09ae85e2f96a207e9d4d8ebf543b",
             "p2l": "37ce86d98f5f5a009d1cd99e842e50394fc7d0b46ab27be321f913a93239ddae",
-            "l2sc": "2d79aaf5a9dd426b68d33b4030fc69c0d2769dbf8b2e493cc9ca7545f280a601",
-            "l2hvc": "f2a93c8698df8a40caa50aab5dc0eef50273f1f0db073ccd9754ba01b03d161f",
+            "l2sc": "e4e46e91b543b1a8e8027df17aa1460776ab611536fe7ce19e46463d0bf62c5e",
+            "l2hvc": "85ef848df1773f1b9d7faa2f8e585727fb41666352a0c80b0579bfccae2e44ac",
         }
         digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
         main(["gen", "--kind", "verifier", "--out", str(tmp_path / "v.json"), "--seed", "7"])
@@ -283,7 +386,7 @@ class TestHvcReduction:
         assert main(["pipeline", "--in", str(tmp_path / "v.json"), "--out-dir", str(stages), "--no-amplify"]) == 0
         files = ("02_fglss", "03_normalized", "04_labelcover", "05_setcover", "06_hvc")
         assert [digest(stages / f"{name}.json") for name in files] == list(pinned.values())
-        assert digest(stages / "report.md") == "336f6a3532086e0351a372427081fffd0209714b6cc6b53a3fdaf2ad649e1a44"
+        assert digest(stages / "report.md") == "ae227dd74d0f77f25b9a6165b9b6b5ef3f14f963d82451e8e8ad3e031fd25fe8"
 
     def test_readme_seed7_solve_bytes_are_pinned(self, tmp_path):
         # sha256 of the `solve maxpar --out` file of the README seed-7 FGLSS
@@ -382,10 +485,11 @@ class TestUniverseCeiling:
         for step, src, dst in (("fglss", "v", "fglss"), ("normalize", "fglss", "norm"), ("p2l", "norm", "lc")):
             assert main(["reduce", step, "--in", path(f"{src}.json"), "--out", path(f"{dst}.json")]) == 0
         inst = serialize.load(tmp_path / "lc.json")
-        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 3072)
+        # six edges, each a block over the 2^5 vectors of its smaller endpoint
+        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 192)
         reduce(inst.graph, inst.start, inst.goal)
-        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 3071)
-        with pytest.raises(StructuralError, match="universe would have 3072 elements, ceiling is 3071"):
+        monkeypatch.setattr(reductions, "MAX_UNIVERSE", 191)
+        with pytest.raises(StructuralError, match="universe would have 192 elements, ceiling is 191"):
             reduce(inst.graph, inst.start, inst.goal)
 
     @pytest.mark.parametrize("step", ["l2sc", "l2hvc"])

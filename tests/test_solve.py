@@ -578,10 +578,10 @@ README_SEED7_REPORT = """\
 | fglss | maxpar | 3/4 (~0.750000) |
 | normalized | vertices/edges/admissible | 4/6/20 |
 | labelcover | minlab | 6/5 (~1.200000) |
-| setcover | universe/sets | 3072/20 |
+| setcover | universe/sets | 192/20 |
 | setcover | opt | 4 |
 | setcover | cost | 6/5 (~1.200000) |
-| hvc | vertices/hyperedges/uniformity | 34820/3072/18 |
+| hvc | vertices/hyperedges/uniformity | 659/192/10 |
 | hvc | beta | 4 |
 | hvc | cost | 6/5 (~1.200000) |
 """
@@ -606,7 +606,8 @@ class TestKernelPipelines:
         report, _ = self._pipeline(tmp_path, 7)
         assert report == README_SEED7_REPORT
         # Both kernels have 16 items and 18 hit sets, against 20 sets and
-        # 3,072 elements, or 34,820 vertices and 3,072 hyperedges.
+        # 192 elements, or 659 vertices and 192 hyperedges (3,072 elements,
+        # or 34,820 vertices, when every edge block was the full cube).
         sc = serialize.load(tmp_path / "stages" / "05_setcover.json")
         hv = serialize.load(tmp_path / "stages" / "06_hvc.json")
         families = transpose(sc.system.sets, sc.system.n_elements)
