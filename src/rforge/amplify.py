@@ -2,9 +2,11 @@
 
 The amplifier re-runs a base verifier along the vertices of a random walk
 on a d-regular expander whose vertex set is the verifier's randomness
-space, ANDing the decisions.  With a certified spectral ratio below a
-quarter of the base soundness gap, the rejection probability of a bad
-proof decays geometrically in the walk length.
+space, ANDing the decisions.  With a spectral ratio below a quarter of
+the base soundness gap, the rejection probability of a bad proof decays
+geometrically in the walk length.  The ratio of a random expander is a
+power-iteration estimate with outward slack, not a proof (the complete-
+graph constructions carry exact eigenvalues).
 """
 
 from __future__ import annotations
@@ -13,20 +15,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-
-import numpy as np
+from operator import add, itemgetter, mul
 
 from .core import StructuralError
 from .verifier import TableVerifier, degrees, row_of, table_of
 from . import rng as rng_mod
 
-# Power iteration settings for spectral certification (desk scale: n <= 4096).
+# Power iteration settings for the spectral estimate (desk scale: n <= 4096).
 _POWER_TOL = 1e-9
 _POWER_MIN_ITERS = 64
 _POWER_MAX_ITERS = 20000
-_CERT_REL_SLACK = 1e-6
-_CERT_ABS_SLACK = 1e-9
+_OUTWARD_REL_SLACK = 1e-6
+_OUTWARD_ABS_SLACK = 1e-9
 
 # Most positions an amplified entry may read; its table has 2^positions rows.
 MAX_POSITIONS = 20
@@ -37,11 +37,13 @@ MAX_RANDOMNESS = 18
 
 @dataclass(frozen=True)
 class ExpanderGraph:
-    """d-regular multigraph given by a rotation map, with a certified lambda.
+    """d-regular multigraph given by a rotation map, with its spectral value.
 
     ``rotation[v * d + p]`` is the (vertex, port) pair reached by leaving
-    vertex v on port p; the map is an involution.  ``lam`` is a certified
-    upper bound on the second-largest adjacency eigenvalue magnitude.
+    vertex v on port p; the map is an involution.  ``lam`` stands for the
+    second-largest adjacency eigenvalue magnitude: exact for the
+    complete-graph constructions, an estimate with outward slack (see
+    ``_estimate_lambda``) for the random ones.
     """
 
     n: int
@@ -118,56 +120,61 @@ def _config_model_rotation(n: int, d: int, seeded) -> tuple[tuple[int, int], ...
 
 
 def _estimate_lambda(rotation: tuple[tuple[int, int], ...], n: int, d: int, seed: int) -> float:
-    """Certified upper bound on the second adjacency eigenvalue magnitude.
+    """Estimate of the second adjacency eigenvalue magnitude, padded outward.
 
     Deflated power iteration: iterate the adjacency operator on vectors
     kept orthogonal to the all-ones eigenvector, tracking the norm-growth
     estimate until it is stable to 1e-9, then pad with a small outward
-    slack.  The norm-ratio estimate approaches lambda from below, so the
-    slack keeps the certificate on the safe side.
+    slack.  The norm-ratio estimate approaches lambda from below and the
+    slack usually covers the rest, but stopping at a tolerance is not a
+    proof: the result can sit just below the true value.
     """
     if n == 1:
         return 0.0
-    a = np.zeros((n, n), dtype=float)
-    for v in range(n):
-        for p in range(d):
-            a[v, rotation[v * d + p][0]] += 1.0
+    # (A x)[v] sums x over v's d neighbours: one gather per port.
+    ports = [itemgetter(*[w for w, _ in rotation[p::d]]) for p in range(d)]
     best = 0.0
     for restart in range(3):
-        r = np.random.default_rng(seed * 7919 + restart)
-        x = r.standard_normal(n)
-        x -= x.mean()
-        norm = np.linalg.norm(x)
+        r = rng_mod.stream(seed, f"start:{restart}")
+        x = [r.gauss(0.0, 1.0) for _ in range(n)]
+        mean = sum(x) / n
+        x = [t - mean for t in x]
+        norm = math.hypot(*x)
         if norm < 1e-12:
             continue
-        x /= norm
+        x = [t / norm for t in x]
         est = 0.0
         for it in range(_POWER_MAX_ITERS):
-            y = a @ x
-            y -= y.mean()
-            norm = np.linalg.norm(y)
+            y = ports[0](x)
+            for gather in ports[1:]:
+                y = map(add, y, gather(x))
+            y = list(y)
+            mean = sum(y) / n
+            y = [t - mean for t in y]
+            norm = math.hypot(*y)
             if norm < 1e-14:
                 est = 0.0
                 break
             new_est = norm
-            x = y / norm
+            x = [t / norm for t in y]
             if it >= _POWER_MIN_ITERS and abs(new_est - est) <= _POWER_TOL * max(1.0, new_est):
                 est = new_est
                 break
             est = new_est
         best = max(best, est)
-    # No eigenvalue of a d-regular graph exceeds d, so d is itself a certificate.
-    return min(float(d), best * (1.0 + _CERT_REL_SLACK) + _CERT_ABS_SLACK)
+    # No eigenvalue of a d-regular graph exceeds d, so d always bounds lambda.
+    return min(float(d), best * (1.0 + _OUTWARD_REL_SLACK) + _OUTWARD_ABS_SLACK)
 
 
 def build_expander(n: int, d: int, target_ratio: float, seed: int, attempts: int = 64) -> ExpanderGraph:
-    """Build a d-regular multigraph on n vertices with certified ratio < target.
+    """Build a d-regular multigraph on n vertices with spectral ratio < target.
 
     Deterministic complete-graph constructions are used when they apply
     (n <= d + 1): K_n for d = n - 1 has lambda exactly 1, and K_n plus a
     perfect matching for d = n (n even) has lambda exactly 2.  Otherwise
-    seeded configuration-model graphs are drawn and spectrally certified
-    until one beats the target or the attempt budget runs out.
+    seeded configuration-model graphs are drawn and their lambda estimated
+    (``_estimate_lambda``) until one beats the target or the attempt
+    budget runs out.
     """
     if d < 3:
         raise StructuralError(f"degree must be >= 3, got {d}")

@@ -43,6 +43,7 @@ from .fglss import (
     symbol_coords,
 )
 from .reductions import (
+    _edge_lo_hi,
     cover_to_labels,
     labelcover_to_hvc,
     labelcover_to_setcover,
@@ -129,15 +130,20 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
         )
         g = inst.graph
         system = labelcover_to_setcover(g, inst.start, inst.goal).system
-        b_size = 2**g.n_symbols
         n_edges = len(g.edges)
+        # Edge e's block is 2^|A(lo)| consecutive elements, in edge order;
+        # the elements of vertices on no edge follow the last block.
+        sizes = [2 ** len(g.allowed_symbols(_edge_lo_hi(g, e_idx)[0])) for e_idx in range(n_edges)]
+        place = [(e_idx, bit) for e_idx, size in enumerate(sizes) for bit in range(size)]
         set_blocks = []
         for members in system.sets:
             blocks = [0] * n_edges
             for el in members:
-                blocks[el // b_size] |= 1 << (el % b_size)
+                if el < len(place):
+                    e_idx, bit = place[el]
+                    blocks[e_idx] |= 1 << bit
             set_blocks.append(blocks)
-        full_block = (1 << b_size) - 1
+        full_blocks = [(1 << size) - 1 for size in sizes]
         m = system.n_sets
         for mask in range(2**m):
             chosen = frozenset(i for i in range(m) if mask >> i & 1)
@@ -148,7 +154,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
                 acc = 0
                 for i in chosen:
                     acc |= set_blocks[i][e_idx]
-                covered = acc == full_block
+                covered = acc == full_blocks[e_idx]
                 satisfied = multi_edge_satisfied(g, e_idx, f)
                 if covered != satisfied:
                     tally.add(
@@ -502,7 +508,7 @@ def _claim_verifier(seed: int, t: int):
 def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     """Both amplification directions, by exact enumeration of all proofs.
 
-    Uses the deterministic degree-16 graph on 16 vertices (certified
+    Uses the deterministic degree-16 graph on 16 vertices (exact
     lambda 2, ratio 1/8 < eps/4 for eps = 3/5) and rho chosen for
     delta = 11/20.  Probability-1 proofs must amplify to exactly 1;
     every proof with acceptance below 1 - eps must amplify below delta.

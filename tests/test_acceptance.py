@@ -82,14 +82,14 @@ def test_criterion_6_decoding_soundness_machinery():
 
 
 def test_criterion_7_walk_sandwich():
-    # rho <= 4, n <= 64, certified lambda; exact walk probabilities inside
+    # rho <= 4, n <= 64, estimated lambda; exact walk probabilities inside
     # the sandwich bounds, zero violations.
     rep = checks.expander_bounds(trials=12, seed=107)
     _report("criterion-7 expander walk sandwich", rep)
 
 
 def test_criterion_8_amplification_both_directions():
-    # lambda/d = 1/8 < eps/4 certified, rho from the ceiling formula; exact
+    # lambda/d = 1/8 < eps/4 exactly, rho from the ceiling formula; exact
     # enumeration of all proofs plus the full largest-subset sweep.
     rep = checks.claim_accept(trials=2, seed=108)
     _report("criterion-8 amplification directions", rep)

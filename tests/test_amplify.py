@@ -6,7 +6,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, product
 
-import numpy as np
 import pytest
 
 from rforge.amplify import (
@@ -23,10 +22,42 @@ from rforge.core import StructuralError
 from rforge.verifier import TableVerifier, accept_prob, accepting_set, degrees
 
 
-def true_lambda(x: ExpanderGraph) -> float:
-    a = np.array(x.adjacency_counts(), dtype=float)
-    eigs = np.sort(np.abs(np.linalg.eigvalsh(a)))
-    return float(eigs[-2])
+def is_psd(m) -> bool:
+    """Exact positive-semidefiniteness of a symmetric rational matrix (LDL^T).
+
+    A negative pivot, or a zero pivot with a nonzero entry beside it,
+    refutes it; a positive pivot leaves a Schur complement that must be
+    PSD in turn.
+    """
+    m = [list(row) for row in m]
+    for k, row_k in enumerate(m):
+        pivot = row_k[k]
+        if pivot < 0 or (pivot == 0 and any(row_k[k + 1 :])):
+            return False
+        if pivot == 0:
+            continue
+        for row_i in m[k + 1 :]:
+            f = row_i[k] / pivot
+            if f:
+                for j in range(k + 1, len(m)):
+                    row_i[j] -= f * row_k[j]
+    return True
+
+
+def lambda_at_most(x: ExpanderGraph, mu) -> bool:
+    """Whether every adjacency eigenvalue but the top one has |lambda| <= mu, exactly.
+
+    With M = A - (d/n) J, which keeps those eigenvalues and sends the top
+    one (all-ones eigenvector) to 0, that holds iff mu I - M and mu I + M
+    are both positive semidefinite.
+    """
+    mu = Fraction(mu)
+    shift = Fraction(x.d, x.n)
+    m = [[count - shift for count in row] for row in x.adjacency_counts()]
+    return all(
+        is_psd([[sign * m[i][j] + (mu if i == j else 0) for j in range(x.n)] for i in range(x.n)])
+        for sign in (1, -1)
+    )
 
 
 def always_accepting(r, q, ell):
@@ -46,19 +77,33 @@ class TestBuildExpander:
             x = build_expander(n, n - 1, 0.9, seed=0)
             assert x.lam == 1.0
             assert x.ratio == pytest.approx(1 / (n - 1))
-            assert abs(true_lambda(x) - 1.0) < 1e-9
+            assert lambda_at_most(x, 1) and not lambda_at_most(x, 1 - Fraction(1, 10**9))
 
     def test_complete_plus_matching(self):
         x = build_expander(16, 16, 0.15, seed=0)
         assert x.lam == 2.0 and x.ratio == 0.125
-        assert abs(true_lambda(x) - 2.0) < 1e-9
+        assert lambda_at_most(x, 2) and not lambda_at_most(x, 2 - Fraction(1, 10**9))
 
     def test_random_regular_certified(self):
         x = build_expander(16, 4, 0.9, seed=42)
         assert x.ratio < 0.9
-        # certification must upper-bound the true spectral value
-        assert x.lam >= true_lambda(x) - 1e-7
-        assert x.lam <= true_lambda(x) * (1 + 1e-3) + 1e-6
+        # The estimate must bound the true spectral value from above, and
+        # by no more than its slack and convergence tolerance allow.
+        assert lambda_at_most(x, x.lam)
+        assert not lambda_at_most(x, (Fraction(x.lam) - Fraction(1, 10**6)) / (1 + Fraction(1, 1000)))
+
+    def test_exact_reference_against_known_spectra(self):
+        # The 4-cycle has eigenvalues 2, 0, 0, -2; K_4 minus a perfect
+        # matching is that cycle, so its lambda is exactly 2.
+        rotation = ((1, 0), (3, 1), (0, 0), (2, 1), (3, 0), (1, 1), (2, 0), (0, 1))
+        cycle = ExpanderGraph(n=4, d=2, rotation=rotation, lam=2.0)
+        assert lambda_at_most(cycle, 2) and not lambda_at_most(cycle, Fraction(199, 100))
+        # Two disjoint triangles: a second eigenvalue equal to d.
+        triangles = tuple(
+            (base + (v + (1 if p == 0 else -1)) % 3, 1 - p) for base in (0, 3) for v in range(3) for p in range(2)
+        )
+        split = ExpanderGraph(n=6, d=2, rotation=triangles, lam=2.0)
+        assert lambda_at_most(split, 2) and not lambda_at_most(split, Fraction(3, 2))
 
     def test_degree_two_rejected(self):
         with pytest.raises(StructuralError):

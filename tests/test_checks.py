@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rforge import checks
-from rforge.core import SetCoverInstance, SetSystem, StructuralError
+from rforge.core import ConstraintGraph, LabelCoverInstance, SetCoverInstance, SetSystem, StructuralError
 
 
 def test_registry_names():
@@ -33,9 +33,9 @@ def test_run_suite_threads_trials_and_seed():
     assert rep.trials == 3 and rep.passed
 
 
-def test_corrupted_gadget_fails_with_counterexample(monkeypatch):
-    # negative control: the harness must notice a broken gadget and report
-    # the offending instance verbatim
+def corrupted_setcover(monkeypatch):
+    """Make lemma-setcover reduce with the smallest element of the first
+    nonempty set dropped."""
     reduce = checks.labelcover_to_setcover
 
     def corrupted(g, start, goal):
@@ -47,12 +47,39 @@ def test_corrupted_gadget_fails_with_counterexample(monkeypatch):
         return SetCoverInstance(system, inst.start, inst.goal)
 
     monkeypatch.setattr(checks, "labelcover_to_setcover", corrupted)
+
+
+def test_corrupted_gadget_fails_with_counterexample(monkeypatch):
+    # negative control: the harness must notice a broken gadget and report
+    # the offending instance verbatim
+    corrupted_setcover(monkeypatch)
     rep = checks.lemma_setcover(trials=10, seed=4)
     assert not rep.passed
     assert rep.violations == 1
     payload = json.loads(rep.counterexample)
     assert payload["instance"]["type"] == "labelcover_instance"
     assert "FAIL" in rep.summary()
+
+
+def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
+    # Over {a, b}: v0 admits {a}, v1 and v3 admit {a, b}, and v2 admits
+    # {b} on no edge.  Edge 0's block has 2 elements, edge 1's has 4 from
+    # offset 2, and v2's element comes last: 7 elements, not 4 per edge.
+    graph = ConstraintGraph(
+        ("v0", "v1", "v2", "v3"),
+        2,
+        ("a", "b"),
+        ((0, 1), (1, 3)),
+        (bytes([1, 0, 1, 1]), bytes([1, 0, 0, 1])),
+        (frozenset({0}), frozenset({0, 1}), frozenset({1}), frozenset({0, 1})),
+    )
+    f = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({0}))
+    inst = LabelCoverInstance(graph, f, f)
+    assert len(checks.labelcover_to_setcover(graph, f, f).system.elements) == 7
+    monkeypatch.setattr(checks.generate, "generate_labelcover", lambda *args, **kwargs: inst)
+    assert checks.lemma_setcover(trials=1).passed
+    corrupted_setcover(monkeypatch)
+    assert not checks.lemma_setcover(trials=1).passed
 
 
 def test_reports_are_deterministic():

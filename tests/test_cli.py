@@ -30,11 +30,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_bounded(*argv, seconds=60):
-    """Run the CLI in a child process that is killed after ``seconds``."""
+def run_bounded(*argv, seconds=60, script=None):
+    """Run the CLI (or ``script`` with argv) in a child process killed after ``seconds``."""
     src = str(Path(rforge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argv = [sys.executable, "-m", "rforge.cli", *map(str, argv)]
+    head = ["-m", "rforge.cli"] if script is None else ["-c", script]
+    argv = [sys.executable, *head, *map(str, argv)]
     return subprocess.run(argv, capture_output=True, text=True, timeout=seconds, env=env)
 
 
@@ -394,6 +395,26 @@ class TestAmplifyCommand:
         assert code == 0
         amped, _, _ = serialize.load_verifier(out)
         assert amped.r == 1 + 2 * 2  # rho = 3, so two 2-bit port choices
+
+    def test_start_up_and_amplify_need_no_numpy(self, tmp_path):
+        # numpy once took most of every command's start-up; nothing may
+        # import it again, at start-up or lazily inside amplify.
+        ver, out = tmp_path / "v.json", tmp_path / "amp.json"
+        assert run("gen", "--kind", "verifier", "--out", ver, "--seed", 7) == 0
+        script = (
+            "import sys\n"
+            "import rforge.cli\n"
+            "assert 'numpy' not in sys.modules, 'importing rforge.cli loaded numpy'\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.exit(rforge.cli.main(sys.argv[1:]))\n"
+        )
+        done = run_bounded(
+            "amplify", "--in", ver, "--out", out, "--eps", "3/5", "--delta", "11/20",
+            "--expander-d", 4, "--target-ratio", 0.9, "--seed", 1,
+            script=script,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "rho=2, ratio=0.500000, r=4" in done.stdout
 
     def test_missing_rho_spec_is_usage_error(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")
