@@ -225,9 +225,15 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
     # inside[j]: number of port sequences for the walk so far that stayed in
     # the subset and currently sit at members[j].
     inside = [1] * len(members)
-    if rho > 1:
+    if rho > 1 and members:
+        # The rotation map is an involution, so the counts are symmetric
+        # and member w's column over the members is its row over them.
         counts = x._counts
-        columns = [[counts[v][w] for v in members] for w in members]
+        if len(members) > 1:
+            take = itemgetter(*members)
+            columns = [take(counts[w]) for w in members]
+        else:  # an itemgetter of one key returns the item, not a tuple
+            columns = [[counts[w][w]] for w in members]
         for _ in range(rho - 1):
             inside = [sum(map(mul, inside, column)) for column in columns]
     return Fraction(sum(inside), x.n * x.d ** (rho - 1))

@@ -115,8 +115,11 @@ class _Tally:
 def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
     """Every subfamily covers an edge block iff the mapped labels satisfy the edge.
 
-    Exhaustive over all subfamilies of each generated instance (asymmetric
-    tables included).
+    Exhaustive, for each edge of each generated instance (asymmetric
+    tables included), over the subfamilies of its two endpoints' sets.
+    Two more checks make that the statement for every subfamily of the
+    whole family: no set meets the block of an edge away from its vertex,
+    and the whole family maps to as many labels as it has sets.
     """
     tally = _Tally()
     for t in range(trials):
@@ -143,29 +146,34 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
                     e_idx, bit = place[el]
                     blocks[e_idx] |= 1 << bit
             set_blocks.append(blocks)
-        full_blocks = [(1 << size) - 1 for size in sizes]
         m = system.n_sets
-        for mask in range(2**m):
-            chosen = frozenset(i for i in range(m) if mask >> i & 1)
-            f = cover_to_labels(g, chosen)
-            if multi_size(f) != len(chosen):
-                tally.add()
-            for e_idx in range(n_edges):
-                acc = 0
-                for i in chosen:
-                    acc |= set_blocks[i][e_idx]
-                covered = acc == full_blocks[e_idx]
-                satisfied = multi_edge_satisfied(g, e_idx, f)
+        if multi_size(cover_to_labels(g, range(m))) != m:
+            tally.add()
+        for e_idx, edge in enumerate(g.edges):
+            own = [i for i, (v, _) in enumerate(g.pairs) if v in edge]
+            for i in range(m):
+                if i not in own and set_blocks[i][e_idx]:
+                    tally.add({"instance": serialize.payload(inst), "set": i, "edge": e_idx, "foreign": True})
+            # covers[mask]: the block elements met by the own sets in mask.
+            covers = [0]
+            for mask in range(1, 2 ** len(own)):
+                low = mask & -mask
+                covers.append(covers[mask ^ low] | set_blocks[own[low.bit_length() - 1]][e_idx])
+            for mask, cover in enumerate(covers):
+                chosen = [i for j, i in enumerate(own) if mask >> j & 1]
+                covered = cover == (1 << sizes[e_idx]) - 1
+                satisfied = multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))
                 if covered != satisfied:
                     tally.add(
                         {
                             "instance": serialize.payload(inst),
-                            "subfamily": sorted(chosen),
+                            "subfamily": chosen,
                             "edge": e_idx,
                             "covered": covered,
                             "satisfied": satisfied,
                         }
                     )
+                    break
             if tally.counterexample is not None:
                 break
         if tally.counterexample is not None:

@@ -3,9 +3,12 @@
 All four optimization problems (partial-assignment maxmin, multi-label
 minmax, set-cover minmax, hypergraph-vertex-cover minmax) share one
 engine, `_threshold_search`: scan thresholds in the direction of the
-trivially feasible bound and run breadth-first reachability over the
-implicit graph of feasible states obeying the threshold.  The first
-feasible threshold is the exact bottleneck value.  The engine owns the
+trivially feasible bound and, at each, run a breadth-first search from
+both endpoints over the implicit graph of feasible states obeying the
+threshold, one whole level at a time on the side with the smaller
+frontier, until the two trees meet.  Every move has an inverse move, so
+one neighbor expansion serves both trees.  The first threshold at which
+they meet is the exact bottleneck value.  The engine owns the
 scan, the search, the state budget and the witness path; each solver
 supplies only its endpoints, a neighbor expansion (a size test against
 the threshold before the feasibility test) and the decoding of the
@@ -44,7 +47,7 @@ import heapq
 import itertools
 import math
 import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -115,44 +118,60 @@ class SolveResult:
 
 
 def _threshold_search(thetas, start: int, goal: int, expand, cap: int | None):
-    """First threshold in ``thetas`` at which BFS links start to goal.
+    """First threshold in ``thetas`` at which a two-ended BFS links start to goal.
 
     ``thetas`` runs from the bound both endpoints obey towards the
     trivially feasible one; ``expand(state, theta)`` yields the feasible
     neighbors obeying ``theta``.  A state is an int and its own key.
-    Every state stored, over all thresholds, counts against the budget
-    (``cap``, else ``RFORGE_CAP``, else ``DEFAULT_CAP``).  Returns the
-    threshold, the parent-pointer path from start to goal and the number
-    of states stored.
+    Every move has an inverse move, and feasibility and the threshold are
+    properties of a state, so the same ``expand`` grows a parent tree
+    from each endpoint.  Each round expands one whole level of the tree
+    whose frontier is smaller (start on a tie); the search stops at the
+    first newly stored state that the other tree holds, and a threshold
+    is refuted once either frontier is empty.  Because levels are
+    expanded whole, the joined path is a shortest one at that threshold.
+    Every state stored in either tree, the seeded endpoints included,
+    over all thresholds, counts against the budget (``cap``, else
+    ``RFORGE_CAP``, else ``DEFAULT_CAP``).  Returns the threshold, the
+    path from start to goal and the number of states stored.
     """
     cap = resolve_cap(cap)
     used = 0
     for theta in thetas:
         if start == goal:
             return theta, [start], used
-        parent = {start: None}
-        used += 1
+        trees = ({start: None}, {goal: None})
+        fronts = [[start], [goal]]
+        used += 2
         if used > cap:
             raise _exhausted(cap)
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for state in expand(cur, theta):
-                if state in parent:
-                    continue
-                parent[state] = cur
-                used += 1
-                if used > cap:
-                    raise _exhausted(cap)
-                if state == goal:
-                    path = []
-                    while state is not None:
-                        path.append(state)
-                        state = parent[state]
-                    path.reverse()
-                    return theta, path, used
-                queue.append(state)
+        while fronts[0] and fronts[1]:
+            side = len(fronts[1]) < len(fronts[0])
+            tree, other = trees[side], trees[not side]
+            level = []
+            for cur in fronts[side]:
+                for state in expand(cur, theta):
+                    if state in tree:
+                        continue
+                    tree[state] = cur
+                    used += 1
+                    if used > cap:
+                        raise _exhausted(cap)
+                    if state in other:
+                        path = [*_chain(trees[0], state)]
+                        path.reverse()
+                        path += _chain(trees[1], trees[1][state])
+                        return theta, path, used
+                    level.append(state)
+            fronts[side] = level
     raise StructuralError("endpoints are not connected at any threshold")
+
+
+def _chain(parent: dict, state):
+    """``state`` and its ancestors in a parent tree, root last."""
+    while state is not None:
+        yield state
+        state = parent[state]
 
 
 def _exhausted(cap: int) -> BudgetExhaustedError:

@@ -201,6 +201,8 @@ class TestWalkOracle:
             members = set(make(n))
             for rho in range(1, 5):
                 assert walk_hit_prob(x, make(n), rho) == brute_walk_hit_prob(x, members, rho)
+        for v in range(n):  # one member: its self-loops are the only walks
+            assert walk_hit_prob(x, [v], 3) == brute_walk_hit_prob(x, {v}, 3)
 
     def test_rejects_bad_arguments(self):
         x = multigraph(10, 4, seed=0)

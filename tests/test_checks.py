@@ -82,6 +82,40 @@ def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
     assert not checks.lemma_setcover(trials=1).passed
 
 
+def test_a_set_meeting_a_foreign_block_fails(monkeypatch):
+    # v0's set gains an element of the block of edge (1, 2), away from v0.
+    graph = ConstraintGraph(("v0", "v1", "v2"), 2, ("a",), ((0, 1), (1, 2)), (b"\x01", b"\x01"))
+    f = (frozenset({0}),) * 3
+    inst = LabelCoverInstance(graph, f, f)
+    monkeypatch.setattr(checks.generate, "generate_labelcover", lambda *args, **kwargs: inst)
+    assert checks.lemma_setcover(trials=1).passed
+    reduce = checks.labelcover_to_setcover
+
+    def foreign(g, start, goal):
+        inst = reduce(g, start, goal)
+        sets = (inst.system.sets[0] | {2},) + inst.system.sets[1:]
+        return SetCoverInstance(SetSystem(inst.system.elements, sets, inst.system.set_labels), inst.start, inst.goal)
+
+    monkeypatch.setattr(checks, "labelcover_to_setcover", foreign)
+    rep = checks.lemma_setcover(trials=1)
+    assert not rep.passed
+    assert json.loads(rep.counterexample)["foreign"]
+
+
+def test_a_set_with_no_label_fails(monkeypatch):
+    # An empty extra set maps to no label, so the family is one set larger
+    # than its labels.
+    reduce = checks.labelcover_to_setcover
+
+    def extra(g, start, goal):
+        inst = reduce(g, start, goal)
+        system = SetSystem(inst.system.elements, inst.system.sets + (frozenset(),), inst.system.set_labels + ("x",))
+        return SetCoverInstance(system, inst.start, inst.goal)
+
+    monkeypatch.setattr(checks, "labelcover_to_setcover", extra)
+    assert not checks.lemma_setcover(trials=3).passed
+
+
 def test_reports_are_deterministic():
     a = checks.run_suite("oracle-agreement", trials=6, seed=12)
     b = checks.run_suite("oracle-agreement", trials=6, seed=12)

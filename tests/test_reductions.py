@@ -391,8 +391,8 @@ class TestHvcReduction:
     def test_readme_seed7_solve_bytes_are_pinned(self, tmp_path):
         # sha256 of the `solve maxpar --out` file of the README seed-7 FGLSS
         # instance and of the `solve minlab --out` file of its label cover,
-        # captured before both graph solvers packed their states into one
-        # int.  Each pins the value, the witness and states_explored.
+        # captured when the threshold engine came to search from both
+        # endpoints.  Each pins the value, the witness and states_explored.
         path = lambda name: str(tmp_path / name)
         main(["gen", "--kind", "verifier", "--out", path("v.json"), "--seed", "7"])
         for step, src, dst in (("fglss", "v", "fglss"), ("normalize", "fglss", "norm"), ("p2l", "norm", "lc")):
@@ -400,8 +400,8 @@ class TestHvcReduction:
         assert main(["solve", "maxpar", "--in", path("fglss.json"), "--out", path("maxpar.json")]) == 0
         assert main(["solve", "minlab", "--in", path("lc.json"), "--out", path("minlab.json")]) == 0
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest("maxpar.json") == "b52fec35d5083c90239791ed39313f3c41140b6db715d747184699b8d0b63383"
-        assert digest("minlab.json") == "66336b3b4be3b4c4ddb2a56705e9fc1148d5e45d0f25804474ea72803f75f428"
+        assert digest("maxpar.json") == "b2bea478a86d3008071b9eaf38aefa8112f59831aac50a28c2ba5a626e1e92b2"
+        assert digest("minlab.json") == "aeaacab92ec6b29b0caa9fdaf7818273c0ed42fbf707c328c85e91b5f5d9f9be"
 
 
 class TestStoredEdgeOrder:

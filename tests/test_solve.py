@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from rforge import checks, serialize, solve
 from rforge.cli import main
 from rforge.core import (
     BOTTOM,
+    KINDS,
     BudgetExhaustedError,
     ConstraintGraph,
     Hypergraph,
@@ -187,18 +189,18 @@ class TestMinlab:
 
 
 class TestBudgetBoundary:
-    # Each instance's states_explored, captured before the graph solvers
-    # packed their states into one int: the budget counts the same stored
-    # states, so exactly that many is enough and one fewer runs out.
+    # Each instance's states_explored under the two-ended search: both
+    # trees' stored states, each seeded endpoint included, count against
+    # the budget, so exactly that many is enough and one fewer runs out.
     CASES = {
-        "maxpar-3": (PROBLEM_MAXPAR, lambda: generate_csp(3, n_vertices=4, alphabet_size=3), 20),
-        "maxpar-4": (PROBLEM_MAXPAR, lambda: generate_csp(4, n_vertices=4, alphabet_size=3), 33),
-        "minlab-2": (PROBLEM_MINLAB, lambda: generate_labelcover(2), 9),
-        "minlab-3": (PROBLEM_MINLAB, lambda: generate_labelcover(3), 12),
-        "sc-cost-1": (PROBLEM_SC_COST, lambda: generate_setcover(1, n_elements=6), 4),
-        "sc-cost-5": (PROBLEM_SC_COST, lambda: generate_setcover(5, n_elements=6), 5),
-        "hvc-cost-0": (PROBLEM_HVC_COST, lambda: generate_hypergraph(0, 6, 5, 3), 7),
-        "hvc-cost-5": (PROBLEM_HVC_COST, lambda: generate_hypergraph(5, 6, 5, 3), 12),
+        "maxpar-3": (PROBLEM_MAXPAR, lambda: generate_csp(3, n_vertices=4, alphabet_size=3), 11),
+        "maxpar-4": (PROBLEM_MAXPAR, lambda: generate_csp(4, n_vertices=4, alphabet_size=3), 30),
+        "minlab-2": (PROBLEM_MINLAB, lambda: generate_labelcover(2), 12),
+        "minlab-3": (PROBLEM_MINLAB, lambda: generate_labelcover(3), 14),
+        "sc-cost-1": (PROBLEM_SC_COST, lambda: generate_setcover(1, n_elements=6), 6),
+        "sc-cost-5": (PROBLEM_SC_COST, lambda: generate_setcover(5, n_elements=6), 7),
+        "hvc-cost-0": (PROBLEM_HVC_COST, lambda: generate_hypergraph(0, 6, 5, 3), 8),
+        "hvc-cost-5": (PROBLEM_HVC_COST, lambda: generate_hypergraph(5, 6, 5, 3), 15),
     }
 
     @pytest.mark.parametrize("problem, make, states", CASES.values(), ids=CASES.keys())
@@ -207,6 +209,95 @@ class TestBudgetBoundary:
         assert solve.solve_instance(problem, inst, cap=states).states_explored == states
         with pytest.raises(BudgetExhaustedError):
             solve.solve_instance(problem, inst, cap=states - 1)
+
+
+class TestTwoEndedSearch:
+    """The threshold engine's witness is a shortest path at its threshold."""
+
+    TINY = {
+        PROBLEM_MAXPAR: lambda seed: generate_csp(seed, n_vertices=3, alphabet_size=2),
+        PROBLEM_MINLAB: lambda seed: generate_labelcover(seed),
+        PROBLEM_SC_COST: lambda seed: generate_setcover(seed),
+        PROBLEM_HVC_COST: lambda seed: generate_hypergraph(seed, 5, 4, 3),
+    }
+
+    @staticmethod
+    def distance(problem, inst, theta):
+        """Steps from start to goal by BFS over the enumerated feasible
+        states obeying ``theta``, adjacent when one step apart."""
+        p = solve.SOLVERS[problem]
+        kind = KINDS[p.kind]
+        part = getattr(inst, p.part)
+        obeys = (lambda k: k >= theta) if p.maximize else (lambda k: k <= theta)
+        states = [x for x in enumerate_feasible_states(problem, part) if obeys(kind.size(x))]
+        start, goal = kind.canonical(inst.start), kind.canonical(inst.goal)
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in states:
+                if y not in dist and kind.step(x, y) == 1:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist[goal]
+
+    @pytest.mark.parametrize("problem", TINY)
+    def test_witness_is_a_shortest_path_at_the_threshold(self, problem):
+        p = solve.SOLVERS[problem]
+        moved = 0
+        for seed in range(40):
+            inst = self.TINY[problem](seed)
+            res = solve.solve_instance(problem, inst)
+            states = res.witness.states
+            theta = res.value * p.denominator(getattr(inst, p.part))
+            assert len(states) - 1 == self.distance(problem, inst, theta), seed
+            assert len(set(states)) == len(states), seed
+            moved += len(states) > 2
+        assert moved
+
+    @staticmethod
+    def engine(edges, weight, start, goal, thetas, cap=None):
+        """Run the engine on an explicit undirected graph whose state w
+        obeys theta when ``weight[w] <= theta``; also return the states
+        expanded, in order."""
+        near = {}
+        for v, w in edges:
+            near.setdefault(v, []).append(w)
+            near.setdefault(w, []).append(v)
+        expanded = []
+
+        def expand(state, theta):
+            expanded.append((theta, state))
+            return (w for w in sorted(near.get(state, ())) if weight[w] <= theta)
+
+        return solve._threshold_search(thetas, start, goal, expand, cap), expanded
+
+    def test_start_adjacent_to_goal(self):
+        (theta, path, used), expanded = self.engine([(0, 1)], {0: 0, 1: 0}, 0, 1, [0])
+        # Both seeds, then the goal stored again in the start tree.
+        assert (theta, path, used, expanded) == (0, [0, 1], 3, [(0, 0)])
+
+    def test_meeting_found_while_expanding_the_goal_side(self):
+        # Start's first level holds 1, 2 and 3; goal 9 reaches 1 through 8.
+        edges = [(0, 1), (0, 2), (0, 3), (1, 8), (8, 9)]
+        weight = dict.fromkeys([0, 1, 2, 3, 8, 9], 0)
+        (theta, path, used), expanded = self.engine(edges, weight, 0, 9, [0])
+        assert expanded == [(0, 0), (0, 9), (0, 8)]  # 8's level is the smaller
+        assert (theta, path, used) == (0, [0, 1, 8, 9], 7)
+        with pytest.raises(BudgetExhaustedError):
+            self.engine(edges, weight, 0, 9, [0], cap=used - 1)
+        assert self.engine(edges, weight, 0, 9, [0], cap=used)[0] == (theta, path, used)
+
+    def test_goal_frontier_empties_first(self):
+        # At theta 0 the goal has no neighbour, and the start component
+        # (0-3) is refuted without expanding past its first level.  At
+        # theta 1 the goal reaches it through 4.
+        edges = [(0, 1), (0, 2), (1, 3), (2, 4), (4, 9)]
+        weight = {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 9: 0}
+        (theta, path, used), expanded = self.engine(edges, weight, 0, 9, [0, 1])
+        assert [state for t, state in expanded if t == 0] == [0, 9]
+        assert (theta, path) == (1, [0, 2, 4, 9])
+        assert used == 4 + 6  # theta 0: seeds, 1, 2; theta 1: seeds, 1, 2, 4, then 2 in the goal tree
 
 
 class TestSatisfying:
