@@ -61,7 +61,6 @@ from .verifier import (
 )
 from .amplify import (
     ExpanderGraph,
-    amplify,
     build_expander,
     choose_rho,
     degree_report,

@@ -67,6 +67,9 @@ from .solve import (
 )
 from .verifier import TableVerifier, accept_prob, accepting_set, degree, table_of
 
+# State budget of every exact solve a suite runs.
+CHECK_CAP = 100_000
+
 
 @dataclass
 class CheckReport:
@@ -234,10 +237,10 @@ def _cost_equality(trials: int, seed: int, problem: str) -> CheckReport:
     for t in range(trials):
         inst = _cost_instance(seed, t)
         g = inst.graph
-        minlab = solve_instance(PROBLEM_MINLAB, inst, cap=100_000)
+        minlab = solve_instance(PROBLEM_MINLAB, inst, cap=CHECK_CAP)
         red = globals()[reduction](g, inst.start, inst.goal)
         opt = globals()[minimum](getattr(red, SOLVERS[problem].part))
-        cost = solve_instance(problem, red, cap=100_000, opt=opt)
+        cost = solve_instance(problem, red, cap=CHECK_CAP, opt=opt)
         if opt != g.n_vertices:
             tally.add(
                 {
@@ -297,7 +300,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
         attempts += 1
         if inst.start == inst.goal:
             continue
-        res = solve_maxpar(inst.graph, inst.start, inst.goal, cap=100_000)
+        res = solve_maxpar(inst.graph, inst.start, inst.goal, cap=CHECK_CAP)
         if res.value != 1:
             continue
         found += 1
@@ -305,7 +308,7 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
         half = lift_partial_sequence(inst.graph, res.witness)
         report = validate_sequence(inst.graph, half, start=lifted.start, goal=lifted.goal)
         peak = max(multi_size(f) for f in half.states)
-        minlab = solve_minlab(inst.graph, lifted.start, lifted.goal, cap=100_000)
+        minlab = solve_minlab(inst.graph, lifted.start, lifted.goal, cap=CHECK_CAP)
         if not report.ok or peak != inst.graph.n_vertices + 1 or minlab.value != 1:
             tally.add(
                 {
@@ -603,7 +606,7 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
         if peak != len(start | goal):
             problems.append("peak differs from |start ∪ goal|")
         try:
-            exact = solve_instance(problem, inst, cap=100_000)
+            exact = solve_instance(problem, inst, cap=CHECK_CAP)
             compared += 1
             if sequence_objective(problem, instance, seq) > 2 * exact.value:
                 problems.append("approximation ratio above 2")
@@ -649,7 +652,7 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
         attempt += 1
         try:
             inst = draw(sub, params)
-            res = solve_instance(problem, inst, cap=100_000)
+            res = solve_instance(problem, inst, cap=CHECK_CAP)
             instance = getattr(inst, SOLVERS[problem].part)
             states = enumerate_feasible_states(problem, instance)
             if len(states) > 20:

@@ -4,8 +4,8 @@ Subcommands: gen, reduce {fglss,normalize,p2l,l2sc,l2hvc}, solve
 {maxpar,minlab,sc-cost,hvc-cost}, approx, amplify, check, pipeline,
 report.  Exit codes: 0 success, 1 property violation, 2 usage or
 structural error, 3 state budget exhausted.  All randomness derives from
---seed; the RFORGE_CAP environment variable overrides the default state
-budget.
+--seed.  ``--cap`` sets the state budget of solve, pipeline and report
+(default ``solve.DEFAULT_CAP``); no environment variable is read.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .reductions import (
     p2csp_to_labelcover,
 )
 from .solve import (
+    DEFAULT_CAP,
     PROBLEM_HVC_COST,
     PROBLEM_MAXPAR,
     PROBLEM_MINLAB,
@@ -42,7 +43,6 @@ from .solve import (
     SOLVERS,
     min_cover,
     min_vertex_cover,
-    resolve_cap,
     sequence_objective,
     solve_instance,
 )
@@ -56,14 +56,23 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not a {name} integer: {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_cap = _int_at_least(0, "non-negative")
 
 
 def _fmt_value(value: Fraction) -> str:
@@ -257,6 +266,11 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Most random bits (r) and queries (q) of a verifier the pipeline accepts.
+PIPELINE_MAX_R = 4
+PIPELINE_MAX_Q = 3
+
+
 def _solve_or_note(problem: str, inst, cap, **known):
     try:
         return _fmt_value(solve_instance(problem, inst, cap=cap, **known).value)
@@ -264,7 +278,7 @@ def _solve_or_note(problem: str, inst, cap, **known):
         return "budget-exhausted"
 
 
-def _pipeline_rows(out_dir: Path, cap: int | None) -> list[tuple[str, str, str]]:
+def _pipeline_rows(out_dir: Path, cap: int) -> list[tuple[str, str, str]]:
     """Recompute the report rows from the staged files (deterministic)."""
     rows: list[tuple[str, str, str]] = []
 
@@ -345,14 +359,15 @@ def _stage(name: str, fn, path: Path, **proofs):
 
 
 def _cmd_pipeline(args) -> int:
+    v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
+    if v.r > PIPELINE_MAX_R or v.q > PIPELINE_MAX_Q:
+        raise StructuralError(
+            f"verifier too large for the pipeline (r={v.r} q={v.q}, "
+            f"ceilings r<={PIPELINE_MAX_R} q<={PIPELINE_MAX_Q})"
+        )
     out_dir = Path(args.out_dir)
     with serialize.writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
-    if v.r > args.max_r or v.q > args.max_q:
-        raise StructuralError(
-            f"verifier too large for the pipeline (r={v.r} q={v.q}, ceilings r<={args.max_r} q<={args.max_q})"
-        )
     serialize.save(v, out_dir / "00_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
     work = v
     if not args.no_amplify:
@@ -430,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=list(SOLVERS))
     p.add_argument("--in", required=True)
     p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("approx", help="2-factor cover reconfiguration")
@@ -466,16 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expander-d", type=int, default=4)
     p.add_argument("--target-ratio", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=4)
-    p.add_argument("--max-q", type=int, default=3)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--max-gadget-alphabet", type=int, default=12)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("report", help="regenerate a pipeline report from its directory")
     p.add_argument("--dir", required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
     p.set_defaults(func=_cmd_report)
 
@@ -486,8 +499,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "cap"):  # refuse a bad state budget before any work
-            args.cap = resolve_cap(args.cap)
         return args.func(args)
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Instance types, feasibility checks, and sequence validation.
 
-Five families of reconfiguration instances are supported: binary (and
-q-ary) constraint graphs with partial or multi assignments, set systems
+Five families of reconfiguration instances are supported: binary
+constraint graphs with partial or multi assignments, set systems
 with covers, hypergraphs with vertex covers, and bitstring proofs checked
 by a table verifier.  All instance types are immutable after construction
 and every operation here is a pure function, so concurrent use needs no
@@ -57,14 +57,14 @@ class BudgetExhaustedError(RforgeError):
 
 @dataclass(frozen=True)
 class ConstraintGraph:
-    """A q-ary constraint system over an indexed vertex set.
+    """A binary constraint system over an indexed vertex set.
 
-    ``edges`` holds ordered ``arity``-tuples of vertex indices (self-loops
-    ``(v, v)`` are legal for arity 2).  ``tables[i]`` is the truth table of
-    edge ``i`` as a flat 0/1 byte string in row-major symbol order, so a
-    binary edge ``(v, w)`` accepts ``(a, b)`` iff ``tables[i][a * s + b]``
-    is 1.  ``admissible`` optionally restricts each vertex to a nonempty
-    symbol subset (produced by self-loop normalization).
+    ``arity`` is always 2 and kept so that files state it.  ``edges`` holds
+    ordered vertex pairs (self-loops ``(v, v)`` are legal).  ``tables[i]``
+    is the truth table of edge ``i`` as a flat 0/1 byte string in row-major
+    symbol order, so edge ``(v, w)`` accepts ``(a, b)`` iff
+    ``tables[i][a * s + b]`` is 1.  ``admissible`` optionally restricts each
+    vertex to a nonempty symbol subset (produced by self-loop normalization).
     """
 
     vertices: tuple[str, ...]
@@ -75,23 +75,23 @@ class ConstraintGraph:
     admissible: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self):
-        n, s, q = len(self.vertices), len(self.alphabet), self.arity
+        n, s = len(self.vertices), len(self.alphabet)
         if n == 0:
             raise StructuralError("constraint graph needs at least one vertex")
         if s == 0:
             raise StructuralError("alphabet must be nonempty")
-        if q < 1:
-            raise StructuralError(f"arity must be >= 1, got {q}")
+        if self.arity != 2:
+            raise StructuralError(f"only binary constraint graphs are supported, got arity {self.arity}")
         if len(set(self.vertices)) != n:
             raise StructuralError("vertex labels must be unique")
         if len(set(self.alphabet)) != s:
             raise StructuralError("alphabet labels must be unique")
         if len(self.tables) != len(self.edges):
             raise StructuralError("one truth table per hyperedge required")
-        expected = s**q
+        expected = s * s
         for e_idx, edge in enumerate(self.edges):
-            if len(edge) != q:
-                raise StructuralError(f"hyperedge {e_idx} has {len(edge)} entries, expected {q}")
+            if len(edge) != 2:
+                raise StructuralError(f"hyperedge {e_idx} has {len(edge)} entries, expected 2")
             if any(v < 0 or v >= n for v in edge):
                 raise StructuralError(f"hyperedge {e_idx} references a missing vertex")
             if len(self.tables[e_idx]) != expected:
@@ -122,13 +122,9 @@ class ConstraintGraph:
             return frozenset(range(self.n_symbols))
         return self.admissible[v]
 
-    def accepts(self, e_idx: int, symbols: Sequence[int]) -> bool:
-        """Truth-table lookup for one hyperedge on a full symbol tuple."""
-        idx = 0
-        s = self.n_symbols
-        for a in symbols:
-            idx = idx * s + a
-        return self.tables[e_idx][idx] == 1
+    def accepts(self, e_idx: int, a: int, b: int) -> bool:
+        """Edge ``e_idx`` accepts symbol ``a`` at its first vertex and ``b`` at its second."""
+        return self.tables[e_idx][a * self.n_symbols + b] == 1
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -148,7 +144,7 @@ class ConstraintGraph:
         return tuple(tuple(lst) for lst in inc)
 
     def has_self_loops(self) -> bool:
-        return any(len(set(edge)) == 1 and len(edge) == 2 for edge in self.edges)
+        return any(v == w for v, w in self.edges)
 
 
 @dataclass(frozen=True)
@@ -305,11 +301,11 @@ def _check_symbols(g: ConstraintGraph, f: Sequence[int], allow_bottom: bool) -> 
 
 
 def satisfies_assignment(g: ConstraintGraph, f: Sequence[int]) -> bool:
-    """Full-assignment check by direct q-ary table evaluation (any arity)."""
+    """Full-assignment check: admissible symbols, and every edge's table accepts."""
     _check_symbols(g, f, allow_bottom=False)
     if g.admissible is not None and any(f[v] not in g.admissible[v] for v in range(g.n_vertices)):
         return False
-    return all(g.accepts(e_idx, tuple(f[v] for v in edge)) for e_idx, edge in enumerate(g.edges))
+    return all(g.accepts(e_idx, f[v], f[w]) for e_idx, (v, w) in enumerate(g.edges))
 
 
 def satisfies_partial(g: ConstraintGraph, f: Sequence[int]) -> bool:
@@ -319,8 +315,6 @@ def satisfies_partial(g: ConstraintGraph, f: Sequence[int]) -> bool:
     an edge with an unassigned endpoint passes vacuously.  With admissible
     sets present, each assigned vertex must use an admissible symbol.
     """
-    if g.arity != 2:
-        raise StructuralError(f"partial-assignment semantics needs arity 2, got {g.arity}")
     _check_symbols(g, f, allow_bottom=True)
     if g.admissible is not None:
         for v, a in enumerate(f):
@@ -344,8 +338,6 @@ def satisfies_multi(g: ConstraintGraph, f: Sequence[frozenset[int]]) -> bool:
     without them a vertex with no incident edges may be.  Multi semantics
     for self-loops is undefined; normalize them away first.
     """
-    if g.arity != 2:
-        raise StructuralError(f"multi-assignment semantics needs arity 2, got {g.arity}")
     if g.has_self_loops():
         raise StructuralError(
             "multi-assignment semantics is undefined on self-loops; "
@@ -378,8 +370,6 @@ def normalize_self_loops(g: ConstraintGraph) -> ConstraintGraph:
     admissible sets attached (intersected with any existing ones); raises
     ``StructuralError`` if some vertex ends up with no legal symbol.
     """
-    if g.arity != 2:
-        raise StructuralError(f"normalize_self_loops needs arity 2, got {g.arity}")
     s = g.n_symbols
     adm = [set(g.allowed_symbols(v)) for v in range(g.n_vertices)]
     edges: list[tuple[int, ...]] = []

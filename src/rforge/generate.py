@@ -22,8 +22,7 @@ from .core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
-    is_cover,
-    is_vertex_cover,
+    transpose,
 )
 from .solve import _satisfying
 from .verifier import TableVerifier, csp_to_verifier, encode_assignment, table_of
@@ -140,6 +139,23 @@ def generate_labelcover(
     return LabelCoverInstance(graph=csp.graph, start=start, goal=goal)
 
 
+def _greedy_hitting(families, n_items: int, rng) -> frozenset[int]:
+    """A minimal hitting set of ``families`` over items ``0..n_items-1``:
+    in a random order, take each item that hits a family not yet hit, then
+    drop, in the same order, each item whose families the others all hit."""
+    order = list(range(n_items))
+    rng.shuffle(order)
+    chosen: set[int] = set()
+    for i in order:
+        if any(i in f and not f & chosen for f in families):
+            chosen.add(i)
+    for i in order:
+        rest = chosen - {i}
+        if i in chosen and all(f & rest for f in families):
+            chosen = rest
+    return frozenset(chosen)
+
+
 def generate_setcover(seed: int, n_elements: int = 5, n_sets: int = 5) -> SetCoverInstance:
     """Random covering family with two (possibly different) greedy covers."""
     if n_elements < 1 or n_sets < 1:
@@ -159,23 +175,10 @@ def generate_setcover(seed: int, n_elements: int = 5, n_sets: int = 5) -> SetCov
         set_labels=tuple(f"S{i}" for i in range(n_sets)),
     )
 
-    def greedy_cover(order):
-        chosen: set[int] = set()
-        covered: set[int] = set()
-        for i in order:
-            if not system.sets[i] <= covered:
-                chosen.add(i)
-                covered |= system.sets[i]
-        for i in list(order):  # prune redundant members, same order
-            if i in chosen and is_cover(system, chosen - {i}):
-                chosen.discard(i)
-        return frozenset(chosen)
-
-    order_a = list(range(n_sets))
-    rng.shuffle(order_a)
-    order_b = list(range(n_sets))
-    rng.shuffle(order_b)
-    return SetCoverInstance(system=system, start=greedy_cover(order_a), goal=greedy_cover(order_b))
+    families = [frozenset(f) for f in transpose(system.sets, n_elements)]
+    start = _greedy_hitting(families, n_sets, rng)
+    goal = _greedy_hitting(families, n_sets, rng)
+    return SetCoverInstance(system=system, start=start, goal=goal)
 
 
 def generate_hypergraph(
@@ -192,21 +195,9 @@ def generate_hypergraph(
         hyperedges.append(frozenset(rng.sample(range(n_vertices), size)))
     h = Hypergraph(vertices=vertices, hyperedges=tuple(hyperedges))
 
-    def greedy_vc(order):
-        chosen: set[int] = set()
-        for v in order:
-            if any(v in e and not (e & chosen) for e in hyperedges):
-                chosen.add(v)
-        for v in list(order):
-            if v in chosen and is_vertex_cover(h, chosen - {v}):
-                chosen.discard(v)
-        return frozenset(chosen)
-
-    order_a = list(range(n_vertices))
-    rng.shuffle(order_a)
-    order_b = list(range(n_vertices))
-    rng.shuffle(order_b)
-    return HvcInstance(hypergraph=h, start=greedy_vc(order_a), goal=greedy_vc(order_b))
+    start = _greedy_hitting(h.hyperedges, n_vertices, rng)
+    goal = _greedy_hitting(h.hyperedges, n_vertices, rng)
+    return HvcInstance(hypergraph=h, start=start, goal=goal)
 
 
 def generate_verifier(

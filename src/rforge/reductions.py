@@ -180,8 +180,6 @@ def q_subset(sigma: int, symbols, support=None) -> frozenset[int]:
 def _check_labelcover_endpoints(g: ConstraintGraph, f_start, f_goal):
     f_start = tuple(frozenset(a) for a in f_start)
     f_goal = tuple(frozenset(a) for a in f_goal)
-    if g.arity != 2:
-        raise StructuralError(f"reduction needs arity 2, got {g.arity}")
     if g.has_self_loops():
         raise StructuralError("normalize self-loops before reducing")
     for name, f in (("start", f_start), ("goal", f_goal)):

@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,27 +86,6 @@ PROBLEM_SC_COST = "sc-cost"
 PROBLEM_HVC_COST = "hvc-cost"
 
 
-def resolve_cap(cap: int | None) -> int:
-    """The state budget: ``cap``, else ``RFORGE_CAP``, else ``DEFAULT_CAP``.
-
-    A negative cap, or an ``RFORGE_CAP`` that is not an integer, raises
-    ``StructuralError``.  A cap of 0 is valid: it admits only equal endpoints.
-    """
-    source = "cap"
-    if cap is None:
-        env = os.environ.get("RFORGE_CAP")
-        if not env:
-            return DEFAULT_CAP
-        source = "RFORGE_CAP"
-        try:
-            cap = int(env)
-        except ValueError:
-            raise StructuralError(f"RFORGE_CAP must be a non-negative integer, got {env!r}") from None
-    if cap < 0:
-        raise StructuralError(f"{source} must be a non-negative integer, got {cap}")
-    return cap
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Exact optimum with a witness sequence achieving it."""
@@ -117,7 +95,7 @@ class SolveResult:
     states_explored: int
 
 
-def _threshold_search(thetas, start: int, goal: int, expand, cap: int | None):
+def _threshold_search(thetas, start: int, goal: int, expand, cap: int = DEFAULT_CAP):
     """First threshold in ``thetas`` at which a two-ended BFS links start to goal.
 
     ``thetas`` runs from the bound both endpoints obey towards the
@@ -131,11 +109,10 @@ def _threshold_search(thetas, start: int, goal: int, expand, cap: int | None):
     is refuted once either frontier is empty.  Because levels are
     expanded whole, the joined path is a shortest one at that threshold.
     Every state stored in either tree, the seeded endpoints included,
-    over all thresholds, counts against the budget (``cap``, else
-    ``RFORGE_CAP``, else ``DEFAULT_CAP``).  Returns the threshold, the
-    path from start to goal and the number of states stored.
+    over all thresholds, counts against the budget ``cap``; a cap of 0
+    admits only equal endpoints.  Returns the threshold, the path from
+    start to goal and the number of states stored.
     """
-    cap = resolve_cap(cap)
     used = 0
     for theta in thetas:
         if start == goal:
@@ -175,10 +152,7 @@ def _chain(parent: dict, state):
 
 
 def _exhausted(cap: int) -> BudgetExhaustedError:
-    return BudgetExhaustedError(
-        f"state budget exhausted: visited more than {cap} states "
-        "(raise --cap or RFORGE_CAP)"
-    )
+    return BudgetExhaustedError(f"state budget exhausted: visited more than {cap} states (raise --cap)")
 
 
 def _bits(mask: int):
@@ -307,9 +281,7 @@ def _satisfying(g: ConstraintGraph, bottom: bool, limit: float = math.inf):
 # ---------------------------------------------------------------------------
 
 
-def solve_maxpar(
-    g: ConstraintGraph, f_start, f_goal, cap: int | None = None
-) -> SolveResult:
+def solve_maxpar(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) -> SolveResult:
     """Max over sequences of (min assigned count) / |V|, by descending threshold.
 
     Neighbors change one vertex to any other symbol or to unassigned.
@@ -365,9 +337,7 @@ def solve_maxpar(
 # ---------------------------------------------------------------------------
 
 
-def solve_minlab(
-    g: ConstraintGraph, f_start, f_goal, cap: int | None = None
-) -> SolveResult:
+def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) -> SolveResult:
     """Min over sequences of (max total label count) / (|V| + 1), ascending.
 
     Neighbors add or remove a single symbol at a single vertex.  States
@@ -546,7 +516,7 @@ def _kernel(hitsets, keep: frozenset) -> tuple[list[int], list[frozenset[int]]]:
     return [items[j] for j in _bits(live)], [frozenset(items[j] for j in _bits(t)) for t in sets]
 
 
-def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str, cap) -> SolveResult:
+def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str, cap: int = DEFAULT_CAP) -> SolveResult:
     """Min over sequences of states hitting every hit set, from start to
     goal, of (max state size) / (opt + 1).
 
@@ -592,7 +562,7 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
 
 
 def solve_cost_setcover(
-    system: SetSystem, c_start, c_goal, cap: int | None = None, opt: int | None = None
+    system: SetSystem, c_start, c_goal, cap: int = DEFAULT_CAP, opt: int | None = None
 ) -> SolveResult:
     """Min over cover sequences of (max cover size) / (opt + 1), ascending.
 
@@ -609,7 +579,7 @@ def solve_cost_setcover(
 
 
 def solve_cost_hvc(
-    h: Hypergraph, c_start, c_goal, cap: int | None = None, opt: int | None = None
+    h: Hypergraph, c_start, c_goal, cap: int = DEFAULT_CAP, opt: int | None = None
 ) -> SolveResult:
     """Min over vertex-cover sequences of (max size) / (beta + 1), ascending.
 
@@ -668,7 +638,7 @@ def _problem(problem: str) -> Problem:
     return SOLVERS[problem]
 
 
-def solve_instance(problem: str, inst, cap: int | None = None, **known) -> SolveResult:
+def solve_instance(problem: str, inst, cap: int = DEFAULT_CAP, **known) -> SolveResult:
     """Solve an instance bundle exactly with the solver of ``problem``.
 
     ``known`` passes on what the caller has already computed, such as the

@@ -159,8 +159,6 @@ def csp_to_verifier(g: ConstraintGraph) -> TableVerifier:
     sets first (a loop's positions would coincide, which query tuples
     forbid).
     """
-    if g.arity != 2:
-        raise StructuralError(f"csp_to_verifier needs arity 2, got {g.arity}")
     norm = normalize_self_loops(g)
     if not norm.edges:
         raise StructuralError("constraint graph has no non-loop edges to check")
@@ -177,7 +175,7 @@ def csp_to_verifier(g: ConstraintGraph) -> TableVerifier:
 
         def accepts(read):
             alpha, beta = row_of(read, at_v), row_of(read, at_w)
-            return alpha in norm.admissible[v] and beta in norm.admissible[w] and norm.accepts(e_idx, (alpha, beta))
+            return alpha in norm.admissible[v] and beta in norm.admissible[w] and norm.accepts(e_idx, alpha, beta)
 
         positions = (*at_v, *at_w)
         queries.append(positions)

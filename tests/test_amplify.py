@@ -8,6 +8,7 @@ from itertools import count, product
 
 import pytest
 
+import rforge.amplify as amplify_module
 from rforge.amplify import (
     MAX_RANDOMNESS,
     ExpanderGraph,
@@ -20,6 +21,13 @@ from rforge.amplify import (
 )
 from rforge.core import StructuralError
 from rforge.verifier import TableVerifier, accept_prob, accepting_set, degrees
+
+
+def test_package_attribute_is_the_module():
+    # The package re-exports no function named after a submodule, so the
+    # dotted import binds the module itself.
+    assert amplify_module.build_expander is build_expander
+    assert amplify_module.amplify is amplify
 
 
 def is_psd(m) -> bool:

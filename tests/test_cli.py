@@ -75,9 +75,12 @@ class TestGen:
         v, pi_start, _ = serialize.load_verifier(out)
         assert accept_prob(v, pi_start) == 1
 
-    # sha256 of each file, captured while assignments still came from a
-    # filtered product of all s^n of them: the pruned search must list the
-    # same assignments in the same order, or the endpoint draws change.
+    # sha256 of each file.  The csp, labelcover and verifier files were
+    # captured while assignments still came from a filtered product of all
+    # s^n of them: the pruned search must list the same assignments in the
+    # same order, or the endpoint draws change.  The setcover and hypergraph
+    # files, the solve benchmark's inputs, were captured while each
+    # generator had its own greedy cover routine.
     PINNED = {
         "csp-8x4-4": (["csp", 4, "--vertices", 8, "--alphabet", 4, "--density", 0.5],
                       "5c33dd3a34f224f51a434b7f6e95cd4e2b75237baf1b678d8aa8bf82bf0fd6a8"),
@@ -99,6 +102,22 @@ class TestGen:
                        "64cdda1ded8497a85d6bbcfa87cbe39161c8a2efea9a52ee0e6ad087fdd3a9c2"),
         "readme-verifier": (["verifier", 7],
                             "85ae7ecbd4b1a289d8455155d2db0a52d3f033bbe7b79280df4433da4072a39c"),
+        "setcover-60x26-0": (["setcover", 0, "--elements", 60, "--sets", 26],
+                             "c5af747627694f5d93592dc22da17c880bddfa3886f76d616a1d147b560c04ae"),
+        "setcover-60x26-2": (["setcover", 2, "--elements", 60, "--sets", 26],
+                             "9d684417e446c069c5c1a5ac1a9afcccb5d6ac8ddadc81d961a48076f5bc3360"),
+        "setcover-60x26-5": (["setcover", 5, "--elements", 60, "--sets", 26],
+                             "7714311226fa8beb289b6d8fdc07e7206882f12d83dac2d22ee260af39101b16"),
+        "setcover-60x26-13": (["setcover", 13, "--elements", 60, "--sets", 26],
+                              "5c4991092eb45b65f0aa8ec0fd6c0c4d57c105c9d715b9ed22ff490784427d73"),
+        "hypergraph-30x50x4-6": (["hypergraph", 6, "--vertices", 30, "--edges", 50, "--max-edge-size", 4],
+                                 "8809ce141e61eea7f07e9570bf537e5a586cd8127f7d4dfbe34dd5f207c49e3d"),
+        "hypergraph-30x50x4-12": (["hypergraph", 12, "--vertices", 30, "--edges", 50, "--max-edge-size", 4],
+                                  "7896d8304b9e2027d12bbd25ba42c3333a67c139bab594a07f6565f5be06ce55"),
+        "hypergraph-30x50x4-17": (["hypergraph", 17, "--vertices", 30, "--edges", 50, "--max-edge-size", 4],
+                                  "55dbbd16b7837e8fd3adfd10b9657f5ef22a8286276fe97753a142b185fe7d44"),
+        "hypergraph-30x50x4-21": (["hypergraph", 21, "--vertices", 30, "--edges", 50, "--max-edge-size", 4],
+                                  "bce3f280d947c930f908302b8258ced9fb9f4b68dd232cdbab784b1340207b9f"),
     }
 
     @pytest.mark.parametrize("argv, sha", PINNED.values(), ids=PINNED.keys())
@@ -197,42 +216,52 @@ class TestReduceChain:
 
 
 class TestCap:
-    """A state budget that is not a non-negative integer exits 2 before any work."""
+    """A state budget that is not a non-negative integer is a usage error, as
+    a bad --trials is: argparse exits 2 before any work."""
 
-    @pytest.mark.parametrize("env, flag", [("abc", None), ("-1", None), ("1.5", None), (None, -5)])
-    def test_bad_cap_on_solve_exits_2(self, tmp_path, capsys, monkeypatch, env, flag):
+    BAD = ("-1", "abc", "1.5")
+
+    def assert_refused(self, capsys, *argv, caps=BAD):
+        capsys.readouterr()
+        for cap in caps:
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--cap", cap)
+            assert exc.value.code == 2
+            assert "argument --cap: not a" in capsys.readouterr().err
+
+    # Each case is one bad budget, given as command-line text or as a number.
+    @pytest.mark.parametrize("text, number", [("abc", None), ("-1", None), ("1.5", None), (None, -5)])
+    def test_bad_cap_on_solve_exits_2(self, tmp_path, capsys, text, number):
         fglss = tmp_path / "fglss.json"
         run("reduce", "fglss", "--in", toy_verifier_file(tmp_path / "v.json"), "--out", fglss)
-        if env is not None:
-            monkeypatch.setenv("RFORGE_CAP", env)
-        argv = ["solve", "maxpar", "--in", fglss] + (["--cap", flag] if flag is not None else [])
-        capsys.readouterr()
-        assert run(*argv) == 2
-        assert "must be a non-negative integer" in capsys.readouterr().err
+        cap = text if text is not None else number
+        self.assert_refused(capsys, "solve", "maxpar", "--in", fglss, caps=(cap,))
 
-    @pytest.mark.parametrize("env, flag", [("abc", None), (None, -1)])
-    def test_bad_cap_on_pipeline_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, env, flag):
-        if env is not None:
-            monkeypatch.setenv("RFORGE_CAP", env)
+    @pytest.mark.parametrize("text, number", [("abc", None), (None, -1)])
+    def test_bad_cap_on_pipeline_exits_2_before_writing(self, tmp_path, capsys, text, number):
         ver = toy_verifier_file(tmp_path / "v.json")
-        argv = ["pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--no-amplify"]
-        argv += ["--cap", flag] if flag is not None else []
-        assert run(*argv) == 2
-        assert "must be a non-negative integer" in capsys.readouterr().err
+        cap = text if text is not None else number
+        argv = ("pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--no-amplify")
+        self.assert_refused(capsys, *argv, caps=(cap,))
         assert not (tmp_path / "s").exists()
 
-    def test_bad_cap_on_report_exits_2(self, tmp_path, monkeypatch):
+    def test_bad_cap_on_report_exits_2(self, tmp_path, capsys):
         ver = toy_verifier_file(tmp_path / "v.json")
         assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "s", "--no-amplify") == 0
-        monkeypatch.setenv("RFORGE_CAP", "x")
-        assert run("report", "--dir", tmp_path / "s") == 2
+        self.assert_refused(capsys, "report", "--dir", tmp_path / "s")
 
-    def test_cap_zero_and_empty_env_are_valid(self, monkeypatch):
-        assert solve.resolve_cap(0) == 0
-        monkeypatch.setenv("RFORGE_CAP", "0")
-        assert solve.resolve_cap(None) == 0
-        monkeypatch.setenv("RFORGE_CAP", "")
-        assert solve.resolve_cap(None) == solve.DEFAULT_CAP
+    def test_cap_zero_is_a_valid_budget(self, tmp_path, capsys):
+        # Zero states admit only equal endpoints.
+        inst = generate_csp(1)
+        path = tmp_path / "same.json"
+        serialize.save(P2cspInstance(inst.graph, inst.start, inst.start), path)
+        assert run("solve", "maxpar", "--in", path, "--cap", 0) == 0
+        assert "states explored = 0" in capsys.readouterr().out
+        fglss = tmp_path / "fglss.json"
+        run("reduce", "fglss", "--in", toy_verifier_file(tmp_path / "v.json"), "--out", fglss)
+        capsys.readouterr()
+        assert run("solve", "maxpar", "--in", fglss, "--cap", 0) == 3
+        assert "visited more than 0 states (raise --cap)" in capsys.readouterr().err
 
 
 class TestSolveInput:
@@ -344,6 +373,16 @@ class TestUnreadableInput:
         path.write_text(json.dumps(data))
         assert run(*command, "--in", path, "--out", tmp_path / "out.json") == 2
         assert "expected an integer, got a boolean" in capsys.readouterr().err
+
+    def test_ternary_constraint_graph_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(
+            {"type": "constraint_graph", "vertices": ["x", "y", "z"], "arity": 3, "alphabet": ["a"],
+             "edges": [[0, 1, 2]], "tables": [[1]]}
+        ))
+        assert run("reduce", "normalize", "--in", path, "--out", tmp_path / "out.json") == 2
+        assert "only binary constraint graphs are supported, got arity 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("where", ["nonexistent", "empty"])
     def test_report_without_stage_files_exits_2(self, tmp_path, capsys, where):
@@ -557,7 +596,7 @@ class TestPipeline:
         rows = json.loads((out_dir / "report.json").read_text())
         assert {"stage": "setcover", "metric": "opt", "value": "2"} in rows
 
-    def test_oversized_verifier_refused(self, tmp_path):
+    def test_oversized_verifier_refused(self, tmp_path, capsys):
         big = TableVerifier(
             r=5,
             q=1,
@@ -568,14 +607,25 @@ class TestPipeline:
         path = tmp_path / "big.json"
         serialize.save(big, path, pi_start="00", pi_goal="01")
         assert run("pipeline", "--in", path, "--out-dir", tmp_path / "s") == 2
+        assert "(r=5 q=1, ceilings r<=4 q<=3)" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
-    def test_verifier_without_proofs_refused(self, tmp_path):
+    def test_too_many_queries_refused(self, tmp_path, capsys):
+        ver = tmp_path / "v.json"
+        assert run("gen", "--kind", "verifier", "--alphabet", 3, "--seed", 1, "--out", ver) == 0
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "s") == 2
+        assert "verifier too large for the pipeline (r=1 q=4, ceilings r<=4 q<=3)" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_verifier_without_proofs_refused(self, tmp_path, capsys):
         v = TableVerifier(
             r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 1]),) * 2
         )
         path = tmp_path / "naked.json"
         serialize.save(v, path)
         assert run("pipeline", "--in", path, "--out-dir", tmp_path / "s") == 2
+        assert "verifier file carries no start/goal proofs" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_stage_errors_carry_the_stage_name(self, tmp_path, capsys):
         ver = toy_verifier_file(tmp_path / "v.json")

@@ -88,9 +88,8 @@ class TestSatisfiesPartial:
             satisfies_partial(g, (2, 0))
 
     def test_arity_mismatch(self):
-        g3 = ConstraintGraph(("a", "b", "c"), 3, ("0",), ((0, 1, 2),), (bytes([1]),))
-        with pytest.raises(StructuralError):
-            satisfies_partial(g3, (0, 0, 0))
+        with pytest.raises(StructuralError, match="only binary constraint graphs"):
+            ConstraintGraph(("a", "b", "c"), 3, ("0",), ((0, 1, 2),), (bytes([1]),))
 
 
 class TestSatisfiesMulti:

@@ -35,6 +35,7 @@ from rforge.generate import (
 )
 from rforge.reductions import labelcover_to_hvc, labelcover_to_setcover
 from rforge.solve import (
+    DEFAULT_CAP,
     PROBLEM_HVC_COST,
     PROBLEM_MAXPAR,
     PROBLEM_MINLAB,
@@ -98,14 +99,6 @@ class TestMaxpar:
         g = graph([(0, 1)], [EQ])
         with pytest.raises(BudgetExhaustedError):
             solve_maxpar(g, (0, 0), (1, 1), cap=2)
-
-    def test_env_var_overrides_default_cap(self, monkeypatch):
-        g = graph([(0, 1)], [EQ])
-        monkeypatch.setenv("RFORGE_CAP", "2")
-        with pytest.raises(BudgetExhaustedError):
-            solve_maxpar(g, (0, 0), (1, 1))
-        monkeypatch.setenv("RFORGE_CAP", "10000")
-        assert solve_maxpar(g, (0, 0), (1, 1)).value == Fraction(1, 2)
 
     @staticmethod
     def looped_csps(count: int):
@@ -256,7 +249,7 @@ class TestTwoEndedSearch:
         assert moved
 
     @staticmethod
-    def engine(edges, weight, start, goal, thetas, cap=None):
+    def engine(edges, weight, start, goal, thetas, cap=DEFAULT_CAP):
         """Run the engine on an explicit undirected graph whose state w
         obeys theta when ``weight[w] <= theta``; also return the states
         expanded, in order."""
