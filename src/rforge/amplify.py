@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import add, itemgetter, mul
 
 from .core import StructuralError
-from .verifier import TableVerifier, degrees, row_of, table_of
+from .verifier import TableVerifier, degrees, reads, row_of
 from . import rng as rng_mod
 
 # Power iteration settings for the spectral estimate (desk scale: n <= 4096).
@@ -213,9 +213,17 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
     """Exact probability that all rho vertices of a uniform walk land in subset.
 
     The walk has rho vertices and rho - 1 steps: a uniform start vertex
-    followed by uniform port choices.  Computed by transfer matrix over
-    integer walk counts restricted to the subset's members, so the result
-    is an exact rational and a step costs O(|subset|^2).
+    followed by uniform port choices, so each of the n * d^(rho - 1)
+    walks is equally likely (see ``walk_hit_count``).
+    """
+    return Fraction(walk_hit_count(x, subset, rho), x.n * x.d ** (rho - 1))
+
+
+def walk_hit_count(x: ExpanderGraph, subset, rho: int) -> int:
+    """Number of rho-vertex walks, (start vertex, rho - 1 ports), that stay in subset.
+
+    Computed by transfer matrix over integer walk counts restricted to
+    the subset's members, so a step costs O(|subset|^2).
     """
     if rho < 1:
         raise StructuralError(f"walk needs at least one vertex, got rho={rho}")
@@ -236,7 +244,7 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
             columns = [[counts[w][w]] for w in members]
         for _ in range(rho - 1):
             inside = [sum(map(mul, inside, column)) for column in columns]
-    return Fraction(sum(inside), x.n * x.d ** (rho - 1))
+    return sum(inside)
 
 
 def _exp_exceeds(y: Fraction, r: Fraction) -> bool:
@@ -317,10 +325,11 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
             raise StructuralError(
                 f"amplified entry reads {len(merged)} positions, ceiling is {MAX_POSITIONS}"
             )
+        # Each walk entry's table, with its positions as indices into merged.
+        index_of = {i: k for k, i in enumerate(merged)}
+        parts = [(v.tables[rk], [index_of[i] for i in v.queries[rk]]) for rk in walk]
         queries.append(merged)
-        tables.append(
-            table_of(merged, lambda read: all(v.tables[rk][row_of(read, v.queries[rk])] for rk in walk))
-        )
+        tables.append(bytes(all(table[row_of(read, at)] for table, at in parts) for read in reads(len(merged))))
     q_max = max(len(i) for i in queries)
     return TableVerifier(r=new_r, q=q_max, ell=v.ell, queries=tuple(queries), tables=tuple(tables))
 

@@ -18,6 +18,7 @@ from .amplify import (
     amplify,
     build_expander,
     choose_rho,
+    walk_hit_count,
     walk_hit_prob,
 )
 from .approx import two_factor_cover
@@ -65,7 +66,7 @@ from .solve import (
     solve_maxpar,
     solve_minlab,
 )
-from .verifier import TableVerifier, accept_prob, accepting_set, degree, table_of
+from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_set, degree, table_of
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
@@ -525,7 +526,9 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     every proof with acceptance below 1 - eps must amplify below delta.
     Also checks the amplified acceptance equals the walk-restriction
     probability of the base acceptance set, and sweeps all largest
-    relevant vertex subsets directly.
+    relevant vertex subsets directly.  The amplified acceptance of all
+    proofs comes from one ``acceptance_counts`` pass per verifier, and
+    the sweep compares integer walk counts.
     """
     eps = Fraction(3, 5)
     delta = Fraction(11, 20)
@@ -539,11 +542,12 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     for t in range(trials):
         v, planted = _claim_verifier(seed, t)
         amped = amplify(v, x, rho)
+        counts = acceptance_counts(amped)
         for word in range(2**v.ell):
             proof = format(word, f"0{v.ell}b")
             accepting = accepting_set(v, proof)
             base = Fraction(len(accepting), v.n_entries)
-            amp = accept_prob(amped, proof)
+            amp = Fraction(counts[word], amped.n_entries)
             via_walk = walk_hit_prob(x, accepting, rho)
             problems = []
             if amp != via_walk:
@@ -565,10 +569,12 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     k_max = 0
     while Fraction(k_max + 1, x.n) < 1 - eps:
         k_max += 1
+    # count / walks < delta, on integers.
+    walks = x.n * x.d ** (rho - 1)
     swept = 0
     for subset in combinations(range(x.n), k_max):
         swept += 1
-        if not walk_hit_prob(x, frozenset(subset), rho) < delta:
+        if not walk_hit_count(x, subset, rho) * delta.denominator < delta.numerator * walks:
             tally.add({"subset": list(subset), "rho": rho})
             break
     notes.append(f"{low_seen} low-acceptance proofs exercised")

@@ -358,6 +358,12 @@ def _stage(name: str, fn, path: Path, **proofs):
     return made
 
 
+# Every file a pipeline run can write into --out-dir besides its report.
+_STAGE_FILES = ("00_verifier.json", "01_expander.json", "01_amplified_verifier.json") + tuple(
+    step.stage_file for step in _STEPS.values()
+)
+
+
 def _cmd_pipeline(args) -> int:
     v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
     if v.r > PIPELINE_MAX_R or v.q > PIPELINE_MAX_Q:
@@ -368,6 +374,10 @@ def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     with serialize.writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+        # The report reads every stage file present, so none may be left
+        # from an earlier run into the same directory.
+        for name in _STAGE_FILES:
+            (out_dir / name).unlink(missing_ok=True)
     serialize.save(v, out_dir / "00_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
     work = v
     if not args.no_amplify:

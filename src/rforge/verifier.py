@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import BOTTOM, ConstraintGraph, StructuralError, normalize_self_loops
 
@@ -90,6 +90,51 @@ def accepting_set(v: TableVerifier, proof: str) -> frozenset[int]:
     return frozenset(accepting)
 
 
+def acceptance_counts(v: TableVerifier) -> list[int]:
+    """Accepting entries of every proof at once.
+
+    ``counts[w] == len(accepting_set(v, format(w, f"0{v.ell}b")))``.  The
+    2^ell proofs are evaluated together in lane-packed ints: lane w, of
+    r + 2 bits, belongs to proof w.  Position i has two literal masks,
+    bit 0 of each lane whose proof holds 0 (or 1) at i.  An entry's mask
+    ORs, over its accepting rows, the AND of the literal masks that row
+    reads.  Summing the entries' masks counts in every lane at once, and
+    no lane carries into the next, since a count is at most 2^r.
+    """
+    width = v.r + 2
+    n_proofs = 1 << v.ell
+    every = _lanes(n_proofs, width)
+    literals = []
+    for i in range(v.ell):
+        # Proofs holding 1 at i come in runs of `run`, after runs holding 0.
+        run = 1 << (v.ell - 1 - i)
+        ones = (_lanes(run, width) << (run * width)) * _lanes(n_proofs // (2 * run), 2 * run * width)
+        literals.append((every ^ ones, ones))
+    total = 0
+    for positions, table in zip(v.queries, v.tables):
+        mask = 0
+        for read, accepts in zip(reads(len(positions)), table):
+            if accepts:
+                hit = every
+                for i, bit in zip(positions, read):
+                    hit &= literals[i][bit]
+                mask |= hit
+        total += mask
+    lane = (1 << width) - 1
+    return [total >> (w * width) & lane for w in range(n_proofs)]
+
+
+def _lanes(count: int, stride: int) -> int:
+    """Bit 0 of each of ``count`` lanes of ``stride`` bits."""
+    return ((1 << (count * stride)) - 1) // ((1 << stride) - 1)
+
+
+def reads(n_positions: int) -> Iterator[tuple[int, ...]]:
+    """Every read of ``n_positions`` bits as a bit tuple, in decision-table
+    row order: the k-th has ``row_of(read, range(n_positions)) == k``."""
+    return product((0, 1), repeat=n_positions)
+
+
 def row_of(bits: Mapping[int, int] | Sequence[int], positions: Sequence[int]) -> int:
     """The decision-table row a read selects: ``bits[i]`` for i in
     ``positions``, big-endian in query order."""
@@ -106,10 +151,7 @@ def table_of(positions: Sequence[int], accepts: Callable[[dict[int, int]], bool]
     position -> bit dict (``row_of(read, positions) == k``).  Generators
     that draw from a random stream inside ``accepts`` rely on this order.
     """
-    return bytes(
-        1 if accepts(dict(zip(positions, bits))) else 0
-        for bits in product((0, 1), repeat=len(positions))
-    )
+    return bytes(1 if accepts(dict(zip(positions, bits))) else 0 for bits in reads(len(positions)))
 
 
 def degree(v: TableVerifier, i: int) -> int:

@@ -17,6 +17,7 @@ from rforge.amplify import (
     build_expander,
     choose_rho,
     degree_report,
+    walk_hit_count,
     walk_hit_prob,
 )
 from rforge.core import StructuralError
@@ -208,7 +209,9 @@ class TestWalkOracle:
         for make in self.SUBSETS.values():
             members = set(make(n))
             for rho in range(1, 5):
-                assert walk_hit_prob(x, make(n), rho) == brute_walk_hit_prob(x, members, rho)
+                brute = brute_walk_hit_prob(x, members, rho)
+                assert walk_hit_prob(x, make(n), rho) == brute
+                assert walk_hit_count(x, make(n), rho) == brute * n * d ** (rho - 1)
         for v in range(n):  # one member: its self-loops are the only walks
             assert walk_hit_prob(x, [v], 3) == brute_walk_hit_prob(x, {v}, 3)
 

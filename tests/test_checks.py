@@ -1,6 +1,8 @@
-"""Check-suite harness: registry, summaries, and the negative control."""
+"""Check-suite harness: registry, summaries, and the negative controls."""
 
 import json
+from dataclasses import replace
+from itertools import combinations, islice
 
 import pytest
 
@@ -120,3 +122,46 @@ def test_reports_are_deterministic():
     a = checks.run_suite("oracle-agreement", trials=6, seed=12)
     b = checks.run_suite("oracle-agreement", trials=6, seed=12)
     assert a == b
+
+
+def test_a_flipped_amplified_row_fails_claim_accept(monkeypatch):
+    # Negative control: row 0 of the first amplified entry is read by every
+    # proof that is 0 at that entry's positions, and each of them must be
+    # reported, the all-zeros proof first.
+    amplify = checks.amplify
+    flipped = []
+
+    def one_row_flipped(v, x, rho):
+        amped = amplify(v, x, rho)
+        first = amped.tables[0]
+        flipped.append(amped)
+        return replace(amped, tables=(bytes([1 - first[0]]) + first[1:],) + amped.tables[1:])
+
+    monkeypatch.setattr(checks, "amplify", one_row_flipped)
+    rep = checks.claim_accept(trials=1, seed=0)
+    assert not rep.passed
+    (amped,) = flipped
+    assert rep.violations == 2 ** (amped.ell - len(amped.queries[0]))
+    payload = json.loads(rep.counterexample)
+    assert payload["trial"] == 0 and payload["proof"] == "0" * amped.ell
+    assert "amplified acceptance != walk probability" in payload["problems"]
+
+
+def test_a_subset_at_delta_fails_the_sweep(monkeypatch):
+    # Negative control: the sweep's walk count puts the 101st subset of
+    # size 6 at the least count not below delta = 11/20 of the 16 * 16
+    # walks; the sweep must stop there and report it.
+    target = next(islice(combinations(range(16), 6), 100, None))
+    walk_hit_count = checks.walk_hit_count
+
+    def one_subset_at_delta(x, subset, rho):
+        if tuple(sorted(subset)) == target:
+            return -(-11 * x.n * x.d ** (rho - 1) // 20)
+        return walk_hit_count(x, subset, rho)
+
+    monkeypatch.setattr(checks, "walk_hit_count", one_subset_at_delta)
+    rep = checks.claim_accept(trials=0, seed=0)
+    assert not rep.passed
+    assert rep.violations == 1
+    assert json.loads(rep.counterexample) == {"subset": list(target), "rho": 2}
+    assert "101 subsets of size 6 swept" in rep.notes

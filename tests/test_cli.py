@@ -555,6 +555,26 @@ class TestPipeline:
         assert "| fglss | maxpar | 1/1" in report
         assert "| labelcover | minlab | 1/1" in report
 
+    AMPLIFIED = ("--rho", 2, "--cap", 1000)  # skips the cover stages: alphabet 27 > 12
+    UNAMPLIFIED = ("--no-amplify",)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(AMPLIFIED, UNAMPLIFIED), (UNAMPLIFIED, AMPLIFIED)],
+        ids=["amplified-first", "unamplified-first"],
+    )
+    def test_rerun_into_a_used_directory_leaves_no_stale_stage(self, tmp_path, capsys, first, second):
+        ver = tmp_path / "v7.json"
+        assert run("gen", "--kind", "verifier", "--seed", 7, "--out", ver) == 0
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert run("pipeline", "--in", ver, "--out-dir", fresh, *second) == 0
+        assert run("pipeline", "--in", ver, "--out-dir", reused, *first) == 0
+        (reused / "notes.txt").write_text("not a stage file")
+        assert run("pipeline", "--in", ver, "--out-dir", reused, *second) == 0
+        assert sorted(p.name for p in reused.iterdir()) == sorted([p.name for p in fresh.iterdir()] + ["notes.txt"])
+        for path in fresh.iterdir():
+            assert (reused / path.name).read_bytes() == path.read_bytes()
+
     def test_eps_delta_choose_rho(self, tmp_path):
         # choose_rho(1, 1/3) = ceil(2 ln 3) = 3, so two 2-bit port choices
         ver = toy_verifier_file(tmp_path / "v.json")

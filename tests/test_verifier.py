@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from rforge.generate import generate_csp, generate_verifier_with_accepted_pair
 from rforge.verifier import (
     TableVerifier,
     accept_prob,
+    acceptance_counts,
     accepting_set,
     csp_to_verifier,
     degree,
@@ -137,6 +139,47 @@ class TestAcceptingSet:
         for fn in (accepting_set, accept_prob):
             with pytest.raises(StructuralError):
                 fn(v, proof)
+
+
+class TestAcceptanceCounts:
+    """Every proof's bit-parallel count against the per-proof reference."""
+
+    @staticmethod
+    def assert_matches_reference(v):
+        counts = acceptance_counts(v)
+        assert len(counts) == 2**v.ell
+        for word, count in enumerate(counts):
+            assert Fraction(count, 2**v.r) == accept_prob(v, format(word, f"0{v.ell}b"))
+
+    def test_random_verifiers_with_mixed_query_lengths(self):
+        rng = random.Random(23)
+        for r in range(4):
+            for ell in range(1, 6):
+                for _ in range(3):
+                    queries = tuple(tuple(rng.sample(range(ell), rng.randint(1, ell))) for _ in range(2**r))
+                    tables = tuple(bytes(rng.randrange(2) for _ in range(2 ** len(p))) for p in queries)
+                    v = TableVerifier(r=r, q=max(map(len, queries)), ell=ell, queries=queries, tables=tables)
+                    self.assert_matches_reference(v)
+
+    def test_amplified_verifiers(self):
+        for v in amplified_verifiers():
+            self.assert_matches_reference(v)
+
+    def test_claim_accept_verifiers_base_and_amplified(self):
+        x = build_expander(16, 16, 0.15, 0)
+        for seed, t in ((0, 0), (1, 2), (7, 1)):
+            v, _ = checks._claim_verifier(seed, t)
+            self.assert_matches_reference(v)
+            self.assert_matches_reference(amplify(v, x, 2))
+
+    def test_one_entry_and_one_bit(self):
+        assert acceptance_counts(TableVerifier(r=0, q=1, ell=1, queries=((0,),), tables=(bytes([0, 1]),))) == [0, 1]
+        v = TableVerifier(r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 0]), bytes([1, 1])))
+        assert acceptance_counts(v) == [2, 1]
+
+    def test_full_lanes_do_not_carry(self):
+        # Every lane holds 2^r, its largest count.
+        assert acceptance_counts(always_accepting(r=3, q=2, ell=4)) == [8] * 16
 
 
 class TestDegrees:
@@ -288,3 +331,10 @@ class TestTableBytesArePinned:
         v, planted = checks._claim_verifier(seed, t)
         serialize.save(v, tmp_path / "v.json", pi_start=planted, pi_goal=planted)
         assert hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest() == sha
+
+    def test_claim_accept_amplified_verifier(self, tmp_path):
+        v, planted = checks._claim_verifier(0, 0)
+        amped = amplify(v, build_expander(16, 16, 0.15, 0), 2)
+        serialize.save(amped, tmp_path / "amp.json", pi_start=planted, pi_goal=planted)
+        digest = hashlib.sha256((tmp_path / "amp.json").read_bytes()).hexdigest()
+        assert digest == "a511980038dc0c953da7315c32f2a1d5cee4fa8e2a996bc5407731e7eb6adeb4"
