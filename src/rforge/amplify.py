@@ -74,17 +74,14 @@ class ExpanderGraph:
         return self.rotation[v * self.d + port][0]
 
     @cached_property
-    def _counts(self) -> tuple[tuple[int, ...], ...]:
-        # Multiplicity matrix, built once per graph on first use.
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """Multiplicity matrix, built once per graph on first use; row sums
+        equal d (a self-loop counts both ports)."""
         counts = [[0] * self.n for _ in range(self.n)]
         for v in range(self.n):
             for p in range(self.d):
                 counts[v][self.rotation[v * self.d + p][0]] += 1
         return tuple(map(tuple, counts))
-
-    def adjacency_counts(self) -> list[list[int]]:
-        """Multiplicity matrix; row sums equal d (a self-loop counts both ports)."""
-        return [list(row) for row in self._counts]
 
 
 def _complete_rotation(n: int, d: int) -> list[tuple[int, int]]:
@@ -180,24 +177,16 @@ def build_expander(n: int, d: int, target_ratio: float, seed: int, attempts: int
         raise StructuralError(f"degree must be >= 3, got {d}")
     if (n * d) % 2 != 0:
         raise StructuralError("n * d must be even")
-    if n <= d + 1:
-        if d == n - 1:
-            lam = 1.0 if n > 2 else 0.0
-            if lam / d < target_ratio:
-                return ExpanderGraph(n=n, d=d, rotation=tuple(_complete_rotation(n, d)), lam=lam)
-            raise StructuralError(
-                f"complete graph on {n} vertices has ratio {lam / d}, target {target_ratio} infeasible"
-            )
-        if d == n and n % 2 == 0:
-            lam = 2.0
-            if lam / d < target_ratio:
-                return ExpanderGraph(
-                    n=n, d=d, rotation=_complete_plus_matching_rotation(n), lam=lam
-                )
-            raise StructuralError(
-                f"complete-plus-matching graph on {n} vertices has ratio {lam / d}, "
-                f"target {target_ratio} infeasible"
-            )
+    if d == n - 1:
+        name, rotation, lam = "complete graph", tuple(_complete_rotation(n, d)), 1.0
+    elif d == n and n % 2 == 0:
+        name, rotation, lam = "complete-plus-matching graph", _complete_plus_matching_rotation(n), 2.0
+    else:
+        name = None
+    if name is not None:
+        if lam / d < target_ratio:
+            return ExpanderGraph(n=n, d=d, rotation=rotation, lam=lam)
+        raise StructuralError(f"{name} on {n} vertices has ratio {lam / d}, target {target_ratio} infeasible")
     for attempt in range(attempts):
         seeded = rng_mod.stream(seed, f"expander:{n}:{d}:{attempt}")
         rotation = _config_model_rotation(n, d, seeded)
@@ -236,7 +225,7 @@ def walk_hit_count(x: ExpanderGraph, subset, rho: int) -> int:
     if rho > 1 and members:
         # The rotation map is an involution, so the counts are symmetric
         # and member w's column over the members is its row over them.
-        counts = x._counts
+        counts = x.counts
         if len(members) > 1:
             take = itemgetter(*members)
             columns = [take(counts[w]) for w in members]

@@ -27,7 +27,7 @@ from .core import (
     validate_sequence,
 )
 from .solve import _satisfying
-from .verifier import TableVerifier, accept_prob, accepting_set, row_of
+from .verifier import TableVerifier, _check_proof, accept_prob, accepting_set, row_of
 
 # Coordinate encoding of a local-view entry: {0}, {1}, or the joint {0,1}.
 COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
@@ -120,8 +120,7 @@ def build_fglss(v: TableVerifier) -> ConstraintGraph:
 
 def embed_proof(v: TableVerifier, proof: str) -> tuple[int, ...]:
     """The full assignment reading off each entry's singleton local view."""
-    if len(proof) != v.ell:
-        raise StructuralError(f"proof length {len(proof)} != {v.ell}")
+    _check_proof(v, proof)
     out = []
     for rnd in range(v.n_entries):
         coords = [COORD_ONE if proof[i] == "1" else COORD_ZERO for i in v.queries[rnd]]
@@ -192,8 +191,8 @@ def plurality_decode(
 
 def interpolate_proofs(v: TableVerifier, start: str, goal: str) -> ReconfigSequence:
     """Flip the differing positions one at a time in ascending order."""
-    if len(start) != v.ell or len(goal) != v.ell:
-        raise StructuralError("proof length mismatch")
+    _check_proof(v, start)
+    _check_proof(v, goal)
     cur = list(start)
     states = ["".join(cur)]
     for i in range(v.ell):

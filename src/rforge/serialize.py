@@ -5,9 +5,12 @@ tag from ``TAGS`` plus one key per dataclass field, written and read by a
 codec worked out once from the field's type annotation: tuples become
 lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
 nested dataclasses their payloads; the readers of the list forms
-accept only a JSON list, and no reader takes a JSON boolean for an
-integer or a float.  States follow their kind, with ``BOTTOM`` as ``null``.  A verifier file lists ``{R, queries, table}``
-entries and may carry endpoint proofs; an expander file adds ``ratio``.
+accept only a JSON list, an integer is read only from a JSON integer,
+and a float from a JSON number that is not a boolean.  States follow
+their kind, with ``BOTTOM`` as ``null``.  A verifier file lists
+``{R, queries, table}`` entries, R running over 0 to 2^r - 1, and may
+carry endpoint proofs, each a 0/1 string of the proof length; an
+expander file adds ``ratio``.
 
 All writers emit sorted-key, tight-separator JSON with a trailing
 newline, so serializing equal objects always produces identical bytes and
@@ -29,6 +32,8 @@ from .core import (
     BOTTOM,
     BUNDLES,
     KINDS,
+    KIND_MULTI,
+    KIND_PARTIAL,
     KIND_PROOF,
     ConstraintGraph,
     Hypergraph,
@@ -42,7 +47,7 @@ from .core import (
 )
 from .amplify import ExpanderGraph
 from .solve import SolveResult
-from .verifier import TableVerifier
+from .verifier import TableVerifier, _check_proof
 
 
 def canonical_dumps(payload) -> bytes:
@@ -76,29 +81,27 @@ def _same(value):
 _SAME = (_same, _same)
 
 
-def _from_list(read):
-    """``read`` restricted to a JSON list: a string or a number is malformed."""
-
-    def from_list(obj):
-        if not isinstance(obj, list):
-            raise StructuralError(f"expected a list, got {type(obj).__name__}")
-        return read(obj)
-
-    return from_list
+def _list_in(obj) -> list:
+    """``obj`` if it is a JSON list: a string or a number is malformed."""
+    if not isinstance(obj, list):
+        raise StructuralError(f"expected a list, got {type(obj).__name__}")
+    return obj
 
 
-def _no_bools(items):
-    """``items`` unless one is a JSON boolean, which is never an integer index."""
-    if bool in map(type, items):
-        raise StructuralError("expected an integer, got a boolean")
+def _ints(items):
+    """``items`` if each is a JSON integer; a boolean, float, string, null
+    or list is never an integer index."""
+    if not set(map(type, items)) <= {int}:
+        bad = next(type(x) for x in items if type(x) is not int)
+        raise StructuralError(f"expected an integer, got {'a boolean' if bad is bool else bad.__name__}")
     return items
 
 
 def _int_in(obj) -> int:
-    return _no_bools((obj,))[0]
+    return _ints((obj,))[0]
 
 
-# Codec of an int: written as is, read with booleans refused.
+# Codec of an int: written as is, read only from a JSON integer.
 _INT = (_same, _int_in)
 
 
@@ -128,7 +131,7 @@ def _codec(ann) -> tuple:
     if ann is int:
         return _INT
     if ann is bytes:
-        return list, _from_list(lambda o: bytes(_no_bools(o)))
+        return list, lambda o: bytes(_ints(_list_in(o)))
     if ann is Fraction:
         return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
     if is_dataclass(ann):
@@ -139,14 +142,14 @@ def _codec(ann) -> tuple:
         return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
     if origin in (tuple, frozenset):
         items = [_codec(a) for a in args if a is not Ellipsis]
-        # A list of scalars is read in one call, scanned for booleans if it holds ints.
+        # A list of scalars is read in one call, scanned for non-integers if it holds ints.
         if all(c in (_SAME, _INT) for c in items):
             make = tuple if origin is tuple else frozenset
-            check = _no_bools if _INT in items else _same
-            return (list if origin is tuple else sorted), _from_list(lambda o: make(check(o)))
+            check = _ints if _INT in items else _same
+            return (list if origin is tuple else sorted), lambda o: make(check(_list_in(o)))
         if args[1:] == (Ellipsis,):
             ((write, read),) = items
-            return (lambda v: [write(x) for x in v]), _from_list(lambda o: tuple(read(x) for x in o))
+            return (lambda v: [write(x) for x in v]), lambda o: tuple(read(x) for x in _list_in(o))
     raise TypeError(f"no codec for the annotation {ann!r}")
 
 
@@ -160,17 +163,20 @@ def _state_out(state):
 
 
 def _state_in(obj, kind: str):
-    """State of ``kind`` from its payload: a proof is a string; any other
-    state is a list, with null as ``BOTTOM``, read in the kind's canonical form."""
+    """State of ``kind`` from its payload, in the kind's one shape: a proof
+    is a string, a cover a list of ints, a partial assignment a list of
+    ints and nulls (``BOTTOM``), and a multi assignment a list of int lists."""
     proof = kind == KIND_PROOF
-    if isinstance(obj, str) != proof:
+    if not isinstance(obj, str if proof else list):
         expected = "a string" if proof else "a list"
         raise StructuralError(f"a {kind} state must be {expected}, got {type(obj).__name__}")
-    if proof:
-        return KINDS[kind].canonical(obj)
-    # A boolean is refused at either depth: an index, or inside a label set.
-    items = (_no_bools(a) if isinstance(a, list) else a for a in _no_bools(obj))
-    return KINDS[kind].canonical([BOTTOM if a is None else a for a in items])
+    if kind == KIND_PARTIAL:
+        obj = _ints([BOTTOM if a is None else a for a in obj])
+    elif kind == KIND_MULTI:
+        obj = [_ints(_list_in(a)) for a in obj]
+    elif not proof:
+        obj = _ints(obj)
+    return KINDS[kind].canonical(obj)
 
 
 @cache
@@ -221,7 +227,9 @@ def payload(obj, pi_start: str | None = None, pi_goal: str | None = None) -> dic
 def _read(cls, obj: dict):
     """Object of type ``cls`` from its payload; the payload's tag is not read."""
     if cls is TableVerifier:
-        entries = sorted(obj["entries"], key=lambda e: e["R"])
+        entries = sorted(_list_in(obj["entries"]), key=lambda e: _int_in(e["R"]))
+        if [e["R"] for e in entries] != list(range(len(entries))):
+            raise StructuralError(f"verifier entry indices R must be 0 to {len(entries) - 1}, each once")
         obj = {**obj, "queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
     kind = BUNDLES[cls][1] if cls in BUNDLES else obj.get("kind")
     return cls(
@@ -298,4 +306,8 @@ def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
         proofs = obj.get("pi_start"), obj.get("pi_goal")
         if not all(p is None or isinstance(p, str) for p in proofs):
             raise StructuralError("pi_start and pi_goal must be strings or null")
-        return _read(TableVerifier, obj), *proofs
+        v = _read(TableVerifier, obj)
+        for proof in proofs:
+            if proof is not None:
+                _check_proof(v, proof)
+        return v, *proofs

@@ -169,12 +169,6 @@ def degrees(v: TableVerifier) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def regularity(v: TableVerifier) -> int | None:
-    """The common degree if every position shares one, else None."""
-    counts = degrees(v)
-    return counts[0] if len(set(counts)) == 1 else None
-
-
 def symbol_bits(n_symbols: int) -> int:
     """Bits per vertex when encoding symbols as binary codewords."""
     return max(1, (n_symbols - 1).bit_length())

@@ -1,10 +1,14 @@
 """Expander construction, exact walk probabilities, amplification."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, product
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,22 @@ def test_package_attribute_is_the_module():
     # dotted import binds the module itself.
     assert amplify_module.build_expander is build_expander
     assert amplify_module.amplify is amplify
+
+
+def test_package_root_re_exports_nothing():
+    # Each name has one import path, its module: importing one module
+    # loads only it (and what it imports), and the root binds no name.
+    script = (
+        "import inspect, sys\n"
+        "import rforge.core\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'rforge'))\n"
+        "print(sorted(k for k, x in vars(rforge).items() if inspect.isfunction(x) or inspect.isclass(x)))\n"
+    )
+    src = str(Path(amplify_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['rforge', 'rforge.core']", "[]"]
 
 
 def is_psd(m) -> bool:
@@ -62,7 +82,7 @@ def lambda_at_most(x: ExpanderGraph, mu) -> bool:
     """
     mu = Fraction(mu)
     shift = Fraction(x.d, x.n)
-    m = [[count - shift for count in row] for row in x.adjacency_counts()]
+    m = [[count - shift for count in row] for row in x.counts]
     return all(
         is_psd([[sign * m[i][j] + (mu if i == j else 0) for j in range(x.n)] for i in range(x.n)])
         for sign in (1, -1)

@@ -374,6 +374,67 @@ class TestUnreadableInput:
         assert run(*command, "--in", path, "--out", tmp_path / "out.json") == 2
         assert "expected an integer, got a boolean" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def readme_stages(self, tmp_path_factory):
+        """The README example's stage files: verifier seed 7, ``pipeline --no-amplify``."""
+        out_dir = tmp_path_factory.mktemp("readme") / "stages"
+        ver = out_dir.parent / "v7.json"
+        assert run("gen", "--kind", "verifier", "--seed", 7, "--out", ver) == 0
+        assert run("pipeline", "--in", ver, "--out-dir", out_dir, "--no-amplify") == 0
+        return out_dir
+
+    @staticmethod
+    def edited(src, dst, path, value):
+        """``src`` with the field at ``path`` set to ``value``, written to ``dst``."""
+        obj = json.loads(src.read_bytes())
+        field = obj
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+        dst.write_text(json.dumps(obj))
+        return dst
+
+    @pytest.mark.parametrize(
+        "stage, path, value, command",
+        [
+            ("02_fglss.json", ["start", 0], "x", ["solve", "maxpar"]),
+            ("04_labelcover.json", ["start", 0, 0], None, ["solve", "minlab"]),
+            ("05_setcover.json", ["system", "sets", 0, 0], 1.5, ["solve", "sc-cost"]),
+            ("02_fglss.json", ["graph", "edges", 0, 0], 1.5, ["solve", "maxpar"]),
+            ("00_verifier.json", ["entries", 0, "queries", 0], 1.5, ["reduce", "fglss"]),
+        ],
+        ids=["partial-start", "multi-start", "set-member", "edge-end", "verifier-query"],
+    )
+    def test_non_integer_index_exits_2(self, tmp_path, readme_stages, stage, path, value, command):
+        bad = self.edited(readme_stages / stage, tmp_path / "in.json", path, value)
+        done = run_bounded(*command, "--in", bad, "--out", tmp_path / "out.json")
+        assert done.returncode == 2
+        assert "error: expected an integer, got" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "command, out_flag",
+        [(["reduce", "fglss"], "--out"), (["amplify", "--rho", 2], "--out"), (["pipeline"], "--out-dir")],
+        ids=["reduce", "amplify", "pipeline"],
+    )
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["pi_start"], "222", "proof must be a 0/1 string"),
+            (["pi_goal"], "0101", "proof length 4 != 3"),
+            (["entries", 0, "R"], 99, "verifier entry indices R must be 0 to 3, each once"),
+        ],
+        ids=["proof-222", "proof-length", "entry-99"],
+    )
+    def test_malformed_verifier_exits_2_before_writing(
+        self, tmp_path, capsys, readme_stages, command, out_flag, path, value, message
+    ):
+        bad = self.edited(readme_stages / "00_verifier.json", tmp_path / "v.json", path, value)
+        out = tmp_path / "out"
+        assert run(*command, "--in", bad, out_flag, out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ternary_constraint_graph_exits_2(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(

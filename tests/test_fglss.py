@@ -133,6 +133,12 @@ class TestEmbed:
         loop = g.edges.index((0, 0))
         assert g.tables[loop][f[0] * 9 + f[0]] == 0
 
+    @pytest.mark.parametrize("proof, message", [("0100", "proof length 4 != 3"), ("222", "0/1 string")])
+    def test_malformed_proof_is_error(self, proof, message):
+        # A character other than 0 and 1 is not read as either bit.
+        with pytest.raises(StructuralError, match=message):
+            embed_proof(overlap_verifier(), proof)
+
 
 class TestCompleteness:
     def test_unqueried_flip_gives_singleton(self):
@@ -246,6 +252,11 @@ class TestInterpolate:
         v = overlap_verifier()
         seq = interpolate_proofs(v, "000", "011")
         assert seq.states == ("000", "010", "011")
+
+    @pytest.mark.parametrize("start, goal", [("000", "0110"), ("01", "011"), ("002", "011")])
+    def test_malformed_proof_is_error(self, start, goal):
+        with pytest.raises(StructuralError, match="proof"):
+            interpolate_proofs(overlap_verifier(), start, goal)
 
     def test_dip_bound_exact(self):
         eq = bytes([1, 0, 0, 1])

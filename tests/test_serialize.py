@@ -336,6 +336,51 @@ def test_a_boolean_is_not_an_index(data):
     serialize.parse_bytes(fixed.replace(b"true", b"1").replace(b"false", b"0"))
 
 
+# A float, string, null or list where an integer belongs, in each place one is read.
+NON_INTEGER_INDICES = {
+    "float-cover-state": b'{"goal":[0],"start":[1.5,0],"hypergraph":{"hyperedges":[[0,1]],"type":"hypergraph",'
+    b'"vertices":["a","b"]},"type":"hvc_instance"}',
+    "float-setcover-set": b'{"goal":[0],"start":[1],"system":{"elements":["u","v"],"set_labels":["s","t"],'
+    b'"sets":[[0,1.5],[0,1]],"type":"set_system"},"type":"setcover_instance"}',
+    "string-graph-edge": b'{"alphabet":["a"],"arity":2,"edges":[["1",0]],"tables":[[1]],"type":"constraint_graph",'
+    b'"vertices":["x","y"]}',
+    "float-graph-arity": b'{"alphabet":["a"],"arity":2.0,"edges":[],"tables":[],"type":"constraint_graph",'
+    b'"vertices":["x"]}',
+    "null-multi-label": b'{"kind":"multi-assignment","states":[[[null],[]]],"type":"sequence"}',
+    "list-partial-symbol": b'{"kind":"partial-assignment","states":[[[0],null]],"type":"sequence"}',
+    "string-partial-symbol": b'{"kind":"partial-assignment","states":[["x",null]],"type":"sequence"}',
+    "list-cover-state": b'{"kind":"cover","states":[[[0]]],"type":"sequence"}',
+    "float-verifier-query": b'{"ell":1,"entries":[{"R":0,"queries":[0.0],"table":[0,1]}],"q":1,"r":0,'
+    b'"type":"verifier"}',
+    "string-verifier-index": b'{"ell":1,"entries":[{"R":"0","queries":[0],"table":[0,1]}],"q":1,"r":0,'
+    b'"type":"verifier"}',
+}
+
+
+@pytest.mark.parametrize("data", NON_INTEGER_INDICES.values(), ids=NON_INTEGER_INDICES.keys())
+def test_only_a_json_integer_is_an_index(data):
+    with pytest.raises(StructuralError, match="expected an integer, got (float|str|NoneType|list)$"):
+        serialize.parse_bytes(data)
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [0, 2], [1, 2], [99, 1]], ids=["twice", "gap", "shifted", "99"])
+def test_verifier_entry_indices_run_over_the_randomness(indices):
+    entries = [{"R": rnd, "queries": [0], "table": [0, 1]} for rnd in indices]
+    data = json.dumps({"type": "verifier", "r": 1, "q": 1, "ell": 1, "entries": entries}).encode()
+    with pytest.raises(StructuralError, match="verifier entry indices R must be 0 to"):
+        serialize.parse_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "pi_start, message", [("0101", "proof length 4 != 3"), ("01", "proof length 2 != 3"), ("222", "0/1 string")]
+)
+def test_load_verifier_checks_its_proofs(tmp_path, pi_start, message):
+    path = tmp_path / "v.json"
+    path.write_bytes(VERIFIER_BYTES % (b'"011"', f'"{pi_start}"'.encode()))
+    with pytest.raises(StructuralError, match=message):
+        serialize.load_verifier(path)
+
+
 _FIELDS = (
     "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
     "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rforge import checks, serialize
-from rforge.amplify import amplify, build_expander
+from rforge.amplify import amplify, build_expander, degree_report
 from rforge.cli import main
 from rforge.core import ConstraintGraph, StructuralError, satisfies_partial
 from rforge.generate import generate_csp, generate_verifier_with_accepted_pair
@@ -21,7 +21,6 @@ from rforge.verifier import (
     degree,
     degrees,
     encode_assignment,
-    regularity,
     row_of,
     symbol_bits,
     table_of,
@@ -202,7 +201,7 @@ class TestDegrees:
             tables=(bytes([1] * 4),) * 2,
         )
         assert degrees(v) == (1, 2, 1)
-        assert regularity(v) is None
+        assert degree_report(v).regular is None
 
     def test_partitioned_queries_regular(self):
         v = TableVerifier(
@@ -212,7 +211,7 @@ class TestDegrees:
             queries=((0, 1), (2, 3)),
             tables=(bytes([1] * 4),) * 2,
         )
-        assert regularity(v) == 1 == v.q * 2**v.r // v.ell
+        assert degree_report(v).regular == 1 == v.q * 2**v.r // v.ell
 
     def test_out_of_range(self):
         v = always_accepting()
