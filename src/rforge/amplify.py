@@ -5,8 +5,10 @@ on a d-regular expander whose vertex set is the verifier's randomness
 space, ANDing the decisions.  With a spectral ratio below a quarter of
 the base soundness gap, the rejection probability of a bad proof decays
 geometrically in the walk length.  The ratio of a random expander is a
-power-iteration estimate with outward slack, not a proof (the complete-
-graph constructions carry exact eigenvalues).
+Lanczos estimate with outward slack, not a proof (the complete-graph
+constructions carry exact eigenvalues).  Walk counts are exact integers,
+for one subset (``walk_hit_count``) or for many in one lane-packed pass
+(``walk_hit_counts``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from .core import StructuralError
 from .verifier import TableVerifier, degrees, reads, row_of
 from . import rng as rng_mod
 
-# Power iteration settings for the spectral estimate (desk scale: n <= 4096).
-_POWER_TOL = 1e-9
-_POWER_MIN_ITERS = 64
-_POWER_MAX_ITERS = 20000
+# Lanczos settings for the spectral estimate: test the Ritz values every few
+# steps, stop when they settle or the Krylov space closes.
+_LANCZOS_CHECK_EVERY = 4
+_LANCZOS_TOL = 1e-12
+_KRYLOV_CLOSED = 1e-12
 _OUTWARD_REL_SLACK = 1e-6
 _OUTWARD_ABS_SLACK = 1e-9
 
@@ -119,48 +122,84 @@ def _config_model_rotation(n: int, d: int, seeded) -> tuple[tuple[int, int], ...
 def _estimate_lambda(rotation: tuple[tuple[int, int], ...], n: int, d: int, seed: int) -> float:
     """Estimate of the second adjacency eigenvalue magnitude, padded outward.
 
-    Deflated power iteration: iterate the adjacency operator on vectors
-    kept orthogonal to the all-ones eigenvector, tracking the norm-growth
-    estimate until it is stable to 1e-9, then pad with a small outward
-    slack.  The norm-ratio estimate approaches lambda from below and the
-    slack usually covers the rest, but stopping at a tolerance is not a
-    proof: the result can sit just below the true value.
+    Lanczos iteration (Lanczos 1950) on the adjacency operator restricted
+    to the vectors orthogonal to the all-ones eigenvector, from one seeded
+    Gaussian start.  The extreme eigenvalues of the tridiagonal matrix it
+    builds (Ritz values, see ``_ritz_extremes``) approach the operator's
+    extreme eigenvalues from inside, and in floating point without
+    reorthogonalisation they still converge to them (Paige 1980).
+    The iteration stops when the larger magnitude settles to 1e-12
+    relative, when the Krylov space closes (beta about 0), or after
+    n - 1 steps, the dimension of that space; the value is then padded
+    with a small outward slack.  Stopping when the value settles is not a
+    proof: the result is an estimate, not a certificate.
     """
     if n == 1:
         return 0.0
     # (A x)[v] sums x over v's d neighbours: one gather per port.
     ports = [itemgetter(*[w for w, _ in rotation[p::d]]) for p in range(d)]
-    best = 0.0
-    for restart in range(3):
-        r = rng_mod.stream(seed, f"start:{restart}")
-        x = [r.gauss(0.0, 1.0) for _ in range(n)]
-        mean = sum(x) / n
-        x = [t - mean for t in x]
-        norm = math.hypot(*x)
-        if norm < 1e-12:
-            continue
-        x = [t / norm for t in x]
-        est = 0.0
-        for it in range(_POWER_MAX_ITERS):
-            y = ports[0](x)
-            for gather in ports[1:]:
-                y = map(add, y, gather(x))
-            y = list(y)
-            mean = sum(y) / n
-            y = [t - mean for t in y]
-            norm = math.hypot(*y)
-            if norm < 1e-14:
-                est = 0.0
+    r = rng_mod.stream(seed, "start:0")
+    x = [r.gauss(0.0, 1.0) for _ in range(n)]
+    mean = sum(x) / n
+    x = [t - mean for t in x]
+    norm = math.hypot(*x)
+    q_prev, q = [0.0] * n, [t / norm for t in x]
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = est = 0.0
+    for k in range(1, n):
+        y = ports[0](q)
+        for gather in ports[1:]:
+            y = map(add, y, gather(q))
+        y = list(y)
+        # Removing the mean keeps rounding from growing an all-ones component.
+        mean = sum(y) / n
+        w = [t - mean - beta * s for t, s in zip(y, q_prev)]
+        alpha = sum(map(mul, w, q))
+        w = [t - alpha * s for t, s in zip(w, q)]
+        alphas.append(alpha)
+        beta = math.hypot(*w)
+        closed = beta <= _KRYLOV_CLOSED * d or k == n - 1
+        if closed or k % _LANCZOS_CHECK_EVERY == 0:
+            low, high = _ritz_extremes(alphas, betas, d)
+            last, est = est, max(-low, high)
+            if closed or abs(est - last) <= _LANCZOS_TOL * est:
                 break
-            new_est = norm
-            x = [t / norm for t in y]
-            if it >= _POWER_MIN_ITERS and abs(new_est - est) <= _POWER_TOL * max(1.0, new_est):
-                est = new_est
-                break
-            est = new_est
-        best = max(best, est)
+        betas.append(beta)
+        q_prev, q = q, [t / beta for t in w]
     # No eigenvalue of a d-regular graph exceeds d, so d always bounds lambda.
-    return min(float(d), best * (1.0 + _OUTWARD_REL_SLACK) + _OUTWARD_ABS_SLACK)
+    return min(float(d), est * (1.0 + _OUTWARD_REL_SLACK) + _OUTWARD_ABS_SLACK)
+
+
+def _ritz_extremes(alphas: list[float], betas: list[float], d: int) -> tuple[float, float]:
+    """Least and greatest eigenvalue of the symmetric tridiagonal matrix T
+    with diagonal ``alphas`` and off-diagonal ``betas``, each rounded outward.
+
+    Bisection on definiteness: x lies above every eigenvalue of T iff
+    T - xI is negative definite, iff every pivot of its LDL^T
+    factorisation is negative (Sylvester's law of inertia), so a test
+    stops at the first pivot that is not.  The least eigenvalue of T is
+    the greatest of -T negated.  Both lie in [-d, d] up to rounding, so
+    each search starts from [-d - 1, d + 1].
+    """
+    squares = [0.0] + [b * b for b in betas]
+
+    def greatest(diagonal: list[float]) -> float:
+        lo, hi = -d - 1.0, d + 1.0
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            pivot = 1.0
+            for a, b2 in zip(diagonal, squares):
+                pivot = a - mid - b2 / pivot
+                if pivot >= 0.0:
+                    lo = mid
+                    break
+            else:
+                hi = mid
+            mid = (lo + hi) / 2
+        return hi
+
+    return -greatest([-a for a in alphas]), greatest(alphas)
 
 
 def build_expander(n: int, d: int, target_ratio: float, seed: int, attempts: int = 64) -> ExpanderGraph:
@@ -234,6 +273,47 @@ def walk_hit_count(x: ExpanderGraph, subset, rho: int) -> int:
         for _ in range(rho - 1):
             inside = [sum(map(mul, inside, column)) for column in columns]
     return sum(inside)
+
+
+def walk_hit_counts(x: ExpanderGraph, subsets, rho: int) -> list[int]:
+    """``walk_hit_count`` of every subset at once: one transfer-matrix pass.
+
+    Lane j of each packed int, ``size`` whole bytes wide, belongs to the
+    j-th subset.  inside[v] holds, in every lane, the walks so far that
+    stayed in the lane's subset and sit at v.  A step adds up v's
+    neighbours' ints times their multiplicities and ANDs the sum with v's
+    member mask widened to whole lanes.  No lane carries into the next,
+    since no count exceeds the n * d^(rho - 1) walks in all.  The subsets
+    are read once, in order, so they may come from a generator.
+    """
+    if rho < 1:
+        raise StructuralError(f"walk needs at least one vertex, got rho={rho}")
+    size = ((x.n * x.d ** (rho - 1)).bit_length() + 7) // 8
+    # held[v]: the lanes whose subset holds v.
+    held: list[list[int]] = [[] for _ in range(x.n)]
+    n_lanes = 0
+    for subset in subsets:
+        for v in subset:
+            if not 0 <= v < x.n:
+                raise StructuralError("subset leaves the vertex set")
+            held[v].append(n_lanes)
+        n_lanes += 1
+    # inside[v], little-endian: bit 0 of each lane in held[v].
+    inside = []
+    for lanes in held:
+        row = bytearray(size * n_lanes)
+        for j in lanes:
+            row[j * size] = 1
+        inside.append(int.from_bytes(row, "little"))
+    if rho > 1:
+        lane = (1 << (8 * size)) - 1
+        masks = [m * lane for m in inside]
+        neighbours = [[(w, c) for w, c in enumerate(row) if c] for row in x.counts]
+        for _ in range(rho - 1):
+            # The counts are symmetric, so v's row also counts the ports into v.
+            inside = [sum(c * inside[w] for w, c in around) & mask for around, mask in zip(neighbours, masks)]
+    data = sum(inside).to_bytes(size * n_lanes, "little")
+    return [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]
 
 
 def _exp_exceeds(y: Fraction, r: Fraction) -> bool:

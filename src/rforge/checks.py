@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import generate, rng as rng_mod, serialize
 from .amplify import (
@@ -18,7 +18,7 @@ from .amplify import (
     amplify,
     build_expander,
     choose_rho,
-    walk_hit_count,
+    walk_hit_counts,
     walk_hit_prob,
 )
 from .approx import two_factor_cover
@@ -29,7 +29,6 @@ from .core import (
     LabelCoverInstance,
     StructuralError,
     is_full,
-    multi_edge_satisfied,
     multi_size,
     partial_size,
     satisfies_partial,
@@ -70,6 +69,9 @@ from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_s
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
+
+# Subsets per walk_hit_counts pass in the claim-accept sweep.
+_SWEEP_CHUNK = 256
 
 
 @dataclass
@@ -116,6 +118,33 @@ class _Tally:
 # ---------------------------------------------------------------------------
 
 
+def _subfamily_verdicts(g: ConstraintGraph, e_idx: int, own: list[int], blocks: list[int]) -> list[tuple[int, bool]]:
+    """(cover, satisfied) of every subfamily of edge e_idx's own sets, by mask.
+
+    ``own`` lists the pair indices of the sets at the edge's endpoints and
+    ``blocks[j]`` the block elements that own[j] meets.  cover ORs the
+    blocks of the sets in the mask; satisfied is
+    ``multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))``.  One
+    low-bit recurrence builds both from a smaller mask: a set (u, a) adds
+    the symbols the edge accepts at w beside a if u = v, and a itself
+    if u = w, so the labels satisfy the edge iff the two masks meet.
+    """
+    v, w = g.edges[e_idx]
+    s, table = g.n_symbols, g.tables[e_idx]
+    rows = [sum(1 << b for b in range(s) if table[a * s + b]) for a in range(s)]
+    parts = []
+    for i, block in zip(own, blocks):
+        u, a = g.pairs[i]
+        parts.append((block, rows[a] if u == v else 0, 1 << a if u == w else 0))
+    unions = [(0, 0, 0)]
+    for mask in range(1, 2 ** len(own)):
+        low = mask & -mask
+        cover, partners, at_w = unions[mask ^ low]
+        part = parts[low.bit_length() - 1]
+        unions.append((cover | part[0], partners | part[1], at_w | part[2]))
+    return [(cover, partners & at_w != 0) for cover, partners, at_w in unions]
+
+
 def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
     """Every subfamily covers an edge block iff the mapped labels satisfy the edge.
 
@@ -158,16 +187,12 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
             for i in range(m):
                 if i not in own and set_blocks[i][e_idx]:
                     tally.add({"instance": serialize.payload(inst), "set": i, "edge": e_idx, "foreign": True})
-            # covers[mask]: the block elements met by the own sets in mask.
-            covers = [0]
-            for mask in range(1, 2 ** len(own)):
-                low = mask & -mask
-                covers.append(covers[mask ^ low] | set_blocks[own[low.bit_length() - 1]][e_idx])
-            for mask, cover in enumerate(covers):
-                chosen = [i for j, i in enumerate(own) if mask >> j & 1]
-                covered = cover == (1 << sizes[e_idx]) - 1
-                satisfied = multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))
+            full = (1 << sizes[e_idx]) - 1
+            verdicts = _subfamily_verdicts(g, e_idx, own, [set_blocks[i][e_idx] for i in own])
+            for mask, (cover, satisfied) in enumerate(verdicts):
+                covered = cover == full
                 if covered != satisfied:
+                    chosen = [i for j, i in enumerate(own) if mask >> j & 1]
                     tally.add(
                         {
                             "instance": serialize.payload(inst),
@@ -517,6 +542,14 @@ def _claim_verifier(seed: int, t: int):
     return v, planted
 
 
+def _chunked_walk_counts(x: ExpanderGraph, subsets, rho: int):
+    """(subset, walk_hit_count) pairs in order, counted ``_SWEEP_CHUNK``
+    subsets per ``walk_hit_counts`` pass, so no more are held at once."""
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, _SWEEP_CHUNK)):
+        yield from zip(chunk, walk_hit_counts(x, chunk, rho))
+
+
 def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     """Both amplification directions, by exact enumeration of all proofs.
 
@@ -526,9 +559,10 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     every proof with acceptance below 1 - eps must amplify below delta.
     Also checks the amplified acceptance equals the walk-restriction
     probability of the base acceptance set, and sweeps all largest
-    relevant vertex subsets directly.  The amplified acceptance of all
-    proofs comes from one ``acceptance_counts`` pass per verifier, and
-    the sweep compares integer walk counts.
+    relevant vertex subsets directly.  The base and amplified acceptance
+    of all proofs come from one ``acceptance_counts`` pass per verifier,
+    their walk counts from one ``walk_hit_counts`` pass, and the sweep
+    compares integer walk counts, ``_SWEEP_CHUNK`` subsets per pass.
     """
     eps = Fraction(3, 5)
     delta = Fraction(11, 20)
@@ -538,19 +572,19 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     notes = [f"rho={rho}", f"ratio={x.ratio}"]
     if not Fraction(x.lam) / x.d < eps / 4:
         return CheckReport("claim-accept", False, 0, 1, _ce({"reason": "ratio too large"}), tuple(notes))
+    walks = x.n * x.d ** (rho - 1)
     low_seen = 0
     for t in range(trials):
         v, planted = _claim_verifier(seed, t)
         amped = amplify(v, x, rho)
         counts = acceptance_counts(amped)
-        for word in range(2**v.ell):
-            proof = format(word, f"0{v.ell}b")
-            accepting = accepting_set(v, proof)
-            base = Fraction(len(accepting), v.n_entries)
+        proofs = [format(word, f"0{v.ell}b") for word in range(2**v.ell)]
+        walk_counts = walk_hit_counts(x, (accepting_set(v, proof) for proof in proofs), rho)
+        for word, (proof, accepted) in enumerate(zip(proofs, acceptance_counts(v))):
+            base = Fraction(accepted, v.n_entries)
             amp = Fraction(counts[word], amped.n_entries)
-            via_walk = walk_hit_prob(x, accepting, rho)
             problems = []
-            if amp != via_walk:
+            if amp != Fraction(walk_counts[word], walks):
                 problems.append("amplified acceptance != walk probability")
             if base == 1 and amp != 1:
                 problems.append("probability-1 proof lost acceptance")
@@ -570,11 +604,10 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     while Fraction(k_max + 1, x.n) < 1 - eps:
         k_max += 1
     # count / walks < delta, on integers.
-    walks = x.n * x.d ** (rho - 1)
     swept = 0
-    for subset in combinations(range(x.n), k_max):
+    for subset, count in _chunked_walk_counts(x, combinations(range(x.n), k_max), rho):
         swept += 1
-        if not walk_hit_count(x, subset, rho) * delta.denominator < delta.numerator * walks:
+        if not count * delta.denominator < delta.numerator * walks:
             tally.add({"subset": list(subset), "rho": rho})
             break
     notes.append(f"{low_seen} low-acceptance proofs exercised")

@@ -17,11 +17,13 @@ from rforge.amplify import (
     MAX_RANDOMNESS,
     ExpanderGraph,
     _config_model_rotation,
+    _estimate_lambda,
     amplify,
     build_expander,
     choose_rho,
     degree_report,
     walk_hit_count,
+    walk_hit_counts,
     walk_hit_prob,
 )
 from rforge.core import StructuralError
@@ -134,6 +136,27 @@ class TestBuildExpander:
         split = ExpanderGraph(n=6, d=2, rotation=triangles, lam=2.0)
         assert lambda_at_most(split, 2) and not lambda_at_most(split, Fraction(3, 2))
 
+    @pytest.mark.parametrize("seed", [55, 93, 189])
+    def test_estimate_bounds_graphs_a_power_iteration_missed(self, seed):
+        # A deflated power iteration stopped below the true |lambda_2| on
+        # these graphs (seed 93: 3.341433 against 3.341474); the Lanczos
+        # estimate must sit at or above it, within its outward slack.
+        x = build_expander(32, 4, 0.95, seed)
+        assert lambda_at_most(x, x.lam)
+        assert not lambda_at_most(x, Fraction(x.lam) * (1 - Fraction(1, 10**5)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_estimate_on_tiny_graphs(self, n):
+        # Down to n = 2, where the space orthogonal to the all-ones vector
+        # is one-dimensional; disconnected draws have lambda = d.
+        for seed in range(6):
+            rotation = _config_model_rotation(n, 4, random.Random(seed))
+            est = _estimate_lambda(rotation, n, 4, seed)
+            x = ExpanderGraph(n=n, d=4, rotation=rotation, lam=est)
+            assert lambda_at_most(x, est)
+            if est > 1e-6:
+                assert not lambda_at_most(x, Fraction(est) * (1 - Fraction(1, 10**5)))
+
     def test_degree_two_rejected(self):
         with pytest.raises(StructuralError):
             build_expander(8, 2, 0.9, seed=0)
@@ -226,12 +249,15 @@ class TestWalkOracle:
     @pytest.mark.parametrize("n, d", [(10, 4), (16, 4), (12, 6)])
     def test_matches_brute_force_walks(self, n, d):
         x = multigraph(n, d, seed=n * d)
-        for make in self.SUBSETS.values():
-            members = set(make(n))
-            for rho in range(1, 5):
-                brute = brute_walk_hit_prob(x, members, rho)
-                assert walk_hit_prob(x, make(n), rho) == brute
-                assert walk_hit_count(x, make(n), rho) == brute * n * d ** (rho - 1)
+        for rho in range(1, 5):
+            walks = n * d ** (rho - 1)
+            brute = [brute_walk_hit_prob(x, set(make(n)), rho) for make in self.SUBSETS.values()]
+            assert [walk_hit_prob(x, make(n), rho) for make in self.SUBSETS.values()] == brute
+            assert [walk_hit_count(x, make(n), rho) for make in self.SUBSETS.values()] == [p * walks for p in brute]
+            # One lane per subset, the subsets themselves read from a generator.
+            batched = walk_hit_counts(x, (make(n) for make in self.SUBSETS.values()), rho)
+            assert batched == [p * walks for p in brute]
+            assert walk_hit_counts(x, [], rho) == []
         for v in range(n):  # one member: its self-loops are the only walks
             assert walk_hit_prob(x, [v], 3) == brute_walk_hit_prob(x, {v}, 3)
 
@@ -239,9 +265,59 @@ class TestWalkOracle:
         x = multigraph(10, 4, seed=0)
         with pytest.raises(StructuralError):
             walk_hit_prob(x, [0, 1], 0)
+        with pytest.raises(StructuralError):
+            walk_hit_counts(x, [[0, 1]], 0)
         for subset in ([0, 10], [-1, 2], (v for v in (3, 10))):
             with pytest.raises(StructuralError):
                 walk_hit_prob(x, subset, 2)
+        for subset in ([0, 10], [-1, 2], (v for v in (3, 10))):
+            with pytest.raises(StructuralError):
+                walk_hit_counts(x, [[1], subset], 2)
+
+
+def hand_built_multigraph():
+    """3 vertices, degree 4: a loop at 0, a double edge 0-1, a double edge 1-2, a loop at 2."""
+    rotation = (
+        ((0, 1), (0, 0), (1, 0), (1, 1))
+        + ((0, 2), (0, 3), (2, 0), (2, 1))
+        + ((1, 2), (1, 3), (2, 3), (2, 2))
+    )
+    return ExpanderGraph(n=3, d=4, rotation=rotation, lam=4.0)
+
+
+class TestWalkHitCounts:
+    GRAPHS = {
+        "complete-4": lambda: build_expander(4, 3, 0.9, seed=0),
+        "complete-7": lambda: build_expander(7, 6, 0.9, seed=0),
+        "complete-plus-matching-8": lambda: build_expander(8, 8, 0.3, seed=0),
+        "complete-plus-matching-16": lambda: build_expander(16, 16, 0.2, seed=0),
+        "random-16": lambda: build_expander(16, 4, 0.95, seed=3),
+        "random-32": lambda: build_expander(32, 4, 0.95, seed=4),
+        "random-64": lambda: build_expander(64, 4, 0.95, seed=5),
+        "hand-built-multigraph": hand_built_multigraph,
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_equals_per_subset_count_and_brute_force(self, name):
+        x = self.GRAPHS[name]()
+        rng = random.Random(name)
+        drawn = [rng.sample(range(x.n), rng.randrange(x.n + 1)) for _ in range(6)]
+        subsets = [(), range(x.n)] + drawn + [[v] for v in range(x.n)]
+        for rho in range(1, 5):
+            walks = x.n * x.d ** (rho - 1)
+            counts = walk_hit_counts(x, subsets, rho)
+            assert counts == [walk_hit_count(x, s, rho) for s in subsets]
+            if walks <= 4096:
+                brute = [brute_walk_hit_prob(x, set(s), rho) * walks for s in subsets[: 2 + len(drawn) + 1]]
+                assert counts[: len(brute)] == brute
+
+    def test_full_lane_beside_empty_lane(self):
+        # The full set's count is every walk, 2^16 at rho = 4: a lane one
+        # bit too narrow would carry it into the empty lane beside it.
+        x = build_expander(16, 16, 0.2, seed=0)
+        for rho in range(1, 5):
+            walks = x.n * x.d ** (rho - 1)
+            assert walk_hit_counts(x, [range(16), (), range(16), ()], rho) == [walks, 0, walks, 0]
 
 
 class TestChooseRho:

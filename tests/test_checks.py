@@ -7,7 +7,16 @@ from itertools import combinations, islice
 import pytest
 
 from rforge import checks
-from rforge.core import ConstraintGraph, LabelCoverInstance, SetCoverInstance, SetSystem, StructuralError
+from rforge.core import (
+    ConstraintGraph,
+    LabelCoverInstance,
+    SetCoverInstance,
+    SetSystem,
+    StructuralError,
+    multi_edge_satisfied,
+)
+from rforge.generate import generate_labelcover
+from rforge.reductions import cover_to_labels
 
 
 def test_registry_names():
@@ -63,11 +72,11 @@ def test_corrupted_gadget_fails_with_counterexample(monkeypatch):
     assert "FAIL" in rep.summary()
 
 
-def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
+def admissible_block_graph():
     # Over {a, b}: v0 admits {a}, v1 and v3 admit {a, b}, and v2 admits
     # {b} on no edge.  Edge 0's block has 2 elements, edge 1's has 4 from
     # offset 2, and v2's element comes last: 7 elements, not 4 per edge.
-    graph = ConstraintGraph(
+    return ConstraintGraph(
         ("v0", "v1", "v2", "v3"),
         2,
         ("a", "b"),
@@ -75,6 +84,10 @@ def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
         (bytes([1, 0, 1, 1]), bytes([1, 0, 0, 1])),
         (frozenset({0}), frozenset({0, 1}), frozenset({1}), frozenset({0, 1})),
     )
+
+
+def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
+    graph = admissible_block_graph()
     f = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({0}))
     inst = LabelCoverInstance(graph, f, f)
     assert len(checks.labelcover_to_setcover(graph, f, f).system.elements) == 7
@@ -82,6 +95,48 @@ def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
     assert checks.lemma_setcover(trials=1).passed
     corrupted_setcover(monkeypatch)
     assert not checks.lemma_setcover(trials=1).passed
+
+
+def test_subfamily_verdicts_match_the_labels():
+    # The lemma suite's per-edge recurrence against the definitions: every
+    # subfamily's cover ORs its sets' blocks, and it satisfies the edge iff
+    # its labels do.  The graphs: 200 generated label covers, the
+    # admissible-block graph, and one with a self-loop and asymmetric tables.
+    graphs = [
+        generate_labelcover(t, n_vertices=2 + t % 3, alphabet_size=1 + t % 4, density=0.9, accept_p=0.3 + t % 5 / 10)
+        .graph
+        for t in range(200)
+    ]
+    graphs.append(admissible_block_graph())
+    loop = (bytes([0, 1, 0, 0, 0, 0, 1, 0, 0]), bytes([0, 0, 1, 1, 0, 0, 0, 0, 0]))
+    graphs.append(ConstraintGraph(("v0", "v1"), 2, ("a", "b", "c"), ((0, 0), (0, 1)), loop))
+    checked = 0
+    for g in graphs:
+        for e_idx, edge in enumerate(g.edges):
+            own = [i for i, (v, _) in enumerate(g.pairs) if v in edge]
+            blocks = [1 << (7 * j % 11) | 1 << j for j in range(len(own))]
+            for mask, (cover, satisfied) in enumerate(checks._subfamily_verdicts(g, e_idx, own, blocks)):
+                chosen = [i for j, i in enumerate(own) if mask >> j & 1]
+                ored = 0
+                for j in range(len(own)):
+                    if mask >> j & 1:
+                        ored |= blocks[j]
+                assert cover == ored
+                assert satisfied == multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))
+                checked += 1
+    assert checked > 2000
+
+
+def test_expander_bounds_fails_when_lambda_reads_zero(monkeypatch):
+    # Negative control: with lambda 0 the sandwich collapses to mu^rho,
+    # which no walk on K_4 meets for the subset {0} at rho = 2.
+    build_expander = checks.build_expander
+    monkeypatch.setattr(checks, "build_expander", lambda *args: replace(build_expander(*args), lam=0.0))
+    rep = checks.expander_bounds(trials=2, seed=0)
+    assert not rep.passed
+    payload = json.loads(rep.counterexample)
+    assert (payload["n"], payload["d"], payload["lambda"]) == (4, 3, 0.0)
+    assert "FAIL" in rep.summary()
 
 
 def test_a_set_meeting_a_foreign_block_fails(monkeypatch):
@@ -148,18 +203,18 @@ def test_a_flipped_amplified_row_fails_claim_accept(monkeypatch):
 
 
 def test_a_subset_at_delta_fails_the_sweep(monkeypatch):
-    # Negative control: the sweep's walk count puts the 101st subset of
-    # size 6 at the least count not below delta = 11/20 of the 16 * 16
+    # Negative control: the sweep's batched walk counts put the 101st subset
+    # of size 6 at the least count not below delta = 11/20 of the 16 * 16
     # walks; the sweep must stop there and report it.
     target = next(islice(combinations(range(16), 6), 100, None))
-    walk_hit_count = checks.walk_hit_count
+    walk_hit_counts = checks.walk_hit_counts
 
-    def one_subset_at_delta(x, subset, rho):
-        if tuple(sorted(subset)) == target:
-            return -(-11 * x.n * x.d ** (rho - 1) // 20)
-        return walk_hit_count(x, subset, rho)
+    def one_subset_at_delta(x, subsets, rho):
+        at_delta = -(-11 * x.n * x.d ** (rho - 1) // 20)
+        counts = walk_hit_counts(x, subsets, rho)
+        return [at_delta if tuple(sorted(s)) == target else c for s, c in zip(subsets, counts)]
 
-    monkeypatch.setattr(checks, "walk_hit_count", one_subset_at_delta)
+    monkeypatch.setattr(checks, "walk_hit_counts", one_subset_at_delta)
     rep = checks.claim_accept(trials=0, seed=0)
     assert not rep.passed
     assert rep.violations == 1
