@@ -13,27 +13,26 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import checks, generate, serialize
-from .amplify import amplify, build_expander, choose_rho, degree_report
+from .amplify import ExpanderGraph, amplify, build_expander, choose_rho, degree_report
 from .approx import two_factor_cover
 from .core import (
     BudgetExhaustedError,
     ConstraintGraph,
+    HvcInstance,
     LabelCoverInstance,
     P2cspInstance,
     RforgeError,
+    SetCoverInstance,
     StructuralError,
     normalize_self_loops,
 )
 from .fglss import build_fglss, embed_proof
-from .reductions import (
-    labelcover_to_hvc,
-    labelcover_to_setcover,
-    p2csp_to_labelcover,
-)
+from .reductions import labelcover_to_hvc, labelcover_to_setcover, p2csp_to_labelcover
 from .solve import (
     DEFAULT_CAP,
     PROBLEM_HVC_COST,
@@ -46,7 +45,7 @@ from .solve import (
     sequence_objective,
     solve_instance,
 )
-from .verifier import accept_prob
+from .verifier import TableVerifier, accept_prob
 
 
 def _fraction(text: str) -> Fraction:
@@ -84,31 +83,27 @@ def _fmt_value(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _graph_shape(a) -> dict:
+    return {"n_vertices": a.vertices, "alphabet_size": a.alphabet, "density": a.density}
+
+
 # Generator of each --kind; a verifier comes with its start and goal proofs.
 _GENERATORS = {
-    "csp": lambda a: generate.generate_csp(
-        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
-    ),
-    "labelcover": lambda a: generate.generate_labelcover(
-        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
-    ),
+    "csp": lambda a: generate.generate_csp(a.seed, **_graph_shape(a)),
+    "labelcover": lambda a: generate.generate_labelcover(a.seed, **_graph_shape(a)),
     "setcover": lambda a: generate.generate_setcover(a.seed, n_elements=a.elements, n_sets=a.sets),
     "hypergraph": lambda a: generate.generate_hypergraph(
         a.seed, n_vertices=a.vertices, n_edges=a.edges, max_edge_size=a.max_edge_size
     ),
-    "verifier": lambda a: generate.generate_verifier(
-        a.seed, n_vertices=a.vertices, alphabet_size=a.alphabet, density=a.density
-    ),
+    "verifier": lambda a: generate.generate_verifier(a.seed, **_graph_shape(a)),
 }
 
 
 def _cmd_gen(args) -> int:
     made = _GENERATORS[args.kind](args)
-    if isinstance(made, tuple):
-        v, pi_start, pi_goal = made
-        serialize.save(v, args.out, pi_start=pi_start, pi_goal=pi_goal)
-    else:
-        serialize.save(made, args.out)
+    # Only a verifier's payload carries the proofs.
+    obj, pi_start, pi_goal = made if isinstance(made, tuple) else (made, None, None)
+    serialize.save(obj, args.out, pi_start=pi_start, pi_goal=pi_goal)
     print(f"wrote {args.out}")
     return 0
 
@@ -278,90 +273,78 @@ def _solve_or_note(problem: str, inst, cap, **known):
         return "budget-exhausted"
 
 
-def _pipeline_rows(out_dir: Path, cap: int) -> list[tuple[str, str, str]]:
-    """Recompute the report rows from the staged files (deterministic)."""
-    rows: list[tuple[str, str, str]] = []
+def _verifier_rows(label: str, proved, cap: int):
+    v, pi_start, pi_goal = proved
+    rep = degree_report(v)
+    yield label, "r/q/ell", f"{v.r}/{v.q}/{v.ell}"
+    yield label, "max-degree", str(rep.max_degree)
+    if label == "verifier":
+        yield label, "regular", str(rep.regular)
+    for end, proof in (("start", pi_start), ("goal", pi_goal)):
+        if proof is not None:
+            yield label, f"accept({end})", str(accept_prob(v, proof))
 
-    def staged(name: str):
-        path = out_dir / name
-        return serialize.load(path) if path.exists() else None
 
-    for name, label in (("00_verifier.json", "verifier"), ("01_amplified_verifier.json", "amplified")):
-        if not (out_dir / name).exists():
-            continue
-        v, pi_start, pi_goal = serialize.load_verifier(out_dir / name)
-        rep = degree_report(v)
-        rows.append((label, "r/q/ell", f"{v.r}/{v.q}/{v.ell}"))
-        rows.append((label, "max-degree", str(rep.max_degree)))
-        if label == "verifier":
-            rows.append((label, "regular", str(rep.regular)))
-        for end, proof in (("start", pi_start), ("goal", pi_goal)):
-            if proof is not None:
-                rows.append((label, f"accept({end})", str(accept_prob(v, proof))))
-    inst = staged("02_fglss.json")
-    if inst is not None:
-        g = inst.graph
-        rows.append(("fglss", "vertices/edges/alphabet", f"{g.n_vertices}/{len(g.edges)}/{g.n_symbols}"))
-        rows.append(("fglss", "maxpar", _solve_or_note(PROBLEM_MAXPAR, inst, cap)))
-    inst = staged("03_normalized.json")
-    if inst is not None:
-        g = inst.graph
-        adm = sum(len(a) for a in g.admissible) if g.admissible else g.n_vertices * g.n_symbols
-        rows.append(("normalized", "vertices/edges/admissible", f"{g.n_vertices}/{len(g.edges)}/{adm}"))
-    inst = staged("04_labelcover.json")
-    if inst is not None:
-        rows.append(("labelcover", "minlab", _solve_or_note(PROBLEM_MINLAB, inst, cap)))
-    inst = staged("05_setcover.json")
-    if inst is not None:
-        rows.append(("setcover", "universe/sets", f"{inst.system.n_elements}/{inst.system.n_sets}"))
-        opt = min_cover(inst.system)
-        rows.append(("setcover", "opt", str(opt)))
-        rows.append(("setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap, opt=opt)))
-    inst = staged("06_hvc.json")
-    if inst is not None:
-        h = inst.hypergraph
-        rows.append(("hvc", "vertices/hyperedges/uniformity", f"{h.n_vertices}/{len(h.hyperedges)}/{h.uniformity}"))
-        beta = min_vertex_cover(h)
-        rows.append(("hvc", "beta", str(beta)))
-        rows.append(("hvc", "cost", _solve_or_note(PROBLEM_HVC_COST, inst, cap, opt=beta)))
-    return rows
+def _fglss_rows(inst: P2cspInstance, cap: int):
+    g = inst.graph
+    yield "fglss", "vertices/edges/alphabet", f"{g.n_vertices}/{len(g.edges)}/{g.n_symbols}"
+    yield "fglss", "maxpar", _solve_or_note(PROBLEM_MAXPAR, inst, cap)
+
+
+def _normalized_rows(inst: P2cspInstance, cap: int):
+    g = inst.graph
+    adm = sum(len(a) for a in g.admissible) if g.admissible else g.n_vertices * g.n_symbols
+    yield "normalized", "vertices/edges/admissible", f"{g.n_vertices}/{len(g.edges)}/{adm}"
+
+
+def _labelcover_rows(inst: LabelCoverInstance, cap: int):
+    yield "labelcover", "minlab", _solve_or_note(PROBLEM_MINLAB, inst, cap)
+
+
+def _setcover_rows(inst: SetCoverInstance, cap: int):
+    yield "setcover", "universe/sets", f"{inst.system.n_elements}/{inst.system.n_sets}"
+    opt = min_cover(inst.system)
+    yield "setcover", "opt", str(opt)
+    yield "setcover", "cost", _solve_or_note(PROBLEM_SC_COST, inst, cap, opt=opt)
+
+
+def _hvc_rows(inst: HvcInstance, cap: int):
+    h = inst.hypergraph
+    yield "hvc", "vertices/hyperedges/uniformity", f"{h.n_vertices}/{len(h.hyperedges)}/{h.uniformity}"
+    beta = min_vertex_cover(h)
+    yield "hvc", "beta", str(beta)
+    yield "hvc", "cost", _solve_or_note(PROBLEM_HVC_COST, inst, cap, opt=beta)
+
+
+# Every file a pipeline run can write into --out-dir besides its report, in
+# pipeline order: the type the file holds, and its report rows as a function
+# of what it holds and the state budget.  A verifier file holds a (verifier,
+# pi_start, pi_goal) triple.  The row functions call traced functions
+# through this module's globals.
+_STAGES = {
+    "00_verifier.json": (TableVerifier, partial(_verifier_rows, "verifier")),
+    "01_expander.json": (ExpanderGraph, lambda x, cap: ()),
+    "01_amplified_verifier.json": (TableVerifier, partial(_verifier_rows, "amplified")),
+    "02_fglss.json": (P2cspInstance, _fglss_rows),
+    "03_normalized.json": (P2cspInstance, _normalized_rows),
+    "04_labelcover.json": (LabelCoverInstance, _labelcover_rows),
+    "05_setcover.json": (SetCoverInstance, _setcover_rows),
+    "06_hvc.json": (HvcInstance, _hvc_rows),
+}
+
+
+def _pipeline_rows(stages: dict, cap: int) -> list[tuple[str, str, str]]:
+    """Report rows of the stages in a {stage file: what it holds} dict."""
+    return [row for name, (_, rows) in _STAGES.items() if name in stages for row in rows(stages[name], cap)]
 
 
 def _render_report(rows, fmt: str) -> str:
     if fmt == "json":
-        payload = [{"stage": s, "metric": m, "value": v} for s, m, v in rows]
-        return serialize.canonical_dumps(payload).decode()
-    if fmt == "csv":
-        lines = ["stage,metric,value"]
-        lines += [f"{s},{m},{v}" for s, m, v in rows]
-        return "\n".join(lines) + "\n"
-    lines = ["| stage | metric | value |", "| --- | --- | --- |"]
-    lines += [f"| {s} | {m} | {v} |" for s, m, v in rows]
-    return "\n".join(lines) + "\n"
-
-
-class _StageError(RforgeError):
-    """Wraps a stage failure so the report names the failing stage."""
-
-    def __init__(self, stage: str, cause: RforgeError):
-        super().__init__(f"[stage {stage}] {cause}")
-        self.exit_code = cause.exit_code
-
-
-def _stage(name: str, fn, path: Path, **proofs):
-    """Run stage ``name`` and write what it made to ``path``."""
-    try:
-        made = fn()
-    except RforgeError as exc:
-        raise _StageError(name, exc) from exc
-    serialize.save(made, path, **proofs)
-    return made
-
-
-# Every file a pipeline run can write into --out-dir besides its report.
-_STAGE_FILES = ("00_verifier.json", "01_expander.json", "01_amplified_verifier.json") + tuple(
-    step.stage_file for step in _STEPS.values()
-)
+        return serialize.canonical_dumps([{"stage": s, "metric": m, "value": v} for s, m, v in rows]).decode()
+    csv = fmt == "csv"
+    head = "stage,metric,value" if csv else "| stage | metric | value |\n| --- | --- | --- |"
+    row = "{},{},{}" if csv else "| {} | {} | {} |"
+    return "\n".join([head, *(row.format(*r) for r in rows)]) + "\n"
 
 
 def _cmd_pipeline(args) -> int:
@@ -374,36 +357,40 @@ def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     with serialize.writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        # The report reads every stage file present, so none may be left
-        # from an earlier run into the same directory.
-        for name in _STAGE_FILES:
+        # ``report --dir`` reads every stage file present, so none may be
+        # left from an earlier run into the same directory.
+        for name in _STAGES:
             (out_dir / name).unlink(missing_ok=True)
-    serialize.save(v, out_dir / "00_verifier.json", pi_start=pi_start, pi_goal=pi_goal)
-    work = v
+    stages = {}
+
+    def stage(step: str, name: str, fn):
+        """Run ``step``, write what it made to stage file ``name`` and keep
+        it; a verifier is written and kept with the endpoint proofs."""
+        try:
+            made = fn()
+        except RforgeError as exc:
+            raise type(exc)(f"[stage {step}] {exc}") from exc
+        serialize.save(made, out_dir / name, pi_start=pi_start, pi_goal=pi_goal)
+        stages[name] = (made, pi_start, pi_goal) if isinstance(made, TableVerifier) else made
+        return stages[name]
+
+    inst = stage("verifier", "00_verifier.json", lambda: v)
     if not args.no_amplify:
         rho = _resolve_rho(args, default=2)
-        x = _stage(
-            "amplify",
+        x = stage(
+            "amplify", "01_expander.json",
             lambda: build_expander(v.n_entries, args.expander_d, args.target_ratio, args.seed),
-            out_dir / "01_expander.json",
         )
-        work = _stage(
-            "amplify", lambda: amplify(v, x, rho), out_dir / "01_amplified_verifier.json",
-            pi_start=pi_start, pi_goal=pi_goal,
-        )
-    inst = (work, pi_start, pi_goal)
-    for name in ("fglss", "normalize", "p2l"):
-        inst = _stage(name, lambda: _STEPS[name].reduce(inst), out_dir / _STEPS[name].stage_file)
+        inst = stage("amplify", "01_amplified_verifier.json", lambda: amplify(v, x, rho))
+    for step in ("fglss", "normalize", "p2l"):
+        inst = stage(step, _STEPS[step].stage_file, lambda: _STEPS[step].reduce(inst))
     if inst.graph.n_symbols <= args.max_gadget_alphabet:
-        for name in ("l2sc", "l2hvc"):
-            _stage(name, lambda: _STEPS[name].reduce(inst), out_dir / _STEPS[name].stage_file)
+        for step in ("l2sc", "l2hvc"):
+            stage(step, _STEPS[step].stage_file, lambda: _STEPS[step].reduce(inst))
     else:
-        print(
-            f"skipping cover stages: alphabet {inst.graph.n_symbols} exceeds "
-            f"--max-gadget-alphabet {args.max_gadget_alphabet}"
-        )
-    rows = _pipeline_rows(out_dir, args.cap)
-    report = _render_report(rows, args.format)
+        alphabet = inst.graph.n_symbols
+        print(f"skipping cover stages: alphabet {alphabet} exceeds --max-gadget-alphabet {args.max_gadget_alphabet}")
+    report = _render_report(_pipeline_rows(stages, args.cap), args.format)
     report_path = out_dir / f"report.{args.format}"
     with serialize.writing(report_path):
         report_path.write_text(report)
@@ -412,8 +399,21 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _load_stage(path: Path, holds: type):
+    """What stage file ``path`` holds, refused unless it is a ``holds``."""
+    try:
+        made = serialize.load_verifier(path) if holds is TableVerifier else serialize.load(path)
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}") from exc
+    if holds is not TableVerifier and not isinstance(made, holds):
+        raise StructuralError(f"{path}: expected a {serialize.TAGS[holds]} file, got {serialize.TAGS[type(made)]!r}")
+    return made
+
+
 def _cmd_report(args) -> int:
-    rows = _pipeline_rows(Path(args.dir), args.cap)
+    paths = {name: Path(args.dir) / name for name in _STAGES}
+    stages = {name: _load_stage(path, _STAGES[name][0]) for name, path in paths.items() if path.exists()}
+    rows = _pipeline_rows(stages, args.cap)
     if not rows:
         raise StructuralError(f"no pipeline stage files in {args.dir}")
     sys.stdout.write(_render_report(rows, args.format))
@@ -423,6 +423,16 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _add_amplify_args(p: argparse.ArgumentParser) -> None:
+    """The options of ``amplify`` that ``pipeline`` shares."""
+    p.add_argument("--rho", type=int, default=None)
+    p.add_argument("--eps", type=_fraction, default=None)
+    p.add_argument("--delta", type=_fraction, default=None)
+    p.add_argument("--expander-d", type=int, default=4)
+    p.add_argument("--target-ratio", type=float, default=0.9)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,13 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplify", help="expander-walk acceptance amplification")
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--eps", type=_fraction, default=None)
-    p.add_argument("--delta", type=_fraction, default=None)
-    p.add_argument("--expander-d", type=int, default=4)
-    p.add_argument("--target-ratio", type=float, default=0.9)
+    _add_amplify_args(p)
     p.add_argument("--expander-out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_amplify)
 
     p = sub.add_parser("check", help="run a property-check suite")
@@ -485,12 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--no-amplify", action="store_true")
-    p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--eps", type=_fraction, default=None)
-    p.add_argument("--delta", type=_fraction, default=None)
-    p.add_argument("--expander-d", type=int, default=4)
-    p.add_argument("--target-ratio", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    _add_amplify_args(p)
     p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--max-gadget-alphabet", type=int, default=12)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
@@ -510,12 +510,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -87,18 +87,18 @@ class ConstraintGraph:
         if len(set(self.alphabet)) != s:
             raise StructuralError("alphabet labels must be unique")
         if len(self.tables) != len(self.edges):
-            raise StructuralError("one truth table per hyperedge required")
+            raise StructuralError("one truth table per edge required")
         expected = s * s
         for e_idx, edge in enumerate(self.edges):
             if len(edge) != 2:
-                raise StructuralError(f"hyperedge {e_idx} has {len(edge)} entries, expected 2")
+                raise StructuralError(f"edge {e_idx} has {len(edge)} entries, expected 2")
             if any(v < 0 or v >= n for v in edge):
-                raise StructuralError(f"hyperedge {e_idx} references a missing vertex")
+                raise StructuralError(f"edge {e_idx} references a missing vertex")
             if len(self.tables[e_idx]) != expected:
                 raise StructuralError(
                     f"table {e_idx} has {len(self.tables[e_idx])} entries, expected {expected}"
                 )
-            if any(b not in (0, 1) for b in self.tables[e_idx]):
+            if self.tables[e_idx].translate(None, b"\x00\x01"):
                 raise StructuralError(f"table {e_idx} contains a non-boolean entry")
         if self.admissible is not None:
             if len(self.admissible) != n:

@@ -51,7 +51,7 @@ class TableVerifier:
                 raise StructuralError(f"entry {rnd} queries outside the proof")
             if len(self.tables[rnd]) != 2 ** len(positions):
                 raise StructuralError(f"decision table {rnd} has the wrong size")
-            if any(b not in (0, 1) for b in self.tables[rnd]):
+            if self.tables[rnd].translate(None, b"\x00\x01"):
                 raise StructuralError(f"decision table {rnd} contains a non-boolean entry")
 
     @property

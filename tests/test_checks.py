@@ -2,11 +2,13 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
 
 from rforge import checks
+from rforge.amplify import walk_hit_prob
 from rforge.core import (
     ConstraintGraph,
     LabelCoverInstance,
@@ -137,6 +139,36 @@ def test_expander_bounds_fails_when_lambda_reads_zero(monkeypatch):
     payload = json.loads(rep.counterexample)
     assert (payload["n"], payload["d"], payload["lambda"]) == (4, 3, 0.0)
     assert "FAIL" in rep.summary()
+
+
+@pytest.mark.parametrize("shrink", [0, 0.2], ids=["lambda-zero", "lambda-fifth"])
+def test_expander_bounds_flags_what_the_probability_sandwich_flags(monkeypatch, shrink):
+    # The suite compares integer walk counts with each sandwich scaled to
+    # the walks.  With lambda read too small, so that some pairs fail, it
+    # must flag exactly the (subset, rho) pairs the probability form flags.
+    build_expander, walk_hit_counts = checks.build_expander, checks.walk_hit_counts
+    passes = []
+
+    def shrunk(*args):
+        x = build_expander(*args)
+        return replace(x, lam=x.lam * shrink)
+
+    def recorded(x, subsets, rho):
+        passes.append((x, list(subsets), rho))
+        return walk_hit_counts(x, passes[-1][1], rho)
+
+    monkeypatch.setattr(checks, "build_expander", shrunk)
+    monkeypatch.setattr(checks, "walk_hit_counts", recorded)
+    rep = checks.expander_bounds(trials=4, seed=0)
+    expected = 0
+    for x, subsets, rho in passes:
+        spread = 2 * Fraction(x.lam) / x.d
+        for subset in subsets:
+            mu = Fraction(len(subset), x.n)
+            p = walk_hit_prob(x, subset, rho)
+            expected += not max(Fraction(0), mu - spread) ** rho <= p <= (mu + spread) ** rho
+    assert rep.trials == sum(len(subsets) for _, subsets, _ in passes) == 9 * 7 * 4
+    assert expected > 0 and rep.violations == expected
 
 
 def test_a_set_meeting_a_foreign_block_fails(monkeypatch):

@@ -653,14 +653,66 @@ class TestPipeline:
         assert "error: [stage amplify] amplified verifier needs r=55 random bits" in done.stderr
         assert not (tmp_path / "s" / "01_amplified_verifier.json").exists()
 
-    def test_report_regenerates_byte_identically(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, fmt",
+        [
+            (("--no-amplify",), "md"),
+            (("--rho", 2, "--cap", 1000), "md"),
+            (("--no-amplify",), "csv"),
+            (("--no-amplify",), "json"),
+        ],
+        ids=["no-amplify", "amplified", "csv", "json"],
+    )
+    def test_report_regenerates_byte_identically(self, tmp_path, capsys, flags, fmt):
+        # The pipeline builds its report from the stages in memory, report
+        # from the stage files: the two must agree byte for byte.
         ver = toy_verifier_file(tmp_path / "v.json")
         out_dir = tmp_path / "stages"
-        run("pipeline", "--in", ver, "--out-dir", out_dir, "--no-amplify")
+        assert run("pipeline", "--in", ver, "--out-dir", out_dir, *flags, "--format", fmt) == 0
         capsys.readouterr()
-        assert run("report", "--dir", out_dir) == 0
+        cap = flags[flags.index("--cap"):] if "--cap" in flags else ()
+        assert run("report", "--dir", out_dir, *cap, "--format", fmt) == 0
         regenerated = capsys.readouterr().out
-        assert regenerated.encode() == (out_dir / "report.md").read_bytes()
+        assert regenerated.encode() == (out_dir / f"report.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("flags", [("--no-amplify",), ("--rho", 2, "--cap", 1000)], ids=["no-amplify", "amplified"])
+    def test_pipeline_reads_back_no_stage_file(self, tmp_path, monkeypatch, capsys, flags):
+        loaded = []
+        for name in ("load", "load_verifier"):
+            original = getattr(serialize, name)
+
+            def recorded(path, original=original):
+                loaded.append(Path(path))
+                return original(path)
+
+            monkeypatch.setattr(serialize, name, recorded)
+        ver = toy_verifier_file(tmp_path / "v.json")
+        assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "stages", *flags) == 0
+        assert loaded == [ver]
+
+    # Each stage file, the type it holds, and a stage file of another type
+    # to put in its place.
+    WRONG_TYPE = [
+        ("00_verifier.json", "verifier", "06_hvc.json"),
+        ("01_expander.json", "expander", "02_fglss.json"),
+        ("01_amplified_verifier.json", "verifier", "05_setcover.json"),
+        ("02_fglss.json", "p2csp_instance", "05_setcover.json"),
+        ("03_normalized.json", "p2csp_instance", "05_setcover.json"),
+        ("04_labelcover.json", "labelcover_instance", "02_fglss.json"),
+        ("05_setcover.json", "setcover_instance", "02_fglss.json"),
+        ("06_hvc.json", "hvc_instance", "05_setcover.json"),
+    ]
+
+    @pytest.mark.parametrize("stage, expected, source", WRONG_TYPE, ids=[w[0] for w in WRONG_TYPE])
+    def test_report_refuses_a_stage_file_of_the_wrong_type(self, tmp_path, capsys, stage, expected, source):
+        ver = toy_verifier_file(tmp_path / "v.json")
+        out_dir = tmp_path / "stages"
+        assert run("pipeline", "--in", ver, "--out-dir", out_dir, "--no-amplify") == 0
+        (out_dir / stage).write_bytes((out_dir / source).read_bytes())
+        capsys.readouterr()
+        assert run("report", "--dir", out_dir) == 2
+        got = json.loads((out_dir / source).read_bytes())["type"]
+        assert f"{out_dir / stage}: expected a {expected} file, got {got!r}" in capsys.readouterr().err
 
     def test_csv_format(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")

@@ -45,8 +45,14 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             graph([(0, 1)], [bytes([1, 0, 0])])
 
+    @pytest.mark.parametrize("entry", [2, 255], ids=["two", "255"])
+    def test_non_boolean_table_entry_rejected(self, entry):
+        # The first table is 0/1; the second has one other byte at its end.
+        with pytest.raises(StructuralError, match="table 1 contains a non-boolean entry"):
+            graph([(0, 1), (1, 0)], [EQ, bytes([1, 0, 0, entry])])
+
     def test_edge_arity_enforced(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="edge 0 has 1 entries, expected 2"):
             graph([(0,)], [EQ])
 
     def test_empty_admissible_rejected(self):

@@ -64,6 +64,11 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             TableVerifier(r=0, q=2, ell=2, queries=((0, 1),), tables=(bytes(2),))
 
+    @pytest.mark.parametrize("entry", [2, 255], ids=["two", "255"])
+    def test_non_boolean_table_entry_rejected(self, entry):
+        with pytest.raises(StructuralError, match="decision table 1 contains a non-boolean entry"):
+            TableVerifier(r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([0, 1]), bytes([1, entry])))
+
 
 class TestAcceptProb:
     def test_always_accepting(self):
