@@ -7,16 +7,16 @@ the base soundness gap, the rejection probability of a bad proof decays
 geometrically in the walk length.  The ratio of a random expander is a
 Lanczos estimate with outward slack, not a proof (the complete-graph
 constructions carry exact eigenvalues).  Walk counts are exact integers,
-for one subset (``walk_hit_count``) or for many in one lane-packed pass
-(``walk_hit_counts``).
+for many subsets in one lane-packed pass (``walk_hit_counts``) that reads
+each vertex's neighbours off the rotation map.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, itemgetter, mul
 
 from .core import StructuralError
@@ -75,16 +75,6 @@ class ExpanderGraph:
 
     def step(self, v: int, port: int) -> int:
         return self.rotation[v * self.d + port][0]
-
-    @cached_property
-    def counts(self) -> tuple[tuple[int, ...], ...]:
-        """Multiplicity matrix, built once per graph on first use; row sums
-        equal d (a self-loop counts both ports)."""
-        counts = [[0] * self.n for _ in range(self.n)]
-        for v in range(self.n):
-            for p in range(self.d):
-                counts[v][self.rotation[v * self.d + p][0]] += 1
-        return tuple(map(tuple, counts))
 
 
 def _complete_rotation(n: int, d: int) -> list[tuple[int, int]]:
@@ -242,41 +232,14 @@ def walk_hit_prob(x: ExpanderGraph, subset, rho: int) -> Fraction:
 
     The walk has rho vertices and rho - 1 steps: a uniform start vertex
     followed by uniform port choices, so each of the n * d^(rho - 1)
-    walks is equally likely (see ``walk_hit_count``).
+    walks is equally likely (see ``walk_hit_counts``).
     """
-    return Fraction(walk_hit_count(x, subset, rho), x.n * x.d ** (rho - 1))
-
-
-def walk_hit_count(x: ExpanderGraph, subset, rho: int) -> int:
-    """Number of rho-vertex walks, (start vertex, rho - 1 ports), that stay in subset.
-
-    Computed by transfer matrix over integer walk counts restricted to
-    the subset's members, so a step costs O(|subset|^2).
-    """
-    if rho < 1:
-        raise StructuralError(f"walk needs at least one vertex, got rho={rho}")
-    members = sorted(frozenset(subset))
-    if members and (members[0] < 0 or members[-1] >= x.n):
-        raise StructuralError("subset leaves the vertex set")
-    # inside[j]: number of port sequences for the walk so far that stayed in
-    # the subset and currently sit at members[j].
-    inside = [1] * len(members)
-    if rho > 1 and members:
-        # The rotation map is an involution, so the counts are symmetric
-        # and member w's column over the members is its row over them.
-        counts = x.counts
-        if len(members) > 1:
-            take = itemgetter(*members)
-            columns = [take(counts[w]) for w in members]
-        else:  # an itemgetter of one key returns the item, not a tuple
-            columns = [[counts[w][w]] for w in members]
-        for _ in range(rho - 1):
-            inside = [sum(map(mul, inside, column)) for column in columns]
-    return sum(inside)
+    return Fraction(walk_hit_counts(x, (subset,), rho)[0], x.n * x.d ** (rho - 1))
 
 
 def walk_hit_counts(x: ExpanderGraph, subsets, rho: int) -> list[int]:
-    """``walk_hit_count`` of every subset at once: one transfer-matrix pass.
+    """Number of rho-vertex walks, (start vertex, rho - 1 ports), that stay
+    in each subset: one transfer-matrix pass over integer walk counts.
 
     Lane j of each packed int, ``size`` whole bytes wide, belongs to the
     j-th subset.  inside[v] holds, in every lane, the walks so far that
@@ -308,9 +271,12 @@ def walk_hit_counts(x: ExpanderGraph, subsets, rho: int) -> list[int]:
     if rho > 1:
         lane = (1 << (8 * size)) - 1
         masks = [m * lane for m in inside]
-        neighbours = [[(w, c) for w, c in enumerate(row) if c] for row in x.counts]
+        # v's ports by the vertex they lead to (a self-loop counts both of its
+        # ports); the rotation map is an involution, so they also count the
+        # ports into v.
+        d = x.d
+        neighbours = [Counter(w for w, _ in x.rotation[v * d : (v + 1) * d]).items() for v in range(x.n)]
         for _ in range(rho - 1):
-            # The counts are symmetric, so v's row also counts the ports into v.
             inside = [sum(c * inside[w] for w, c in around) & mask for around, mask in zip(neighbours, masks)]
     data = sum(inside).to_bytes(size * n_lanes, "little")
     return [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]

@@ -532,7 +532,7 @@ def _claim_verifier(seed: int, t: int):
 
 
 def _chunked_walk_counts(x: ExpanderGraph, subsets, rho: int):
-    """(subset, walk_hit_count) pairs in order, counted ``_SWEEP_CHUNK``
+    """(subset, walk count) pairs in order, counted ``_SWEEP_CHUNK``
     subsets per ``walk_hit_counts`` pass, so no more are held at once."""
     subsets = iter(subsets)
     while chunk := list(islice(subsets, _SWEEP_CHUNK)):

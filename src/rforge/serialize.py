@@ -5,12 +5,13 @@ tag from ``TAGS`` plus one key per dataclass field, written and read by a
 codec worked out once from the field's type annotation: tuples become
 lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
 nested dataclasses their payloads; the readers of the list forms
-accept only a JSON list, an integer is read only from a JSON integer,
-and a float from a JSON number that is not a boolean.  States follow
-their kind, with ``BOTTOM`` as ``null``.  A verifier file lists
-``{R, queries, table}`` entries, R running over 0 to 2^r - 1, and may
-carry endpoint proofs, each a 0/1 string of the proof length; an
-expander file adds ``ratio``.
+accept only a JSON list, an integer is read only from a JSON integer, a
+string only from a JSON string, and a float from a JSON number that is
+not a boolean.  States follow their kind, with ``BOTTOM`` as ``null``.
+A verifier file lists ``{R, queries, table}`` entries, R running over 0
+to 2^r - 1, and may carry endpoint proofs, each a 0/1 string of the
+proof length; an expander file adds ``ratio``, which must equal
+``lambda / d``.
 
 All writers emit sorted-key, tight-separator JSON with a trailing
 newline, so serializing equal objects always produces identical bytes and
@@ -78,9 +79,6 @@ def _same(value):
     return value
 
 
-_SAME = (_same, _same)
-
-
 def _list_in(obj) -> list:
     """``obj`` if it is a JSON list: a string or a number is malformed."""
     if not isinstance(obj, list):
@@ -88,21 +86,27 @@ def _list_in(obj) -> list:
     return obj
 
 
-def _ints(items):
-    """``items`` if each is a JSON integer; a boolean, float, string, null
-    or list is never an integer index."""
-    if not set(map(type, items)) <= {int}:
-        bad = next(type(x) for x in items if type(x) is not int)
-        raise StructuralError(f"expected an integer, got {'a boolean' if bad is bool else bad.__name__}")
+def _only(kind: type, name: str, items):
+    """``items`` if each is exactly a ``kind`` (named ``name``): a boolean,
+    say, is never an integer index, nor a null a label."""
+    if not set(map(type, items)) <= {kind}:
+        bad = next(type(x) for x in items if type(x) is not kind)
+        raise StructuralError(f"expected {name}, got {'a boolean' if bad is bool else bad.__name__}")
     return items
+
+
+_ints = partial(_only, int, "an integer")
+_strs = partial(_only, str, "a string")
 
 
 def _int_in(obj) -> int:
     return _ints((obj,))[0]
 
 
-# Codec of an int: written as is, read only from a JSON integer.
+# Codecs of an int and a str: written as is, read only from a JSON integer
+# or a JSON string.
 _INT = (_same, _int_in)
+_STR = (_same, lambda o: _strs((o,))[0])
 
 
 def _float_in(obj) -> float:
@@ -125,7 +129,7 @@ def _fraction_in(text: str) -> Fraction:
 def _codec(ann) -> tuple:
     """(writer, reader) of a value annotated ``ann``, worked out once per annotation."""
     if ann is str:
-        return _SAME
+        return _STR
     if ann is float:
         return _FLOAT
     if ann is int:
@@ -142,10 +146,10 @@ def _codec(ann) -> tuple:
         return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
     if origin in (tuple, frozenset):
         items = [_codec(a) for a in args if a is not Ellipsis]
-        # A list of scalars is read in one call, scanned for non-integers if it holds ints.
-        if all(c in (_SAME, _INT) for c in items):
+        # A list of scalars is read in one call, scanned for items of another type.
+        if set(items) in ({_INT}, {_STR}):
             make = tuple if origin is tuple else frozenset
-            check = _ints if _INT in items else _same
+            check = _ints if items[0] == _INT else _strs
             return (list if origin is tuple else sorted), lambda o: make(check(_list_in(o)))
         if args[1:] == (Ellipsis,):
             ((write, read),) = items
@@ -232,9 +236,14 @@ def _read(cls, obj: dict):
             raise StructuralError(f"verifier entry indices R must be 0 to {len(entries) - 1}, each once")
         obj = {**obj, "queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
     kind = BUNDLES[cls][1] if cls in BUNDLES else obj.get("kind")
-    return cls(
+    out = cls(
         **{name: read(obj[key], kind) for name, key, _, read, optional in _fields(cls) if key in obj or not optional}
     )
+    # The writer stores lambda / d itself: any other ratio, even an equal
+    # integer, would not save back to the same bytes.
+    if cls is ExpanderGraph and (type(obj["ratio"]) is not float or obj["ratio"] != out.ratio):
+        raise StructuralError(f"expander ratio {obj['ratio']!r} is not lambda / d = {out.ratio!r}")
+    return out
 
 
 def from_payload(obj: dict):

@@ -97,8 +97,28 @@ def test_expander_lambda_is_a_number_in_range(value, message):
     data = serialize.payload(build_expander(8, 4, 0.95, seed=1))
     with pytest.raises(StructuralError, match=message):
         serialize.parse_bytes(json.dumps({**data, "lambda": value}).encode())
-    for edge in (0, 4, 0.0, 4.0):  # both ends of the range read
-        assert serialize.parse_bytes(json.dumps({**data, "lambda": edge}).encode()).lam == edge
+    for edge in (0, 4, 0.0, 4.0):  # both ends of the range read, with the ratio they give
+        assert serialize.parse_bytes(json.dumps({**data, "lambda": edge, "ratio": edge / 4}).encode()).lam == edge
+
+
+# An expander's stored ratio other than the lambda / d its writer computes.
+BAD_RATIOS = {"zero": 0.0, "rounded": 0.75, "integer": 1, "boolean": True, "string": "0.75", "null": None}
+
+
+@pytest.mark.parametrize("ratio", BAD_RATIOS.values(), ids=BAD_RATIOS.keys())
+def test_expander_ratio_is_lambda_over_d(ratio):
+    x = build_expander(8, 4, 0.95, seed=1)
+    data = serialize.payload(x)
+    # Beside lambda = d, an integer 1 (or true) equals the ratio 1.0 but is no float.
+    with pytest.raises(StructuralError, match="expander ratio .* is not lambda / d"):
+        serialize.parse_bytes(json.dumps({**data, "ratio": ratio, "lambda": 4.0 if ratio == 1 else x.lam}).encode())
+
+
+def test_expander_ratio_is_required():
+    data = serialize.payload(build_expander(8, 4, 0.95, seed=1))
+    del data["ratio"]
+    with pytest.raises(StructuralError, match="KeyError: 'ratio'"):
+        serialize.parse_bytes(json.dumps(data).encode())
 
 
 @pytest.mark.parametrize(
@@ -360,6 +380,24 @@ NON_INTEGER_INDICES = {
 @pytest.mark.parametrize("data", NON_INTEGER_INDICES.values(), ids=NON_INTEGER_INDICES.keys())
 def test_only_a_json_integer_is_an_index(data):
     with pytest.raises(StructuralError, match="expected an integer, got (float|str|NoneType|list)$"):
+        serialize.parse_bytes(data)
+
+
+# A null, number, boolean or list where a label belongs, in each label field.
+NON_STRING_LABELS = {
+    "graph-vertex": b'{"alphabet":["a"],"arity":2,"edges":[],"tables":[],"type":"constraint_graph",'
+    b'"vertices":[null,"y"]}',
+    "graph-alphabet": b'{"alphabet":["a",5],"arity":2,"edges":[],"tables":[],"type":"constraint_graph",'
+    b'"vertices":["x"]}',
+    "setsystem-element": b'{"elements":["u",true],"set_labels":["s"],"sets":[[0]],"type":"set_system"}',
+    "setsystem-label": b'{"elements":["u"],"set_labels":[["s"]],"sets":[[0]],"type":"set_system"}',
+    "hypergraph-vertex": b'{"hyperedges":[[0]],"type":"hypergraph","vertices":[1.5]}',
+}
+
+
+@pytest.mark.parametrize("data", NON_STRING_LABELS.values(), ids=NON_STRING_LABELS.keys())
+def test_only_a_json_string_is_a_label(data):
+    with pytest.raises(StructuralError, match="expected a string, got (NoneType|int|a boolean|list|float)$"):
         serialize.parse_bytes(data)
 
 
