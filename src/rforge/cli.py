@@ -149,7 +149,8 @@ class _Step(NamedTuple):
 
 
 # Traced functions are called through this module's globals, never stored,
-# so a call goes through their current binding.  ``fglss`` takes a
+# so a call goes through their current binding; ``main`` likewise looks up
+# ``_cmd_<command>`` by name on every call.  ``fglss`` takes a
 # (verifier, pi_start, pi_goal) tuple.
 _STEPS = {
     "fglss": _Step((tuple,), "a verifier file", _fglss_instance, "02_fglss.json", _proved_verifier),
@@ -453,38 +454,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=5)
     p.add_argument("--edges", type=int, default=4)
     p.add_argument("--max-edge-size", type=int, default=3)
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("reduce", help="run one reduction step")
     p.add_argument("step", choices=list(_STEPS))
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("problem", choices=list(SOLVERS))
     p.add_argument("--in", required=True)
     p.add_argument("--out")
     p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("approx", help="2-factor cover reconfiguration")
     p.add_argument("--in", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("amplify", help="expander-walk acceptance amplification")
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     _add_amplify_args(p)
     p.add_argument("--expander-out")
-    p.set_defaults(func=_cmd_amplify)
 
     p = sub.add_parser("check", help="run a property-check suite")
     p.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("pipeline", help="stage every reduction from a verifier file")
     p.add_argument("--in", required=True)
@@ -494,22 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--max-gadget-alphabet", type=int, default=12)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("report", help="regenerate a pipeline report from its directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except RforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -165,7 +165,7 @@ class SetSystem:
             raise StructuralError("set labels must be unique")
         n = len(self.elements)
         for i, members in enumerate(self.sets):
-            if any(e < 0 or e >= n for e in members):
+            if members and (min(members) < 0 or max(members) >= n):
                 raise StructuralError(f"set {i} references a missing element")
 
     @property
@@ -190,7 +190,7 @@ class Hypergraph:
             raise StructuralError("vertex labels must be unique")
         n = len(self.vertices)
         for i, edge in enumerate(self.hyperedges):
-            if any(v < 0 or v >= n for v in edge):
+            if edge and (min(edge) < 0 or max(edge) >= n):
                 raise StructuralError(f"hyperedge {i} references a missing vertex")
             if self.uniformity is not None and len(edge) != self.uniformity:
                 raise StructuralError(

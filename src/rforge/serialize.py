@@ -2,12 +2,13 @@
 
 One codec serves every file type.  A payload is the class's ``"type"``
 tag from ``TAGS`` plus one key per dataclass field, written and read by a
-codec worked out once from the field's type annotation: tuples become
-lists, frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` and
-nested dataclasses their payloads; the readers of the list forms
+codec worked out at import, once per type annotation: tuples become lists,
+frozensets sorted lists, bytes 0/1 lists, fractions ``"p/q"`` in lowest
+terms and nested dataclasses their payloads; the readers of the list forms
 accept only a JSON list, an integer is read only from a JSON integer, a
-string only from a JSON string, and a float from a JSON number that is
-not a boolean.  States follow their kind, with ``BOTTOM`` as ``null``.
+string only from a JSON string, a fraction only as written, and a float
+from a JSON number that is not a boolean.  States follow their kind, with
+``BOTTOM`` as ``null``.
 A verifier file lists ``{R, queries, table}`` entries, R running over 0
 to 2^r - 1, and may carry endpoint proofs, each a 0/1 string of the
 proof length; an expander file adds ``ratio``, which must equal
@@ -121,8 +122,11 @@ _FLOAT = (_same, _float_in)
 
 
 def _fraction_in(text: str) -> Fraction:
-    num, den = text.split("/")
-    return Fraction(int(num), int(den))
+    # Any other spelling, such as "2/4" or "+1/2", would save back as other bytes.
+    value = Fraction(text)
+    if f"{value.numerator}/{value.denominator}" != text:
+        raise StructuralError(f"fraction {text!r} is not written p/q in lowest terms")
+    return value
 
 
 @cache
@@ -183,7 +187,6 @@ def _state_in(obj, kind: str):
     return KINDS[kind].canonical(obj)
 
 
-@cache
 def _fields(cls) -> tuple:
     """(field name, payload key, writer, reader, may be absent) of each field
     of ``cls``; a reader takes the value and the kind of the payload's states."""
@@ -217,7 +220,7 @@ def payload(obj, pi_start: str | None = None, pi_goal: str | None = None) -> dic
     if cls not in TAGS:
         raise StructuralError(f"cannot serialize {cls.__name__}")
     out = {"type": TAGS[cls]}
-    for name, key, write, _, _ in _fields(cls):
+    for name, key, write, _, _ in _FIELDS[cls]:
         out[key] = write(getattr(obj, name))
     if cls is TableVerifier:
         rows = zip(out.pop("queries"), out.pop("tables"), strict=True)
@@ -237,7 +240,7 @@ def _read(cls, obj: dict):
         obj = {**obj, "queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
     kind = BUNDLES[cls][1] if cls in BUNDLES else obj.get("kind")
     out = cls(
-        **{name: read(obj[key], kind) for name, key, _, read, optional in _fields(cls) if key in obj or not optional}
+        **{name: read(obj[key], kind) for name, key, _, read, optional in _FIELDS[cls] if key in obj or not optional}
     )
     # The writer stores lambda / d itself: any other ratio, even an equal
     # integer, would not save back to the same bytes.
@@ -253,6 +256,10 @@ def from_payload(obj: dict):
     if cls is None:
         raise StructuralError(f"unknown file type {tag!r}")
     return _read(cls, obj)
+
+
+# Each file type's fields, worked out at import: no load or save reads a type hint.
+_FIELDS = {cls: _fields(cls) for cls in TAGS}
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
         raise StructuralError("infeasible endpoints: start/goal must satisfy the graph")
     n, s = g.n_vertices, g.n_symbols
     full = (1 << s) - 1
-    vertices = [(base, list(_bits(ok)), edges) for base, ok, edges in _graph_links(g)]
+    vertices = _graph_links(g)
     # Admissible sets come from folded self-loops, which forbid an empty set.
     nonempty = g.admissible is not None
 
@@ -363,7 +363,7 @@ def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
 
     def expand(state, theta):
         grow = state.bit_count() < theta
-        for base, symbols, edges in vertices:
+        for base, ok, edges in vertices:
             labels = state >> base & full
             # A label is pinned when removing it would empty an admissible
             # set, or when it is the only label at v that an edge accepts
@@ -373,15 +373,13 @@ def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
                 support = accepts[state >> shift & full] & labels
                 if not support & (support - 1):
                     pinned |= support
-            for a in symbols:
-                bit = 1 << a
-                if labels & bit:
-                    if not pinned & bit:
-                        yield state ^ bit << base
-                elif grow:
-                    yield state | bit << base
+            moves = (ok if grow else labels) & ~pinned
+            while moves:  # add or remove one label, symbols ascending
+                low = moves & -moves
+                yield state ^ low << base
+                moves ^= low
 
-    total = sum(len(symbols) for _, symbols, _ in vertices)
+    total = sum(ok.bit_count() for _, ok, _ in vertices)
     thetas = range(max(multi_size(f_start), multi_size(f_goal)), total + 1)
     theta, path, explored = _threshold_search(thetas, pack(f_start), pack(f_goal), expand, cap)
     states = tuple(tuple(frozenset(_bits(m >> b & full)) for b in range(0, n * s, s)) for m in path)
@@ -522,9 +520,9 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
 
     The threshold scan runs over the kernel's items.  Adding an item keeps
     a state feasible, and removing item i keeps it feasible iff every hit
-    set containing i still meets the state, so a move tests only i's hit
-    sets.  Kernel items are original items, so the witness is a sequence of
-    the original instance as it stands.
+    set containing i still meets the state, so one pass over the hit sets
+    finds the items a move may not remove.  Kernel items are original items,
+    so the witness is a sequence of the original instance as it stands.
     """
     if start == goal:
         return SolveResult(Fraction(len(start), opt + 1), ReconfigSequence(kind, (start,)), 0)
@@ -534,21 +532,21 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
     def to_mask(state) -> int:
         return sum(1 << position[i] for i in state)
 
-    containing: list[list[int]] = [[] for _ in items]
-    for t in kernel_sets:
-        mask = to_mask(t)
-        for i in t:
-            containing[position[i]].append(mask)
+    hit_masks = [to_mask(t) for t in kernel_sets]
+    every = (1 << len(items)) - 1
 
     def expand(mask, theta):
-        grow = mask.bit_count() < theta
-        for j, hit in enumerate(containing):
-            bit = 1 << j
-            if not mask & bit:
-                if grow:
-                    yield mask | bit
-            elif all((mask ^ bit) & t for t in hit):
-                yield mask ^ bit
+        # An item is pinned when it is the state's only item in some hit set.
+        pinned = 0
+        for t in hit_masks:
+            meet = mask & t
+            if not meet & (meet - 1):
+                pinned |= meet
+        moves = (every if mask.bit_count() < theta else mask) & ~pinned
+        while moves:  # add or remove one item, ascending
+            low = moves & -moves
+            yield mask ^ low
+            moves ^= low
 
     thetas = range(max(len(start), len(goal)), len(items) + 1)
     # A state is a mask over the kernel's items, and its own key.

@@ -1,5 +1,6 @@
 """Command-line interface: files, chains, pipeline, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -555,6 +556,41 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             run("check", "--suite", "nope")
         assert exc.value.code == 2
+
+
+class TestDispatch:
+    COMMANDS = ("gen", "reduce", "solve", "approx", "amplify", "check", "pipeline", "report")
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+        )
+        for seed in (1, 2):
+            assert run("gen", "--kind", "csp", "--out", tmp_path / f"{seed}.json", "--seed", seed) == 0
+        assert built == []
+
+    def test_command_is_looked_up_by_name(self, monkeypatch):
+        """A function swapped into the module, as a tracer does, is the one
+        called; options left out of one call keep their defaults."""
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_solve", lambda args: calls.append(args) or 0)
+        assert run("solve", "maxpar", "--in", "a.json", "--cap", 5) == 0
+        assert run("solve", "minlab", "--in", "b.json") == 0
+        assert [(a.problem, getattr(a, "in"), a.cap) for a in calls] == [
+            ("maxpar", "a.json", 5), ("minlab", "b.json", solve.DEFAULT_CAP)
+        ]
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(self.COMMANDS) + "}" in out
+        for command in self.COMMANDS:
+            assert f"\n    {command} " in out
+            assert callable(getattr(cli, f"_cmd_{command}"))
 
 
 class TestPipeline:

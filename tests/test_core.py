@@ -206,6 +206,18 @@ class TestCovers:
         with pytest.raises(StructuralError):
             Hypergraph(("a", "b"), (frozenset({0}),), uniformity=2)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_set_members_must_be_elements(self, bad):
+        sets = (frozenset({0, 1}), frozenset(), frozenset({1, bad}), frozenset({bad}))
+        with pytest.raises(StructuralError, match=r"^set 2 references a missing element$"):
+            SetSystem(("1", "2"), sets, ("A", "B", "C", "D"))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_hyperedge_members_must_be_vertices(self, bad):
+        edges = (frozenset({0, 2}), frozenset(), frozenset({bad, 1}), frozenset({bad}))
+        with pytest.raises(StructuralError, match=r"^hyperedge 2 references a missing vertex$"):
+            Hypergraph(("a", "b", "c"), edges)
+
 
 class TestValidateSequence:
     def test_singleton_cover_sequence(self):

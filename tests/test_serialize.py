@@ -1,7 +1,12 @@
 """Round-trip and byte-stability of every on-disk schema."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,76 +189,77 @@ VERIFIER_BYTES = (
 )
 
 
-@pytest.mark.parametrize(
-    "inst, expected",
-    [
-        (
-            P2cspInstance(PINNED_GRAPH, (0, 1), (BOTTOM, 1)),
-            b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[0,1],"type":"p2csp_instance"}\n',
+# Objects and their canonical files.
+PINNED_FILES = [
+    (
+        P2cspInstance(PINNED_GRAPH, (0, 1), (BOTTOM, 1)),
+        b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[0,1],"type":"p2csp_instance"}\n',
+    ),
+    (
+        LabelCoverInstance(
+            PINNED_GRAPH,
+            (frozenset({0}), frozenset({1})),
+            (frozenset({0, 1}), frozenset({1})),
         ),
-        (
-            LabelCoverInstance(
-                PINNED_GRAPH,
-                (frozenset({0}), frozenset({1})),
-                (frozenset({0, 1}), frozenset({1})),
-            ),
-            b'{"goal":[[0,1],[1]],"graph":' + GRAPH_BYTES
-            + b',"start":[[0],[1]],"type":"labelcover_instance"}\n',
+        b'{"goal":[[0,1],[1]],"graph":' + GRAPH_BYTES
+        + b',"start":[[0],[1]],"type":"labelcover_instance"}\n',
+    ),
+    (
+        SetCoverInstance(
+            SetSystem(("u", "w"), (frozenset({0, 1}), frozenset({1})), ("A", "B")),
+            frozenset({0}),
+            frozenset({0, 1}),
         ),
-        (
-            SetCoverInstance(
-                SetSystem(("u", "w"), (frozenset({0, 1}), frozenset({1})), ("A", "B")),
-                frozenset({0}),
-                frozenset({0, 1}),
-            ),
-            b'{"goal":[0,1],"start":[0],"system":{"elements":["u","w"],"set_labels":["A","B"],'
-            b'"sets":[[0,1],[1]],"type":"set_system"},"type":"setcover_instance"}\n',
+        b'{"goal":[0,1],"start":[0],"system":{"elements":["u","w"],"set_labels":["A","B"],'
+        b'"sets":[[0,1],[1]],"type":"set_system"},"type":"setcover_instance"}\n',
+    ),
+    (
+        HvcInstance(
+            Hypergraph(("p", "q", "r"), (frozenset({0, 2}), frozenset({1, 2})), 2),
+            frozenset({2}),
+            frozenset({0, 1}),
         ),
-        (
-            HvcInstance(
-                Hypergraph(("p", "q", "r"), (frozenset({0, 2}), frozenset({1, 2})), 2),
-                frozenset({2}),
-                frozenset({0, 1}),
-            ),
-            b'{"goal":[0,1],"hypergraph":{"hyperedges":[[0,2],[1,2]],"type":"hypergraph",'
-            b'"uniformity":2,"vertices":["p","q","r"]},"start":[2],"type":"hvc_instance"}\n',
+        b'{"goal":[0,1],"hypergraph":{"hyperedges":[[0,2],[1,2]],"type":"hypergraph",'
+        b'"uniformity":2,"vertices":["p","q","r"]},"start":[2],"type":"hvc_instance"}\n',
+    ),
+    (PINNED_VERIFIER, VERIFIER_BYTES % (b'"011"', b'"010"')),
+    (PINNED_VERIFIER, VERIFIER_BYTES % (b"null", b"null")),
+    (
+        ExpanderGraph(2, 2, ((1, 0), (1, 1), (0, 0), (0, 1)), 0.5),
+        b'{"d":2,"lambda":0.5,"n":2,"ratio":0.25,"rotation":[[1,0],[1,1],[0,0],[0,1]],'
+        b'"type":"expander"}\n',
+    ),
+    (
+        ReconfigSequence(KIND_PROOF, ("010", "011")),
+        b'{"kind":"proof","states":["010","011"],"type":"sequence"}\n',
+    ),
+    (
+        ReconfigSequence(KIND_PARTIAL, ((0, BOTTOM), (0, 1))),
+        b'{"kind":"partial-assignment","states":[[0,null],[0,1]],"type":"sequence"}\n',
+    ),
+    (
+        ReconfigSequence(KIND_MULTI, ((frozenset({1, 0}), frozenset()),)),
+        b'{"kind":"multi-assignment","states":[[[0,1],[]]],"type":"sequence"}\n',
+    ),
+    (
+        ReconfigSequence(KIND_COVER, (frozenset({2, 0}), frozenset({2}))),
+        b'{"kind":"cover","states":[[0,2],[2]],"type":"sequence"}\n',
+    ),
+    (
+        ReconfigSequence(KIND_VERTEX_COVER, (frozenset({1}),)),
+        b'{"kind":"vertex-cover","states":[[1]],"type":"sequence"}\n',
+    ),
+    (
+        SolveResult(
+            Fraction(3, 4), ReconfigSequence(KIND_COVER, (frozenset({0}), frozenset({0, 1}))), 7
         ),
-        (PINNED_VERIFIER, VERIFIER_BYTES % (b'"011"', b'"010"')),
-        (PINNED_VERIFIER, VERIFIER_BYTES % (b"null", b"null")),
-        (
-            ExpanderGraph(2, 2, ((1, 0), (1, 1), (0, 0), (0, 1)), 0.5),
-            b'{"d":2,"lambda":0.5,"n":2,"ratio":0.25,"rotation":[[1,0],[1,1],[0,0],[0,1]],'
-            b'"type":"expander"}\n',
-        ),
-        (
-            ReconfigSequence(KIND_PROOF, ("010", "011")),
-            b'{"kind":"proof","states":["010","011"],"type":"sequence"}\n',
-        ),
-        (
-            ReconfigSequence(KIND_PARTIAL, ((0, BOTTOM), (0, 1))),
-            b'{"kind":"partial-assignment","states":[[0,null],[0,1]],"type":"sequence"}\n',
-        ),
-        (
-            ReconfigSequence(KIND_MULTI, ((frozenset({1, 0}), frozenset()),)),
-            b'{"kind":"multi-assignment","states":[[[0,1],[]]],"type":"sequence"}\n',
-        ),
-        (
-            ReconfigSequence(KIND_COVER, (frozenset({2, 0}), frozenset({2}))),
-            b'{"kind":"cover","states":[[0,2],[2]],"type":"sequence"}\n',
-        ),
-        (
-            ReconfigSequence(KIND_VERTEX_COVER, (frozenset({1}),)),
-            b'{"kind":"vertex-cover","states":[[1]],"type":"sequence"}\n',
-        ),
-        (
-            SolveResult(
-                Fraction(3, 4), ReconfigSequence(KIND_COVER, (frozenset({0}), frozenset({0, 1}))), 7
-            ),
-            b'{"states_explored":7,"type":"solve_result","value":"3/4","witness":{"kind":"cover",'
-            b'"states":[[0],[0,1]],"type":"sequence"}}\n',
-        ),
-    ],
-)
+        b'{"states_explored":7,"type":"solve_result","value":"3/4","witness":{"kind":"cover",'
+        b'"states":[[0],[0,1]],"type":"sequence"}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("inst, expected", PINNED_FILES)
 def test_instance_bundle_bytes_are_pinned(inst, expected, tmp_path):
     # A verifier file carries its endpoint proofs beside the verifier.
     proofs = {k: p for k, p in json.loads(expected).items() if k.startswith("pi_")}
@@ -263,6 +269,53 @@ def test_instance_bundle_bytes_are_pinned(inst, expected, tmp_path):
         path = tmp_path / "v.json"
         path.write_bytes(expected)
         assert serialize.load_verifier(path) == (inst, proofs["pi_start"], proofs["pi_goal"])
+
+
+# Saves and loads one file of each type given on stdin, one per line, in a
+# process whose type-hint reader fails once ``rforge.serialize`` is imported.
+_NO_HINTS_SCRIPT = """
+import sys
+from pathlib import Path
+from rforge import serialize
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a type hint was read after import")
+
+serialize.get_type_hints = refuse
+path = Path(sys.argv[1])
+for line in sys.stdin.buffer.read().splitlines(keepends=True):
+    obj = serialize.parse_bytes(line)
+    serialize.save(obj, path)
+    assert path.read_bytes() == line, line
+    assert serialize.load(path) == obj
+"""
+
+
+def test_save_and_load_read_no_type_hint_after_import(tmp_path):
+    objects = [inst for inst, _ in PINNED_FILES]
+    objects += [
+        part for inst in objects for f in fields(inst) if type(part := getattr(inst, f.name)) in serialize.TAGS
+    ]
+    assert {type(obj) for obj in objects} == set(serialize.TAGS)
+    src = str(Path(serialize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_HINTS_SCRIPT, str(tmp_path / "f.json")],
+        input=b"".join(map(serialize.dump_bytes, objects)), capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("value", ["2/4", " 1/2", "-1/-2", "1_0/20", "+1/1", "01/1"])
+def test_only_a_canonical_fraction_is_read(value, tmp_path):
+    """Each spelling names a fraction that would save back as other text."""
+    result = SolveResult(Fraction(1, 2), ReconfigSequence(KIND_COVER, (frozenset({0}),)), 1)
+    data = json.loads(serialize.dump_bytes(result))
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps({**data, "value": value}))
+    with pytest.raises(StructuralError) as exc:
+        serialize.load(path)
+    assert exc.value.exit_code == 2
 
 
 @pytest.mark.parametrize(
