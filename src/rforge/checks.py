@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 from . import generate, rng as rng_mod, serialize
-from .amplify import ExpanderGraph, amplify, build_expander, choose_rho, walk_hit_counts
+from .amplify import amplify, build_expander, choose_rho, walk_hit_counts
 from .approx import two_factor_cover
 from .core import (
     BOTTOM,
@@ -62,9 +62,6 @@ from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_s
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
-
-# Subsets per walk_hit_counts pass in the claim-accept sweep.
-_SWEEP_CHUNK = 256
 
 
 @dataclass
@@ -531,14 +528,6 @@ def _claim_verifier(seed: int, t: int):
     return v, planted
 
 
-def _chunked_walk_counts(x: ExpanderGraph, subsets, rho: int):
-    """(subset, walk count) pairs in order, counted ``_SWEEP_CHUNK``
-    subsets per ``walk_hit_counts`` pass, so no more are held at once."""
-    subsets = iter(subsets)
-    while chunk := list(islice(subsets, _SWEEP_CHUNK)):
-        yield from zip(chunk, walk_hit_counts(x, chunk, rho))
-
-
 def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     """Both amplification directions, by exact enumeration of all proofs.
 
@@ -551,7 +540,8 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     relevant vertex subsets directly.  The base and amplified acceptance
     of all proofs come from one ``acceptance_counts`` pass per verifier,
     their walk counts from one ``walk_hit_counts`` pass, and the sweep
-    compares integer walk counts, ``_SWEEP_CHUNK`` subsets per pass.
+    compares the integer walk counts of all its subsets, counted in one
+    more pass.
     """
     eps = Fraction(3, 5)
     delta = Fraction(11, 20)
@@ -594,7 +584,8 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
         k_max += 1
     # count / walks < delta, on integers.
     swept = 0
-    for subset, count in _chunked_walk_counts(x, combinations(range(x.n), k_max), rho):
+    sweep_counts = walk_hit_counts(x, combinations(range(x.n), k_max), rho)
+    for subset, count in zip(combinations(range(x.n), k_max), sweep_counts):
         swept += 1
         if not count * delta.denominator < delta.numerator * walks:
             tally.add({"subset": list(subset), "rho": rho})

@@ -428,7 +428,7 @@ def _cmd_report(args) -> int:
 
 def _add_amplify_args(p: argparse.ArgumentParser) -> None:
     """The options of ``amplify`` that ``pipeline`` shares."""
-    p.add_argument("--rho", type=int, default=None)
+    p.add_argument("--rho", type=_positive_int, default=None)
     p.add_argument("--eps", type=_fraction, default=None)
     p.add_argument("--delta", type=_fraction, default=None)
     p.add_argument("--expander-d", type=int, default=4)

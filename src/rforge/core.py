@@ -134,15 +134,6 @@ class ConstraintGraph:
         """
         return tuple((v, a) for v in range(self.n_vertices) for a in sorted(self.allowed_symbols(v)))
 
-    @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices touching each vertex (each edge listed once per vertex)."""
-        inc: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for e_idx, edge in enumerate(self.edges):
-            for v in set(edge):
-                inc[v].append(e_idx)
-        return tuple(tuple(lst) for lst in inc)
-
     def has_self_loops(self) -> bool:
         return any(v == w for v, w in self.edges)
 

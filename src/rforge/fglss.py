@@ -162,16 +162,14 @@ def completeness_sequence(v: TableVerifier, start: str, goal: str) -> ReconfigSe
     return ReconfigSequence(kind=KIND_PARTIAL, states=tuple(states))
 
 
-def plurality_decode(
-    v: TableVerifier, f, graph: ConstraintGraph | None = None
-) -> tuple[str, bool]:
+def plurality_decode(v: TableVerifier, f, graph: ConstraintGraph) -> tuple[str, bool]:
     """Recover a proof from an assignment by plurality vote per position.
 
     Each assigned entry reading position i votes for every bit in its
     coordinate there; ties and positions read by no assigned entry decode
     to 0.  Returns (proof, satisfying) where the flag reports whether the
-    assignment satisfies the constraint graph (decoding proceeds either
-    way).
+    assignment satisfies ``graph``, the FGLSS graph of v (decoding
+    proceeds either way).
     """
     if len(f) != v.n_entries:
         raise StructuralError("assignment domain must equal the randomness space")
@@ -184,8 +182,6 @@ def plurality_decode(
             for b in COORD_SETS[coords[j]]:
                 votes[i][b] += 1
     proof = "".join("1" if v1 > v0 else "0" for v0, v1 in votes)
-    if graph is None:
-        graph = build_fglss(v)
     return proof, satisfies_partial(graph, f)
 
 

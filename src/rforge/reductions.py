@@ -226,8 +226,8 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
     f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
     sigma = g.n_symbols
     sides = [_edge_lo_hi(g, e_idx) for e_idx in range(len(g.edges))]
-    size = sum(2 ** len(g.allowed_symbols(lo)) for lo, _, _ in sides)
-    size += sum(not edges for edges in g.incident)
+    edgeless = sorted(set(range(g.n_vertices)).difference(*g.edges))
+    size = len(edgeless) + sum(2 ** len(g.allowed_symbols(lo)) for lo, _, _ in sides)
     if size > MAX_UNIVERSE:
         raise StructuralError(f"set-cover universe would have {size} elements, ceiling is {MAX_UNIVERSE}")
     pairs = g.pairs
@@ -246,9 +246,7 @@ def _cover_sets(g: ConstraintGraph, f_start, f_goal):
             # the edge block coincide with edge satisfaction.
             partners = [a for a in support if sat(a, b)]
             members[lookup[(hi, b)]].update(index[x] for x in q_subset(sigma, partners, support))
-    for v in range(g.n_vertices):
-        if g.incident[v]:
-            continue
+    for v in edgeless:
         if g.admissible is None:
             raise StructuralError(f"vertex {g.vertices[v]!r} is on no edge and has no admissible set")
         for a in g.admissible[v]:

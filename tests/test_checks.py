@@ -242,6 +242,7 @@ def test_a_subset_at_delta_fails_the_sweep(monkeypatch):
     walk_hit_counts = checks.walk_hit_counts
 
     def one_subset_at_delta(x, subsets, rho):
+        subsets = list(subsets)
         at_delta = -(-11 * x.n * x.d ** (rho - 1) // 20)
         counts = walk_hit_counts(x, subsets, rho)
         return [at_delta if tuple(sorted(s)) == target else c for s, c in zip(subsets, counts)]
@@ -252,3 +253,20 @@ def test_a_subset_at_delta_fails_the_sweep(monkeypatch):
     assert rep.violations == 1
     assert json.loads(rep.counterexample) == {"subset": list(target), "rho": 2}
     assert "101 subsets of size 6 swept" in rep.notes
+
+
+def test_the_sweep_counts_every_subset_in_one_pass(monkeypatch):
+    # With no trials, the only walk counts are the sweep's: all C(16, 6)
+    # six-vertex subsets, counted in a single walk_hit_counts call.
+    walk_hit_counts = checks.walk_hit_counts
+    calls = []
+
+    def recorded(x, subsets, rho):
+        calls.append(list(subsets))
+        return walk_hit_counts(x, calls[-1], rho)
+
+    monkeypatch.setattr(checks, "walk_hit_counts", recorded)
+    rep = checks.claim_accept(trials=0, seed=0)
+    assert rep.passed
+    assert [len(subsets) for subsets in calls] == [8008]
+    assert calls[0] == list(combinations(range(16), 6))

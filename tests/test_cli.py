@@ -689,6 +689,23 @@ class TestPipeline:
         assert "error: [stage amplify] amplified verifier needs r=55 random bits" in done.stderr
         assert not (tmp_path / "s" / "01_amplified_verifier.json").exists()
 
+    @pytest.mark.parametrize("rho", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, out_flag",
+        [(["pipeline"], "--out-dir"), (["amplify", "--expander-out", "{out}/x.json"], "--out")],
+        ids=["pipeline", "amplify"],
+    )
+    def test_rho_must_be_a_positive_int_before_any_work(self, tmp_path, capsys, command, out_flag, rho):
+        ver = toy_verifier_file(tmp_path / "v.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [arg.format(out=out) for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--in", ver, out_flag, out / "stages", "--rho", rho)
+        assert exc.value.code == 2
+        assert "argument --rho: not a" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flags, fmt",
         [

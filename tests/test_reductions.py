@@ -221,7 +221,7 @@ class TestRestrictedGadgets:
             red = labelcover_to_setcover(g, inst.start, inst.goal)
             hred = labelcover_to_hvc(g, inst.start, inst.goal)
             k = [len(g.admissible[v]) for v in range(g.n_vertices)]
-            n_edgeless = sum(not edges for edges in g.incident)
+            n_edgeless = g.n_vertices - len({v for edge in g.edges for v in edge})
             edgeless += n_edgeless
             size = sum(2 ** min(k[v], k[w]) for v, w in g.edges) + n_edgeless
             assert red.system.n_elements == len(hred.hypergraph.hyperedges) == size
