@@ -14,13 +14,14 @@ each vertex's neighbours off the rotation map.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
 from .core import StructuralError
-from .verifier import TableVerifier, degrees, reads, row_of
+from .verifier import TableVerifier, bit_lanes, degrees, reads
 from . import rng as rng_mod
 
 # Lanczos settings for the spectral estimate: test the Ritz values every few
@@ -247,27 +248,32 @@ def walk_hit_counts(x: ExpanderGraph, subsets, rho: int) -> list[int]:
     neighbours' ints times their multiplicities and ANDs the sum with v's
     member mask widened to whole lanes.  No lane carries into the next,
     since no count exceeds the n * d^(rho - 1) walks in all.  The subsets
-    are read once, in order, so they may come from a generator.
+    are read once, in order, so they may come from a generator; each one
+    fills a row of member flags, and v's lanes are the flag column of v.
+    ``size`` is a power of two, so that lanes of up to 8 bytes are read
+    back in one ``struct.unpack``.
     """
     if rho < 1:
         raise StructuralError(f"walk needs at least one vertex, got rho={rho}")
-    size = ((x.n * x.d ** (rho - 1)).bit_length() + 7) // 8
-    # held[v]: the lanes whose subset holds v.
-    held: list[list[int]] = [[] for _ in range(x.n)]
-    n_lanes = 0
+    n = x.n
+    size = 1 << (((n * x.d ** (rho - 1)).bit_length() + 7) // 8 - 1).bit_length()
+    # flags[j * n + v] is 1 iff the j-th subset holds v.
+    flags = bytearray()
+    zeros = bytes(n)
     for subset in subsets:
+        row = len(flags)
+        flags += zeros
         for v in subset:
-            if not 0 <= v < x.n:
+            if not 0 <= v < n:
                 raise StructuralError("subset leaves the vertex set")
-            held[v].append(n_lanes)
-        n_lanes += 1
-    # inside[v], little-endian: bit 0 of each lane in held[v].
+            flags[row + v] = 1
+    n_lanes = len(flags) // n
+    # inside[v], little-endian: bit 0 of each lane whose subset holds v.
     inside = []
-    for lanes in held:
-        row = bytearray(size * n_lanes)
-        for j in lanes:
-            row[j * size] = 1
-        inside.append(int.from_bytes(row, "little"))
+    for v in range(n):
+        lanes = bytearray(size * n_lanes)
+        lanes[::size] = flags[v::n]
+        inside.append(int.from_bytes(lanes, "little"))
     if rho > 1:
         lane = (1 << (8 * size)) - 1
         masks = [m * lane for m in inside]
@@ -275,11 +281,17 @@ def walk_hit_counts(x: ExpanderGraph, subsets, rho: int) -> list[int]:
         # ports); the rotation map is an involution, so they also count the
         # ports into v.
         d = x.d
-        neighbours = [Counter(w for w, _ in x.rotation[v * d : (v + 1) * d]).items() for v in range(x.n)]
+        neighbours = [Counter(w for w, _ in x.rotation[v * d : (v + 1) * d]).items() for v in range(n)]
         for _ in range(rho - 1):
             inside = [sum(c * inside[w] for w, c in around) & mask for around, mask in zip(neighbours, masks)]
     data = sum(inside).to_bytes(size * n_lanes, "little")
+    if size <= 8:
+        return list(struct.unpack(f"<{n_lanes}{_LANE_FORMATS[size]}", data))
     return [int.from_bytes(data[at : at + size], "little") for at in range(0, len(data), size)]
+
+
+# struct format of a little-endian lane of each size in bytes up to 8.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _exp_exceeds(y: Fraction, r: Fraction) -> bool:
@@ -333,7 +345,10 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
     must be a power of two so port choices are whole bits.  The query
     tuple concatenates the walk entries' tuples with duplicate positions
     merged (each position read once, fanned out to every decision table);
-    the decision is the AND of the walk entries' decisions.
+    the decision is the AND of the walk entries' decisions.  Each table is
+    built as an int mask over its rows: a walk entry accepts the rows
+    whose bits at its positions form one of its accepting reads, an OR of
+    ANDs of per-position literal masks.
     """
     if rho < 1:
         raise StructuralError(f"rho must be >= 1, got {rho}")
@@ -347,6 +362,9 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
     new_r = v.r + (rho - 1) * port_bits
     if new_r > MAX_RANDOMNESS:
         raise StructuralError(f"amplified verifier needs r={new_r} random bits, ceiling is {MAX_RANDOMNESS}")
+    # literals[m]: every row of an m-position table, and per position k
+    # (bit m - 1 - k of a row) the rows reading 0 and the rows reading 1.
+    literals: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     queries: list[tuple[int, ...]] = []
     tables: list[bytes] = []
     for rnd in range(2**new_r):
@@ -356,17 +374,33 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
             walk.append(x.step(walk[-1], rnd >> (k * port_bits) & (x.d - 1)))
         # Positions in order of first read along the walk.
         merged = tuple(dict.fromkeys(i for rk in walk for i in v.queries[rk]))
-        if len(merged) > MAX_POSITIONS:
-            raise StructuralError(
-                f"amplified entry reads {len(merged)} positions, ceiling is {MAX_POSITIONS}"
-            )
-        # Each walk entry's table, with its positions as indices into merged.
-        index_of = {i: k for k, i in enumerate(merged)}
-        parts = [(v.tables[rk], [index_of[i] for i in v.queries[rk]]) for rk in walk]
+        m = len(merged)
+        if m > MAX_POSITIONS:
+            raise StructuralError(f"amplified entry reads {m} positions, ceiling is {MAX_POSITIONS}")
+        if m not in literals:
+            every = (1 << (1 << m)) - 1
+            literals[m] = every, [(every ^ ones, ones) for ones in reversed(bit_lanes(m))]
+        accepted, by_position = literals[m]
+        at = dict(zip(merged, by_position))
+        for rk in walk:
+            lits = [at[i] for i in v.queries[rk]]
+            entry = 0
+            for read, accepts in zip(reads(len(lits)), v.tables[rk]):
+                if accepts:
+                    hit = accepted
+                    for literal, bit in zip(lits, read):
+                        hit &= literal[bit]
+                    entry |= hit
+            accepted = entry
         queries.append(merged)
-        tables.append(bytes(all(table[row_of(read, at)] for table, at in parts) for read in reads(len(merged))))
+        # Row k is bit k of the mask.
+        tables.append(format(accepted, f"0{1 << m}b")[::-1].encode().translate(_ROW_BYTES))
     q_max = max(len(i) for i in queries)
     return TableVerifier(r=new_r, q=q_max, ell=v.ell, queries=tuple(queries), tables=tuple(tables))
+
+
+# The 0/1 digits of a mask's binary form as decision-table bytes.
+_ROW_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)

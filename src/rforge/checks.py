@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, islice
 
 from . import generate, rng as rng_mod, serialize
 from .amplify import amplify, build_expander, choose_rho, walk_hit_counts
@@ -23,20 +24,20 @@ from .core import (
     StructuralError,
     is_full,
     multi_size,
-    partial_size,
     satisfies_partial,
     validate_sequence,
 )
 from .fglss import (
+    COORD_ONE,
+    COORD_ZERO,
     build_fglss,
+    coord_table,
     completeness_sequence,
     enumerate_satisfying_partials,
     interpolate_proofs,
     plurality_decode,
-    symbol_coords,
 )
 from .reductions import (
-    _edge_lo_hi,
     cover_to_labels,
     labelcover_to_hvc,
     labelcover_to_setcover,
@@ -49,6 +50,7 @@ from .solve import (
     PROBLEM_MINLAB,
     PROBLEM_SC_COST,
     SOLVERS,
+    _bits,
     enumerate_feasible_states,
     min_cover,
     min_vertex_cover,
@@ -58,7 +60,7 @@ from .solve import (
     solve_maxpar,
     solve_minlab,
 )
-from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_set, degree, table_of
+from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_set, bit_lanes, degree, degrees, table_of
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
@@ -108,31 +110,43 @@ class _Tally:
 # ---------------------------------------------------------------------------
 
 
-def _subfamily_verdicts(g: ConstraintGraph, e_idx: int, own: list[int], blocks: list[int]) -> list[tuple[int, bool]]:
-    """(cover, satisfied) of every subfamily of edge e_idx's own sets, by mask.
+# The subfamilies holding each of k sets, as masks over the 2^k subfamilies:
+# the same few small tables serve every edge of every trial.
+_holding = cache(bit_lanes)
+
+
+def _subfamily_verdicts(g: ConstraintGraph, e_idx: int, own: list[int], blocks: list[int], size: int) -> tuple[int, int]:
+    """(covering, satisfying) over the subfamilies of edge e_idx's own sets.
 
     ``own`` lists the pair indices of the sets at the edge's endpoints and
-    ``blocks[j]`` the block elements that own[j] meets.  cover ORs the
-    blocks of the sets in the mask; satisfied is
-    ``multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))``.  One
-    low-bit recurrence builds both from a smaller mask: a set (u, a) adds
-    the symbols the edge accepts at w beside a if u = v, and a itself
-    if u = w, so the labels satisfy the edge iff the two masks meet.
+    ``blocks[j]`` the elements of the edge's ``size``-element block that
+    own[j] meets.  Bit ``mask`` of covering is set iff the sets of the
+    subfamily ``mask`` (own[j] for each bit j) cover the block, and of
+    satisfying iff ``multi_edge_satisfied(g, e_idx, cover_to_labels(g,
+    chosen))``.  With holds[j] the subfamilies holding own[j]: an element
+    is covered by the subfamilies holding some set that meets it, and the
+    edge is satisfied by those holding a set (v, a) and a set (w, b) whose
+    pair the edge accepts.
     """
     v, w = g.edges[e_idx]
     s, table = g.n_symbols, g.tables[e_idx]
-    rows = [sum(1 << b for b in range(s) if table[a * s + b]) for a in range(s)]
-    parts = []
-    for i, block in zip(own, blocks):
-        u, a = g.pairs[i]
-        parts.append((block, rows[a] if u == v else 0, 1 << a if u == w else 0))
-    unions = [(0, 0, 0)]
-    for mask in range(1, 2 ** len(own)):
-        low = mask & -mask
-        cover, partners, at_w = unions[mask ^ low]
-        part = parts[low.bit_length() - 1]
-        unions.append((cover | part[0], partners | part[1], at_w | part[2]))
-    return [(cover, partners & at_w != 0) for cover, partners, at_w in unions]
+    holds = _holding(len(own))
+    covering = (1 << (1 << len(own))) - 1
+    for x in range(size):
+        meets = 0
+        for held, block in zip(holds, blocks):
+            if block >> x & 1:
+                meets |= held
+        covering &= meets
+    ends = [(g.pairs[i], held) for i, held in zip(own, holds)]
+    at_w = [(b, held) for (u, b), held in ends if u == w]
+    satisfying = 0
+    for (u, a), held in ends:
+        if u == v:
+            for b, held_b in at_w:
+                if table[a * s + b]:
+                    satisfying |= held & held_b
+    return covering, satisfying
 
 
 def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
@@ -142,7 +156,8 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
     tables included), over the subfamilies of its two endpoints' sets.
     Two more checks make that the statement for every subfamily of the
     whole family: no set meets the block of an edge away from its vertex,
-    and the whole family maps to as many labels as it has sets.
+    and the whole family maps to as many labels as it has sets.  Each
+    set's members are read once, into an int mask over the universe.
     """
     tally = _Tally()
     for t in range(trials):
@@ -156,43 +171,38 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
         )
         g = inst.graph
         system = labelcover_to_setcover(g, inst.start, inst.goal).system
-        n_edges = len(g.edges)
-        # Edge e's block is 2^|A(lo)| consecutive elements, in edge order;
-        # the elements of vertices on no edge follow the last block.
-        sizes = [2 ** len(g.allowed_symbols(_edge_lo_hi(g, e_idx)[0])) for e_idx in range(n_edges)]
-        place = [(e_idx, bit) for e_idx, size in enumerate(sizes) for bit in range(size)]
-        set_blocks = []
-        for members in system.sets:
-            blocks = [0] * n_edges
-            for el in members:
-                if el < len(place):
-                    e_idx, bit = place[el]
-                    blocks[e_idx] |= 1 << bit
-            set_blocks.append(blocks)
         m = system.n_sets
         if multi_size(cover_to_labels(g, range(m))) != m:
             tally.add()
-        for e_idx, edge in enumerate(g.edges):
-            own = [i for i, (v, _) in enumerate(g.pairs) if v in edge]
-            for i in range(m):
-                if i not in own and set_blocks[i][e_idx]:
+        masks = [sum(map((1).__lshift__, members)) for members in system.sets]
+        # Edge (v, w)'s block is 2^min(|A(v)|, |A(w)|) consecutive elements,
+        # in edge order; the elements of vertices on no edge follow the last.
+        first = 0
+        for e_idx, (v, w) in enumerate(g.edges):
+            size = 1 << min(len(g.allowed_symbols(v)), len(g.allowed_symbols(w)))
+            full = (1 << size) - 1
+            own, blocks = [], []
+            for i, ((u, _), mask) in enumerate(zip(g.pairs, masks)):
+                block = mask >> first & full
+                if u == v or u == w:
+                    own.append(i)
+                    blocks.append(block)
+                elif block:
                     tally.add({"instance": serialize.payload(inst), "set": i, "edge": e_idx, "foreign": True})
-            full = (1 << sizes[e_idx]) - 1
-            verdicts = _subfamily_verdicts(g, e_idx, own, [set_blocks[i][e_idx] for i in own])
-            for mask, (cover, satisfied) in enumerate(verdicts):
-                covered = cover == full
-                if covered != satisfied:
-                    chosen = [i for j, i in enumerate(own) if mask >> j & 1]
-                    tally.add(
-                        {
-                            "instance": serialize.payload(inst),
-                            "subfamily": chosen,
-                            "edge": e_idx,
-                            "covered": covered,
-                            "satisfied": satisfied,
-                        }
-                    )
-                    break
+            first += size
+            covering, satisfying = _subfamily_verdicts(g, e_idx, own, blocks, size)
+            if covering != satisfying:
+                wrong = covering ^ satisfying
+                mask = (wrong & -wrong).bit_length() - 1
+                tally.add(
+                    {
+                        "instance": serialize.payload(inst),
+                        "subfamily": [i for j, i in enumerate(own) if mask >> j & 1],
+                        "edge": e_idx,
+                        "covered": bool(covering >> mask & 1),
+                        "satisfied": bool(satisfying >> mask & 1),
+                    }
+                )
             if tally.counterexample is not None:
                 break
         if tally.counterexample is not None:
@@ -407,7 +417,10 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
     entry accepts the decoded proof; the label sets voting on a position
     form a subset chain; the decoded acceptance probability is at least
     the assigned fraction.  Single-vertex mutations then exercise the
-    interpolation dip bound with exact per-position probabilities.
+    interpolation dip bound, compared on exact entry counts.  Entry sets
+    are int masks: the chain law ORs, over the assigned entries, the
+    positions each symbol reads as {0} and as {1}, which must not meet,
+    and each distinct proof's accepting set is read once.
     """
     tally = _Tally()
     states_seen = 0
@@ -415,24 +428,42 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
         g = build_fglss(v)
         two_r = v.n_entries
         sampler = rng_mod.stream(seed, f"popularity-pairs:{v.r}:{v.ell}")
+        coords = coord_table(v.q)
+        # pins[rnd][a]: the positions entry rnd's symbol a reads as {0}, and as {1}.
+        pins = [
+            [
+                tuple(sum(1 << i for i, c in zip(positions, row) if c == pin) for pin in (COORD_ZERO, COORD_ONE))
+                for row in coords
+            ]
+            for positions in v.queries
+        ]
+        degrees_of = degrees(v)
+        accepting_sets = {}
+
+        def accepting(proof: str) -> int:
+            if proof not in accepting_sets:
+                accepting_sets[proof] = sum(1 << rnd for rnd in accepting_set(v, proof))
+            return accepting_sets[proof]
+
         for f in enumerate_satisfying_partials(g):
             states_seen += 1
             proof, sat_flag = plurality_decode(v, f, g)
             problems = []
             if not sat_flag:
                 problems.append("decode flagged a satisfying assignment")
-            accepting = accepting_set(v, proof)
-            for rnd in range(two_r):
-                if f[rnd] != BOTTOM and rnd not in accepting:
-                    problems.append(f"assigned entry {rnd} rejects the decoded proof")
-            for i in range(v.ell):
-                seen = set()
-                for rnd in range(two_r):
-                    if f[rnd] != BOTTOM and i in v.queries[rnd]:
-                        seen.add(symbol_coords(f[rnd], v.q)[v.queries[rnd].index(i)])
-                if 0 in seen and 1 in seen:
-                    problems.append(f"incomparable label sets vote on position {i}")
-            if len(accepting) < partial_size(f):
+            accepted = accepting(proof)
+            assigned = zeros = ones = 0
+            for rnd, a in enumerate(f):
+                if a != BOTTOM:
+                    assigned |= 1 << rnd
+                    zero, one = pins[rnd][a]
+                    zeros |= zero
+                    ones |= one
+            if assigned & ~accepted:
+                problems += [f"assigned entry {rnd} rejects the decoded proof" for rnd in _bits(assigned & ~accepted)]
+            if zeros & ones:
+                problems += [f"incomparable label sets vote on position {i}" for i in _bits(zeros & ones)]
+            if accepted.bit_count() < assigned.bit_count():
                 problems.append("acceptance below the assigned fraction")
             if problems:
                 tally.add(
@@ -443,20 +474,18 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                     }
                 )
                 break
-            # Dip bound on a sampled single-vertex mutation of f.
+            # Dip bound on a sampled single-vertex mutation of f, on integers:
+            # each flipped position i may cost its degree(i) entries.
             if sampler.random() < 0.25:
                 rnd = sampler.randrange(two_r)
                 alt = sampler.randrange(g.n_symbols)
                 mutated = f[:rnd] + (alt,) + f[rnd + 1 :]
                 if mutated != f and satisfies_partial(g, mutated):
                     proof2, _ = plurality_decode(v, mutated, g)
-                    base = Fraction(len(accepting), two_r)
+                    base = accepted.bit_count()
                     for inter in interpolate_proofs(v, proof, proof2).states:
-                        diff = [i for i in range(v.ell) if inter[i] != proof[i]]
-                        floor = base - sum(
-                            Fraction(degree(v, i), two_r) for i in diff
-                        )
-                        if accept_prob(v, inter) < floor:
+                        floor = base - sum(degrees_of[i] for i in range(v.ell) if inter[i] != proof[i])
+                        if accepting(inter).bit_count() < floor:
                             tally.add(
                                 {
                                     "verifier": serialize.payload(v),
@@ -541,7 +570,8 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     of all proofs come from one ``acceptance_counts`` pass per verifier,
     their walk counts from one ``walk_hit_counts`` pass, and the sweep
     compares the integer walk counts of all its subsets, counted in one
-    more pass.
+    more pass.  Every probability is compared on integers; a fraction is
+    built only for a counterexample.
     """
     eps = Fraction(3, 5)
     delta = Fraction(11, 20)
@@ -556,22 +586,22 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     for t in range(trials):
         v, planted = _claim_verifier(seed, t)
         amped = amplify(v, x, rho)
-        counts = acceptance_counts(amped)
         proofs = [format(word, f"0{v.ell}b") for word in range(2**v.ell)]
         walk_counts = walk_hit_counts(x, (accepting_set(v, proof) for proof in proofs), rho)
-        for word, (proof, accepted) in enumerate(zip(proofs, acceptance_counts(v))):
-            base = Fraction(accepted, v.n_entries)
-            amp = Fraction(counts[word], amped.n_entries)
+        n_base, n_amp = v.n_entries, amped.n_entries
+        rows = zip(proofs, acceptance_counts(v), acceptance_counts(amped), walk_counts)
+        for proof, accepted, amp_accepted, walked in rows:
             problems = []
-            if amp != Fraction(walk_counts[word], walks):
+            if amp_accepted * walks != walked * n_amp:
                 problems.append("amplified acceptance != walk probability")
-            if base == 1 and amp != 1:
+            if accepted == n_base and amp_accepted != n_amp:
                 problems.append("probability-1 proof lost acceptance")
-            if base < 1 - eps:
+            if accepted * eps.denominator < (eps.denominator - eps.numerator) * n_base:
                 low_seen += 1
-                if not amp < delta:
+                if not amp_accepted * delta.denominator < delta.numerator * n_amp:
                     problems.append("low-acceptance proof not driven below delta")
             if problems:
+                base, amp = Fraction(accepted, n_base), Fraction(amp_accepted, n_amp)
                 tally.add(
                     {"trial": t, "proof": proof, "base": str(base), "amplified": str(amp), "problems": problems}
                 )
@@ -582,14 +612,15 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     k_max = 0
     while Fraction(k_max + 1, x.n) < 1 - eps:
         k_max += 1
-    # count / walks < delta, on integers.
-    swept = 0
+    # count / walks < delta iff count is below the least count at delta; the
+    # sweep stops at the first subset that is not.
+    at_delta = -(-delta.numerator * walks // delta.denominator)
     sweep_counts = walk_hit_counts(x, combinations(range(x.n), k_max), rho)
-    for subset, count in zip(combinations(range(x.n), k_max), sweep_counts):
-        swept += 1
-        if not count * delta.denominator < delta.numerator * walks:
-            tally.add({"subset": list(subset), "rho": rho})
-            break
+    swept = len(sweep_counts)
+    if max(sweep_counts, default=0) >= at_delta:
+        swept = next(j for j, count in enumerate(sweep_counts, 1) if count >= at_delta)
+        subset = next(islice(combinations(range(x.n), k_max), swept - 1, None))
+        tally.add({"subset": list(subset), "rho": rho})
     notes.append(f"{low_seen} low-acceptance proofs exercised")
     notes.append(f"{swept} subsets of size {k_max} swept")
     return tally.report("claim-accept", trials, notes)

@@ -386,8 +386,12 @@ def _cmd_pipeline(args) -> int:
     for step in ("fglss", "normalize", "p2l"):
         inst = stage(step, _STEPS[step].stage_file, lambda: _STEPS[step].reduce(inst))
     if inst.graph.n_symbols <= args.max_gadget_alphabet:
-        for step in ("l2sc", "l2hvc"):
-            stage(step, _STEPS[step].stage_file, lambda: _STEPS[step].reduce(inst))
+        sc = stage("l2sc", _STEPS["l2sc"].stage_file, lambda: _STEPS["l2sc"].reduce(inst))
+        # The hypergraph is the padded transpose of the set-cover stage in hand.
+        stage(
+            "l2hvc", _STEPS["l2hvc"].stage_file,
+            lambda: labelcover_to_hvc(inst.graph, inst.start, inst.goal, setcover=sc),
+        )
     else:
         alphabet = inst.graph.n_symbols
         print(f"skipping cover stages: alphabet {alphabet} exceeds --max-gadget-alphabet {args.max_gadget_alphabet}")

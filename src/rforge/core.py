@@ -118,9 +118,14 @@ class ConstraintGraph:
         return len(self.alphabet)
 
     def allowed_symbols(self, v: int) -> frozenset[int]:
+        return self._allowed[v]
+
+    @cached_property
+    def _allowed(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's admissible set, the whole alphabet where none is given."""
         if self.admissible is None:
-            return frozenset(range(self.n_symbols))
-        return self.admissible[v]
+            return (frozenset(range(self.n_symbols)),) * self.n_vertices
+        return self.admissible
 
     def accepts(self, e_idx: int, a: int, b: int) -> bool:
         """Edge ``e_idx`` accepts symbol ``a`` at its first vertex and ``b`` at its second."""
@@ -312,9 +317,9 @@ def satisfies_partial(g: ConstraintGraph, f: Sequence[int]) -> bool:
             if a != BOTTOM and a not in g.admissible[v]:
                 return False
     s = g.n_symbols
-    for e_idx, (v, w) in enumerate(g.edges):
+    for (v, w), table in zip(g.edges, g.tables):
         a, b = f[v], f[w]
-        if a != BOTTOM and b != BOTTOM and g.tables[e_idx][a * s + b] != 1:
+        if a != BOTTOM and b != BOTTOM and table[a * s + b] != 1:
             return False
     return True
 
@@ -338,11 +343,12 @@ def satisfies_multi(g: ConstraintGraph, f: Sequence[frozenset[int]]) -> bool:
         raise StructuralError("assignment domain must equal the vertex set")
     s = g.n_symbols
     for v, vals in enumerate(f):
-        if any(a < 0 or a >= s for a in vals):
+        if vals and (min(vals) < 0 or max(vals) >= s):
             raise StructuralError(f"symbol out of alphabet range at vertex {v}")
         if g.admissible is not None and not (vals and vals <= g.admissible[v]):
             return False
-    return all(multi_edge_satisfied(g, e_idx, f) for e_idx in range(len(g.edges)))
+    # ``multi_edge_satisfied`` per edge, inlined: this runs on every endpoint check.
+    return all(any(tab[a * s + b] for a in f[v] for b in f[w]) for (v, w), tab in zip(g.edges, g.tables))
 
 
 def multi_edge_satisfied(g: ConstraintGraph, e_idx: int, f: Sequence[frozenset[int]]) -> bool:

@@ -13,6 +13,7 @@ subset-comparable on every shared position.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .core import (
@@ -33,6 +34,8 @@ from .verifier import TableVerifier, _check_proof, accept_prob, accepting_set, r
 COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
 COORD_SETS = ((0,), (1,), (0, 1))
 COORD_LABELS = ("0", "1", "01")
+# Votes for 1 minus votes for 0 that each coordinate casts.
+_LEAD = (-1, 1, 0)
 
 # Most positions an entry may read; the FGLSS alphabet has 3^q symbols.
 QUERY_CEILING = 6
@@ -45,6 +48,18 @@ def symbol_coords(idx: int, width: int) -> tuple[int, ...]:
         digits.append(idx % 3)
         idx //= 3
     return tuple(reversed(digits))
+
+
+@cache
+def coord_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """``symbol_coords(idx, width)`` of every symbol of a width, by index.
+
+    Widths above ``QUERY_CEILING``, whose FGLSS graphs are never built,
+    are refused, so at most that many tables are kept.
+    """
+    if width > QUERY_CEILING:
+        raise StructuralError(f"verifier reads {width} positions per entry, ceiling is {QUERY_CEILING}")
+    return tuple(symbol_coords(idx, width) for idx in range(3**width))
 
 
 def symbol_index(coords) -> int:
@@ -86,7 +101,7 @@ def build_fglss(v: TableVerifier) -> ConstraintGraph:
     n = v.n_entries
     width = v.q
     n_symbols = 3**width
-    symbols = tuple(symbol_coords(i, width) for i in range(n_symbols))
+    symbols = coord_table(width)
     alphabet = tuple(symbol_label(c) for c in symbols)
     vertices = tuple(format(rnd, f"0{max(1, v.r)}b") for rnd in range(n))
     reads = [sum(1 << i for i in positions) for positions in v.queries]
@@ -169,20 +184,20 @@ def plurality_decode(v: TableVerifier, f, graph: ConstraintGraph) -> tuple[str, 
     coordinate there; ties and positions read by no assigned entry decode
     to 0.  Returns (proof, satisfying) where the flag reports whether the
     assignment satisfies ``graph``, the FGLSS graph of v (decoding
-    proceeds either way).
+    proceeds either way).  A joint {0,1} coordinate votes for both bits,
+    so only {1} against {0} coordinates decide a position: each position
+    keeps that lead, read off the symbol's row of ``coord_table``.
     """
     if len(f) != v.n_entries:
         raise StructuralError("assignment domain must equal the randomness space")
-    votes = [[0, 0] for _ in range(v.ell)]
-    for rnd in range(v.n_entries):
-        if f[rnd] == BOTTOM:
-            continue
-        coords = symbol_coords(f[rnd], v.q)
-        for j, i in enumerate(v.queries[rnd]):
-            for b in COORD_SETS[coords[j]]:
-                votes[i][b] += 1
-    proof = "".join("1" if v1 > v0 else "0" for v0, v1 in votes)
-    return proof, satisfies_partial(graph, f)
+    satisfying = satisfies_partial(graph, f)
+    coords = coord_table(v.q)
+    lead = [0] * v.ell
+    for positions, a in zip(v.queries, f):
+        if a != BOTTOM:
+            for i, c in zip(positions, coords[a]):
+                lead[i] += _LEAD[c]
+    return "".join("1" if x > 0 else "0" for x in lead), satisfying
 
 
 def interpolate_proofs(v: TableVerifier, start: str, goal: str) -> ReconfigSequence:

@@ -11,7 +11,9 @@ Three constructions:
   plus one element per vertex on no edge,
 * label cover -> minmax hypergraph vertex cover as the transpose of the
   set-cover instance (one hyperedge per element, holding the sets that
-  contain it), padded to a uniform hyperedge size.
+  contain it), padded to a uniform hyperedge size; a caller that holds
+  the set-cover instance already passes it in, so the gadget is built
+  once.
 
 Each reduction returns the instance bundle it feeds.  Sets and real
 vertices follow the source graph's ``pairs``, its (vertex, symbol) order
@@ -21,6 +23,8 @@ vertices, "(e,bits)" for universe elements and hyperedges).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .core import (
     BOTTOM,
@@ -35,7 +39,6 @@ from .core import (
     SetSystem,
     StructuralError,
     is_full,
-    multi_size,
     satisfies_multi,
     satisfies_partial,
     transpose,
@@ -120,7 +123,9 @@ def project_multi_sequence(g: ConstraintGraph, seq: ReconfigSequence) -> Reconfi
 
 # ---------------------------------------------------------------------------
 # Hypercube gadgets over {0,1}^sigma (bit j of x is x's value at symbol j),
-# optionally restricted to the vectors supported on a symbol set
+# optionally restricted to the vectors supported on a symbol set: the
+# lemma's reference definitions, to which the tests hold the set-cover
+# reduction's rank layout of each block
 # ---------------------------------------------------------------------------
 
 
@@ -178,101 +183,79 @@ def q_subset(sigma: int, symbols, support=None) -> frozenset[int]:
 
 
 def _check_labelcover_endpoints(g: ConstraintGraph, f_start, f_goal):
-    f_start = tuple(frozenset(a) for a in f_start)
-    f_goal = tuple(frozenset(a) for a in f_goal)
+    f_start, f_goal = tuple(map(frozenset, f_start)), tuple(map(frozenset, f_goal))
     if g.has_self_loops():
         raise StructuralError("normalize self-loops before reducing")
     for name, f in (("start", f_start), ("goal", f_goal)):
-        if multi_size(f) != g.n_vertices or any(len(vals) != 1 for vals in f):
+        if len(f) != g.n_vertices or set(map(len, f)) != {1}:
             raise StructuralError(f"{name} must assign exactly one label per vertex")
         if not satisfies_multi(g, f):
             raise StructuralError(f"{name} does not satisfy the graph")
     return f_start, f_goal
 
 
-def _edge_lo_hi(g: ConstraintGraph, e_idx: int):
-    """Orient an edge for the gadget; sat(a_lo, b_hi) reads the stored table.
-
-    ``lo`` is the endpoint with fewer admissible symbols, the lower vertex
-    index on a tie: its sets take the Q̄ gadgets, and its admissible
-    symbols span the edge's block.
-    """
-    v, w = g.edges[e_idx]
-    key = lambda u: (len(g.allowed_symbols(u)), u)
-    if key(v) <= key(w):
-        lo, hi = v, w
-        sat = lambda a, b: g.tables[e_idx][a * g.n_symbols + b] == 1
-    else:
-        lo, hi = w, v
-        sat = lambda a, b: g.tables[e_idx][b * g.n_symbols + a] == 1
-    return lo, hi, sat
-
-
-def _cover_sets(g: ConstraintGraph, f_start, f_goal):
-    """The set-cover reduction both cover reductions are built from.
-
-    Returns the label of each set S_{v,a}, each set's members as universe
-    element indices, the element labels, and the start and goal covers.
-    Elements are (e, x) for each edge e and each vector x of its block,
-    then one element per vertex v on no edge.  The block of e = (lo, hi)
-    is B_e = {x in {0,1}^Sigma : supp(x) ⊆ A(lo)}, ascending, with A(lo)
-    the admissible symbols of the endpoint ``_edge_lo_hi`` picks; only
-    those bits tell the sets of e's endpoints apart.  Every S_{v,a} of an
-    edgeless vertex covers v's element, so a cover keeps a label at v as
-    label cover must when admissible sets (folded self-loops) forbid the
-    empty set.  Without admissible sets the identity cannot hold there,
-    and the vertex is rejected.
-    """
-    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
-    sigma = g.n_symbols
-    sides = [_edge_lo_hi(g, e_idx) for e_idx in range(len(g.edges))]
-    edgeless = sorted(set(range(g.n_vertices)).difference(*g.edges))
-    size = len(edgeless) + sum(2 ** len(g.allowed_symbols(lo)) for lo, _, _ in sides)
-    if size > MAX_UNIVERSE:
-        raise StructuralError(f"set-cover universe would have {size} elements, ceiling is {MAX_UNIVERSE}")
-    pairs = g.pairs
-    lookup = {pair: i for i, pair in enumerate(pairs)}
-    members: list[set[int]] = [set() for _ in pairs]
-    elements: list[str] = []
-    for e_idx, (lo, hi, sat) in enumerate(sides):
-        support = g.allowed_symbols(lo)
-        block = sorted(_cube(sigma, (), False, support))  # no x meets (): all of B_e
-        index = {x: len(elements) + i for i, x in enumerate(block)}
-        elements += [f"e{e_idx},{format(x, f'0{sigma}b')}" for x in block]
-        for a in sorted(support):
-            members[lookup[(lo, a)]].update(index[x] for x in qbar_alpha(sigma, a, support))
-        for b in sorted(g.allowed_symbols(hi)):
-            # The satisfaction-compatible partners of b make coverage of
-            # the edge block coincide with edge satisfaction.
-            partners = [a for a in support if sat(a, b)]
-            members[lookup[(hi, b)]].update(index[x] for x in q_subset(sigma, partners, support))
-    for v in edgeless:
-        if g.admissible is None:
-            raise StructuralError(f"vertex {g.vertices[v]!r} is on no edge and has no admissible set")
-        for a in g.admissible[v]:
-            members[lookup[(v, a)]].add(len(elements))
-        elements.append(g.vertices[v])
-    set_labels = [f"({g.vertices[v]},{g.alphabet[a]})" for v, a in pairs]
-    start = labels_to_cover(g, f_start)
-    goal = labels_to_cover(g, f_goal)
-    return set_labels, tuple(map(frozenset, members)), elements, start, goal
-
-
 def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInstance:
     """Build the set-cover instance over the edge blocks of a loop-free label cover.
 
-    One set S_{v,a} per vertex and admissible symbol: for each incident
-    edge, the endpoint with fewer admissible symbols contributes the
-    edge's block restricted to Q̄_a and the other endpoint the block
-    restricted to Q over its partner symbols; the sets of a vertex on no
-    edge share one element of their own.  Covers map to multi assignments
-    by membership.
+    One set S_{v,a} per vertex and admissible symbol, labelled "(v,a)", in
+    ``g.pairs`` order.  Elements are (e, x) for each edge e and each vector
+    x of its block, then one element per vertex v on no edge.  The block
+    of e = (lo, hi) is B_e = {x in {0,1}^Sigma : supp(x) ⊆ A(lo)},
+    ascending, with A(lo) the admissible symbols of the endpoint with
+    fewer of them (the lower vertex index on a tie): only those bits tell
+    the sets of e's endpoints apart.  The element of rank t in B_e sets
+    bit j of t iff x holds the j-th symbol of A(lo), so S_{lo,a} meets
+    B_e in Q̄_a, the ranks with a's bit clear, and S_{hi,b} in Q over b's
+    satisfaction-compatible partners, the ranks that meet their mask:
+    coverage of the block then coincides with edge satisfaction.  Every
+    S_{v,a} of an edgeless vertex covers v's element, so a cover keeps a
+    label at v as label cover must when admissible sets (folded
+    self-loops) forbid the empty set.  Without admissible sets the
+    identity cannot hold there, and the vertex is rejected.  Covers map to
+    multi assignments by membership.
     """
-    set_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
+    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
+    s, bits = g.n_symbols, f"0{g.n_symbols}b"
+    # v's admissible symbols ascending; S_{v,a} is set first[v] + the rank of a.
+    symbols = [sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
+    first = list(accumulate(map(len, symbols), initial=0))
+    # Each edge as (lo, hi): lo has fewer admissible symbols, or the lower index on a tie.
+    sides = [(v, w) if (len(symbols[v]), v) <= (len(symbols[w]), w) else (w, v) for v, w in g.edges]
+    edgeless = sorted(set(range(g.n_vertices)).difference(*g.edges))
+    size = len(edgeless) + sum(2 ** len(symbols[lo]) for lo, _ in sides)
+    if size > MAX_UNIVERSE:
+        raise StructuralError(f"set-cover universe would have {size} elements, ceiling is {MAX_UNIVERSE}")
+    members: list[list[int]] = [[] for _ in g.pairs]
+    elements: list[str] = []
+    for e_idx, ((lo, hi), table) in enumerate(zip(sides, g.tables)):
+        support = symbols[lo]
+        vectors = [0]
+        for a in support:
+            vectors += [x | 1 << a for x in vectors]
+        start = len(elements)
+        head = f"(e{e_idx},"
+        elements += [f"{head}{x:{bits}})" for x in vectors]
+        ranks = range(start, start + len(vectors))
+        for j in range(len(support)):
+            members[first[lo] + j] += [t for t in ranks if not (t - start) >> j & 1]
+        # The table is indexed [at the edge's first vertex][at its second].
+        lo_first = lo == g.edges[e_idx][0]
+        for k, b in enumerate(symbols[hi]):
+            line = table[b::s] if lo_first else table[b * s : b * s + s]
+            partners = sum(1 << j for j, a in enumerate(support) if line[a])
+            members[first[hi] + k] += [t for t in ranks if (t - start) & partners]
+    for v in edgeless:
+        if g.admissible is None:
+            raise StructuralError(f"vertex {g.vertices[v]!r} is on no edge and has no admissible set")
+        for k in range(len(symbols[v])):
+            members[first[v] + k].append(len(elements))
+        elements.append(f"({g.vertices[v]})")
     system = SetSystem(
-        elements=tuple(f"({label})" for label in elements), sets=sets, set_labels=tuple(set_labels)
+        elements=tuple(elements),
+        sets=tuple(map(frozenset, members)),
+        set_labels=tuple(f"({g.vertices[v]},{g.alphabet[a]})" for v, a in g.pairs),
     )
-    return SetCoverInstance(system, start, goal)
+    return SetCoverInstance(system, labels_to_cover(g, f_start), labels_to_cover(g, f_goal))
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +263,37 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInsta
 # ---------------------------------------------------------------------------
 
 
-def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal) -> HvcInstance:
+def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal, setcover: SetCoverInstance | None = None) -> HvcInstance:
     """Transpose of the set-cover reduction, padded to 2k-uniform.
 
-    k is the largest admissible set, max_v |A(v)|.  Hyperedge T_{e,x}
-    collects the (vertex, symbol) pairs whose set contains the universe
-    element (e, x), at most |A(v)| + |A(w)| for e = (v, w), and T_v those
-    of a vertex v on no edge; fresh per-hyperedge padding vertices
-    ``pad(<element>,i)`` bring every hyperedge to size exactly 2k.  The
-    real vertices, one per pair in set order, precede the padding
-    vertices.
+    ``setcover`` is ``labelcover_to_setcover(g, f_start, f_goal)``, built
+    here unless the caller holds it already.  k is the largest admissible
+    set, max_v |A(v)|.  Hyperedge T_{e,x} collects the (vertex, symbol)
+    pairs whose set contains the universe element (e, x), at most
+    |A(v)| + |A(w)| for e = (v, w), and T_v those of a vertex v on no
+    edge; fresh per-hyperedge padding vertices bring every hyperedge to
+    size exactly 2k, the i-th of element "(<label>)" labelled
+    "pad(<label>,i)".  The real vertices, one per pair in set order and
+    labelled as the sets, precede the padding vertices.
     """
-    vertex_labels, sets, elements, start, goal = _cover_sets(g, f_start, f_goal)
+    if setcover is None:
+        setcover = labelcover_to_setcover(g, f_start, f_goal)
+    system = setcover.system
     uniformity = 2 * max(len(g.allowed_symbols(v)) for v in range(g.n_vertices))
-    hyperedges = transpose(sets, len(elements))
-    for edge, label in zip(hyperedges, elements):
+    vertex_labels = list(system.set_labels)
+    hyperedges = transpose(system.sets, system.n_elements)
+    for edge, element in zip(hyperedges, system.elements):
         if len(edge) > uniformity:
             raise StructuralError("hyperedge exceeds the uniformity bound")
         for k in range(uniformity - len(edge)):
             edge.append(len(vertex_labels))
-            vertex_labels.append(f"pad({label},{k})")
+            vertex_labels.append(f"pad{element[:-1]},{k})")
     h = Hypergraph(
         vertices=tuple(vertex_labels),
         hyperedges=tuple(map(frozenset, hyperedges)),
         uniformity=uniformity,
     )
-    return HvcInstance(h, start, goal)
+    return HvcInstance(h, setcover.start, setcover.goal)
 
 
 # ---------------------------------------------------------------------------

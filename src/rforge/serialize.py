@@ -8,7 +8,10 @@ terms and nested dataclasses their payloads; the readers of the list forms
 accept only a JSON list, an integer is read only from a JSON integer, a
 string only from a JSON string, a fraction only as written, and a float
 from a JSON number that is not a boolean.  States follow their kind, with
-``BOTTOM`` as ``null``.
+``BOTTOM`` as ``null``.  A set (a frozenset field, a cover, each vertex's
+labels in a multi assignment) may list its members in any order, as a
+verifier may list its entries, but a member listed twice is refused,
+naming the field.
 A verifier file lists ``{R, queries, table}`` entries, R running over 0
 to 2^r - 1, and may carry endpoint proofs, each a 0/1 string of the
 proof length; an expander file adds ``ratio``, which must equal
@@ -129,9 +132,20 @@ def _fraction_in(text: str) -> Fraction:
     return value
 
 
+def _members(items: list, field: str) -> frozenset:
+    """The set of ``items``, in any order; a member listed twice is refused."""
+    members = frozenset(items)
+    if len(members) != len(items):
+        seen = set()
+        twice = next(x for x in items if x in seen or seen.add(x))
+        raise StructuralError(f"{field!r} lists member {twice!r} twice")
+    return members
+
+
 @cache
-def _codec(ann) -> tuple:
-    """(writer, reader) of a value annotated ``ann``, worked out once per annotation."""
+def _codec(ann, field: str) -> tuple:
+    """(writer, reader) of a value annotated ``ann`` in the field named
+    ``field``, worked out once per annotation and field."""
     if ann is str:
         return _STR
     if ann is float:
@@ -146,13 +160,13 @@ def _codec(ann) -> tuple:
         return payload, partial(_read, ann)
     origin, args = get_origin(ann), get_args(ann)
     if origin in (Union, UnionType):
-        ((write, read),) = (_codec(a) for a in args if a is not NoneType)
+        ((write, read),) = (_codec(a, field) for a in args if a is not NoneType)
         return (lambda v: None if v is None else write(v)), (lambda o: None if o is None else read(o))
     if origin in (tuple, frozenset):
-        items = [_codec(a) for a in args if a is not Ellipsis]
+        items = [_codec(a, field) for a in args if a is not Ellipsis]
         # A list of scalars is read in one call, scanned for items of another type.
         if set(items) in ({_INT}, {_STR}):
-            make = tuple if origin is tuple else frozenset
+            make = tuple if origin is tuple else partial(_members, field=field)
             check = _ints if items[0] == _INT else _strs
             return (list if origin is tuple else sorted), lambda o: make(check(_list_in(o)))
         if args[1:] == (Ellipsis,):
@@ -170,10 +184,11 @@ def _state_out(state):
     return state
 
 
-def _state_in(obj, kind: str):
-    """State of ``kind`` from its payload, in the kind's one shape: a proof
-    is a string, a cover a list of ints, a partial assignment a list of
-    ints and nulls (``BOTTOM``), and a multi assignment a list of int lists."""
+def _state_in(obj, kind: str, field: str):
+    """State of ``kind`` from its payload in the field named ``field``, in
+    the kind's one shape: a proof is a string, a cover a list of ints, a
+    partial assignment a list of ints and nulls (``BOTTOM``), and a multi
+    assignment a list of int lists; a set lists each member once."""
     proof = kind == KIND_PROOF
     if not isinstance(obj, str if proof else list):
         expected = "a string" if proof else "a list"
@@ -181,9 +196,9 @@ def _state_in(obj, kind: str):
     if kind == KIND_PARTIAL:
         obj = _ints([BOTTOM if a is None else a for a in obj])
     elif kind == KIND_MULTI:
-        obj = [_ints(_list_in(a)) for a in obj]
+        obj = [_members(_ints(_list_in(a)), field) for a in obj]
     elif not proof:
-        obj = _ints(obj)
+        obj = _members(_ints(obj), field)
     return KINDS[kind].canonical(obj)
 
 
@@ -195,11 +210,11 @@ def _fields(cls) -> tuple:
     for f in fields(cls):
         # Only bundles have start/goal states and only sequences have states.
         if f.name in ("start", "goal"):
-            write, read = _state_out, _state_in
+            write, read = _state_out, partial(_state_in, field=f.name)
         elif f.name == "states":
-            write, read = _state_out, lambda o, kind: tuple(_state_in(s, kind) for s in o)
+            write, read = _state_out, lambda o, kind: tuple(_state_in(s, kind, "states") for s in o)
         else:
-            write, read_value = _codec(hints[f.name])
+            write, read_value = _codec(hints[f.name], f.name)
             read = lambda o, kind, r=read_value: r(o)
         specs.append((f.name, _KEYS.get((cls, f.name), f.name), write, read, f.default is not MISSING))
     return tuple(specs)

@@ -179,12 +179,22 @@ def _mask(flags: bytes) -> int:
 class _Accepts(dict):
     """One edge seen from its endpoint v: maps a mask of symbols at the
     other endpoint to the mask of the symbols at v that the edge accepts
-    with at least one of them.  Built with the one-symbol masks; a wider
-    mask is the union of two narrower ones, stored on first use."""
+    with at least one of them.  A one-symbol mask b reads ``line(b)``, the
+    column b of the edge's table if v is its first endpoint and the row b
+    if not; a wider mask is the union of two narrower ones; each is stored
+    on first use."""
+
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
 
     def __missing__(self, partner: int) -> int:
         low = partner & -partner
-        mask = self[partner] = self[low] | self[partner ^ low] if partner else 0
+        if partner != low:
+            mask = self[low] | self[partner ^ low]
+        else:
+            mask = _mask(self.line(low.bit_length() - 1)) if partner else 0
+        self[partner] = mask
         return mask
 
 
@@ -208,10 +218,8 @@ def _graph_links(g: ConstraintGraph):
         if v == w:
             allowed[v] &= _mask(table[:: s + 1])  # the diagonal
             continue
-        at_v = {1 << b: _mask(table[b::s]) for b in range(s)}  # column b
-        at_w = {1 << a: _mask(table[a * s : a * s + s]) for a in range(s)}  # row a
-        links[v].append((w * s, _Accepts(at_v)))
-        links[w].append((v * s, _Accepts(at_w)))
+        links[v].append((w * s, _Accepts(lambda b, table=table: table[b::s])))
+        links[w].append((v * s, _Accepts(lambda a, table=table: table[a * s : a * s + s])))
     return list(zip(range(0, len(allowed) * s, s), allowed, links))
 
 

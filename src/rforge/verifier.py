@@ -102,14 +102,9 @@ def acceptance_counts(v: TableVerifier) -> list[int]:
     no lane carries into the next, since a count is at most 2^r.
     """
     width = v.r + 2
-    n_proofs = 1 << v.ell
-    every = _lanes(n_proofs, width)
-    literals = []
-    for i in range(v.ell):
-        # Proofs holding 1 at i come in runs of `run`, after runs holding 0.
-        run = 1 << (v.ell - 1 - i)
-        ones = (_lanes(run, width) << (run * width)) * _lanes(n_proofs // (2 * run), 2 * run * width)
-        literals.append((every ^ ones, ones))
+    every = _lanes(1 << v.ell, width)
+    # Position i is bit ell - 1 - i of a proof's index.
+    literals = [(every ^ ones, ones) for ones in reversed(bit_lanes(v.ell, width))]
     total = 0
     for positions, table in zip(v.queries, v.tables):
         mask = 0
@@ -121,12 +116,25 @@ def acceptance_counts(v: TableVerifier) -> list[int]:
                 mask |= hit
         total += mask
     lane = (1 << width) - 1
-    return [total >> (w * width) & lane for w in range(n_proofs)]
+    return [total >> (w * width) & lane for w in range(1 << v.ell)]
 
 
 def _lanes(count: int, stride: int) -> int:
     """Bit 0 of each of ``count`` lanes of ``stride`` bits."""
     return ((1 << (count * stride)) - 1) // ((1 << stride) - 1)
+
+
+def bit_lanes(n_bits: int, width: int = 1) -> list[int]:
+    """Entry j: bit 0 of each lane w, of 2^n_bits lanes of ``width`` bits,
+    whose index w has bit j set.
+
+    Indices with bit j set come in runs of 2^j, after runs with it clear.
+    """
+    count = 1 << n_bits
+    return [
+        (_lanes(run, width) << (run * width)) * _lanes(count // (2 * run), 2 * run * width)
+        for run in (1 << j for j in range(n_bits))
+    ]
 
 
 def reads(n_positions: int) -> Iterator[tuple[int, ...]]:

@@ -27,7 +27,8 @@ from rforge.amplify import (
     walk_hit_prob,
 )
 from rforge.core import StructuralError
-from rforge.verifier import TableVerifier, accept_prob, accepting_set, degrees
+from rforge.generate import generate_verifier, generate_verifier_with_accepted_pair
+from rforge.verifier import TableVerifier, accept_prob, accepting_set, degrees, reads, row_of
 
 
 def test_package_attribute_is_the_module():
@@ -338,10 +339,15 @@ class TestWalkHitCounts:
     def test_full_lane_beside_empty_lane(self):
         # The full set's count is every walk, 2^16 at rho = 4: a lane one
         # bit too narrow would carry it into the empty lane beside it.
+        # Lanes are 1, 2, 4 or 8 bytes wide, or wider past 2^64 walks
+        # (rho = 16 and 17 here), and each width is read back exactly.
         x = build_expander(16, 16, 0.2, seed=0)
-        for rho in range(1, 5):
+        m = multiplicities(x)
+        for rho in (1, 2, 3, 4, 7, 8, 15, 16, 17):
             walks = x.n * x.d ** (rho - 1)
             assert walk_hit_counts(x, [range(16), (), range(16), ()], rho) == [walks, 0, walks, 0]
+            subsets = [range(1, 16), range(0, 16, 2), [3, 5, 8, 13]]
+            assert walk_hit_counts(x, subsets, rho) == [dense_walk_hit_count(m, s, rho) for s in subsets]
 
 
 class TestChooseRho:
@@ -432,6 +438,38 @@ class TestAmplify:
         x = build_expander(4, 3, 0.9, seed=0)
         with pytest.raises(StructuralError):
             amplify(v, x, 2)
+
+    def test_tables_are_the_and_of_row_lookups(self):
+        # Each amplified entry against its definition: its positions are
+        # the walk entries' positions in order of first read, and row k
+        # accepts iff every walk entry's table accepts the read at its own
+        # positions, one row_of lookup per entry.  Walks that read a
+        # position twice (merged duplicates) must occur.
+        verifiers = [
+            generate_verifier_with_accepted_pair(seed, r=2, q=q, ell=4, accept_p=0.5)[0]
+            for seed in range(3)
+            for q in (1, 2, 3)
+        ]
+        verifiers.append(generate_verifier(7)[0])
+        merged_away = 0
+        for t, v in enumerate(verifiers):
+            x = build_expander(v.n_entries, 4, 0.95, seed=t)
+            for rho in (1, 2, 3):
+                amped = amplify(v, x, rho)
+                assert amped.n_entries == v.n_entries * 4 ** (rho - 1)
+                for rnd, (merged, table) in enumerate(zip(amped.queries, amped.tables)):
+                    walk = [rnd >> (amped.r - v.r)]
+                    for k in reversed(range(rho - 1)):
+                        walk.append(x.step(walk[-1], rnd >> (2 * k) & 3))
+                    along = [i for rk in walk for i in v.queries[rk]]
+                    assert merged == tuple(dict.fromkeys(along))
+                    merged_away += len(along) - len(merged)
+                    expected = [
+                        all(v.tables[rk][row_of(dict(zip(merged, read)), v.queries[rk])] for rk in walk)
+                        for read in reads(len(merged))
+                    ]
+                    assert list(table) == expected
+        assert merged_away > 0
 
     def test_randomness_ceiling_refuses_before_enumerating(self):
         # Two port bits per step: the first rho past the ceiling is refused

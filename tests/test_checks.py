@@ -36,6 +36,39 @@ def test_registry_names():
     }
 
 
+# Every suite's summary line, notes included, at two seeds: its kernels may
+# change, but not what it checks, counts or reports.
+PINNED_SUMMARIES = {
+    ("lemma-setcover", 7): "PASS lemma-setcover: 200 trials, 0 violations",
+    ("cost-equality-sc", 7): "PASS cost-equality-sc: 50 trials, 0 violations",
+    ("cost-equality-hvc", 7): "PASS cost-equality-hvc: 50 trials, 0 violations",
+    ("lift-completeness", 7): "PASS lift-completeness: 30 trials, 0 violations [30 instances sampled for 30 with optimum 1]",
+    ("fglss-completeness", 7): "PASS fglss-completeness: 10 trials, 0 violations",
+    ("fglss-popularity", 7): "PASS fglss-popularity: 6 trials, 0 violations [1317 satisfying assignments enumerated]",
+    ("expander-bounds", 7): "PASS expander-bounds: 540 trials, 0 violations [9 graphs]",
+    ("claim-accept", 7): "PASS claim-accept: 3 trials, 0 violations "
+    "[rho=2; ratio=0.125; 357 low-acceptance proofs exercised; 8008 subsets of size 6 swept]",
+    ("approx-ratio", 7): "PASS approx-ratio: 60 trials, 0 violations [60 exact comparisons]",
+    ("oracle-agreement", 7): "PASS oracle-agreement: 40 trials, 0 violations [40 instances with <= 20 states]",
+    ("lemma-setcover", 1): "PASS lemma-setcover: 200 trials, 0 violations",
+    ("cost-equality-sc", 1): "PASS cost-equality-sc: 50 trials, 0 violations",
+    ("cost-equality-hvc", 1): "PASS cost-equality-hvc: 50 trials, 0 violations",
+    ("lift-completeness", 1): "PASS lift-completeness: 30 trials, 0 violations [32 instances sampled for 30 with optimum 1]",
+    ("fglss-completeness", 1): "PASS fglss-completeness: 10 trials, 0 violations",
+    ("fglss-popularity", 1): "PASS fglss-popularity: 6 trials, 0 violations [1465 satisfying assignments enumerated]",
+    ("expander-bounds", 1): "PASS expander-bounds: 540 trials, 0 violations [9 graphs]",
+    ("claim-accept", 1): "PASS claim-accept: 3 trials, 0 violations "
+    "[rho=2; ratio=0.125; 443 low-acceptance proofs exercised; 8008 subsets of size 6 swept]",
+    ("approx-ratio", 1): "PASS approx-ratio: 60 trials, 0 violations [60 exact comparisons]",
+    ("oracle-agreement", 1): "PASS oracle-agreement: 40 trials, 0 violations [40 instances with <= 20 states]",
+}
+
+
+@pytest.mark.parametrize("suite, seed", PINNED_SUMMARIES)
+def test_summary_lines_are_pinned(suite, seed):
+    assert checks.run_suite(suite, seed=seed).summary() == PINNED_SUMMARIES[suite, seed]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(StructuralError, match="unknown suite"):
         checks.run_suite("nope")
@@ -100,9 +133,10 @@ def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
 
 
 def test_subfamily_verdicts_match_the_labels():
-    # The lemma suite's per-edge recurrence against the definitions: every
-    # subfamily's cover ORs its sets' blocks, and it satisfies the edge iff
-    # its labels do.  The graphs: 200 generated label covers, the
+    # The lemma suite's per-edge masks against the definitions: a
+    # subfamily covers the block iff its sets' blocks OR to all of it, and
+    # it satisfies the edge iff its labels do; no bit past the last
+    # subfamily is set.  The graphs: 200 generated label covers, the
     # admissible-block graph, and one with a self-loop and asymmetric tables.
     graphs = [
         generate_labelcover(t, n_vertices=2 + t % 3, alphabet_size=1 + t % 4, density=0.9, accept_p=0.3 + t % 5 / 10)
@@ -112,21 +146,24 @@ def test_subfamily_verdicts_match_the_labels():
     graphs.append(admissible_block_graph())
     loop = (bytes([0, 1, 0, 0, 0, 0, 1, 0, 0]), bytes([0, 0, 1, 1, 0, 0, 0, 0, 0]))
     graphs.append(ConstraintGraph(("v0", "v1"), 2, ("a", "b", "c"), ((0, 0), (0, 1)), loop))
-    checked = 0
+    checked = covered = 0
     for g in graphs:
         for e_idx, edge in enumerate(g.edges):
             own = [i for i, (v, _) in enumerate(g.pairs) if v in edge]
-            blocks = [1 << (7 * j % 11) | 1 << j for j in range(len(own))]
-            for mask, (cover, satisfied) in enumerate(checks._subfamily_verdicts(g, e_idx, own, blocks)):
+            blocks = [1 << (3 * j % 4) | 1 << (j % 4) for j in range(len(own))]
+            covering, satisfying = checks._subfamily_verdicts(g, e_idx, own, blocks, 4)
+            assert covering >> 2 ** len(own) == satisfying >> 2 ** len(own) == 0
+            for mask in range(2 ** len(own)):
                 chosen = [i for j, i in enumerate(own) if mask >> j & 1]
                 ored = 0
                 for j in range(len(own)):
                     if mask >> j & 1:
                         ored |= blocks[j]
-                assert cover == ored
-                assert satisfied == multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))
+                assert bool(covering >> mask & 1) == (ored == 0b1111)
+                assert bool(satisfying >> mask & 1) == multi_edge_satisfied(g, e_idx, cover_to_labels(g, chosen))
                 checked += 1
-    assert checked > 2000
+                covered += ored == 0b1111
+    assert checked > 2000 and covered > 100
 
 
 def test_expander_bounds_fails_when_lambda_reads_zero(monkeypatch):

@@ -1,6 +1,8 @@
 """Squared-alphabet constraint graphs: construction, embedding, decoding."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -18,6 +20,7 @@ from rforge.core import (
 from rforge.fglss import (
     COORD_BOTH,
     COORD_ONE,
+    COORD_SETS,
     COORD_ZERO,
     build_fglss,
     completeness_sequence,
@@ -224,6 +227,33 @@ class TestPluralityDecode:
         f = embed_proof(v, "010")
         proof, sat = plurality_decode(v, f, g)
         assert not sat and len(proof) == 3
+
+    def test_votes_match_the_coordinate_digits(self):
+        # plurality_decode against votes counted one by one from the
+        # symbol_coords digits: each assigned entry votes for every bit in
+        # its coordinate set at each position it reads, and a position
+        # decodes to 1 iff it has more votes for 1 than for 0.  The
+        # assignments: satisfying ones, and random ones that need not be.
+        checked = 0
+        for seed in range(6):
+            v = generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6)[0]
+            g = build_fglss(v)
+            rng = random.Random(seed)
+            assignments = list(islice(enumerate_satisfying_partials(g), 200))
+            values = [BOTTOM, *range(g.n_symbols)]
+            assignments += [tuple(rng.choice(values) for _ in range(v.n_entries)) for _ in range(100)]
+            for f in assignments:
+                votes = [[0, 0] for _ in range(v.ell)]
+                for rnd, a in enumerate(f):
+                    if a != BOTTOM:
+                        coords = symbol_coords(a, v.q)
+                        for j, i in enumerate(v.queries[rnd]):
+                            for bit in COORD_SETS[coords[j]]:
+                                votes[i][bit] += 1
+                expected = "".join("1" if ones > zeros else "0" for zeros, ones in votes)
+                assert plurality_decode(v, f, g) == (expected, satisfies_partial(g, f))
+                checked += 1
+        assert checked > 600
 
     def test_popularity_law_exhaustive(self):
         eq = bytes([1, 0, 0, 1])

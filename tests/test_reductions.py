@@ -233,6 +233,40 @@ class TestRestrictedGadgets:
             above_one += minlab.value > 1
         assert flipped > 0 and above_one > 0 and edgeless > 0
 
+    def test_sets_are_the_gadget_filters_over_each_block(self):
+        # Each set's members against the lemma's reference gadgets: in the
+        # block of edge e, the vectors supported on A(lo) in ascending
+        # order, lo's set for a holds Q̄_a and hi's set for b holds Q over
+        # b's satisfaction-compatible partners, both filtered over _cube.
+        # Edges are stored either way round and tables are asymmetric.
+        instances = [uneven_labelcover(seed) for seed in range(30)]
+        instances += [generate_labelcover(seed, n_vertices=3, alphabet_size=3, accept_p=0.5) for seed in range(10)]
+        reversed_edge = graph([(0, 1), (1, 0)], [IMPL, bytes([0, 1, 1, 1])])
+        instances.append(p2csp_to_labelcover(reversed_edge, (0, 1), (0, 1)))
+        flipped = 0
+        for inst in instances:
+            g = inst.graph
+            sigma, index = g.n_symbols, {pair: i for i, pair in enumerate(g.pairs)}
+            expected = [set() for _ in g.pairs]
+            labels = []
+            for e_idx, (v, w) in enumerate(g.edges):
+                lo, hi = (v, w) if (len(g.allowed_symbols(v)), v) <= (len(g.allowed_symbols(w)), w) else (w, v)
+                flipped += lo == w
+                support = g.allowed_symbols(lo)
+                block = sorted(reductions._cube(sigma, (), False, support))
+                at = {x: len(labels) + k for k, x in enumerate(block)}
+                labels += [f"(e{e_idx},{format(x, f'0{sigma}b')})" for x in block]
+                for a in support:
+                    expected[index[lo, a]] |= {at[x] for x in qbar_alpha(sigma, a, support)}
+                for b in g.allowed_symbols(hi):
+                    accepts = lambda a: g.accepts(e_idx, a, b) if lo == v else g.accepts(e_idx, b, a)
+                    partners = [a for a in support if accepts(a)]
+                    expected[index[hi, b]] |= {at[x] for x in q_subset(sigma, partners, support)}
+            system = labelcover_to_setcover(g, inst.start, inst.goal).system
+            assert system.elements[: len(labels)] == tuple(labels)
+            assert [{x for x in members if x < len(labels)} for members in system.sets] == expected
+        assert flipped > 0
+
     def test_graph_without_admissible_sets_keeps_its_bytes(self, tmp_path):
         # Without admissible sets every block is the full cube and edges
         # keep their lower-index endpoint on the Q̄ side.  sha256 captured

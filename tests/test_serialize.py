@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rforge import serialize
+from rforge.cli import main
 from rforge.amplify import ExpanderGraph, build_expander
 from rforge.core import (
     BOTTOM,
@@ -507,6 +508,51 @@ def test_unknown_type_rejected():
         serialize.parse_bytes(b'{"type":"mystery"}')
     with pytest.raises(StructuralError):
         serialize.dump_bytes(42)
+
+
+# A set that lists a member twice, in each place a set is read, with the
+# message naming its field.
+DUPLICATE_MEMBERS = {
+    "setcover-start": (
+        b'{"goal":[0],"start":[0,1,0],"system":{"elements":["u"],"set_labels":["s","t"],"sets":[[0],[0]],'
+        b'"type":"set_system"},"type":"setcover_instance"}',
+        "'start' lists member 0 twice",
+    ),
+    "set-system-set": (
+        b'{"elements":["u","v"],"set_labels":["s"],"sets":[[1,0,1]],"type":"set_system"}',
+        "'sets' lists member 1 twice",
+    ),
+    "hyperedge": (b'{"hyperedges":[[0,1,0]],"type":"hypergraph","vertices":["a","b"]}', "'hyperedges' lists member 0 twice"),
+    "admissible": (
+        b'{"admissible":[[1,0,1]],"alphabet":["a","b"],"arity":2,"edges":[],"tables":[],"type":"constraint_graph",'
+        b'"vertices":["x"]}',
+        "'admissible' lists member 1 twice",
+    ),
+    "multi-state": (b'{"kind":"multi-assignment","states":[[[1],[0,1,1]]],"type":"sequence"}', "'states' lists member 1 twice"),
+    "cover-state": (b'{"kind":"cover","states":[[2,2]],"type":"sequence"}', "'states' lists member 2 twice"),
+}
+
+
+@pytest.mark.parametrize("data, message", DUPLICATE_MEMBERS.values(), ids=DUPLICATE_MEMBERS.keys())
+def test_a_set_lists_each_member_once(data, message):
+    with pytest.raises(StructuralError, match=message):
+        serialize.parse_bytes(data)
+
+
+def test_set_members_read_in_any_order(tmp_path, capsys):
+    # A generated setcover instance reads back whatever the order of its
+    # set members, saving them sorted; "start": [0] edited to [0, 0] exits 2.
+    path = tmp_path / "sc.json"
+    assert main(["gen", "--kind", "setcover", "--seed", "2", "--out", str(path)]) == 0
+    canonical = path.read_bytes()
+    payload = json.loads(canonical)
+    assert payload["start"] == [0]
+    shuffled = dict(payload, system=dict(payload["system"], sets=[members[::-1] for members in payload["system"]["sets"]]))
+    assert shuffled != payload
+    assert serialize.dump_bytes(serialize.from_payload(shuffled)) == canonical
+    path.write_text(json.dumps(dict(payload, start=[0, 0])))
+    assert main(["solve", "sc-cost", "--in", str(path)]) == 2
+    assert "error: 'start' lists member 0 twice" in capsys.readouterr().err
 
 
 def test_verifier_payload_orders_entries():
