@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, itemgetter, mul
 
 from .core import StructuralError
-from .verifier import TableVerifier, bit_lanes, degrees, reads
+from .verifier import TableVerifier, accept_mask, degrees, literals
 from . import rng as rng_mod
 
 # Lanczos settings for the spectral estimate: test the Ritz values every few
@@ -346,9 +346,8 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
     tuple concatenates the walk entries' tuples with duplicate positions
     merged (each position read once, fanned out to every decision table);
     the decision is the AND of the walk entries' decisions.  Each table is
-    built as an int mask over its rows: a walk entry accepts the rows
-    whose bits at its positions form one of its accepting reads, an OR of
-    ANDs of per-position literal masks.
+    built as an int mask over its rows, one ``accept_mask`` per walk entry
+    over the ``literals`` of the merged positions.
     """
     if rho < 1:
         raise StructuralError(f"rho must be >= 1, got {rho}")
@@ -362,9 +361,6 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
     new_r = v.r + (rho - 1) * port_bits
     if new_r > MAX_RANDOMNESS:
         raise StructuralError(f"amplified verifier needs r={new_r} random bits, ceiling is {MAX_RANDOMNESS}")
-    # literals[m]: every row of an m-position table, and per position k
-    # (bit m - 1 - k of a row) the rows reading 0 and the rows reading 1.
-    literals: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     queries: list[tuple[int, ...]] = []
     tables: list[bytes] = []
     for rnd in range(2**new_r):
@@ -377,23 +373,12 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
         m = len(merged)
         if m > MAX_POSITIONS:
             raise StructuralError(f"amplified entry reads {m} positions, ceiling is {MAX_POSITIONS}")
-        if m not in literals:
-            every = (1 << (1 << m)) - 1
-            literals[m] = every, [(every ^ ones, ones) for ones in reversed(bit_lanes(m))]
-        accepted, by_position = literals[m]
+        # Bit k of a mask is row k of the merged table.
+        accepted, by_position = literals(m)
         at = dict(zip(merged, by_position))
         for rk in walk:
-            lits = [at[i] for i in v.queries[rk]]
-            entry = 0
-            for read, accepts in zip(reads(len(lits)), v.tables[rk]):
-                if accepts:
-                    hit = accepted
-                    for literal, bit in zip(lits, read):
-                        hit &= literal[bit]
-                    entry |= hit
-            accepted = entry
+            accepted = accept_mask(v.tables[rk], [at[i] for i in v.queries[rk]], accepted)
         queries.append(merged)
-        # Row k is bit k of the mask.
         tables.append(format(accepted, f"0{1 << m}b")[::-1].encode().translate(_ROW_BYTES))
     q_max = max(len(i) for i in queries)
     return TableVerifier(r=new_r, q=q_max, ell=v.ell, queries=tuple(queries), tables=tuple(tables))

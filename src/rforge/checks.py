@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from . import generate, rng as rng_mod, serialize
 from .amplify import amplify, build_expander, choose_rho, walk_hit_counts
@@ -28,14 +28,12 @@ from .core import (
     validate_sequence,
 )
 from .fglss import (
-    COORD_ONE,
-    COORD_ZERO,
     build_fglss,
-    coord_table,
     completeness_sequence,
     enumerate_satisfying_partials,
     interpolate_proofs,
     plurality_decode,
+    view_pins,
 )
 from .reductions import (
     cover_to_labels,
@@ -60,7 +58,7 @@ from .solve import (
     solve_maxpar,
     solve_minlab,
 )
-from .verifier import TableVerifier, accept_prob, acceptance_counts, accepting_set, bit_lanes, degree, degrees, table_of
+from .verifier import TableVerifier, acceptance_rows, bit_lanes, degree, degrees, table_of
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
@@ -419,8 +417,10 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
     the assigned fraction.  Single-vertex mutations then exercise the
     interpolation dip bound, compared on exact entry counts.  Entry sets
     are int masks: the chain law ORs, over the assigned entries, the
-    positions each symbol reads as {0} and as {1}, which must not meet,
-    and each distinct proof's accepting set is read once.
+    positions each symbol's view pins to 0 and to 1, which must not meet,
+    and every proof's accepting set is a column of ``acceptance_rows``.
+    The enumerated assignments are satisfying by construction and are
+    not checked again; the sampled mutations are.
     """
     tally = _Tally()
     states_seen = 0
@@ -428,30 +428,15 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
         g = build_fglss(v)
         two_r = v.n_entries
         sampler = rng_mod.stream(seed, f"popularity-pairs:{v.r}:{v.ell}")
-        coords = coord_table(v.q)
-        # pins[rnd][a]: the positions entry rnd's symbol a reads as {0}, and as {1}.
-        pins = [
-            [
-                tuple(sum(1 << i for i, c in zip(positions, row) if c == pin) for pin in (COORD_ZERO, COORD_ONE))
-                for row in coords
-            ]
-            for positions in v.queries
-        ]
+        pins = view_pins(v)
         degrees_of = degrees(v)
-        accepting_sets = {}
-
-        def accepting(proof: str) -> int:
-            if proof not in accepting_sets:
-                accepting_sets[proof] = sum(1 << rnd for rnd in accepting_set(v, proof))
-            return accepting_sets[proof]
-
+        # accepting[w]: the entries accepting proof w, as a mask.
+        accepting = [sum(bit << rnd for rnd, bit in enumerate(col)) for col in zip(*acceptance_rows(v))]
         for f in enumerate_satisfying_partials(g):
             states_seen += 1
-            proof, sat_flag = plurality_decode(v, f, g)
+            proof = plurality_decode(v, f)
             problems = []
-            if not sat_flag:
-                problems.append("decode flagged a satisfying assignment")
-            accepted = accepting(proof)
+            accepted = accepting[int(proof, 2)]
             assigned = zeros = ones = 0
             for rnd, a in enumerate(f):
                 if a != BOTTOM:
@@ -481,11 +466,11 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                 alt = sampler.randrange(g.n_symbols)
                 mutated = f[:rnd] + (alt,) + f[rnd + 1 :]
                 if mutated != f and satisfies_partial(g, mutated):
-                    proof2, _ = plurality_decode(v, mutated, g)
+                    proof2 = plurality_decode(v, mutated)
                     base = accepted.bit_count()
                     for inter in interpolate_proofs(v, proof, proof2).states:
                         floor = base - sum(degrees_of[i] for i in range(v.ell) if inter[i] != proof[i])
-                        if accepting(inter).bit_count() < floor:
+                        if accepting[int(inter, 2)].bit_count() < floor:
                             tally.add(
                                 {
                                     "verifier": serialize.payload(v),
@@ -566,12 +551,13 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     every proof with acceptance below 1 - eps must amplify below delta.
     Also checks the amplified acceptance equals the walk-restriction
     probability of the base acceptance set, and sweeps all largest
-    relevant vertex subsets directly.  The base and amplified acceptance
-    of all proofs come from one ``acceptance_counts`` pass per verifier,
-    their walk counts from one ``walk_hit_counts`` pass, and the sweep
-    compares the integer walk counts of all its subsets, counted in one
-    more pass.  Every probability is compared on integers; a fraction is
-    built only for a counterexample.
+    relevant vertex subsets directly.  Each proof is read once: its base
+    and amplified acceptance are column sums of one ``acceptance_rows``
+    pass per verifier, and one ``walk_hit_counts`` pass over the base
+    columns gives its walk count.  The sweep compares the integer walk
+    counts of all its subsets, counted in one more pass.  Every
+    probability is compared on integers; a fraction is built only for a
+    counterexample.
     """
     eps = Fraction(3, 5)
     delta = Fraction(11, 20)
@@ -586,11 +572,15 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     for t in range(trials):
         v, planted = _claim_verifier(seed, t)
         amped = amplify(v, x, rho)
-        proofs = [format(word, f"0{v.ell}b") for word in range(2**v.ell)]
-        walk_counts = walk_hit_counts(x, (accepting_set(v, proof) for proof in proofs), rho)
         n_base, n_amp = v.n_entries, amped.n_entries
-        rows = zip(proofs, acceptance_counts(v), acceptance_counts(amped), walk_counts)
-        for proof, accepted, amp_accepted, walked in rows:
+        proofs = [format(word, f"0{v.ell}b") for word in range(2**v.ell)]
+        # Proof w's accepting entries are column w of acceptance_rows.
+        rows = acceptance_rows(v)
+        walk_counts = walk_hit_counts(x, (compress(range(n_base), col) for col in zip(*rows)), rho)
+        counts = list(map(sum, zip(*rows)))
+        amp_counts = list(map(sum, zip(*acceptance_rows(amped))))
+        del rows  # only the count lists stay alive into the sweep
+        for proof, accepted, amp_accepted, walked in zip(proofs, counts, amp_counts, walk_counts):
             problems = []
             if amp_accepted * walks != walked * n_amp:
                 problems.append("amplified acceptance != walk probability")
@@ -605,7 +595,7 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
                 tally.add(
                     {"trial": t, "proof": proof, "base": str(base), "amplified": str(amp), "problems": problems}
                 )
-        if accept_prob(v, planted) != 1:
+        if counts[int(planted, 2)] != n_base:
             tally.add()
     # All subsets of the largest size with |S|/n < 1 - eps; smaller subsets
     # are dominated by monotonicity of the walk event.

@@ -24,7 +24,6 @@ from .core import (
     ReconfigSequence,
     StructuralError,
     hamming,
-    satisfies_partial,
     validate_sequence,
 )
 from .solve import _satisfying
@@ -73,19 +72,29 @@ def symbol_label(coords) -> str:
     return ",".join(COORD_LABELS[c] for c in coords)
 
 
-def _pins(v: TableVerifier, rnd: int, coords: tuple[int, ...]) -> tuple[int, int] | None:
-    """Masks of the proof positions a valid view pins to 0 and to 1, or None.
+def view_pins(v: TableVerifier) -> list[list[tuple[int, int] | None]]:
+    """Per entry and symbol, the masks of the proof positions the view pins
+    to 0 and to 1, or None for an invalid view.
 
     A view is valid iff its unused coordinates are {0} and the entry's
     table accepts every bit selection from it (listed in query order).
     """
-    positions = v.queries[rnd]
-    m = len(positions)
-    if any(c != COORD_ZERO for c in coords[m:]) or not all(
-        v.tables[rnd][row_of(bits, range(m))] for bits in product(*(COORD_SETS[c] for c in coords[:m]))
-    ):
-        return None
-    return tuple(sum(1 << i for i, c in zip(positions, coords) if c == pin) for pin in (COORD_ZERO, COORD_ONE))
+    symbols = coord_table(v.q)
+    pins = []
+    for positions, table in zip(v.queries, v.tables):
+        m = len(positions)
+        row = []
+        for coords in symbols:
+            if any(c != COORD_ZERO for c in coords[m:]) or not all(
+                table[row_of(bits, range(m))] for bits in product(*(COORD_SETS[c] for c in coords[:m]))
+            ):
+                row.append(None)
+            else:
+                zero = sum(1 << i for i, c in zip(positions, coords) if c == COORD_ZERO)
+                one = sum(1 << i for i, c in zip(positions, coords) if c == COORD_ONE)
+                row.append((zero, one))
+        pins.append(row)
+    return pins
 
 
 def build_fglss(v: TableVerifier) -> ConstraintGraph:
@@ -96,20 +105,13 @@ def build_fglss(v: TableVerifier) -> ConstraintGraph:
     are adjacent iff their read masks meet, and two valid views are
     comparable iff neither pins to 0 a position the other pins to 1.
     """
-    if v.q > QUERY_CEILING:
-        raise StructuralError(f"verifier reads {v.q} positions per entry, ceiling is {QUERY_CEILING}")
+    # (symbol, zero pins, one pins) of each entry's valid views.
+    valid = [[(idx, *pins) for idx, pins in enumerate(row) if pins] for row in view_pins(v)]
     n = v.n_entries
-    width = v.q
-    n_symbols = 3**width
-    symbols = coord_table(width)
-    alphabet = tuple(symbol_label(c) for c in symbols)
+    n_symbols = 3**v.q
+    alphabet = tuple(symbol_label(c) for c in coord_table(v.q))
     vertices = tuple(format(rnd, f"0{max(1, v.r)}b") for rnd in range(n))
     reads = [sum(1 << i for i in positions) for positions in v.queries]
-    # (symbol, zero pins, one pins) of each entry's valid views.
-    valid = [
-        [(idx, *pins) for idx, coords in enumerate(symbols) if (pins := _pins(v, rnd, coords))]
-        for rnd in range(n)
-    ]
     edges: list[tuple[int, int]] = []
     tables: list[bytes] = []
     for r1 in range(n):
@@ -177,27 +179,25 @@ def completeness_sequence(v: TableVerifier, start: str, goal: str) -> ReconfigSe
     return ReconfigSequence(kind=KIND_PARTIAL, states=tuple(states))
 
 
-def plurality_decode(v: TableVerifier, f, graph: ConstraintGraph) -> tuple[str, bool]:
+def plurality_decode(v: TableVerifier, f) -> str:
     """Recover a proof from an assignment by plurality vote per position.
 
     Each assigned entry reading position i votes for every bit in its
     coordinate there; ties and positions read by no assigned entry decode
-    to 0.  Returns (proof, satisfying) where the flag reports whether the
-    assignment satisfies ``graph``, the FGLSS graph of v (decoding
-    proceeds either way).  A joint {0,1} coordinate votes for both bits,
-    so only {1} against {0} coordinates decide a position: each position
-    keeps that lead, read off the symbol's row of ``coord_table``.
+    to 0.  Decoding does not ask whether the assignment is satisfying.  A
+    joint {0,1} coordinate votes for both bits, so only {1} against {0}
+    coordinates decide a position: each position keeps that lead, read
+    off the symbol's row of ``coord_table``.
     """
     if len(f) != v.n_entries:
         raise StructuralError("assignment domain must equal the randomness space")
-    satisfying = satisfies_partial(graph, f)
     coords = coord_table(v.q)
     lead = [0] * v.ell
     for positions, a in zip(v.queries, f):
         if a != BOTTOM:
             for i, c in zip(positions, coords[a]):
                 lead[i] += _LEAD[c]
-    return "".join("1" if x > 0 else "0" for x in lead), satisfying
+    return "".join("1" if x > 0 else "0" for x in lead)
 
 
 def interpolate_proofs(v: TableVerifier, start: str, goal: str) -> ReconfigSequence:
@@ -232,7 +232,7 @@ def decode_sequence(
         raise StructuralError(
             f"assignment sequence invalid at index {report.index}: {report.reason}"
         )
-    decoded = [plurality_decode(v, f, graph)[0] for f in seq.states]
+    decoded = [plurality_decode(v, f) for f in seq.states]
     proofs = [decoded[0]]
     for nxt in decoded[1:]:
         bridge = interpolate_proofs(v, proofs[-1], nxt)

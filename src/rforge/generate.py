@@ -79,6 +79,9 @@ def generate_csp(
         raise StructuralError("need at least one vertex and one symbol")
     if ensure_incident and n_vertices < 2:
         raise StructuralError("cannot give every vertex an edge with a single vertex")
+    for name, p in (("density", density), ("accept_p", accept_p)):
+        if not 0 <= p <= 1:  # NaN fails every comparison
+            raise StructuralError(f"{name} must lie in [0, 1], got {p!r}")
     rng = rng_mod.stream(seed, f"csp:{n_vertices}:{alphabet_size}:{density}")
     vertices = tuple(f"v{i}" for i in range(n_vertices))
     alphabet = tuple(f"a{i}" for i in range(alphabet_size))

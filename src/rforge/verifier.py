@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -90,33 +91,41 @@ def accepting_set(v: TableVerifier, proof: str) -> frozenset[int]:
     return frozenset(accepting)
 
 
-def acceptance_counts(v: TableVerifier) -> list[int]:
-    """Accepting entries of every proof at once.
+def acceptance_rows(v: TableVerifier) -> list[bytes]:
+    """Byte w of row R is 1 iff entry R accepts proof ``format(w, f"0{v.ell}b")``.
 
-    ``counts[w] == len(accepting_set(v, format(w, f"0{v.ell}b")))``.  The
-    2^ell proofs are evaluated together in lane-packed ints: lane w, of
-    r + 2 bits, belongs to proof w.  Position i has two literal masks,
-    bit 0 of each lane whose proof holds 0 (or 1) at i.  An entry's mask
-    ORs, over its accepting rows, the AND of the literal masks that row
-    reads.  Summing the entries' masks counts in every lane at once, and
-    no lane carries into the next, since a count is at most 2^r.
+    A proof's accepting entries are its column, its count the column sum.
+    Each row is one ``accept_mask`` over lanes of 8 bits, read out
+    little-endian.
     """
-    width = v.r + 2
-    every = _lanes(1 << v.ell, width)
-    # Position i is bit ell - 1 - i of a proof's index.
-    literals = [(every ^ ones, ones) for ones in reversed(bit_lanes(v.ell, width))]
-    total = 0
-    for positions, table in zip(v.queries, v.tables):
-        mask = 0
-        for read, accepts in zip(reads(len(positions)), table):
-            if accepts:
-                hit = every
-                for i, bit in zip(positions, read):
-                    hit &= literals[i][bit]
-                mask |= hit
-        total += mask
-    lane = (1 << width) - 1
-    return [total >> (w * width) & lane for w in range(1 << v.ell)]
+    every, by_position = literals(v.ell, 8)
+    return [
+        accept_mask(table, [by_position[i] for i in positions], every).to_bytes(1 << v.ell, "little")
+        for positions, table in zip(v.queries, v.tables)
+    ]
+
+
+@cache
+def literals(n_bits: int, width: int = 1) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Bit 0 of each of 2^n_bits lanes of ``width`` bits, and per position k
+    (bit n_bits - 1 - k of a lane's index, as in row order) the lanes that
+    read 0 there and the lanes that read 1."""
+    every = _lanes(1 << n_bits, width)
+    return every, tuple((every ^ ones, ones) for ones in reversed(bit_lanes(n_bits, width)))
+
+
+def accept_mask(table: bytes, lits: Sequence[tuple[int, int]], within: int) -> int:
+    """The lanes of ``within`` whose read the table accepts: the OR, over its
+    accepting rows, of the AND of the literals the row reads.  ``lits[j]``
+    is the ``literals`` (0, 1) pair of the table's j-th position."""
+    mask = 0
+    for read, accepts in zip(reads(len(lits)), table):
+        if accepts:
+            hit = within
+            for literal, bit in zip(lits, read):
+                hit &= literal[bit]
+            mask |= hit
+    return mask
 
 
 def _lanes(count: int, stride: int) -> int:

@@ -14,7 +14,7 @@ import rforge
 from rforge import checks, cli, serialize, solve
 from rforge.checks import CheckReport
 from rforge.cli import main
-from rforge.core import HvcInstance, LabelCoverInstance, P2cspInstance, SetCoverInstance
+from rforge.core import HvcInstance, LabelCoverInstance, P2cspInstance, SetCoverInstance, StructuralError
 from rforge.generate import generate_csp, generate_hypergraph, generate_labelcover, generate_setcover
 from rforge.verifier import TableVerifier
 
@@ -61,6 +61,23 @@ class TestGen:
         assert run("gen", "--kind", "csp", "--out", out, "--seed", 1, "--density", 0) == 0
         inst = serialize.load(out)
         assert isinstance(inst, P2cspInstance) and inst.graph.edges == ()
+
+    def test_density_one_is_complete(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run("gen", "--kind", "csp", "--out", out, "--seed", 1, "--vertices", 4, "--density", 1) == 0
+        assert len(serialize.load(out).graph.edges) == 6
+
+    @pytest.mark.parametrize("density", ["nan", "2", "-0.1"])
+    def test_density_outside_the_unit_interval_is_refused(self, tmp_path, capsys, density):
+        out = tmp_path / "c.json"
+        assert run("gen", "--kind", "csp", "--out", out, "--seed", 1, "--density", density) == 2
+        assert "density must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("accept_p", [float("nan"), 1.5, -0.1])
+    def test_accept_p_outside_the_unit_interval_is_refused(self, accept_p):
+        with pytest.raises(StructuralError, match="accept_p must lie in"):
+            generate_csp(1, accept_p=accept_p)
 
     @pytest.mark.parametrize("kind", ["labelcover", "setcover", "hypergraph", "verifier"])
     def test_all_kinds(self, tmp_path, kind):

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
+from rforge import checks
+from rforge.amplify import amplify, build_expander
 from rforge.core import (
     BOTTOM,
     KIND_PARTIAL,
@@ -31,9 +33,10 @@ from rforge.fglss import (
     plurality_decode,
     symbol_coords,
     symbol_index,
+    view_pins,
 )
 from rforge.generate import generate_verifier_with_accepted_pair
-from rforge.verifier import TableVerifier, accept_prob, accepting_set, degree
+from rforge.verifier import TableVerifier, accept_prob, accepting_set, degree, row_of
 
 
 def overlap_verifier(tables=None):
@@ -87,6 +90,67 @@ class TestBuild:
         v = always_accepting(r=1, q=7, ell=8)
         with pytest.raises(StructuralError, match="ceiling"):
             build_fglss(v)
+
+
+class TestViewPins:
+    @staticmethod
+    def expected(v, rnd, idx):
+        # The view's digits, read one coordinate at a time: valid iff every
+        # unused coordinate is {0} and the table takes every read whose bits
+        # each lie in their coordinate's set.
+        positions = v.queries[rnd]
+        m = len(positions)
+        coords = symbol_coords(idx, v.q)
+        if any(c != COORD_ZERO for c in coords[m:]):
+            return None
+        for bits in product((0, 1), repeat=m):
+            if all(bit in COORD_SETS[c] for bit, c in zip(bits, coords)):
+                if not v.tables[rnd][row_of(bits, range(m))]:
+                    return None
+        zero = sum(1 << positions[j] for j in range(m) if coords[j] == COORD_ZERO)
+        one = sum(1 << positions[j] for j in range(m) if coords[j] == COORD_ONE)
+        return zero, one
+
+    def verifiers(self):
+        for seed in range(6):
+            yield generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6)[0]
+        x = build_expander(4, 4, 0.6, 0)
+        for seed in range(3):
+            amped = amplify(generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=5, accept_p=0.7)[0], x, 2)
+            assert len({len(positions) for positions in amped.queries}) > 1
+            yield amped
+
+    def test_pins_match_the_coordinate_digits(self):
+        invalid = 0
+        for v in self.verifiers():
+            pins = view_pins(v)
+            assert len(pins) == v.n_entries
+            for rnd, row in enumerate(pins):
+                assert row == [self.expected(v, rnd, idx) for idx in range(3**v.q)]
+                invalid += row.count(None)
+        assert invalid > 0
+
+    def test_valid_views_are_the_loop_diagonal(self):
+        for v in self.verifiers():
+            g = build_fglss(v)
+            k = g.n_symbols
+            for rnd, row in enumerate(view_pins(v)):
+                loop = g.tables[g.edges.index((rnd, rnd))]
+                assert [pins is not None for pins in row] == [loop[a * k + a] == 1 for a in range(k)]
+
+
+class TestEnumerate:
+    def test_toy_graphs_yield_only_satisfying_assignments(self):
+        # The fglss-popularity suite takes these assignments as satisfying
+        # without checking them again.
+        seen = 0
+        for seed in range(5):
+            for v in checks._toy_verifiers(6, seed):
+                g = build_fglss(v)
+                for f in enumerate_satisfying_partials(g):
+                    assert satisfies_partial(g, f)
+                    seen += 1
+        assert seen > 1000
 
 
 class TestNormalizeInteraction:
@@ -200,33 +264,32 @@ class TestPluralityDecode:
             queries=((0,),) * 4,
             tables=(bytes([1, 1]),) * 4,
         )
-        g = build_fglss(v)
         one, both = COORD_ONE, COORD_BOTH
         # K = {{1},{0,1}}: plurality picks 1
         f = (symbol_index((one,)), symbol_index((both,)), BOTTOM, BOTTOM)
-        assert plurality_decode(v, f, g)[0] == "1"
+        assert plurality_decode(v, f) == "1"
         # K = {{0,1}}: tie, picks 0
         f = (symbol_index((both,)), BOTTOM, BOTTOM, BOTTOM)
-        assert plurality_decode(v, f, g)[0] == "0"
+        assert plurality_decode(v, f) == "0"
         # K = {}: unqueried positions decode to 0
         f = (BOTTOM, BOTTOM, BOTTOM, BOTTOM)
-        assert plurality_decode(v, f, g)[0] == "0"
+        assert plurality_decode(v, f) == "0"
 
     def test_embedding_round_trips(self):
         v = overlap_verifier()
         g = build_fglss(v)
         for word in range(8):
             proof = format(word, "03b")
-            decoded, sat = plurality_decode(v, embed_proof(v, proof), g)
-            assert sat and decoded == proof
+            f = embed_proof(v, proof)
+            assert satisfies_partial(g, f)
+            assert plurality_decode(v, f) == proof
 
-    def test_unsatisfying_assignment_flagged(self):
+    def test_decoding_proceeds_on_an_unsatisfying_assignment(self):
         eq = bytes([1, 0, 0, 1])
         v = overlap_verifier(tables=(eq, eq))
-        g = build_fglss(v)
         f = embed_proof(v, "010")
-        proof, sat = plurality_decode(v, f, g)
-        assert not sat and len(proof) == 3
+        assert not satisfies_partial(build_fglss(v), f)
+        assert plurality_decode(v, f) == "010"
 
     def test_votes_match_the_coordinate_digits(self):
         # plurality_decode against votes counted one by one from the
@@ -251,7 +314,7 @@ class TestPluralityDecode:
                             for bit in COORD_SETS[coords[j]]:
                                 votes[i][bit] += 1
                 expected = "".join("1" if ones > zeros else "0" for zeros, ones in votes)
-                assert plurality_decode(v, f, g) == (expected, satisfies_partial(g, f))
+                assert plurality_decode(v, f) == expected
                 checked += 1
         assert checked > 600
 
@@ -262,8 +325,8 @@ class TestPluralityDecode:
         count = 0
         for f in enumerate_satisfying_partials(g):
             count += 1
-            proof, sat = plurality_decode(v, f, g)
-            assert sat
+            proof = plurality_decode(v, f)
+            assert satisfies_partial(g, f)
             accepting = accepting_set(v, proof)
             for rnd in range(2):
                 if f[rnd] != BOTTOM:

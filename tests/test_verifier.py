@@ -15,7 +15,7 @@ from rforge.generate import generate_csp, generate_verifier_with_accepted_pair
 from rforge.verifier import (
     TableVerifier,
     accept_prob,
-    acceptance_counts,
+    acceptance_rows,
     accepting_set,
     csp_to_verifier,
     degree,
@@ -146,14 +146,21 @@ class TestAcceptingSet:
 
 
 class TestAcceptanceCounts:
-    """Every proof's bit-parallel count against the per-proof reference."""
+    """Every proof's column of ``acceptance_rows`` against the per-proof
+    reference: each byte against ``accepting_set`` membership, each column
+    sum (the proof's count) against ``accept_prob``."""
 
     @staticmethod
-    def assert_matches_reference(v):
-        counts = acceptance_counts(v)
-        assert len(counts) == 2**v.ell
-        for word, count in enumerate(counts):
-            assert Fraction(count, 2**v.r) == accept_prob(v, format(word, f"0{v.ell}b"))
+    def counts(v):
+        rows = acceptance_rows(v)
+        assert len(rows) == v.n_entries
+        assert all(len(row) == 2**v.ell for row in rows)
+        for word in range(2**v.ell):
+            proof = format(word, f"0{v.ell}b")
+            accepting = accepting_set(v, proof)
+            assert [row[word] for row in rows] == [int(rnd in accepting) for rnd in range(v.n_entries)]
+            assert Fraction(sum(row[word] for row in rows), 2**v.r) == accept_prob(v, proof)
+        return [sum(column) for column in zip(*rows)]
 
     def test_random_verifiers_with_mixed_query_lengths(self):
         rng = random.Random(23)
@@ -163,27 +170,30 @@ class TestAcceptanceCounts:
                     queries = tuple(tuple(rng.sample(range(ell), rng.randint(1, ell))) for _ in range(2**r))
                     tables = tuple(bytes(rng.randrange(2) for _ in range(2 ** len(p))) for p in queries)
                     v = TableVerifier(r=r, q=max(map(len, queries)), ell=ell, queries=queries, tables=tables)
-                    self.assert_matches_reference(v)
+                    self.counts(v)
 
     def test_amplified_verifiers(self):
         for v in amplified_verifiers():
-            self.assert_matches_reference(v)
+            self.counts(v)
 
     def test_claim_accept_verifiers_base_and_amplified(self):
         x = build_expander(16, 16, 0.15, 0)
         for seed, t in ((0, 0), (1, 2), (7, 1)):
             v, _ = checks._claim_verifier(seed, t)
-            self.assert_matches_reference(v)
-            self.assert_matches_reference(amplify(v, x, 2))
+            self.counts(v)
+            self.counts(amplify(v, x, 2))
 
     def test_one_entry_and_one_bit(self):
-        assert acceptance_counts(TableVerifier(r=0, q=1, ell=1, queries=((0,),), tables=(bytes([0, 1]),))) == [0, 1]
+        assert self.counts(TableVerifier(r=0, q=1, ell=1, queries=((0,),), tables=(bytes([0, 1]),))) == [0, 1]
         v = TableVerifier(r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 0]), bytes([1, 1])))
-        assert acceptance_counts(v) == [2, 1]
+        assert acceptance_rows(v) == [bytes([1, 0]), bytes([1, 1])]
+        assert self.counts(v) == [2, 1]
 
     def test_full_lanes_do_not_carry(self):
-        # Every lane holds 2^r, its largest count.
-        assert acceptance_counts(always_accepting(r=3, q=2, ell=4)) == [8] * 16
+        # Every byte is 1 and every column sums to 2^r.
+        v = always_accepting(r=3, q=2, ell=4)
+        assert acceptance_rows(v) == [bytes([1] * 16)] * 8
+        assert self.counts(v) == [8] * 16
 
 
 class TestDegrees:
