@@ -18,10 +18,11 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add, itemgetter, mul
 
-from .core import StructuralError
-from .verifier import TableVerifier, accept_mask, degrees, literals
+from .core import StructuralError, TableVerifier
+from .verifier import accept_mask, degrees, literals
 from . import rng as rng_mod
 
 # Lanczos settings for the spectral estimate: test the Ritz values every few
@@ -363,6 +364,7 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
         raise StructuralError(f"amplified verifier needs r={new_r} random bits, ceiling is {MAX_RANDOMNESS}")
     queries: list[tuple[int, ...]] = []
     tables: list[bytes] = []
+    literals_of = cache(literals)  # for this call only: 16 positions' masks take 300 KB
     for rnd in range(2**new_r):
         # The start vertex, then the ports from the most significant down.
         walk = [rnd >> (new_r - v.r)]
@@ -374,7 +376,7 @@ def amplify(v: TableVerifier, x: ExpanderGraph, rho: int) -> TableVerifier:
         if m > MAX_POSITIONS:
             raise StructuralError(f"amplified entry reads {m} positions, ceiling is {MAX_POSITIONS}")
         # Bit k of a mask is row k of the merged table.
-        accepted, by_position = literals(m)
+        accepted, by_position = literals_of(m)
         at = dict(zip(merged, by_position))
         for rk in walk:
             accepted = accept_mask(v.tables[rk], [at[i] for i in v.queries[rk]], accepted)

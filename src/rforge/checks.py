@@ -22,6 +22,8 @@ from .core import (
     ConstraintGraph,
     LabelCoverInstance,
     StructuralError,
+    TableVerifier,
+    VerifierInstance,
     is_full,
     multi_size,
     satisfies_partial,
@@ -58,7 +60,7 @@ from .solve import (
     solve_maxpar,
     solve_minlab,
 )
-from .verifier import TableVerifier, acceptance_rows, bit_lanes, degree, degrees, table_of
+from .verifier import acceptance_rows, bit_lanes, degree, degrees, table_of
 
 # State budget of every exact solve a suite runs.
 CHECK_CAP = 100_000
@@ -362,9 +364,10 @@ def fglss_completeness(trials: int = 10, seed: int = 0) -> CheckReport:
         q = params.randrange(1, 3)
         r = params.randrange(1, 3)
         ell = params.randrange(q, 5)
-        v, start, goal = generate.generate_verifier_with_accepted_pair(
+        inst = generate.generate_verifier_with_accepted_pair(
             rng_mod.substream_seed(seed, f"fcomp:{t}"), r=r, q=q, ell=ell
         )
+        v, start, goal = inst.verifier, inst.start, inst.goal
         g = build_fglss(v)
         seq = completeness_sequence(v, start, goal)
         star = next((i for i in range(v.ell) if start[i] != goal[i]), None)
@@ -374,7 +377,7 @@ def fglss_completeness(trials: int = 10, seed: int = 0) -> CheckReport:
         if not all_full or not report.ok or len(seq.states) != expect_len:
             tally.add(
                 {
-                    "verifier": serialize.payload(v, start, goal),
+                    "verifier": serialize.payload(inst),
                     "sequence_ok": report.ok,
                     "length": len(seq.states),
                     "expected_length": expect_len,
@@ -403,7 +406,7 @@ def _toy_verifiers(trials: int, seed: int):
         out.append(
             generate.generate_verifier_with_accepted_pair(
                 rng_mod.substream_seed(seed, f"toy:{t}"), r=r, q=q, ell=ell, accept_p=0.5
-            )[0]
+            ).verifier
         )
     return out
 
@@ -453,7 +456,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
             if problems:
                 tally.add(
                     {
-                        "verifier": serialize.payload(v),
+                        "verifier": serialize.payload(VerifierInstance(v)),
                         "assignment": [None if a == BOTTOM else a for a in f],
                         "problems": problems,
                     }
@@ -473,7 +476,7 @@ def fglss_popularity(trials: int = 6, seed: int = 0) -> CheckReport:
                         if accepting[int(inter, 2)].bit_count() < floor:
                             tally.add(
                                 {
-                                    "verifier": serialize.payload(v),
+                                    "verifier": serialize.payload(VerifierInstance(v)),
                                     "from": proof,
                                     "to": proof2,
                                     "interpolant": inter,
@@ -524,8 +527,8 @@ def expander_bounds(trials: int = 12, seed: int = 0) -> CheckReport:
     return tally.report("expander-bounds", checked, [f"{len(graphs)} graphs"])
 
 
-def _claim_verifier(seed: int, t: int):
-    """r=4 verifier over an 8-bit proof with one planted always-accepted proof."""
+def _claim_verifier(seed: int, t: int) -> VerifierInstance:
+    """r=4 verifier over an 8-bit proof; start and goal are one planted always-accepted proof."""
     rng = rng_mod.stream(seed, f"claim-verifier:{t}")
     ell = 8
     planted = "".join(rng.choice("01") for _ in range(ell))
@@ -539,7 +542,7 @@ def _claim_verifier(seed: int, t: int):
         queries.append(positions)
         tables.append(table_of(positions, lambda read: rng.random() < 0.25 or read == view))
     v = TableVerifier(r=4, q=2, ell=ell, queries=tuple(queries), tables=tuple(tables))
-    return v, planted
+    return VerifierInstance(v, planted, planted)
 
 
 def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
@@ -570,7 +573,8 @@ def claim_accept(trials: int = 3, seed: int = 0) -> CheckReport:
     walks = x.n * x.d ** (rho - 1)
     low_seen = 0
     for t in range(trials):
-        v, planted = _claim_verifier(seed, t)
+        inst = _claim_verifier(seed, t)
+        v, planted = inst.verifier, inst.start
         amped = amplify(v, x, rho)
         n_base, n_amp = v.n_entries, amped.n_entries
         proofs = [format(word, f"0{v.ell}b") for word in range(2**v.ell)]

@@ -29,6 +29,7 @@ from .core import (
     RforgeError,
     SetCoverInstance,
     StructuralError,
+    VerifierInstance,
     normalize_self_loops,
 )
 from .fglss import build_fglss, embed_proof
@@ -45,7 +46,7 @@ from .solve import (
     sequence_objective,
     solve_instance,
 )
-from .verifier import TableVerifier, accept_prob
+from .verifier import accept_prob
 
 
 def _fraction(text: str) -> Fraction:
@@ -87,7 +88,6 @@ def _graph_shape(a) -> dict:
     return {"n_vertices": a.vertices, "alphabet_size": a.alphabet, "density": a.density}
 
 
-# Generator of each --kind; a verifier comes with its start and goal proofs.
 _GENERATORS = {
     "csp": lambda a: generate.generate_csp(a.seed, **_graph_shape(a)),
     "labelcover": lambda a: generate.generate_labelcover(a.seed, **_graph_shape(a)),
@@ -100,10 +100,7 @@ _GENERATORS = {
 
 
 def _cmd_gen(args) -> int:
-    made = _GENERATORS[args.kind](args)
-    # Only a verifier's payload carries the proofs.
-    obj, pi_start, pi_goal = made if isinstance(made, tuple) else (made, None, None)
-    serialize.save(obj, args.out, pi_start=pi_start, pi_goal=pi_goal)
+    serialize.save(_GENERATORS[args.kind](args), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -113,16 +110,16 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _proved_verifier(path):
-    v, pi_start, pi_goal = serialize.load_verifier(path)
-    if pi_start is None or pi_goal is None:
+def _proved(inst: VerifierInstance) -> VerifierInstance:
+    """``inst``, refused unless it carries both proofs."""
+    if inst.start is None or inst.goal is None:
         raise StructuralError("verifier file carries no start/goal proofs")
-    return v, pi_start, pi_goal
+    return inst
 
 
-def _fglss_instance(proved) -> P2cspInstance:
-    v, pi_start, pi_goal = proved
-    return P2cspInstance(build_fglss(v), embed_proof(v, pi_start), embed_proof(v, pi_goal))
+def _fglss_instance(inst: VerifierInstance) -> P2cspInstance:
+    v = _proved(inst).verifier
+    return P2cspInstance(build_fglss(v), embed_proof(v, inst.start), embed_proof(v, inst.goal))
 
 
 def _normalized(obj):
@@ -138,22 +135,19 @@ def _lifted(inst: P2cspInstance) -> LabelCoverInstance:
 
 
 class _Step(NamedTuple):
-    """A reduction: the input types it accepts, named in its type error,
-    the reduction, its pipeline stage file, and how ``reduce`` reads its input."""
+    """A reduction: the input types it accepts, named in its type error, the reduction and its stage file."""
 
     accepts: tuple[type, ...]
     expects: str
     reduce: Callable
     stage_file: str
-    load: Callable = lambda path: serialize.load(path)
 
 
 # Traced functions are called through this module's globals, never stored,
 # so a call goes through their current binding; ``main`` likewise looks up
-# ``_cmd_<command>`` by name on every call.  ``fglss`` takes a
-# (verifier, pi_start, pi_goal) tuple.
+# ``_cmd_<command>`` by name on every call.
 _STEPS = {
-    "fglss": _Step((tuple,), "a verifier file", _fglss_instance, "02_fglss.json", _proved_verifier),
+    "fglss": _Step((VerifierInstance,), "a verifier file", _fglss_instance, "02_fglss.json"),
     "normalize": _Step(
         (ConstraintGraph, P2cspInstance), "a constraint graph or assignment instance", _normalized,
         "03_normalized.json",
@@ -172,7 +166,7 @@ _STEPS = {
 
 def _cmd_reduce(args) -> int:
     step = _STEPS[args.step]
-    obj = step.load(getattr(args, "in"))
+    obj = serialize.load(getattr(args, "in"))
     if not isinstance(obj, step.accepts):
         raise StructuralError(f"{args.step} expects {step.expects}")
     serialize.save(step.reduce(obj), args.out)
@@ -228,11 +222,11 @@ def _resolve_rho(args, default: int | None = None) -> int:
 
 
 def _cmd_amplify(args) -> int:
-    v, pi_start, pi_goal = serialize.load_verifier(getattr(args, "in"))
+    inst = serialize.load_verifier(getattr(args, "in"))
     rho = _resolve_rho(args)
-    x = build_expander(v.n_entries, args.expander_d, args.target_ratio, args.seed)
-    amped = amplify(v, x, rho)
-    serialize.save(amped, args.out, pi_start=pi_start, pi_goal=pi_goal)
+    x = build_expander(inst.verifier.n_entries, args.expander_d, args.target_ratio, args.seed)
+    amped = amplify(inst.verifier, x, rho)
+    serialize.save(VerifierInstance(amped, inst.start, inst.goal), args.out)
     if args.expander_out:
         serialize.save(x, args.expander_out)
         print(f"wrote {args.expander_out}")
@@ -274,14 +268,14 @@ def _solve_or_note(problem: str, inst, cap, **known):
         return "budget-exhausted"
 
 
-def _verifier_rows(label: str, proved, cap: int):
-    v, pi_start, pi_goal = proved
+def _verifier_rows(label: str, inst: VerifierInstance, cap: int):
+    v = inst.verifier
     rep = degree_report(v)
     yield label, "r/q/ell", f"{v.r}/{v.q}/{v.ell}"
     yield label, "max-degree", str(rep.max_degree)
     if label == "verifier":
         yield label, "regular", str(rep.regular)
-    for end, proof in (("start", pi_start), ("goal", pi_goal)):
+    for end, proof in (("start", inst.start), ("goal", inst.goal)):
         if proof is not None:
             yield label, f"accept({end})", str(accept_prob(v, proof))
 
@@ -319,13 +313,12 @@ def _hvc_rows(inst: HvcInstance, cap: int):
 
 # Every file a pipeline run can write into --out-dir besides its report, in
 # pipeline order: the type the file holds, and its report rows as a function
-# of what it holds and the state budget.  A verifier file holds a (verifier,
-# pi_start, pi_goal) triple.  The row functions call traced functions
-# through this module's globals.
+# of what it holds and the state budget.  The row functions call traced
+# functions through this module's globals.
 _STAGES = {
-    "00_verifier.json": (TableVerifier, partial(_verifier_rows, "verifier")),
+    "00_verifier.json": (VerifierInstance, partial(_verifier_rows, "verifier")),
     "01_expander.json": (ExpanderGraph, lambda x, cap: ()),
-    "01_amplified_verifier.json": (TableVerifier, partial(_verifier_rows, "amplified")),
+    "01_amplified_verifier.json": (VerifierInstance, partial(_verifier_rows, "amplified")),
     "02_fglss.json": (P2cspInstance, _fglss_rows),
     "03_normalized.json": (P2cspInstance, _normalized_rows),
     "04_labelcover.json": (LabelCoverInstance, _labelcover_rows),
@@ -349,7 +342,8 @@ def _render_report(rows, fmt: str) -> str:
 
 
 def _cmd_pipeline(args) -> int:
-    v, pi_start, pi_goal = _proved_verifier(getattr(args, "in"))
+    proved = _proved(serialize.load_verifier(getattr(args, "in")))
+    v = proved.verifier
     if v.r > PIPELINE_MAX_R or v.q > PIPELINE_MAX_Q:
         raise StructuralError(
             f"verifier too large for the pipeline (r={v.r} q={v.q}, "
@@ -365,24 +359,26 @@ def _cmd_pipeline(args) -> int:
     stages = {}
 
     def stage(step: str, name: str, fn):
-        """Run ``step``, write what it made to stage file ``name`` and keep
-        it; a verifier is written and kept with the endpoint proofs."""
+        """Run ``step``, write what it made to stage file ``name`` and keep it."""
         try:
             made = fn()
         except RforgeError as exc:
             raise type(exc)(f"[stage {step}] {exc}") from exc
-        serialize.save(made, out_dir / name, pi_start=pi_start, pi_goal=pi_goal)
-        stages[name] = (made, pi_start, pi_goal) if isinstance(made, TableVerifier) else made
-        return stages[name]
+        serialize.save(made, out_dir / name)
+        stages[name] = made
+        return made
 
-    inst = stage("verifier", "00_verifier.json", lambda: v)
+    inst = stage("verifier", "00_verifier.json", lambda: proved)
     if not args.no_amplify:
         rho = _resolve_rho(args, default=2)
         x = stage(
             "amplify", "01_expander.json",
             lambda: build_expander(v.n_entries, args.expander_d, args.target_ratio, args.seed),
         )
-        inst = stage("amplify", "01_amplified_verifier.json", lambda: amplify(v, x, rho))
+        inst = stage(
+            "amplify", "01_amplified_verifier.json",
+            lambda: VerifierInstance(amplify(v, x, rho), proved.start, proved.goal),
+        )
     for step in ("fglss", "normalize", "p2l"):
         inst = stage(step, _STEPS[step].stage_file, lambda: _STEPS[step].reduce(inst))
     if inst.graph.n_symbols <= args.max_gadget_alphabet:
@@ -407,10 +403,10 @@ def _cmd_pipeline(args) -> int:
 def _load_stage(path: Path, holds: type):
     """What stage file ``path`` holds, refused unless it is a ``holds``."""
     try:
-        made = serialize.load_verifier(path) if holds is TableVerifier else serialize.load(path)
+        made = serialize.load(path)
     except StructuralError as exc:
         raise StructuralError(f"{path}: {exc}") from exc
-    if holds is not TableVerifier and not isinstance(made, holds):
+    if not isinstance(made, holds):
         raise StructuralError(f"{path}: expected a {serialize.TAGS[holds]} file, got {serialize.TAGS[type(made)]!r}")
     return made
 

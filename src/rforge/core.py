@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Sequence
 
 BOTTOM = -1  # sentinel symbol id for "unassigned"; outside the alphabet index range
 
@@ -199,6 +199,55 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
+class TableVerifier:
+    """Explicit randomness -> (query tuple, decision table) map.
+
+    ``queries[R]`` lists distinct 0-based proof positions; ``tables[R]``
+    has ``2 ** len(queries[R])`` 0/1 entries indexed by the read bits in
+    big-endian order.  ``q`` is the maximum query-tuple length; freshly
+    constructed verifiers query exactly ``q`` positions everywhere, while
+    walk-amplified ones may query fewer on some randomness strings after
+    duplicate positions are merged.
+    """
+
+    r: int
+    q: int
+    ell: int
+    queries: tuple[tuple[int, ...], ...]
+    tables: tuple[bytes, ...]
+
+    def __post_init__(self):
+        if self.r < 0 or self.q < 1 or self.ell < 1:
+            raise StructuralError("verifier parameters must be positive")
+        if len(self.queries) != 2**self.r or len(self.tables) != 2**self.r:
+            raise StructuralError(f"verifier needs exactly 2^{self.r} entries")
+        if max(len(i) for i in self.queries) != self.q:
+            raise StructuralError("q must equal the maximum query-tuple length")
+        for rnd, positions in enumerate(self.queries):
+            if not positions:
+                raise StructuralError(f"entry {rnd} queries nothing")
+            if len(set(positions)) != len(positions):
+                raise StructuralError(f"entry {rnd} repeats a query position")
+            if any(i < 0 or i >= self.ell for i in positions):
+                raise StructuralError(f"entry {rnd} queries outside the proof")
+            if len(self.tables[rnd]) != 2 ** len(positions):
+                raise StructuralError(f"decision table {rnd} has the wrong size")
+            if self.tables[rnd].translate(None, b"\x00\x01"):
+                raise StructuralError(f"decision table {rnd} contains a non-boolean entry")
+
+    @property
+    def n_entries(self) -> int:
+        return 2**self.r
+
+
+def _check_proof(v: TableVerifier, proof: str) -> None:
+    if len(proof) != v.ell:
+        raise StructuralError(f"proof length {len(proof)} != {v.ell}")
+    if any(c not in "01" for c in proof):
+        raise StructuralError("proof must be a 0/1 string")
+
+
+@dataclass(frozen=True)
 class ReconfigSequence:
     """An ordered list of states of one kind; see module docstring for encodings."""
 
@@ -244,6 +293,20 @@ class HvcInstance:
     hypergraph: Hypergraph
     start: frozenset[int]
     goal: frozenset[int]
+
+
+@dataclass(frozen=True)
+class VerifierInstance:
+    """A verifier with its start and goal proofs, either of which may be absent."""
+
+    verifier: TableVerifier
+    start: str | None = None
+    goal: str | None = None
+
+    def __post_init__(self):
+        for proof in (self.start, self.goal):
+            if proof is not None:
+                _check_proof(self.verifier, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +507,7 @@ class ValidationReport:
     reason: str | None = None
 
 
-@runtime_checkable
-class ProofChecker(Protocol):
-    """An instance whose states are ``'0'``/``'1'`` proofs of length ``ell``."""
-
-    ell: int
-
-
-def _is_proof(v: ProofChecker, proof) -> bool:
+def _is_proof(v: TableVerifier, proof) -> bool:
     return isinstance(proof, str) and len(proof) == v.ell and set(proof) <= {"0", "1"}
 
 
@@ -470,7 +526,7 @@ class StateKind:
 
 
 KINDS = {
-    KIND_PROOF: StateKind(ProofChecker, _is_proof, None, hamming, str),
+    KIND_PROOF: StateKind(TableVerifier, _is_proof, None, hamming, str),
     KIND_PARTIAL: StateKind(ConstraintGraph, satisfies_partial, partial_size, hamming, tuple),
     KIND_MULTI: StateKind(
         ConstraintGraph, satisfies_multi, multi_size, multi_step_size,
@@ -486,6 +542,7 @@ BUNDLES = {
     LabelCoverInstance: ("graph", KIND_MULTI),
     SetCoverInstance: ("system", KIND_COVER),
     HvcInstance: ("hypergraph", KIND_VERTEX_COVER),
+    VerifierInstance: ("verifier", KIND_PROOF),
 }
 
 

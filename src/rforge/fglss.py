@@ -23,11 +23,13 @@ from .core import (
     KIND_PROOF,
     ReconfigSequence,
     StructuralError,
+    TableVerifier,
+    _check_proof,
     hamming,
     validate_sequence,
 )
 from .solve import _satisfying
-from .verifier import TableVerifier, _check_proof, accept_prob, accepting_set, row_of
+from .verifier import accept_prob, accepting_set, row_of
 
 # Coordinate encoding of a local-view entry: {0}, {1}, or the joint {0,1}.
 COORD_ZERO, COORD_ONE, COORD_BOTH = 0, 1, 2
@@ -214,9 +216,9 @@ def interpolate_proofs(v: TableVerifier, start: str, goal: str) -> ReconfigSeque
 
 
 def decode_sequence(
-    v: TableVerifier, seq: ReconfigSequence, graph: ConstraintGraph | None = None
+    v: TableVerifier, seq: ReconfigSequence, graph: ConstraintGraph
 ) -> tuple[ReconfigSequence, Fraction]:
-    """Plurality-decode an assignment sequence into a proof sequence.
+    """Plurality-decode an assignment sequence on ``graph``, v's FGLSS graph, into proofs.
 
     Consecutive decoded proofs may differ in up to q positions, so they
     are bridged by single-bit interpolation (duplicated junction proofs
@@ -225,8 +227,6 @@ def decode_sequence(
     """
     if seq.kind != KIND_PARTIAL:
         raise StructuralError(f"expected a partial-assignment sequence, got {seq.kind!r}")
-    if graph is None:
-        graph = build_fglss(v)
     report = validate_sequence(graph, seq)
     if not report.ok:
         raise StructuralError(

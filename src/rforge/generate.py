@@ -22,10 +22,12 @@ from .core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
+    TableVerifier,
+    VerifierInstance,
     transpose,
 )
 from .solve import _satisfying
-from .verifier import TableVerifier, csp_to_verifier, encode_assignment, table_of
+from .verifier import csp_to_verifier, encode_assignment, table_of
 from . import rng as rng_mod
 
 
@@ -208,11 +210,11 @@ def generate_verifier(
     n_vertices: int = 3,
     alphabet_size: int = 2,
     density: float = 0.8,
-) -> tuple[TableVerifier, str, str]:
+) -> VerifierInstance:
     """Table verifier wrapping the canonical encoding of a generated CSP.
 
-    Returns the verifier plus the encoded start/goal proofs; the start
-    proof is accepted with probability 1 by construction.
+    Its proofs encode the CSP's start and goal; the start proof is
+    accepted with probability 1 by construction.
     """
     csp = generate_csp(
         seed,
@@ -222,13 +224,13 @@ def generate_verifier(
         ensure_incident=n_vertices >= 2,
     )
     v = csp_to_verifier(csp.graph)
-    return v, encode_assignment(csp.graph, csp.start), encode_assignment(csp.graph, csp.goal)
+    return VerifierInstance(v, encode_assignment(csp.graph, csp.start), encode_assignment(csp.graph, csp.goal))
 
 
 def generate_verifier_with_accepted_pair(
     seed: int, r: int = 2, q: int = 2, ell: int = 4, accept_p: float = 0.4
-) -> tuple[TableVerifier, str, str]:
-    """Random verifier plus two adjacent proofs it accepts with probability 1.
+) -> VerifierInstance:
+    """Random verifier with two adjacent proofs it accepts with probability 1.
 
     Two proofs one bit flip apart are drawn first; every decision table is
     random except that both proofs' local views are forced to accept.
@@ -247,4 +249,4 @@ def generate_verifier_with_accepted_pair(
         queries.append(positions)
         tables.append(table_of(positions, lambda read: rng.random() < accept_p or read in planted))
     v = TableVerifier(r=r, q=q, ell=ell, queries=tuple(queries), tables=tuple(tables))
-    return v, start, goal
+    return VerifierInstance(v, start, goal)

@@ -12,10 +12,10 @@ from a JSON number that is not a boolean.  States follow their kind, with
 labels in a multi assignment) may list its members in any order, as a
 verifier may list its entries, but a member listed twice is refused,
 naming the field.
-A verifier file lists ``{R, queries, table}`` entries, R running over 0
-to 2^r - 1, and may carry endpoint proofs, each a 0/1 string of the
-proof length; an expander file adds ``ratio``, which must equal
-``lambda / d``.
+A verifier file is flat: ``{R, queries, table}`` entries, R running over
+0 to 2^r - 1, beside the proofs ``pi_start`` and ``pi_goal``, each a 0/1
+string of the proof length or null; an expander file adds ``ratio``,
+which must equal ``lambda / d``.
 
 All writers emit sorted-key, tight-separator JSON with a trailing
 newline, so serializing equal objects always produces identical bytes and
@@ -49,10 +49,11 @@ from .core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
+    TableVerifier,
+    VerifierInstance,
 )
 from .amplify import ExpanderGraph
 from .solve import SolveResult
-from .verifier import TableVerifier, _check_proof
 
 
 def canonical_dumps(payload) -> bytes:
@@ -64,7 +65,7 @@ TAGS = {
     ConstraintGraph: "constraint_graph",
     SetSystem: "set_system",
     Hypergraph: "hypergraph",
-    TableVerifier: "verifier",
+    VerifierInstance: "verifier",
     ExpanderGraph: "expander",
     ReconfigSequence: "sequence",
     SolveResult: "solve_result",
@@ -76,7 +77,11 @@ TAGS = {
 _CLASSES = {tag: cls for cls, tag in TAGS.items()}
 
 # Payload keys that differ from their field names.
-_KEYS = {(ExpanderGraph, "lam"): "lambda"}
+_KEYS = {
+    (ExpanderGraph, "lam"): "lambda",
+    (VerifierInstance, "start"): "pi_start",
+    (VerifierInstance, "goal"): "pi_goal",
+}
 
 
 def _same(value):
@@ -157,7 +162,7 @@ def _codec(ann, field: str) -> tuple:
     if ann is Fraction:
         return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
     if is_dataclass(ann):
-        return payload, partial(_read, ann)
+        return (payload if ann in TAGS else _keys), partial(_read, ann)
     origin, args = get_origin(ann), get_args(ann)
     if origin in (Union, UnionType):
         ((write, read),) = (_codec(a, field) for a in args if a is not NoneType)
@@ -208,8 +213,9 @@ def _fields(cls) -> tuple:
     hints = get_type_hints(cls)
     specs = []
     for f in fields(cls):
-        # Only bundles have start/goal states and only sequences have states.
-        if f.name in ("start", "goal"):
+        # Only bundles have start/goal states and only sequences have states;
+        # a verifier's proofs, each optional, are read as strings or nulls.
+        if f.name in ("start", "goal") and f.default is MISSING:
             write, read = _state_out, partial(_state_in, field=f.name)
         elif f.name == "states":
             write, read = _state_out, lambda o, kind: tuple(_state_in(s, kind, "states") for s in o)
@@ -225,22 +231,22 @@ def _fields(cls) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def payload(obj, pi_start: str | None = None, pi_goal: str | None = None) -> dict:
-    """Plain payload of any serializable object.
-
-    A ``TableVerifier`` payload also carries the optional endpoint proofs
-    ``pi_start``/``pi_goal``; other types ignore them.
-    """
+def payload(obj) -> dict:
+    """Plain payload of any serializable object."""
     cls = type(obj)
     if cls not in TAGS:
         raise StructuralError(f"cannot serialize {cls.__name__}")
-    out = {"type": TAGS[cls]}
-    for name, key, write, _, _ in _FIELDS[cls]:
-        out[key] = write(getattr(obj, name))
-    if cls is TableVerifier:
+    return {"type": TAGS[cls], **_keys(obj)}
+
+
+def _keys(obj) -> dict:
+    """Payload of ``obj`` without its type tag."""
+    cls = type(obj)
+    out = {key: write(getattr(obj, name)) for name, key, write, _, _ in _FIELDS[cls]}
+    if cls is VerifierInstance:  # flat: the verifier's keys, rows as entries, beside the proofs
+        out.update(out.pop("verifier"))
         rows = zip(out.pop("queries"), out.pop("tables"), strict=True)
         out["entries"] = [{"R": rnd, "queries": q, "table": t} for rnd, (q, t) in enumerate(rows)]
-        out.update(pi_start=pi_start, pi_goal=pi_goal)
     elif cls is ExpanderGraph:
         out["ratio"] = obj.ratio
     return out
@@ -248,11 +254,12 @@ def payload(obj, pi_start: str | None = None, pi_goal: str | None = None) -> dic
 
 def _read(cls, obj: dict):
     """Object of type ``cls`` from its payload; the payload's tag is not read."""
-    if cls is TableVerifier:
+    if cls is VerifierInstance:
         entries = sorted(_list_in(obj["entries"]), key=lambda e: _int_in(e["R"]))
         if [e["R"] for e in entries] != list(range(len(entries))):
             raise StructuralError(f"verifier entry indices R must be 0 to {len(entries) - 1}, each once")
-        obj = {**obj, "queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
+        rows = {"queries": [e["queries"] for e in entries], "tables": [e["table"] for e in entries]}
+        obj = {**obj, "verifier": {**obj, **rows}}
     kind = BUNDLES[cls][1] if cls in BUNDLES else obj.get("kind")
     out = cls(
         **{name: read(obj[key], kind) for name, key, _, read, optional in _FIELDS[cls] if key in obj or not optional}
@@ -265,7 +272,7 @@ def _read(cls, obj: dict):
 
 
 def from_payload(obj: dict):
-    """Object of a payload, dispatched on its ``"type"`` tag (a verifier without its proofs)."""
+    """Object of a payload, dispatched on its ``"type"`` tag."""
     tag = obj.get("type")
     cls = _CLASSES.get(tag)
     if cls is None:
@@ -273,8 +280,8 @@ def from_payload(obj: dict):
     return _read(cls, obj)
 
 
-# Each file type's fields, worked out at import: no load or save reads a type hint.
-_FIELDS = {cls: _fields(cls) for cls in TAGS}
+# Each file type's fields and a verifier's, worked out at import: no load or save reads a type hint.
+_FIELDS = {cls: _fields(cls) for cls in (TableVerifier, *TAGS)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +289,9 @@ _FIELDS = {cls: _fields(cls) for cls in TAGS}
 # ---------------------------------------------------------------------------
 
 
-def dump_bytes(obj, **kwargs) -> bytes:
-    """Canonical bytes of any serializable object; see ``payload`` for a verifier's proofs."""
-    return canonical_dumps(payload(obj, **kwargs))
+def dump_bytes(obj) -> bytes:
+    """Canonical bytes of any serializable object."""
+    return canonical_dumps(payload(obj))
 
 
 # What reading a file that is missing, unreadable or not valid JSON of the
@@ -315,9 +322,9 @@ def parse_bytes(data: bytes):
         return from_payload(json.loads(data.decode()))
 
 
-def save(obj, path, **kwargs) -> None:
+def save(obj, path) -> None:
     """Write the canonical bytes of ``obj``; an unwritable path raises ``StructuralError``."""
-    data = dump_bytes(obj, **kwargs)
+    data = dump_bytes(obj)
     with writing(path):
         Path(path).write_bytes(data)
 
@@ -328,17 +335,11 @@ def load(path):
         return parse_bytes(Path(path).read_bytes())
 
 
-def load_verifier(path) -> tuple[TableVerifier, str | None, str | None]:
-    """Load a verifier file keeping its bundled endpoint proofs."""
+def load_verifier(path) -> VerifierInstance:
+    """Object of a verifier file, any other type refused; parsed here, not
+    through ``load``, so that a traced ``load`` counts each file once."""
     with _malformed_is_structural():
         obj = json.loads(Path(path).read_bytes().decode())
-        if obj.get("type") != "verifier":
+        if obj.get("type") != TAGS[VerifierInstance]:
             raise StructuralError(f"expected a verifier file, got {obj.get('type')!r}")
-        proofs = obj.get("pi_start"), obj.get("pi_goal")
-        if not all(p is None or isinstance(p, str) for p in proofs):
-            raise StructuralError("pi_start and pi_goal must be strings or null")
-        v = _read(TableVerifier, obj)
-        for proof in proofs:
-            if proof is not None:
-                _check_proof(v, proof)
-        return v, *proofs
+        return _read(VerifierInstance, obj)

@@ -1,70 +1,18 @@
-"""Explicit-table proof verifiers.
+"""Evaluation of explicit-table proof verifiers (`core.TableVerifier`).
 
-A `TableVerifier` materializes a randomized proof checker as a table: for
-every randomness string R in {0,1}^r it stores the tuple of proof
-positions queried and the full decision table over the read bits.  This
-makes acceptance probabilities, degrees, and regularity exactly
-computable by enumeration.
+Acceptance probabilities, degrees, and regularity are exact, by
+enumeration.  This module owns the decision-table row order (``reads``,
+``row_of``) and evaluates a table on many proofs at once (``literals``,
+``accept_mask``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import BOTTOM, ConstraintGraph, StructuralError, normalize_self_loops
-
-
-@dataclass(frozen=True)
-class TableVerifier:
-    """Explicit randomness -> (query tuple, decision table) map.
-
-    ``queries[R]`` lists distinct 0-based proof positions; ``tables[R]``
-    has ``2 ** len(queries[R])`` 0/1 entries indexed by the read bits in
-    big-endian order.  ``q`` is the maximum query-tuple length; freshly
-    constructed verifiers query exactly ``q`` positions everywhere, while
-    walk-amplified ones may query fewer on some randomness strings after
-    duplicate positions are merged.
-    """
-
-    r: int
-    q: int
-    ell: int
-    queries: tuple[tuple[int, ...], ...]
-    tables: tuple[bytes, ...]
-
-    def __post_init__(self):
-        if self.r < 0 or self.q < 1 or self.ell < 1:
-            raise StructuralError("verifier parameters must be positive")
-        if len(self.queries) != 2**self.r or len(self.tables) != 2**self.r:
-            raise StructuralError(f"verifier needs exactly 2^{self.r} entries")
-        if max(len(i) for i in self.queries) != self.q:
-            raise StructuralError("q must equal the maximum query-tuple length")
-        for rnd, positions in enumerate(self.queries):
-            if not positions:
-                raise StructuralError(f"entry {rnd} queries nothing")
-            if len(set(positions)) != len(positions):
-                raise StructuralError(f"entry {rnd} repeats a query position")
-            if any(i < 0 or i >= self.ell for i in positions):
-                raise StructuralError(f"entry {rnd} queries outside the proof")
-            if len(self.tables[rnd]) != 2 ** len(positions):
-                raise StructuralError(f"decision table {rnd} has the wrong size")
-            if self.tables[rnd].translate(None, b"\x00\x01"):
-                raise StructuralError(f"decision table {rnd} contains a non-boolean entry")
-
-    @property
-    def n_entries(self) -> int:
-        return 2**self.r
-
-
-def _check_proof(v: TableVerifier, proof: str) -> None:
-    if len(proof) != v.ell:
-        raise StructuralError(f"proof length {len(proof)} != {v.ell}")
-    if any(c not in "01" for c in proof):
-        raise StructuralError("proof must be a 0/1 string")
+from .core import BOTTOM, ConstraintGraph, StructuralError, TableVerifier, _check_proof, normalize_self_loops
 
 
 def accept_prob(v: TableVerifier, proof: str) -> Fraction:
@@ -73,22 +21,12 @@ def accept_prob(v: TableVerifier, proof: str) -> Fraction:
 
 
 def accepting_set(v: TableVerifier, proof: str) -> frozenset[int]:
-    """Randomness strings that accept the proof.
-
-    The proof is read once; each entry's view indexes its decision table
-    at ``row_of``, inlined here because this is the hottest loop of the
-    amplification checks.
-    """
+    """Randomness strings that accept the proof, which is read once."""
     _check_proof(v, proof)
     bits = [c == "1" for c in proof]
-    accepting = []
-    for rnd, (positions, table) in enumerate(zip(v.queries, v.tables)):
-        row = 0
-        for i in positions:
-            row = (row << 1) | bits[i]
-        if table[row]:
-            accepting.append(rnd)
-    return frozenset(accepting)
+    return frozenset(
+        rnd for rnd, (positions, table) in enumerate(zip(v.queries, v.tables)) if table[row_of(bits, positions)]
+    )
 
 
 def acceptance_rows(v: TableVerifier) -> list[bytes]:
@@ -105,7 +43,6 @@ def acceptance_rows(v: TableVerifier) -> list[bytes]:
     ]
 
 
-@cache
 def literals(n_bits: int, width: int = 1) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Bit 0 of each of 2^n_bits lanes of ``width`` bits, and per position k
     (bit n_bits - 1 - k of a lane's index, as in row order) the lanes that

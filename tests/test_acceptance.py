@@ -7,7 +7,7 @@ exact rationals or exact counts.
 
 from rforge import checks, serialize
 from rforge.cli import main as cli_main
-from rforge.verifier import TableVerifier
+from rforge.core import TableVerifier, VerifierInstance
 
 
 def _report(criterion: str, rep) -> None:
@@ -52,7 +52,7 @@ def test_criterion_5_walkthrough_completeness(tmp_path):
         r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 1]), bytes([1, 1]))
     )
     ver = tmp_path / "v.json"
-    serialize.save(v, ver, pi_start="0", pi_goal="1")
+    serialize.save(VerifierInstance(v, "0", "1"), ver)
     out_dir = tmp_path / "stages"
     code = cli_main(
         ["pipeline", "--in", str(ver), "--out-dir", str(out_dir), "--no-amplify"]

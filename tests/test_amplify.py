@@ -26,9 +26,9 @@ from rforge.amplify import (
     walk_hit_counts,
     walk_hit_prob,
 )
-from rforge.core import StructuralError
+from rforge.core import StructuralError, TableVerifier
 from rforge.generate import generate_verifier, generate_verifier_with_accepted_pair
-from rforge.verifier import TableVerifier, accept_prob, accepting_set, degrees, reads, row_of
+from rforge.verifier import accept_prob, accepting_set, degrees, reads, row_of
 
 
 def test_package_attribute_is_the_module():
@@ -388,6 +388,29 @@ class TestChooseRho:
 
 
 class TestAmplify:
+    def test_no_literal_masks_outlive_the_call(self):
+        # Four entries reading disjoint 4-position blocks: a walk through all
+        # four reads 16 positions, whose literal masks take about 300 KB.
+        # Dropping the amplified verifier must free them; a fresh interpreter
+        # keeps masks that earlier tests made out of the count.
+        script = (
+            "import gc, tracemalloc\n"
+            "from rforge.amplify import amplify, build_expander\n"
+            "from rforge.core import TableVerifier\n"
+            "blocks = tuple(tuple(range(4 * k, 4 * k + 4)) for k in range(4))\n"
+            "v = TableVerifier(r=2, q=4, ell=16, queries=blocks, tables=(bytes([1] * 16),) * 4)\n"
+            "x = build_expander(4, 4, 0.99, 0)\n"
+            "tracemalloc.start()\n"
+            "assert amplify(v, x, 4).q == 16\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(amplify_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 150_000
+
     def test_rho_one_is_identity_on_acceptance(self):
         v = TableVerifier(
             r=2,
@@ -446,11 +469,11 @@ class TestAmplify:
         # positions, one row_of lookup per entry.  Walks that read a
         # position twice (merged duplicates) must occur.
         verifiers = [
-            generate_verifier_with_accepted_pair(seed, r=2, q=q, ell=4, accept_p=0.5)[0]
+            generate_verifier_with_accepted_pair(seed, r=2, q=q, ell=4, accept_p=0.5).verifier
             for seed in range(3)
             for q in (1, 2, 3)
         ]
-        verifiers.append(generate_verifier(7)[0])
+        verifiers.append(generate_verifier(7).verifier)
         merged_away = 0
         for t, v in enumerate(verifiers):
             x = build_expander(v.n_entries, 4, 0.95, seed=t)

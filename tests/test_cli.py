@@ -14,9 +14,16 @@ import rforge
 from rforge import checks, cli, serialize, solve
 from rforge.checks import CheckReport
 from rforge.cli import main
-from rforge.core import HvcInstance, LabelCoverInstance, P2cspInstance, SetCoverInstance, StructuralError
+from rforge.core import (
+    HvcInstance,
+    LabelCoverInstance,
+    P2cspInstance,
+    SetCoverInstance,
+    StructuralError,
+    TableVerifier,
+    VerifierInstance,
+)
 from rforge.generate import generate_csp, generate_hypergraph, generate_labelcover, generate_setcover
-from rforge.verifier import TableVerifier
 
 # One small instance bundle per solve problem, of the type that problem takes.
 BUNDLE_OF_PROBLEM = {
@@ -45,7 +52,7 @@ def toy_verifier_file(path):
     v = TableVerifier(
         r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 1]), bytes([1, 1]))
     )
-    serialize.save(v, path, pi_start="0", pi_goal="1")
+    serialize.save(VerifierInstance(v, "0", "1"), path)
     return path
 
 
@@ -90,8 +97,8 @@ class TestGen:
         assert run("gen", "--kind", "verifier", "--out", out, "--seed", 3) == 0
         from rforge.verifier import accept_prob
 
-        v, pi_start, _ = serialize.load_verifier(out)
-        assert accept_prob(v, pi_start) == 1
+        inst = serialize.load_verifier(out)
+        assert accept_prob(inst.verifier, inst.start) == 1
 
     # sha256 of each file.  The csp, labelcover and verifier files were
     # captured while assignments still came from a filtered product of all
@@ -200,7 +207,7 @@ class TestReduceChain:
     @pytest.mark.parametrize(
         "step, message",
         [
-            ("fglss", "expected a verifier file, got 'p2csp_instance'"),
+            ("fglss", "fglss expects a verifier file"),
             ("normalize", "normalize expects a constraint graph or assignment instance"),
             ("p2l", "p2l expects a partial-assignment instance"),
             ("l2sc", "l2sc expects a label-cover instance"),
@@ -348,7 +355,7 @@ class TestUnreadableInput:
         obj = json.loads(ver.read_bytes())
         ver.write_text(json.dumps({**obj, "pi_start": proof}))
         assert run(*command, "--in", ver, out_flag, tmp_path / "out") == 2
-        assert "pi_start and pi_goal must be strings or null" in capsys.readouterr().err
+        assert "expected a string, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data",
@@ -480,7 +487,7 @@ class TestAmplifyCommand:
             queries=((0,), (1,), (0,), (1,)),
             tables=(bytes([1, 1]),) * 4,
         )
-        serialize.save(v, ver, pi_start="00", pi_goal="01")
+        serialize.save(VerifierInstance(v, "00", "01"), ver)
         out = tmp_path / "amp.json"
         assert (
             run(
@@ -494,8 +501,8 @@ class TestAmplifyCommand:
             )
             == 0
         )
-        amped, pi_s, pi_g = serialize.load_verifier(out)
-        assert amped.r == 4 and pi_s == "00" and pi_g == "01"
+        amped = serialize.load_verifier(out)
+        assert amped.verifier.r == 4 and amped.start == "00" and amped.goal == "01"
 
     def test_rho_via_eps_delta(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")
@@ -511,7 +518,7 @@ class TestAmplifyCommand:
             "--seed", 0,
         )
         assert code == 0
-        amped, _, _ = serialize.load_verifier(out)
+        amped = serialize.load_verifier(out).verifier
         assert amped.r == 1 + 2 * 2  # rho = 3, so two 2-bit port choices
 
     def test_start_up_and_amplify_need_no_numpy(self, tmp_path):
@@ -697,7 +704,7 @@ class TestPipeline:
         assert run("pipeline", "--in", ver, "--out-dir", tmp_path / "rho", "--rho", 3, *small) == 0
         amped = (tmp_path / "eps" / "01_amplified_verifier.json").read_bytes()
         assert amped == (tmp_path / "rho" / "01_amplified_verifier.json").read_bytes()
-        assert serialize.load_verifier(tmp_path / "eps" / "01_amplified_verifier.json")[0].r == 5
+        assert serialize.load_verifier(tmp_path / "eps" / "01_amplified_verifier.json").verifier.r == 5
 
     def test_randomness_ceiling_carries_the_stage_name(self, tmp_path):
         ver = toy_verifier_file(tmp_path / "v.json")
@@ -808,7 +815,7 @@ class TestPipeline:
             tables=(bytes([1, 1]),) * 32,
         )
         path = tmp_path / "big.json"
-        serialize.save(big, path, pi_start="00", pi_goal="01")
+        serialize.save(VerifierInstance(big, "00", "01"), path)
         assert run("pipeline", "--in", path, "--out-dir", tmp_path / "s") == 2
         assert "(r=5 q=1, ceilings r<=4 q<=3)" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
@@ -825,7 +832,7 @@ class TestPipeline:
             r=1, q=1, ell=1, queries=((0,), (0,)), tables=(bytes([1, 1]),) * 2
         )
         path = tmp_path / "naked.json"
-        serialize.save(v, path)
+        serialize.save(VerifierInstance(v), path)
         assert run("pipeline", "--in", path, "--out-dir", tmp_path / "s") == 2
         assert "verifier file carries no start/goal proofs" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()

@@ -13,6 +13,7 @@ from rforge.core import (
     KIND_PARTIAL,
     ReconfigSequence,
     StructuralError,
+    TableVerifier,
     is_full,
     normalize_self_loops,
     partial_size,
@@ -36,7 +37,7 @@ from rforge.fglss import (
     view_pins,
 )
 from rforge.generate import generate_verifier_with_accepted_pair
-from rforge.verifier import TableVerifier, accept_prob, accepting_set, degree, row_of
+from rforge.verifier import accept_prob, accepting_set, degree, row_of
 
 
 def overlap_verifier(tables=None):
@@ -113,10 +114,10 @@ class TestViewPins:
 
     def verifiers(self):
         for seed in range(6):
-            yield generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6)[0]
+            yield generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6).verifier
         x = build_expander(4, 4, 0.6, 0)
         for seed in range(3):
-            amped = amplify(generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=5, accept_p=0.7)[0], x, 2)
+            amped = amplify(generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=5, accept_p=0.7).verifier, x, 2)
             assert len({len(positions) for positions in amped.queries}) > 1
             yield amped
 
@@ -246,9 +247,10 @@ class TestCompleteness:
 
     def test_generated_pairs(self):
         for seed in range(8):
-            v, start, goal = generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=4)
+            inst = generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=4)
+            v = inst.verifier
             g = build_fglss(v)
-            seq = completeness_sequence(v, start, goal)
+            seq = completeness_sequence(v, inst.start, inst.goal)
             assert validate_sequence(g, seq).ok
             assert all(is_full(f) for f in seq.states)
 
@@ -299,7 +301,7 @@ class TestPluralityDecode:
         # assignments: satisfying ones, and random ones that need not be.
         checked = 0
         for seed in range(6):
-            v = generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6)[0]
+            v = generate_verifier_with_accepted_pair(seed, r=2, q=1 + seed % 3, ell=4, accept_p=0.6).verifier
             g = build_fglss(v)
             rng = random.Random(seed)
             assignments = list(islice(enumerate_satisfying_partials(g), 200))
@@ -369,7 +371,7 @@ class TestDecodeSequence:
     def test_completeness_path_never_dips(self):
         v = overlap_verifier()
         seq = completeness_sequence(v, "000", "010")
-        proofs, min_acc = decode_sequence(v, seq)
+        proofs, min_acc = decode_sequence(v, seq, build_fglss(v))
         assert min_acc == 1
         assert proofs.states[0] == "000" and proofs.states[-1] == "010"
         assert validate_sequence(v, proofs).ok
@@ -377,7 +379,7 @@ class TestDecodeSequence:
     def test_constant_sequence_single_proof(self):
         v = overlap_verifier()
         seq = ReconfigSequence(KIND_PARTIAL, (embed_proof(v, "101"),))
-        proofs, min_acc = decode_sequence(v, seq)
+        proofs, min_acc = decode_sequence(v, seq, build_fglss(v))
         assert proofs.states == ("101",)
         assert min_acc == 1
 
@@ -386,12 +388,13 @@ class TestDecodeSequence:
         v = overlap_verifier(tables=(eq, eq))
         bad = ReconfigSequence(KIND_PARTIAL, (embed_proof(v, "010"),))
         with pytest.raises(StructuralError, match="invalid"):
-            decode_sequence(v, bad)
+            decode_sequence(v, bad, build_fglss(v))
 
     def test_acceptance_floor_along_decoded_sequence(self):
-        v, start, goal = generate_verifier_with_accepted_pair(3, r=2, q=2, ell=4)
+        inst = generate_verifier_with_accepted_pair(3, r=2, q=2, ell=4)
+        v = inst.verifier
         g = build_fglss(v)
-        seq = completeness_sequence(v, start, goal)
+        seq = completeness_sequence(v, inst.start, inst.goal)
         proofs, min_acc = decode_sequence(v, seq, g)
         floor = min(Fraction(partial_size(f), 2**v.r) for f in seq.states)
         # dips below the assigned fraction can only come from interpolation,
@@ -406,7 +409,8 @@ class TestDecodeSequence:
 
         exercised = 0
         for seed in range(6):
-            v, planted, _ = generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=4)
+            inst = generate_verifier_with_accepted_pair(seed, r=2, q=2, ell=4)
+            v, planted = inst.verifier, inst.start
             g = build_fglss(v)
             rng = random.Random(seed)
             state = embed_proof(v, planted)

@@ -61,14 +61,15 @@ def test_hypergraph_endpoints_cover():
 
 def test_verifier_start_proof_fully_accepted():
     for seed in range(5):
-        v, start, goal = generate_verifier(seed)
-        assert accept_prob(v, start) == 1
-        assert accept_prob(v, goal) == 1
+        inst = generate_verifier(seed)
+        assert accept_prob(inst.verifier, inst.start) == 1
+        assert accept_prob(inst.verifier, inst.goal) == 1
 
 
 def test_accepted_pair_is_adjacent_and_accepted():
     for seed in range(8):
-        v, start, goal = generate_verifier_with_accepted_pair(seed)
+        inst = generate_verifier_with_accepted_pair(seed)
+        v, start, goal = inst.verifier, inst.start, inst.goal
         assert sum(a != b for a, b in zip(start, goal)) == 1
         assert accept_prob(v, start) == 1
         assert accept_prob(v, goal) == 1

@@ -469,9 +469,8 @@ class TestEndToEndWithAdmissibleSets:
 
         nontrivial = 0
         for seed in range(6):
-            v, start, goal = generate_verifier_with_accepted_pair(
-                seed, r=1, q=1, ell=2, accept_p=0.3
-            )
+            inst = generate_verifier_with_accepted_pair(seed, r=1, q=1, ell=2, accept_p=0.3)
+            v, start, goal = inst.verifier, inst.start, inst.goal
             norm = normalize_self_loops(build_fglss(v))
             if any(len(a) < norm.n_symbols for a in norm.admissible):
                 nontrivial += 1

@@ -30,16 +30,17 @@ from rforge.core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
+    TableVerifier,
+    VerifierInstance,
 )
 from rforge.generate import generate_csp, generate_verifier
 from rforge.solve import SolveResult, solve_maxpar
-from rforge.verifier import TableVerifier
 
 EQ = bytes([1, 0, 0, 1])
 
 
-def roundtrip(obj, **kwargs):
-    data = serialize.dump_bytes(obj, **kwargs)
+def roundtrip(obj):
+    data = serialize.dump_bytes(obj)
     again = serialize.parse_bytes(data)
     assert serialize.dump_bytes(again) == serialize.dump_bytes(again)  # stability
     return again, data
@@ -69,15 +70,52 @@ def test_set_system_and_hypergraph_roundtrip():
 
 
 def test_verifier_roundtrip_with_proofs(tmp_path):
-    v, start, goal = generate_verifier(3)
+    inst = generate_verifier(3)
     path = tmp_path / "v.json"
-    serialize.save(v, path, pi_start=start, pi_goal=goal)
-    loaded, pi_s, pi_g = serialize.load_verifier(path)
-    assert loaded == v and pi_s == start and pi_g == goal
+    serialize.save(inst, path)
+    assert serialize.load_verifier(path) == inst
+    assert serialize.load(path) == inst
     # saving again is byte-identical
     data = path.read_bytes()
-    serialize.save(loaded, path, pi_start=pi_s, pi_goal=pi_g)
+    serialize.save(serialize.load(path), path)
     assert path.read_bytes() == data
+
+
+# Every file the README's commands write from the seed-7 verifier: each
+# gen kind, each stage of a plain and of an amplified pipeline, solve
+# and approx results, and the verifier without its proofs.
+PLAIN_STAGES = ("00_verifier", "02_fglss", "03_normalized", "04_labelcover", "05_setcover", "06_hvc")
+README_FILES = (
+    [f"gen-{kind}" for kind in ("csp", "labelcover", "setcover", "hypergraph", "verifier")]
+    + [f"plain/{name}" for name in PLAIN_STAGES]
+    + ["amplified/01_expander", "amplified/01_amplified_verifier"]
+    + [f"result-{problem}" for problem in ("maxpar", "minlab", "sc-cost", "hvc-cost")]
+    + ["approx-seq", "no-proofs"]
+)
+
+
+@pytest.fixture(scope="module")
+def readme_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("readme")
+    at = lambda name: str(out / f"{name}.json")
+    for kind in ("csp", "labelcover", "setcover", "hypergraph", "verifier"):
+        assert main(["gen", "--kind", kind, "--seed", "7", "--out", at(f"gen-{kind}")]) == 0
+    assert main(["pipeline", "--in", at("gen-verifier"), "--out-dir", str(out / "plain"), "--no-amplify"]) == 0
+    amplified = ["--out-dir", str(out / "amplified"), "--rho", "2", "--cap", "1000"]
+    assert main(["pipeline", "--in", at("gen-verifier"), *amplified]) == 0
+    stages = {"maxpar": "02_fglss", "minlab": "04_labelcover", "sc-cost": "05_setcover", "hvc-cost": "06_hvc"}
+    for problem, stage in stages.items():
+        assert main(["solve", problem, "--in", at(f"plain/{stage}"), "--out", at(f"result-{problem}")]) == 0
+    assert main(["approx", "--in", at("plain/05_setcover"), "--out", at("approx-seq")]) == 0
+    serialize.save(VerifierInstance(serialize.load(at("gen-verifier")).verifier), at("no-proofs"))
+    return out
+
+
+@pytest.mark.parametrize("name", README_FILES)
+def test_save_of_load_reproduces_each_readme_file(readme_files, name, tmp_path):
+    path = readme_files / f"{name}.json"
+    serialize.save(serialize.load(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_expander_roundtrip():
@@ -223,8 +261,8 @@ PINNED_FILES = [
         b'{"goal":[0,1],"hypergraph":{"hyperedges":[[0,2],[1,2]],"type":"hypergraph",'
         b'"uniformity":2,"vertices":["p","q","r"]},"start":[2],"type":"hvc_instance"}\n',
     ),
-    (PINNED_VERIFIER, VERIFIER_BYTES % (b'"011"', b'"010"')),
-    (PINNED_VERIFIER, VERIFIER_BYTES % (b"null", b"null")),
+    (VerifierInstance(PINNED_VERIFIER, "010", "011"), VERIFIER_BYTES % (b'"011"', b'"010"')),
+    (VerifierInstance(PINNED_VERIFIER), VERIFIER_BYTES % (b"null", b"null")),
     (
         ExpanderGraph(2, 2, ((1, 0), (1, 1), (0, 0), (0, 1)), 0.5),
         b'{"d":2,"lambda":0.5,"n":2,"ratio":0.25,"rotation":[[1,0],[1,1],[0,0],[0,1]],'
@@ -262,14 +300,12 @@ PINNED_FILES = [
 
 @pytest.mark.parametrize("inst, expected", PINNED_FILES)
 def test_instance_bundle_bytes_are_pinned(inst, expected, tmp_path):
-    # A verifier file carries its endpoint proofs beside the verifier.
-    proofs = {k: p for k, p in json.loads(expected).items() if k.startswith("pi_")}
-    assert serialize.dump_bytes(inst, **proofs) == expected
+    assert serialize.dump_bytes(inst) == expected
     assert serialize.parse_bytes(expected) == inst
-    if proofs:
+    if isinstance(inst, VerifierInstance):
         path = tmp_path / "v.json"
         path.write_bytes(expected)
-        assert serialize.load_verifier(path) == (inst, proofs["pi_start"], proofs["pi_goal"])
+        assert serialize.load_verifier(path) == inst
 
 
 # Saves and loads one file of each type given on stdin, one per line, in a
@@ -334,14 +370,14 @@ def test_only_a_canonical_fraction_is_read(value, tmp_path):
         (
             b'{"ell":3,"entries":[{"R":0,"queries":[0,2],"table":[1,0,0,1]},'
             b'{"R":1,"queries":[1],"table":[0,1]}],"q":2,"r":1,"type":"verifier"}',
-            (PINNED_VERIFIER, None, None),
+            VerifierInstance(PINNED_VERIFIER),
         ),
     ],
 )
 def test_absent_optional_keys_take_defaults(data, expected, tmp_path):
     path = tmp_path / "f.json"
     path.write_bytes(data)
-    loaded = serialize.load_verifier(path) if isinstance(expected, tuple) else serialize.load(path)
+    loaded = serialize.load_verifier(path) if isinstance(expected, VerifierInstance) else serialize.load(path)
     assert loaded == expected
 
 
@@ -476,7 +512,7 @@ def test_load_verifier_checks_its_proofs(tmp_path, pi_start, message):
 _FIELDS = (
     "type", "graph", "system", "hypergraph", "start", "goal", "vertices", "arity", "alphabet",
     "edges", "tables", "admissible", "elements", "sets", "set_labels", "hyperedges",
-    "uniformity", "r", "q", "ell", "entries", "n", "d", "rotation", "lambda", "kind",
+    "uniformity", "r", "q", "ell", "entries", "pi_start", "pi_goal", "n", "d", "rotation", "lambda", "kind",
     "states", "value", "witness", "states_explored",
 )
 _JSON_VALUES = st.recursive(
@@ -559,6 +595,6 @@ def test_verifier_payload_orders_entries():
     v = TableVerifier(
         r=1, q=1, ell=2, queries=((0,), (1,)), tables=(bytes([1, 0]), bytes([0, 1]))
     )
-    payload = serialize.payload(v)
+    payload = serialize.payload(VerifierInstance(v))
     shuffled = dict(payload, entries=list(reversed(payload["entries"])))
-    assert serialize.from_payload(shuffled) == v
+    assert serialize.from_payload(shuffled) == VerifierInstance(v)

@@ -366,7 +366,7 @@ class TestSatisfying:
     def test_readme_seed7_node_counts_are_pinned(self, normalized, nodes):
         # Captured before the two enumerators were merged.  The self-loops
         # of the unnormalized graph reject symbols that still count as nodes.
-        g = build_fglss(generate_verifier(7)[0])
+        g = build_fglss(generate_verifier(7).verifier)
         if normalized:
             g = normalize_self_loops(g)
         assert len(list(enumerate_satisfying_partials(g, limit=nodes))) == 253
@@ -677,8 +677,7 @@ class TestKernelPipelines:
 
     @staticmethod
     def _pipeline(tmp_path, seed: int) -> tuple[str, dict]:
-        v, pi_start, pi_goal = generate_verifier(seed)
-        serialize.save(v, tmp_path / "v.json", pi_start=pi_start, pi_goal=pi_goal)
+        serialize.save(generate_verifier(seed), tmp_path / "v.json")
         stages = tmp_path / "stages"
         argv = ["pipeline", "--in", str(tmp_path / "v.json"), "--out-dir", str(stages), "--no-amplify"]
         assert main(argv) == 0

@@ -10,10 +10,9 @@ import pytest
 from rforge import checks, serialize
 from rforge.amplify import amplify, build_expander, degree_report
 from rforge.cli import main
-from rforge.core import ConstraintGraph, StructuralError, satisfies_partial
+from rforge.core import ConstraintGraph, StructuralError, TableVerifier, VerifierInstance, satisfies_partial
 from rforge.generate import generate_csp, generate_verifier_with_accepted_pair
 from rforge.verifier import (
-    TableVerifier,
     accept_prob,
     acceptance_rows,
     accepting_set,
@@ -179,7 +178,7 @@ class TestAcceptanceCounts:
     def test_claim_accept_verifiers_base_and_amplified(self):
         x = build_expander(16, 16, 0.15, 0)
         for seed, t in ((0, 0), (1, 2), (7, 1)):
-            v, _ = checks._claim_verifier(seed, t)
+            v = checks._claim_verifier(seed, t).verifier
             self.counts(v)
             self.counts(amplify(v, x, 2))
 
@@ -330,8 +329,7 @@ class TestTableBytesArePinned:
         ],
     )
     def test_planted_pair_verifiers(self, tmp_path, shape, seed, sha):
-        v, start, goal = generate_verifier_with_accepted_pair(seed, *shape)
-        serialize.save(v, tmp_path / "v.json", pi_start=start, pi_goal=goal)
+        serialize.save(generate_verifier_with_accepted_pair(seed, *shape), tmp_path / "v.json")
         assert hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest() == sha
 
     @pytest.mark.parametrize(
@@ -342,13 +340,12 @@ class TestTableBytesArePinned:
         ],
     )
     def test_claim_accept_verifiers(self, tmp_path, seed, t, sha):
-        v, planted = checks._claim_verifier(seed, t)
-        serialize.save(v, tmp_path / "v.json", pi_start=planted, pi_goal=planted)
+        serialize.save(checks._claim_verifier(seed, t), tmp_path / "v.json")
         assert hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest() == sha
 
     def test_claim_accept_amplified_verifier(self, tmp_path):
-        v, planted = checks._claim_verifier(0, 0)
-        amped = amplify(v, build_expander(16, 16, 0.15, 0), 2)
-        serialize.save(amped, tmp_path / "amp.json", pi_start=planted, pi_goal=planted)
+        inst = checks._claim_verifier(0, 0)
+        amped = amplify(inst.verifier, build_expander(16, 16, 0.15, 0), 2)
+        serialize.save(VerifierInstance(amped, inst.start, inst.goal), tmp_path / "amp.json")
         digest = hashlib.sha256((tmp_path / "amp.json").read_bytes()).hexdigest()
         assert digest == "a511980038dc0c953da7315c32f2a1d5cee4fa8e2a996bc5407731e7eb6adeb4"
