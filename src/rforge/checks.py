@@ -170,7 +170,7 @@ def lemma_setcover(trials: int = 200, seed: int = 0) -> CheckReport:
             accept_p=params.choice((0.4, 0.6, 0.8)),
         )
         g = inst.graph
-        system = labelcover_to_setcover(g, inst.start, inst.goal).system
+        system = labelcover_to_setcover(inst).system
         m = system.n_sets
         if multi_size(cover_to_labels(g, range(m))) != m:
             tally.add()
@@ -264,7 +264,7 @@ def _cost_equality(trials: int, seed: int, problem: str) -> CheckReport:
         inst = _cost_instance(seed, t)
         g = inst.graph
         minlab = solve_instance(PROBLEM_MINLAB, inst, cap=CHECK_CAP)
-        red = globals()[reduction](g, inst.start, inst.goal)
+        red = globals()[reduction](inst)
         opt = globals()[minimum](getattr(red, SOLVERS[problem].part))
         cost = solve_instance(problem, red, cap=CHECK_CAP, opt=opt)
         if opt != g.n_vertices:
@@ -326,15 +326,15 @@ def lift_completeness(trials: int = 30, seed: int = 0) -> CheckReport:
         attempts += 1
         if inst.start == inst.goal:
             continue
-        res = solve_maxpar(inst.graph, inst.start, inst.goal, cap=CHECK_CAP)
+        res = solve_maxpar(inst, cap=CHECK_CAP)
         if res.value != 1:
             continue
         found += 1
-        lifted = p2csp_to_labelcover(inst.graph, inst.start, inst.goal)
+        lifted = p2csp_to_labelcover(inst)
         half = lift_partial_sequence(inst.graph, res.witness)
         report = validate_sequence(inst.graph, half, start=lifted.start, goal=lifted.goal)
         peak = max(multi_size(f) for f in half.states)
-        minlab = solve_minlab(inst.graph, lifted.start, lifted.goal, cap=CHECK_CAP)
+        minlab = solve_minlab(lifted, cap=CHECK_CAP)
         if not report.ok or peak != inst.graph.n_vertices + 1 or minlab.value != 1:
             tally.add(
                 {
@@ -640,14 +640,14 @@ def approx_ratio(trials: int = 60, seed: int = 0) -> CheckReport:
             problem, inst = PROBLEM_HVC_COST, generate.generate_hypergraph(
                 sub, n_vertices=params.randrange(3, 7), n_edges=params.randrange(2, 6), max_edge_size=3
             )
-        instance, start, goal = getattr(inst, SOLVERS[problem].part), inst.start, inst.goal
-        seq = two_factor_cover(instance, start, goal)
-        report = validate_sequence(instance, seq, start=start, goal=goal)
+        instance = getattr(inst, SOLVERS[problem].part)
+        seq = two_factor_cover(inst)
+        report = validate_sequence(instance, seq, start=inst.start, goal=inst.goal)
         peak = max(len(c) for c in seq.states)
         problems = []
         if not report.ok:
             problems.append(f"approx sequence invalid at {report.index}")
-        if peak != len(start | goal):
+        if peak != len(inst.start | inst.goal):
             problems.append("peak differs from |start ∪ goal|")
         try:
             exact = solve_instance(problem, inst, cap=CHECK_CAP)
@@ -701,7 +701,7 @@ def oracle_agreement(trials: int = 40, seed: int = 0) -> CheckReport:
             states = enumerate_feasible_states(problem, instance)
             if len(states) > 20:
                 continue
-            expected = oracle_value(problem, instance, inst.start, inst.goal)
+            expected = oracle_value(problem, inst)
         except StructuralError:
             continue
         done += 1

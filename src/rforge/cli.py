@@ -131,7 +131,7 @@ def _normalized(obj):
 def _lifted(inst: P2cspInstance) -> LabelCoverInstance:
     if inst.graph.has_self_loops():
         raise StructuralError("p2l needs a loop-free graph; run reduce normalize first")
-    return p2csp_to_labelcover(inst.graph, inst.start, inst.goal)
+    return p2csp_to_labelcover(inst)
 
 
 class _Step(NamedTuple):
@@ -155,11 +155,11 @@ _STEPS = {
     "p2l": _Step((P2cspInstance,), "a partial-assignment instance", _lifted, "04_labelcover.json"),
     "l2sc": _Step(
         (LabelCoverInstance,), "a label-cover instance",
-        lambda inst: labelcover_to_setcover(inst.graph, inst.start, inst.goal), "05_setcover.json",
+        lambda inst: labelcover_to_setcover(inst), "05_setcover.json",
     ),
     "l2hvc": _Step(
         (LabelCoverInstance,), "a label-cover instance",
-        lambda inst: labelcover_to_hvc(inst.graph, inst.start, inst.goal), "06_hvc.json",
+        lambda inst: labelcover_to_hvc(inst), "06_hvc.json",
     ),
 }
 
@@ -190,14 +190,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     obj = serialize.load(getattr(args, "in"))
-    problem = next(
-        (p for p in (PROBLEM_SC_COST, PROBLEM_HVC_COST) if isinstance(obj, SOLVERS[p].bundle)), None
-    )
-    if problem is None:
-        raise StructuralError("approx expects a set-cover or vertex-cover instance")
-    instance = getattr(obj, SOLVERS[problem].part)
-    seq = two_factor_cover(instance, obj.start, obj.goal)
-    cost = sequence_objective(problem, instance, seq)
+    seq = two_factor_cover(obj)
+    problem = next(p for p in (PROBLEM_SC_COST, PROBLEM_HVC_COST) if isinstance(obj, SOLVERS[p].bundle))
+    cost = sequence_objective(problem, getattr(obj, SOLVERS[problem].part), seq)
     if args.out:
         serialize.save(seq, args.out)
         print(f"wrote {args.out}")
@@ -386,7 +381,7 @@ def _cmd_pipeline(args) -> int:
         # The hypergraph is the padded transpose of the set-cover stage in hand.
         stage(
             "l2hvc", _STEPS["l2hvc"].stage_file,
-            lambda: labelcover_to_hvc(inst.graph, inst.start, inst.goal, setcover=sc),
+            lambda: labelcover_to_hvc(inst, setcover=sc),
         )
     else:
         alphabet = inst.graph.n_symbols

@@ -19,7 +19,9 @@ State representations are deliberately plain:
 
 ``KINDS`` gives each state kind's instance type, feasibility test, size,
 step metric and canonical form; ``BUNDLES`` gives each instance bundle
-type's instance field and endpoint kind.
+type's instance field and endpoint kind.  A bundle is checked once, when
+built: its start and goal are put in canonical form and must be feasible
+states of its instance, so no consumer checks them again.
 """
 
 from __future__ import annotations
@@ -260,36 +262,49 @@ class ReconfigSequence:
         if len(self.states) == 0:
             raise StructuralError("a reconfiguration sequence must be nonempty")
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 # Instance bundles: an instance plus its start/goal states, as stored on disk.
 
 
 @dataclass(frozen=True)
-class P2cspInstance:
+class _Endpoints:
+    """Base of the four state bundles, whose instance field and state kind
+    ``BUNDLES`` names: ``start`` and ``goal`` are put in the kind's
+    canonical form, and an infeasible one is refused."""
+
+    def __post_init__(self):
+        part, name = BUNDLES[type(self)]
+        kind, instance = KINDS[name], getattr(self, part)
+        for end in ("start", "goal"):
+            state = kind.canonical(getattr(self, end))
+            if not kind.feasible(instance, state):
+                raise StructuralError(f"{end} is not a feasible {name} of its {part}")
+            object.__setattr__(self, end, state)
+
+
+@dataclass(frozen=True)
+class P2cspInstance(_Endpoints):
     graph: ConstraintGraph
     start: tuple[int, ...]
     goal: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class LabelCoverInstance:
+class LabelCoverInstance(_Endpoints):
     graph: ConstraintGraph
     start: tuple[frozenset[int], ...]
     goal: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(_Endpoints):
     system: SetSystem
     start: frozenset[int]
     goal: frozenset[int]
 
 
 @dataclass(frozen=True)
-class HvcInstance:
+class HvcInstance(_Endpoints):
     hypergraph: Hypergraph
     start: frozenset[int]
     goal: frozenset[int]
@@ -461,7 +476,7 @@ def normalize_self_loops(g: ConstraintGraph) -> ConstraintGraph:
 
 def is_cover(system: SetSystem, cover: Iterable[int]) -> bool:
     chosen = frozenset(cover)
-    if any(i < 0 or i >= system.n_sets for i in chosen):
+    if chosen and (min(chosen) < 0 or max(chosen) >= system.n_sets):
         raise StructuralError("cover references a missing set")
     covered: set[int] = set()
     for i in chosen:
@@ -484,7 +499,7 @@ def transpose(sets: Sequence[Iterable[int]], n: int) -> list[list[int]]:
 
 def is_vertex_cover(h: Hypergraph, cover: Iterable[int]) -> bool:
     chosen = frozenset(cover)
-    if any(v < 0 or v >= h.n_vertices for v in chosen):
+    if chosen and (min(chosen) < 0 or max(chosen) >= h.n_vertices):
         raise StructuralError("vertex cover references a missing vertex")
     return all(edge & chosen for edge in h.hyperedges)
 
@@ -530,7 +545,7 @@ KINDS = {
     KIND_PARTIAL: StateKind(ConstraintGraph, satisfies_partial, partial_size, hamming, tuple),
     KIND_MULTI: StateKind(
         ConstraintGraph, satisfies_multi, multi_size, multi_step_size,
-        lambda f: tuple(frozenset(a) for a in f),
+        lambda f: tuple(map(frozenset, f)),
     ),
     KIND_COVER: StateKind(SetSystem, is_cover, len, set_step_size, frozenset),
     KIND_VERTEX_COVER: StateKind(Hypergraph, is_vertex_cover, len, set_step_size, frozenset),

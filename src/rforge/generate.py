@@ -26,6 +26,7 @@ from .core import (
     VerifierInstance,
     transpose,
 )
+from .reductions import p2csp_to_labelcover
 from .solve import _satisfying
 from .verifier import csp_to_verifier, encode_assignment, table_of
 from . import rng as rng_mod
@@ -139,9 +140,7 @@ def generate_labelcover(
         ensure_incident=ensure_incident,
         distinct_endpoints=distinct_endpoints,
     )
-    start = tuple(frozenset((a,)) for a in csp.start)
-    goal = tuple(frozenset((a,)) for a in csp.goal)
-    return LabelCoverInstance(graph=csp.graph, start=start, goal=goal)
+    return p2csp_to_labelcover(csp)
 
 
 def _greedy_hitting(families, n_items: int, rng) -> frozenset[int]:

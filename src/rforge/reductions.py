@@ -34,13 +34,12 @@ from .core import (
     KIND_MULTI,
     KIND_PARTIAL,
     LabelCoverInstance,
+    P2cspInstance,
     ReconfigSequence,
     SetCoverInstance,
     SetSystem,
     StructuralError,
     is_full,
-    satisfies_multi,
-    satisfies_partial,
     transpose,
 )
 
@@ -56,20 +55,17 @@ MAX_UNIVERSE = 2**16
 # ---------------------------------------------------------------------------
 
 
-def p2csp_to_labelcover(g: ConstraintGraph, f_start, f_goal) -> LabelCoverInstance:
+def p2csp_to_labelcover(inst: P2cspInstance) -> LabelCoverInstance:
     """Same graph, endpoints lifted to singleton multi assignments.
 
-    Requires full satisfying endpoints (the perfect-completeness regime).
+    Requires full endpoints (the perfect-completeness regime).
     """
-    f_start, f_goal = tuple(f_start), tuple(f_goal)
-    for name, f in (("start", f_start), ("goal", f_goal)):
+    for name, f in (("start", inst.start), ("goal", inst.goal)):
         if not is_full(f):
             raise StructuralError(f"{name} assignment must be full")
-        if not satisfies_partial(g, f):
-            raise StructuralError(f"{name} assignment does not satisfy the graph")
-    lifted_s = tuple(frozenset((a,)) for a in f_start)
-    lifted_g = tuple(frozenset((a,)) for a in f_goal)
-    return LabelCoverInstance(graph=g, start=lifted_s, goal=lifted_g)
+    lifted_s = tuple(frozenset((a,)) for a in inst.start)
+    lifted_g = tuple(frozenset((a,)) for a in inst.goal)
+    return LabelCoverInstance(graph=inst.graph, start=lifted_s, goal=lifted_g)
 
 
 def lift_partial_sequence(g: ConstraintGraph, seq: ReconfigSequence) -> ReconfigSequence:
@@ -182,19 +178,7 @@ def q_subset(sigma: int, symbols, support=None) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_labelcover_endpoints(g: ConstraintGraph, f_start, f_goal):
-    f_start, f_goal = tuple(map(frozenset, f_start)), tuple(map(frozenset, f_goal))
-    if g.has_self_loops():
-        raise StructuralError("normalize self-loops before reducing")
-    for name, f in (("start", f_start), ("goal", f_goal)):
-        if len(f) != g.n_vertices or set(map(len, f)) != {1}:
-            raise StructuralError(f"{name} must assign exactly one label per vertex")
-        if not satisfies_multi(g, f):
-            raise StructuralError(f"{name} does not satisfy the graph")
-    return f_start, f_goal
-
-
-def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInstance:
+def labelcover_to_setcover(inst: LabelCoverInstance) -> SetCoverInstance:
     """Build the set-cover instance over the edge blocks of a loop-free label cover.
 
     One set S_{v,a} per vertex and admissible symbol, labelled "(v,a)", in
@@ -212,9 +196,13 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInsta
     label at v as label cover must when admissible sets (folded
     self-loops) forbid the empty set.  Without admissible sets the
     identity cannot hold there, and the vertex is rejected.  Covers map to
-    multi assignments by membership.
+    multi assignments by membership.  The endpoints must be singleton
+    assignments.
     """
-    f_start, f_goal = _check_labelcover_endpoints(g, f_start, f_goal)
+    g = inst.graph
+    for name, f in (("start", inst.start), ("goal", inst.goal)):
+        if set(map(len, f)) != {1}:
+            raise StructuralError(f"{name} must assign exactly one label per vertex")
     s, bits = g.n_symbols, f"0{g.n_symbols}b"
     # v's admissible symbols ascending; S_{v,a} is set first[v] + the rank of a.
     symbols = [sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
@@ -255,7 +243,7 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInsta
         sets=tuple(map(frozenset, members)),
         set_labels=tuple(f"({g.vertices[v]},{g.alphabet[a]})" for v, a in g.pairs),
     )
-    return SetCoverInstance(system, labels_to_cover(g, f_start), labels_to_cover(g, f_goal))
+    return SetCoverInstance(system, labels_to_cover(g, inst.start), labels_to_cover(g, inst.goal))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +251,10 @@ def labelcover_to_setcover(g: ConstraintGraph, f_start, f_goal) -> SetCoverInsta
 # ---------------------------------------------------------------------------
 
 
-def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal, setcover: SetCoverInstance | None = None) -> HvcInstance:
+def labelcover_to_hvc(inst: LabelCoverInstance, setcover: SetCoverInstance | None = None) -> HvcInstance:
     """Transpose of the set-cover reduction, padded to 2k-uniform.
 
-    ``setcover`` is ``labelcover_to_setcover(g, f_start, f_goal)``, built
+    ``setcover`` is ``labelcover_to_setcover(inst)``, built
     here unless the caller holds it already.  k is the largest admissible
     set, max_v |A(v)|.  Hyperedge T_{e,x} collects the (vertex, symbol)
     pairs whose set contains the universe element (e, x), at most
@@ -277,8 +265,8 @@ def labelcover_to_hvc(g: ConstraintGraph, f_start, f_goal, setcover: SetCoverIns
     labelled as the sets, precede the padding vertices.
     """
     if setcover is None:
-        setcover = labelcover_to_setcover(g, f_start, f_goal)
-    system = setcover.system
+        setcover = labelcover_to_setcover(inst)
+    g, system = inst.graph, setcover.system
     uniformity = 2 * max(len(g.allowed_symbols(v)) for v in range(g.n_vertices))
     vertex_labels = list(system.set_labels)
     hyperedges = transpose(system.sets, system.n_elements)

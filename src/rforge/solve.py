@@ -23,7 +23,9 @@ the FGLSS enumeration of partial assignments and the CSP generator.
 All objective values are exact rationals; no floating point enters any
 solver path.  The problem table `SOLVERS` (bundle type, solver name,
 objective denominator, sense) and the kind table `core.KINDS` drive
-`solve_instance`, the oracle and `sequence_objective`.
+`solve_instance`, the oracle and `sequence_objective`.  Every solver and
+the oracle take an instance bundle, whose start and goal were checked
+feasible and put in canonical form when it was built, so none checks them.
 
 Both cover problems are hitting-set problems: a cover hits every
 element's family of containing sets, and a vertex cover hits every
@@ -69,12 +71,8 @@ from .core import (
     SetCoverInstance,
     SetSystem,
     StructuralError,
-    is_cover,
-    is_vertex_cover,
     multi_size,
     partial_size,
-    satisfies_multi,
-    satisfies_partial,
     transpose,
 )
 
@@ -289,7 +287,7 @@ def _satisfying(g: ConstraintGraph, bottom: bool, limit: float = math.inf):
 # ---------------------------------------------------------------------------
 
 
-def solve_maxpar(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) -> SolveResult:
+def solve_maxpar(inst: P2cspInstance, cap: int = DEFAULT_CAP) -> SolveResult:
     """Max over sequences of (min assigned count) / |V|, by descending threshold.
 
     Neighbors change one vertex to any other symbol or to unassigned.
@@ -300,9 +298,7 @@ def solve_maxpar(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
     test; assigning a symbol at v tests only v's edges to assigned
     partners.
     """
-    f_start, f_goal = tuple(f_start), tuple(f_goal)
-    if not satisfies_partial(g, f_start) or not satisfies_partial(g, f_goal):
-        raise StructuralError("infeasible endpoints: start/goal must satisfy the graph")
+    g = inst.graph
     n, s = g.n_vertices, g.n_symbols
     full = (1 << s) - 1
     vertices = _graph_links(g)
@@ -327,9 +323,9 @@ def solve_maxpar(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
                 yield rest | low << base
                 ok ^= low
 
-    top = min(partial_size(f_start), partial_size(f_goal))
+    top = min(partial_size(inst.start), partial_size(inst.goal))
     theta, path, explored = _threshold_search(
-        range(top, -1, -1), pack(f_start), pack(f_goal), expand, cap
+        range(top, -1, -1), pack(inst.start), pack(inst.goal), expand, cap
     )
     # An empty vertex mask has bit_length 0, which decodes to BOTTOM (-1).
     states = tuple(tuple((m >> b & full).bit_length() - 1 for b in range(0, n * s, s)) for m in path)
@@ -345,7 +341,7 @@ def solve_maxpar(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
 # ---------------------------------------------------------------------------
 
 
-def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) -> SolveResult:
+def solve_minlab(inst: LabelCoverInstance, cap: int = DEFAULT_CAP) -> SolveResult:
     """Min over sequences of (max total label count) / (|V| + 1), ascending.
 
     Neighbors add or remove a single symbol at a single vertex.  States
@@ -356,10 +352,7 @@ def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
     label needs no test.  Removing label a at v tests only v's edges: each
     must still accept some remaining label at v with a partner's label.
     """
-    f_start = tuple(frozenset(a) for a in f_start)
-    f_goal = tuple(frozenset(a) for a in f_goal)
-    if not satisfies_multi(g, f_start) or not satisfies_multi(g, f_goal):
-        raise StructuralError("infeasible endpoints: start/goal must satisfy the graph")
+    g = inst.graph
     n, s = g.n_vertices, g.n_symbols
     full = (1 << s) - 1
     vertices = _graph_links(g)
@@ -388,8 +381,8 @@ def solve_minlab(g: ConstraintGraph, f_start, f_goal, cap: int = DEFAULT_CAP) ->
                 moves ^= low
 
     total = sum(ok.bit_count() for _, ok, _ in vertices)
-    thetas = range(max(multi_size(f_start), multi_size(f_goal)), total + 1)
-    theta, path, explored = _threshold_search(thetas, pack(f_start), pack(f_goal), expand, cap)
+    thetas = range(max(multi_size(inst.start), multi_size(inst.goal)), total + 1)
+    theta, path, explored = _threshold_search(thetas, pack(inst.start), pack(inst.goal), expand, cap)
     states = tuple(tuple(frozenset(_bits(m >> b & full)) for b in range(0, n * s, s)) for m in path)
     return SolveResult(
         value=Fraction(theta, n + 1),
@@ -522,9 +515,9 @@ def _kernel(hitsets, keep: frozenset) -> tuple[list[int], list[frozenset[int]]]:
     return [items[j] for j in _bits(live)], [frozenset(items[j] for j in _bits(t)) for t in sets]
 
 
-def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str, cap: int = DEFAULT_CAP) -> SolveResult:
-    """Min over sequences of states hitting every hit set, from start to
-    goal, of (max state size) / (opt + 1).
+def _cover_cost(hitsets, inst, opt: int, cap: int = DEFAULT_CAP) -> SolveResult:
+    """Min over sequences of states hitting every hit set, from the start
+    to the goal of the cover bundle ``inst``, of (max state size) / (opt + 1).
 
     The threshold scan runs over the kernel's items.  Adding an item keeps
     a state feasible, and removing item i keeps it feasible iff every hit
@@ -532,6 +525,7 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
     finds the items a move may not remove.  Kernel items are original items,
     so the witness is a sequence of the original instance as it stands.
     """
+    start, goal, kind = inst.start, inst.goal, BUNDLES[type(inst)][1]
     if start == goal:
         return SolveResult(Fraction(len(start), opt + 1), ReconfigSequence(kind, (start,)), 0)
     items, kernel_sets = _kernel(hitsets, start | goal)
@@ -567,37 +561,27 @@ def _cover_cost(hitsets, start: frozenset, goal: frozenset, opt: int, kind: str,
     )
 
 
-def solve_cost_setcover(
-    system: SetSystem, c_start, c_goal, cap: int = DEFAULT_CAP, opt: int | None = None
-) -> SolveResult:
+def solve_cost_setcover(inst: SetCoverInstance, cap: int = DEFAULT_CAP, opt: int | None = None) -> SolveResult:
     """Min over cover sequences of (max cover size) / (opt + 1), ascending.
 
     A cover hits every element's family of containing sets.  ``opt``, the
     minimum cover size, is computed unless the caller already has it.
     """
-    c_start, c_goal = frozenset(c_start), frozenset(c_goal)
-    if not is_cover(system, c_start) or not is_cover(system, c_goal):
-        raise StructuralError("infeasible endpoints: start/goal must cover the universe")
+    system = inst.system
     if opt is None:
         opt = min_cover(system)
-    families = transpose(system.sets, system.n_elements)
-    return _cover_cost(families, c_start, c_goal, opt, KIND_COVER, cap)
+    return _cover_cost(transpose(system.sets, system.n_elements), inst, opt, cap)
 
 
-def solve_cost_hvc(
-    h: Hypergraph, c_start, c_goal, cap: int = DEFAULT_CAP, opt: int | None = None
-) -> SolveResult:
+def solve_cost_hvc(inst: HvcInstance, cap: int = DEFAULT_CAP, opt: int | None = None) -> SolveResult:
     """Min over vertex-cover sequences of (max size) / (beta + 1), ascending.
 
     A vertex cover hits every hyperedge.  ``opt``, here beta, is computed
     unless the caller already has it.
     """
-    c_start, c_goal = frozenset(c_start), frozenset(c_goal)
-    if not is_vertex_cover(h, c_start) or not is_vertex_cover(h, c_goal):
-        raise StructuralError("infeasible endpoints: start/goal must be vertex covers")
     if opt is None:
-        opt = min_vertex_cover(h)
-    return _cover_cost(h.hyperedges, c_start, c_goal, opt, KIND_VERTEX_COVER, cap)
+        opt = min_vertex_cover(inst.hypergraph)
+    return _cover_cost(inst.hypergraph.hyperedges, inst, opt, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +639,7 @@ def solve_instance(problem: str, inst, cap: int = DEFAULT_CAP, **known) -> Solve
         raise StructuralError(
             f"{problem} expects a {p.bundle.__name__}, got {type(inst).__name__}"
         )
-    return globals()[p.solver](getattr(inst, p.part), inst.start, inst.goal, cap=cap, **known)
+    return globals()[p.solver](inst, cap=cap, **known)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +695,7 @@ def enumerate_feasible_states(problem: str, instance, raw_limit: int = 500_000):
     return [state for state in states if feasible(instance, state)]
 
 
-def oracle_value(problem: str, instance, start, goal) -> Fraction:
+def oracle_value(problem: str, inst) -> Fraction:
     """Bottleneck-path optimum over the fully materialized state graph.
 
     Independent of the threshold solvers: states come from brute
@@ -720,6 +704,7 @@ def oracle_value(problem: str, instance, start, goal) -> Fraction:
     negated weights.
     """
     p = _problem(problem)
+    instance = getattr(inst, p.part)
     states = enumerate_feasible_states(problem, instance)
     if len(states) > ORACLE_STATE_LIMIT:
         raise StructuralError(f"{len(states)} feasible states exceed limit {ORACLE_STATE_LIMIT}")
@@ -727,9 +712,6 @@ def oracle_value(problem: str, instance, start, goal) -> Fraction:
     sign = -1 if p.maximize else 1
     weight = [sign * kind.size(state) for state in states]
     index = {state: i for i, state in enumerate(states)}
-    start, goal = kind.canonical(start), kind.canonical(goal)
-    if start not in index or goal not in index:
-        raise StructuralError("infeasible endpoints")
     neighbors: list[list[int]] = [[] for _ in states]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -737,7 +719,7 @@ def oracle_value(problem: str, instance, start, goal) -> Fraction:
                 neighbors[i].append(j)
                 neighbors[j].append(i)
 
-    s_idx, g_idx = index[start], index[goal]
+    s_idx, g_idx = index[inst.start], index[inst.goal]
     dist = [None] * len(states)  # least achievable maximum weight on a path
     dist[s_idx] = weight[s_idx]
     heap = [(dist[s_idx], s_idx)]

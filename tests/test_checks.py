@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -81,16 +82,16 @@ def test_run_suite_threads_trials_and_seed():
 
 def corrupted_setcover(monkeypatch):
     """Make lemma-setcover reduce with the smallest element of the first
-    nonempty set dropped."""
+    nonempty set dropped.  The start may then cover no longer, so no
+    bundle can hold the corrupted system; the suite reads only the system."""
     reduce = checks.labelcover_to_setcover
 
-    def corrupted(g, start, goal):
-        inst = reduce(g, start, goal)
+    def corrupted(lc):
+        inst = reduce(lc)
         sets = list(inst.system.sets)
         victim = next(i for i, members in enumerate(sets) if members)
         sets[victim] = frozenset(sorted(sets[victim])[1:])
-        system = SetSystem(inst.system.elements, tuple(sets), inst.system.set_labels)
-        return SetCoverInstance(system, inst.start, inst.goal)
+        return SimpleNamespace(system=SetSystem(inst.system.elements, tuple(sets), inst.system.set_labels))
 
     monkeypatch.setattr(checks, "labelcover_to_setcover", corrupted)
 
@@ -125,7 +126,7 @@ def test_lemma_setcover_reads_admissible_blocks(monkeypatch):
     graph = admissible_block_graph()
     f = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({0}))
     inst = LabelCoverInstance(graph, f, f)
-    assert len(checks.labelcover_to_setcover(graph, f, f).system.elements) == 7
+    assert len(checks.labelcover_to_setcover(inst).system.elements) == 7
     monkeypatch.setattr(checks.generate, "generate_labelcover", lambda *args, **kwargs: inst)
     assert checks.lemma_setcover(trials=1).passed
     corrupted_setcover(monkeypatch)
@@ -217,8 +218,8 @@ def test_a_set_meeting_a_foreign_block_fails(monkeypatch):
     assert checks.lemma_setcover(trials=1).passed
     reduce = checks.labelcover_to_setcover
 
-    def foreign(g, start, goal):
-        inst = reduce(g, start, goal)
+    def foreign(lc):
+        inst = reduce(lc)
         sets = (inst.system.sets[0] | {2},) + inst.system.sets[1:]
         return SetCoverInstance(SetSystem(inst.system.elements, sets, inst.system.set_labels), inst.start, inst.goal)
 
@@ -233,8 +234,8 @@ def test_a_set_with_no_label_fails(monkeypatch):
     # than its labels.
     reduce = checks.labelcover_to_setcover
 
-    def extra(g, start, goal):
-        inst = reduce(g, start, goal)
+    def extra(lc):
+        inst = reduce(lc)
         system = SetSystem(inst.system.elements, inst.system.sets + (frozenset(),), inst.system.set_labels + ("x",))
         return SetCoverInstance(system, inst.start, inst.goal)
 

@@ -460,6 +460,23 @@ class TestUnreadableInput:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.fixture
+    def rejected_goal(self, tmp_path, readme_stages):
+        """The README verifier with its goal proof set to "001", which one entry rejects."""
+        return self.edited(readme_stages / "00_verifier.json", tmp_path / "v.json", ["pi_goal"], "001")
+
+    def test_rejected_goal_proof_stops_reduce_fglss(self, tmp_path, capsys, rejected_goal):
+        out = tmp_path / "fglss.json"
+        assert run("reduce", "fglss", "--in", rejected_goal, "--out", out) == 2
+        assert "error: goal is not a feasible partial-assignment of its graph" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejected_goal_proof_stops_the_pipeline_at_fglss(self, tmp_path, capsys, rejected_goal):
+        stages = tmp_path / "stages"
+        assert run("pipeline", "--in", rejected_goal, "--out-dir", stages, "--no-amplify") == 2
+        assert "error: [stage fglss] goal is not a feasible" in capsys.readouterr().err
+        assert [p.name for p in stages.iterdir()] == ["00_verifier.json"]
+
     def test_ternary_constraint_graph_exits_2(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(

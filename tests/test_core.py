@@ -1,18 +1,24 @@
 """Core types, satisfaction semantics, normalization, sequence validation."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rforge import serialize
 from rforge.core import (
     BOTTOM,
     ConstraintGraph,
+    HvcInstance,
     Hypergraph,
     KIND_COVER,
     KIND_MULTI,
     KIND_PARTIAL,
+    LabelCoverInstance,
+    P2cspInstance,
     ReconfigSequence,
+    SetCoverInstance,
     SetSystem,
     StructuralError,
     is_cover,
@@ -274,3 +280,46 @@ class TestValidateSequence:
 def test_size_measures():
     assert partial_size((0, BOTTOM, 2)) == 2
     assert multi_size((frozenset({0, 1}), frozenset())) == 2
+
+
+# Per state bundle: an instance, a feasible state of it, an infeasible one
+# with its payload, and what the refusal names.
+BUNDLE_ENDPOINTS = {
+    "p2csp": (P2cspInstance, graph([(0, 1)], [EQ]), (0, 0), (0, 1), [0, 1], "partial-assignment of its graph"),
+    "labelcover": (
+        LabelCoverInstance, graph([(0, 1)], [EQ]), (frozenset({0}),) * 2, (frozenset({0}), frozenset({1})),
+        [[0], [1]], "multi-assignment of its graph",
+    ),
+    "setcover": (
+        SetCoverInstance, SetSystem(("u", "w"), (frozenset({0}), frozenset({1})), ("A", "B")),
+        frozenset({0, 1}), frozenset({0}), [0], "cover of its system",
+    ),
+    "hvc": (
+        HvcInstance, Hypergraph(("p", "q"), (frozenset({0}), frozenset({1}))),
+        frozenset({0, 1}), frozenset({1}), [1], "vertex-cover of its hypergraph",
+    ),
+}
+
+
+class TestBundleEndpoints:
+    @pytest.mark.parametrize("end", ["start", "goal"])
+    @pytest.mark.parametrize(
+        "bundle, instance, good, bad, bad_payload, what", BUNDLE_ENDPOINTS.values(), ids=BUNDLE_ENDPOINTS.keys()
+    )
+    def test_an_infeasible_endpoint_is_refused(self, bundle, instance, good, bad, bad_payload, what, end):
+        ends = {"start": good, "goal": good, end: bad}
+        message = f"{end} is not a feasible {what}"
+        with pytest.raises(StructuralError, match=message):
+            bundle(instance, ends["start"], ends["goal"])
+        data = json.dumps({**serialize.payload(bundle(instance, good, good)), end: bad_payload}).encode()
+        with pytest.raises(StructuralError, match=message):
+            serialize.parse_bytes(data)
+
+    @pytest.mark.parametrize(
+        "bundle, instance, good", [case[:3] for case in BUNDLE_ENDPOINTS.values()], ids=BUNDLE_ENDPOINTS.keys()
+    )
+    def test_endpoints_are_stored_in_canonical_form(self, bundle, instance, good):
+        listed = [sorted(x) if isinstance(x, frozenset) else x for x in good]
+        inst = bundle(instance, listed, listed)
+        assert inst.start == inst.goal == good
+        assert type(inst.start) is type(good) and [type(x) for x in inst.start] == [type(x) for x in good]

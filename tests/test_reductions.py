@@ -11,6 +11,7 @@ from rforge.cli import main
 from rforge.core import (
     ConstraintGraph,
     LabelCoverInstance,
+    P2cspInstance,
     StructuralError,
     is_cover,
     is_vertex_cover,
@@ -77,25 +78,26 @@ def edge_satisfied(g, e_idx, f):
 class TestLifting:
     def test_singleton_lift(self):
         g = graph([(0, 1)], [EQ])
-        inst = p2csp_to_labelcover(g, (0, 0), (1, 1))
+        inst = p2csp_to_labelcover(P2cspInstance(g, (0, 0), (1, 1)))
         assert multi_size(inst.start) == g.n_vertices
         assert satisfies_multi(g, inst.start) and satisfies_multi(g, inst.goal)
 
     def test_non_full_rejected(self):
         g = graph([(0, 1)], [EQ])
         with pytest.raises(StructuralError, match="full"):
-            p2csp_to_labelcover(g, (0, -1), (0, 0))
+            p2csp_to_labelcover(P2cspInstance(g, (0, -1), (0, 0)))
 
     def test_half_step_witness(self):
         g = graph([(0, 1)], [bytes([1, 1, 1, 1])])
-        res = solve_maxpar(g, (0, 0), (1, 1))
+        inst = P2cspInstance(g, (0, 0), (1, 1))
+        res = solve_maxpar(inst)
         assert res.value == 1
-        lifted = p2csp_to_labelcover(g, (0, 0), (1, 1))
+        lifted = p2csp_to_labelcover(inst)
         half = lift_partial_sequence(g, res.witness)
         report = validate_sequence(g, half, start=lifted.start, goal=lifted.goal)
         assert report.ok
         assert max(multi_size(f) for f in half.states) == g.n_vertices + 1
-        assert solve_minlab(g, lifted.start, lifted.goal).value == 1
+        assert solve_minlab(lifted).value == 1
 
     def test_projection_is_valid_and_bounded(self):
         # singleton projection of any label sequence is a valid partial
@@ -105,7 +107,7 @@ class TestLifting:
             inst = generate_labelcover(
                 seed, n_vertices=3, alphabet_size=2, ensure_incident=True, distinct_endpoints=True
             )
-            res = solve_minlab(inst.graph, inst.start, inst.goal)
+            res = solve_minlab(inst)
             proj = project_multi_sequence(inst.graph, res.witness)
             assert validate_sequence(inst.graph, proj).ok
             n = inst.graph.n_vertices
@@ -200,7 +202,7 @@ class TestRestrictedGadgets:
             inst = uneven_labelcover(seed)
             g = inst.graph
             flipped += sum(len(g.admissible[w]) < len(g.admissible[v]) for v, w in g.edges)
-            system = labelcover_to_setcover(g, inst.start, inst.goal).system
+            system = labelcover_to_setcover(inst).system
             blocks = [
                 {i for i, label in enumerate(system.elements) if label.startswith(f"(e{e_idx},")}
                 for e_idx in range(len(g.edges))
@@ -218,17 +220,17 @@ class TestRestrictedGadgets:
             inst = uneven_labelcover(seed)
             g = inst.graph
             flipped += sum(len(g.admissible[w]) < len(g.admissible[v]) for v, w in g.edges)
-            red = labelcover_to_setcover(g, inst.start, inst.goal)
-            hred = labelcover_to_hvc(g, inst.start, inst.goal)
+            red = labelcover_to_setcover(inst)
+            hred = labelcover_to_hvc(inst)
             k = [len(g.admissible[v]) for v in range(g.n_vertices)]
             n_edgeless = g.n_vertices - len({v for edge in g.edges for v in edge})
             edgeless += n_edgeless
             size = sum(2 ** min(k[v], k[w]) for v, w in g.edges) + n_edgeless
             assert red.system.n_elements == len(hred.hypergraph.hyperedges) == size
             assert hred.hypergraph.uniformity == 2 * max(k)
-            minlab = solve_minlab(g, inst.start, inst.goal)
-            sc = solve_cost_setcover(red.system, red.start, red.goal)
-            hv = solve_cost_hvc(hred.hypergraph, hred.start, hred.goal)
+            minlab = solve_minlab(inst)
+            sc = solve_cost_setcover(red)
+            hv = solve_cost_hvc(hred)
             assert minlab.value == sc.value == hv.value
             above_one += minlab.value > 1
         assert flipped > 0 and above_one > 0 and edgeless > 0
@@ -242,7 +244,7 @@ class TestRestrictedGadgets:
         instances = [uneven_labelcover(seed) for seed in range(30)]
         instances += [generate_labelcover(seed, n_vertices=3, alphabet_size=3, accept_p=0.5) for seed in range(10)]
         reversed_edge = graph([(0, 1), (1, 0)], [IMPL, bytes([0, 1, 1, 1])])
-        instances.append(p2csp_to_labelcover(reversed_edge, (0, 1), (0, 1)))
+        instances.append(p2csp_to_labelcover(P2cspInstance(reversed_edge, (0, 1), (0, 1))))
         flipped = 0
         for inst in instances:
             g = inst.graph
@@ -262,7 +264,7 @@ class TestRestrictedGadgets:
                     accepts = lambda a: g.accepts(e_idx, a, b) if lo == v else g.accepts(e_idx, b, a)
                     partners = [a for a in support if accepts(a)]
                     expected[index[hi, b]] |= {at[x] for x in q_subset(sigma, partners, support)}
-            system = labelcover_to_setcover(g, inst.start, inst.goal).system
+            system = labelcover_to_setcover(inst).system
             assert system.elements[: len(labels)] == tuple(labels)
             assert [{x for x in members if x < len(labels)} for members in system.sets] == expected
         assert flipped > 0
@@ -287,8 +289,8 @@ class TestRestrictedGadgets:
 class TestSetCoverReduction:
     def test_single_equality_edge(self):
         g = graph([(0, 1)], [EQ])
-        inst = p2csp_to_labelcover(g, (0, 0), (0, 0))
-        red = labelcover_to_setcover(g, inst.start, inst.goal)
+        inst = p2csp_to_labelcover(P2cspInstance(g, (0, 0), (0, 0)))
+        red = labelcover_to_setcover(inst)
         assert red.system.n_elements == 4  # |E| * 2^|Sigma|
         assert red.system.n_sets == 4
         assert is_cover(red.system, red.start)
@@ -296,18 +298,18 @@ class TestSetCoverReduction:
     def test_universe_size_formula(self):
         for seed in range(4):
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2)
-            red = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
+            red = labelcover_to_setcover(inst)
             assert red.system.n_elements == len(inst.graph.edges) * 2 ** inst.graph.n_symbols
 
     def test_opt_equals_vertex_count(self):
         for seed in range(6):
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2, ensure_incident=True)
-            red = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
+            red = labelcover_to_setcover(inst)
             assert min_cover(red.system) == inst.graph.n_vertices
 
     def test_roundtrip_bijection(self):
         inst = generate_labelcover(5, n_vertices=3, alphabet_size=2)
-        red = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
+        red = labelcover_to_setcover(inst)
         for chosen in all_subfamilies(red.system.n_sets):
             f = cover_to_labels(inst.graph, chosen)
             assert labels_to_cover(inst.graph, f) == chosen
@@ -321,8 +323,8 @@ class TestSetCoverReduction:
         ]
         for tabs, edges, planted in cases:
             g = graph(edges, tabs)
-            inst = p2csp_to_labelcover(g, planted, planted)
-            red = labelcover_to_setcover(g, inst.start, inst.goal)
+            inst = p2csp_to_labelcover(P2cspInstance(g, planted, planted))
+            red = labelcover_to_setcover(inst)
             b_size = 2**g.n_symbols
             for chosen in all_subfamilies(red.system.n_sets):
                 f = cover_to_labels(g, chosen)
@@ -334,20 +336,20 @@ class TestSetCoverReduction:
     def test_self_loops_rejected(self):
         g = graph([(0, 0)], [EQ])
         with pytest.raises(StructuralError, match="normalize"):
-            labelcover_to_setcover(g, (frozenset({0}), frozenset({0})), (frozenset({0}), frozenset({0})))
+            LabelCoverInstance(g, (frozenset({0}), frozenset({0})), (frozenset({0}), frozenset({0})))
 
     def test_non_singleton_endpoint_rejected(self):
         g = graph([(0, 1)], [bytes([1] * 4)])
         f = (frozenset({0, 1}), frozenset({0}))
         with pytest.raises(StructuralError, match="one label"):
-            labelcover_to_setcover(g, f, f)
+            labelcover_to_setcover(LabelCoverInstance(g, f, f))
 
 
 class TestHvcReduction:
     def test_uniformity_and_premask_sizes(self):
         for seed in range(4):
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2, ensure_incident=True)
-            red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+            red = labelcover_to_hvc(inst)
             u = 2 * inst.graph.n_symbols
             n_real = sum(len(inst.graph.allowed_symbols(v)) for v in range(inst.graph.n_vertices))
             assert red.hypergraph.uniformity == u
@@ -359,7 +361,7 @@ class TestHvcReduction:
     def test_beta_equals_vertex_count(self):
         for seed in range(6):
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2, ensure_incident=True)
-            red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+            red = labelcover_to_hvc(inst)
             assert min_vertex_cover(red.hypergraph) == inst.graph.n_vertices
             assert is_vertex_cover(red.hypergraph, red.start)
 
@@ -367,8 +369,8 @@ class TestHvcReduction:
         # with every source vertex on >= 2 edges, no minimum vertex cover
         # can afford a padding vertex (each pad hits a single hyperedge)
         g = graph([(0, 1), (1, 2), (0, 2)], [EQ, EQ, EQ], n=3)
-        inst = p2csp_to_labelcover(g, (0, 0, 0), (0, 0, 0))
-        red = labelcover_to_hvc(g, inst.start, inst.goal)
+        inst = p2csp_to_labelcover(P2cspInstance(g, (0, 0, 0), (0, 0, 0)))
+        red = labelcover_to_hvc(inst)
         h = red.hypergraph
         beta = min_vertex_cover(h)
         assert beta == 3
@@ -386,7 +388,7 @@ class TestHvcReduction:
 
     def test_roundtrip_ignores_padding(self):
         inst = generate_labelcover(7, n_vertices=2, alphabet_size=2, ensure_incident=True)
-        red = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+        red = labelcover_to_hvc(inst)
         g = inst.graph
         n_real = g.n_vertices * g.n_symbols
         labels = red.hypergraph.vertices
@@ -446,10 +448,10 @@ class TestStoredEdgeOrder:
         g_fwd = graph([(0, 1)], [IMPL])
         t2 = bytes([IMPL[0], IMPL[2], IMPL[1], IMPL[3]])  # transpose of IMPL
         g_rev = graph([(1, 0)], [t2])
-        inst = p2csp_to_labelcover(g_fwd, (0, 0), (0, 0))
+        inst = p2csp_to_labelcover(P2cspInstance(g_fwd, (0, 0), (0, 0)))
         b_size = 2**g_fwd.n_symbols
-        red_f = labelcover_to_setcover(g_fwd, inst.start, inst.goal)
-        red_r = labelcover_to_setcover(g_rev, inst.start, inst.goal)
+        red_f = labelcover_to_setcover(inst)
+        red_r = labelcover_to_setcover(LabelCoverInstance(g_rev, inst.start, inst.goal))
         assert red_f.system.sets == red_r.system.sets
         for chosen in all_subfamilies(red_r.system.n_sets):
             f = cover_to_labels(g_rev, chosen)
@@ -474,12 +476,12 @@ class TestEndToEndWithAdmissibleSets:
             norm = normalize_self_loops(build_fglss(v))
             if any(len(a) < norm.n_symbols for a in norm.admissible):
                 nontrivial += 1
-            lc = p2csp_to_labelcover(norm, embed_proof(v, start), embed_proof(v, goal))
-            minlab = solve_minlab(norm, lc.start, lc.goal, cap=200_000)
-            red = labelcover_to_setcover(norm, lc.start, lc.goal)
-            sc = solve_cost_setcover(red.system, red.start, red.goal, cap=200_000)
-            hred = labelcover_to_hvc(norm, lc.start, lc.goal)
-            hv = solve_cost_hvc(hred.hypergraph, hred.start, hred.goal, cap=200_000)
+            lc = p2csp_to_labelcover(P2cspInstance(norm, embed_proof(v, start), embed_proof(v, goal)))
+            minlab = solve_minlab(lc, cap=200_000)
+            red = labelcover_to_setcover(lc)
+            sc = solve_cost_setcover(red, cap=200_000)
+            hred = labelcover_to_hvc(lc)
+            hv = solve_cost_hvc(hred, cap=200_000)
             assert minlab.value == sc.value == hv.value
             assert min_cover(red.system) == norm.n_vertices
             assert min_vertex_cover(hred.hypergraph) == norm.n_vertices
@@ -492,22 +494,22 @@ class TestEdgelessVertices:
         # go empty; one element (one hyperedge) covered only by its own sets
         # makes the covers keep a label there too
         g = ConstraintGraph(("v",), 2, ("a", "b"), (), (), admissible=(frozenset({0, 1}),))
-        start, goal = (frozenset({0}),), (frozenset({1}),)
-        red = labelcover_to_setcover(g, start, goal)
-        hred = labelcover_to_hvc(g, start, goal)
+        inst = LabelCoverInstance(g, (frozenset({0}),), (frozenset({1}),))
+        red = labelcover_to_setcover(inst)
+        hred = labelcover_to_hvc(inst)
         assert red.system.elements == ("(v)",)
         assert hred.hypergraph.hyperedges == (frozenset({0, 1, 2, 3}),)
-        minlab = solve_minlab(g, start, goal)
-        sc = solve_cost_setcover(red.system, red.start, red.goal)
-        hv = solve_cost_hvc(hred.hypergraph, hred.start, hred.goal)
+        minlab = solve_minlab(inst)
+        sc = solve_cost_setcover(red)
+        hv = solve_cost_hvc(hred)
         assert minlab.value == sc.value == hv.value == 1
 
     def test_edgeless_vertex_without_admissible_set_rejected(self):
-        g = graph([], [], n=1)
+        inst = LabelCoverInstance(graph([], [], n=1), (frozenset({0}),), (frozenset({1}),))
         with pytest.raises(StructuralError, match="on no edge"):
-            labelcover_to_setcover(g, (frozenset({0}),), (frozenset({1}),))
+            labelcover_to_setcover(inst)
         with pytest.raises(StructuralError, match="on no edge"):
-            labelcover_to_hvc(g, (frozenset({0}),), (frozenset({1}),))
+            labelcover_to_hvc(inst)
 
 
 class TestUniverseCeiling:
@@ -520,10 +522,10 @@ class TestUniverseCeiling:
         inst = serialize.load(tmp_path / "lc.json")
         # six edges, each a block over the 2^5 vectors of its smaller endpoint
         monkeypatch.setattr(reductions, "MAX_UNIVERSE", 192)
-        reduce(inst.graph, inst.start, inst.goal)
+        reduce(inst)
         monkeypatch.setattr(reductions, "MAX_UNIVERSE", 191)
         with pytest.raises(StructuralError, match="universe would have 192 elements, ceiling is 191"):
-            reduce(inst.graph, inst.start, inst.goal)
+            reduce(inst)
 
     @pytest.mark.parametrize("step", ["l2sc", "l2hvc"])
     def test_oversized_label_cover_exits_2_before_building(self, tmp_path, capsys, step):
@@ -547,8 +549,8 @@ class TestUniverseCeiling:
 @settings(max_examples=30, deadline=None)
 def test_mapped_start_goal_always_feasible(seed):
     inst = generate_labelcover(seed, n_vertices=2, alphabet_size=2, ensure_incident=True)
-    red = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
+    red = labelcover_to_setcover(inst)
     assert is_cover(red.system, red.start) and is_cover(red.system, red.goal)
-    hred = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+    hred = labelcover_to_hvc(inst)
     assert is_vertex_cover(hred.hypergraph, hred.start)
     assert is_vertex_cover(hred.hypergraph, hred.goal)

@@ -181,7 +181,7 @@ def test_sequence_roundtrip(seq):
 
 def test_solve_result_roundtrip():
     g = ConstraintGraph(("v", "w"), 2, ("a", "b"), ((0, 1),), (EQ,))
-    res = solve_maxpar(g, (0, 0), (1, 1))
+    res = solve_maxpar(P2cspInstance(g, (0, 0), (1, 1)))
     again, _ = roundtrip(res)
     assert again.value == Fraction(1, 2)
     assert again.witness == res.witness
@@ -231,17 +231,17 @@ VERIFIER_BYTES = (
 # Objects and their canonical files.
 PINNED_FILES = [
     (
-        P2cspInstance(PINNED_GRAPH, (0, 1), (BOTTOM, 1)),
-        b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[0,1],"type":"p2csp_instance"}\n',
+        P2cspInstance(PINNED_GRAPH, (1, 1), (BOTTOM, 1)),
+        b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[1,1],"type":"p2csp_instance"}\n',
     ),
     (
         LabelCoverInstance(
             PINNED_GRAPH,
-            (frozenset({0}), frozenset({1})),
+            (frozenset({1}), frozenset({1})),
             (frozenset({0, 1}), frozenset({1})),
         ),
         b'{"goal":[[0,1],[1]],"graph":' + GRAPH_BYTES
-        + b',"start":[[0],[1]],"type":"labelcover_instance"}\n',
+        + b',"start":[[1],[1]],"type":"labelcover_instance"}\n',
     ),
     (
         SetCoverInstance(
@@ -306,6 +306,20 @@ def test_instance_bundle_bytes_are_pinned(inst, expected, tmp_path):
         path = tmp_path / "v.json"
         path.write_bytes(expected)
         assert serialize.load_verifier(path) == inst
+
+
+# Files whose start the edge's table rejects (it rejects symbol pair (0, 1)):
+# they were pinned as round trips before bundles checked their endpoints.
+INFEASIBLE_START_FILES = {
+    "p2csp": b'{"goal":[null,1],"graph":' + GRAPH_BYTES + b',"start":[0,1],"type":"p2csp_instance"}\n',
+    "labelcover": b'{"goal":[[0,1],[1]],"graph":' + GRAPH_BYTES + b',"start":[[0],[1]],"type":"labelcover_instance"}\n',
+}
+
+
+@pytest.mark.parametrize("data", INFEASIBLE_START_FILES.values(), ids=INFEASIBLE_START_FILES.keys())
+def test_a_file_with_an_infeasible_start_is_refused(data):
+    with pytest.raises(StructuralError, match="start is not a feasible .* of its graph"):
+        serialize.parse_bytes(data)
 
 
 # Saves and loads one file of each type given on stdin, one per line, in a

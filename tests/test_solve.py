@@ -14,7 +14,11 @@ from rforge.core import (
     KINDS,
     BudgetExhaustedError,
     ConstraintGraph,
+    HvcInstance,
     Hypergraph,
+    LabelCoverInstance,
+    P2cspInstance,
+    SetCoverInstance,
     SetSystem,
     StructuralError,
     multi_size,
@@ -67,38 +71,38 @@ def graph(edges, tables, n=2, s=2):
 class TestMaxpar:
     def test_singleton(self):
         g = graph([], [], n=1, s=1)
-        res = solve_maxpar(g, (0,), (0,))
+        res = solve_maxpar(P2cspInstance(g, (0,), (0,)))
         assert res.value == 1
         assert len(res.witness.states) == 1
 
     def test_two_isolated_vertices(self):
-        g = graph([], [], n=2, s=2)
-        res = solve_maxpar(g, (0, 0), (1, 1))
+        inst = P2cspInstance(graph([], [], n=2, s=2), (0, 0), (1, 1))
+        res = solve_maxpar(inst)
         # flip each vertex directly, never unassigning
         assert res.value == 1
-        assert res.value == oracle_value(PROBLEM_MAXPAR, g, (0, 0), (1, 1))
+        assert res.value == oracle_value(PROBLEM_MAXPAR, inst)
 
     def test_equality_edge_forces_half(self):
-        g = graph([(0, 1)], [EQ])
-        res = solve_maxpar(g, (0, 0), (1, 1))
+        inst = P2cspInstance(graph([(0, 1)], [EQ]), (0, 0), (1, 1))
+        res = solve_maxpar(inst)
         assert res.value == Fraction(1, 2)
-        assert res.value == oracle_value(PROBLEM_MAXPAR, g, (0, 0), (1, 1))
+        assert res.value == oracle_value(PROBLEM_MAXPAR, inst)
 
     def test_witness_validates_and_reproduces_value(self):
         g = graph([(0, 1)], [EQ])
-        res = solve_maxpar(g, (0, 0), (1, 1))
+        res = solve_maxpar(P2cspInstance(g, (0, 0), (1, 1)))
         assert validate_sequence(g, res.witness, start=(0, 0), goal=(1, 1)).ok
         assert sequence_objective(PROBLEM_MAXPAR, g, res.witness) == res.value
 
     def test_infeasible_endpoint(self):
         g = graph([(0, 1)], [EQ])
-        with pytest.raises(StructuralError, match="infeasible"):
-            solve_maxpar(g, (0, 1), (0, 0))
+        with pytest.raises(StructuralError, match="start is not a feasible partial-assignment of its graph"):
+            P2cspInstance(g, (0, 1), (0, 0))
 
     def test_budget_exhausted_is_loud(self):
         g = graph([(0, 1)], [EQ])
         with pytest.raises(BudgetExhaustedError):
-            solve_maxpar(g, (0, 0), (1, 1), cap=2)
+            solve_maxpar(P2cspInstance(g, (0, 0), (1, 1)), cap=2)
 
     @staticmethod
     def looped_csps(count: int):
@@ -122,16 +126,16 @@ class TestMaxpar:
                 satisfies_partial(looped, f) for f in (inst.start, inst.goal)
             ):
                 count -= 1
-                yield looped, inst.start, inst.goal
+                yield P2cspInstance(looped, inst.start, inst.goal)
 
     def test_self_loops_restrict_their_vertex(self):
         # A loop at v reads only its diagonal, so it bars v from the symbols
         # the diagonal rejects, on every state of the witness.
-        for g, start, goal in self.looped_csps(40):
-            res = solve_maxpar(g, start, goal)
-            assert res.value == oracle_value(PROBLEM_MAXPAR, g, start, goal)
-            assert validate_sequence(g, res.witness, start=start, goal=goal).ok
-            assert sequence_objective(PROBLEM_MAXPAR, g, res.witness) == res.value
+        for inst in self.looped_csps(40):
+            res = solve_maxpar(inst)
+            assert res.value == oracle_value(PROBLEM_MAXPAR, inst)
+            assert validate_sequence(inst.graph, res.witness, start=inst.start, goal=inst.goal).ok
+            assert sequence_objective(PROBLEM_MAXPAR, inst.graph, res.witness) == res.value
 
     def test_a_loop_bars_a_bridge_symbol(self):
         # Symbol 2 goes with anything on the edge, but both loops' diagonals
@@ -140,8 +144,9 @@ class TestMaxpar:
         bridge = bytes([1, 0, 1, 0, 1, 1, 1, 1, 1])
         diagonal = bytes([1, 0, 0, 0, 1, 0, 0, 0, 0])
         g = graph([(0, 0), (0, 1), (1, 1)], [diagonal, bridge, diagonal], s=3)
-        res = solve_maxpar(g, (0, 0), (1, 1))
-        assert res.value == Fraction(1, 2) == oracle_value(PROBLEM_MAXPAR, g, (0, 0), (1, 1))
+        inst = P2cspInstance(g, (0, 0), (1, 1))
+        res = solve_maxpar(inst)
+        assert res.value == Fraction(1, 2) == oracle_value(PROBLEM_MAXPAR, inst)
         assert validate_sequence(g, res.witness, start=(0, 0), goal=(1, 1)).ok
 
 
@@ -149,33 +154,32 @@ class TestMinlab:
     def test_singleton_sequence_value(self):
         g = graph([(0, 1)], [EQ])
         f = (frozenset({0}), frozenset({0}))
-        res = solve_minlab(g, f, f)
+        res = solve_minlab(LabelCoverInstance(g, f, f))
         assert res.value == Fraction(2, 3)  # size |V| over |V|+1
 
     def test_unconstrained_vertex_can_clear(self):
         # A vertex with no incident edges may pass through the empty label
         # set, so the peak stays at one label.
-        g = graph([], [], n=1, s=2)
-        res = solve_minlab(g, (frozenset({0}),), (frozenset({1}),))
+        inst = LabelCoverInstance(graph([], [], n=1, s=2), (frozenset({0}),), (frozenset({1}),))
+        res = solve_minlab(inst)
         assert res.value == Fraction(1, 2)
-        assert res.value == oracle_value(
-            PROBLEM_MINLAB, g, (frozenset({0}),), (frozenset({1}),)
-        )
+        assert res.value == oracle_value(PROBLEM_MINLAB, inst)
 
     def test_equality_edge_forces_four(self):
         g = graph([(0, 1)], [EQ])
         start = (frozenset({0}), frozenset({0}))
         goal = (frozenset({1}), frozenset({1}))
-        res = solve_minlab(g, start, goal)
+        inst = LabelCoverInstance(g, start, goal)
+        res = solve_minlab(inst)
         assert res.value == Fraction(4, 3)
-        assert res.value == oracle_value(PROBLEM_MINLAB, g, start, goal)
+        assert res.value == oracle_value(PROBLEM_MINLAB, inst)
         assert sequence_objective(PROBLEM_MINLAB, g, res.witness) == res.value
         assert validate_sequence(g, res.witness, start=start, goal=goal).ok
 
     def test_endpoint_law(self):
         for seed in range(5):
             inst = generate_labelcover(seed, n_vertices=3, alphabet_size=2, ensure_incident=True)
-            res = solve_minlab(inst.graph, inst.start, inst.goal)
+            res = solve_minlab(inst)
             n = inst.graph.n_vertices
             assert res.value >= Fraction(multi_size(inst.start), n + 1)
             assert res.value >= Fraction(n, n + 1)
@@ -501,7 +505,7 @@ class TestMinHitting:
 class TestCostSetcover:
     def test_stay_put(self):
         ss = SetSystem(("1",), (frozenset({0}), frozenset({0})), ("A", "B"))
-        res = solve_cost_setcover(ss, frozenset({0}), frozenset({0}))
+        res = solve_cost_setcover(SetCoverInstance(ss, frozenset({0}), frozenset({0})))
         assert res.value == Fraction(1, 2)
 
     def test_swap_through_union(self):
@@ -510,11 +514,10 @@ class TestCostSetcover:
             (frozenset({0, 1}), frozenset({0}), frozenset({1})),
             ("A", "B", "C"),
         )
-        res = solve_cost_setcover(ss, frozenset({0}), frozenset({1, 2}))
+        inst = SetCoverInstance(ss, frozenset({0}), frozenset({1, 2}))
+        res = solve_cost_setcover(inst)
         assert res.value == Fraction(3, 2)
-        assert res.value == oracle_value(
-            PROBLEM_SC_COST, ss, frozenset({0}), frozenset({1, 2})
-        )
+        assert res.value == oracle_value(PROBLEM_SC_COST, inst)
         assert validate_sequence(ss, res.witness, start=frozenset({0}), goal=frozenset({1, 2})).ok
         assert sequence_objective(PROBLEM_SC_COST, ss, res.witness) == res.value
 
@@ -526,37 +529,38 @@ class TestCostSetcover:
             tuple(f"S{i}" for i in range(k)),
         )
         full = frozenset(range(k))
-        res = solve_cost_setcover(ss, full, full)
+        res = solve_cost_setcover(SetCoverInstance(ss, full, full))
         assert res.value == Fraction(k, k + 1)
 
     def test_endpoint_law(self):
         for seed in range(5):
             inst = generate_setcover(seed)
-            res = solve_cost_setcover(inst.system, inst.start, inst.goal)
+            res = solve_cost_setcover(inst)
             opt = min_cover(inst.system)
             assert res.value >= Fraction(max(len(inst.start), len(inst.goal)), opt + 1)
 
 
 class TestCostHvc:
     def test_single_edge_swap(self):
-        h = Hypergraph(("a", "b"), (frozenset({0, 1}),))
-        res = solve_cost_hvc(h, frozenset({0}), frozenset({1}))
+        inst = HvcInstance(Hypergraph(("a", "b"), (frozenset({0, 1}),)), frozenset({0}), frozenset({1}))
+        res = solve_cost_hvc(inst)
         assert res.value == 1
-        assert res.value == oracle_value(PROBLEM_HVC_COST, h, frozenset({0}), frozenset({1}))
+        assert res.value == oracle_value(PROBLEM_HVC_COST, inst)
 
     def test_two_disjoint_edges_swap(self):
         h = Hypergraph(tuple("abcd"), (frozenset({0, 1}), frozenset({2, 3})))
         start, goal = frozenset({0, 2}), frozenset({1, 3})
-        res = solve_cost_hvc(h, start, goal)
+        inst = HvcInstance(h, start, goal)
+        res = solve_cost_hvc(inst)
         assert min_vertex_cover(h) == 2
         assert res.value == 1
-        assert res.value == oracle_value(PROBLEM_HVC_COST, h, start, goal)
+        assert res.value == oracle_value(PROBLEM_HVC_COST, inst)
         assert validate_sequence(h, res.witness, start=start, goal=goal).ok
         assert sequence_objective(PROBLEM_HVC_COST, h, res.witness) == res.value
 
     def test_stay_put(self):
         h = Hypergraph(("a", "b"), (frozenset({0, 1}),))
-        res = solve_cost_hvc(h, frozenset({0}), frozenset({0}))
+        res = solve_cost_hvc(HvcInstance(h, frozenset({0}), frozenset({0})))
         assert res.value == Fraction(1, 2)
 
 
@@ -604,12 +608,13 @@ class TestKernel:
             h = Hypergraph(labels, tuple(hitsets))
             elements = tuple(f"t{r}" for r in range(len(hitsets)))
             ss = SetSystem(elements, tuple(map(frozenset, transpose(hitsets, n))), labels)
-            for problem, instance, solver in (
-                (PROBLEM_HVC_COST, h, solve_cost_hvc),
-                (PROBLEM_SC_COST, ss, solve_cost_setcover),
+            for problem, instance, bundle, solver in (
+                (PROBLEM_HVC_COST, h, HvcInstance, solve_cost_hvc),
+                (PROBLEM_SC_COST, ss, SetCoverInstance, solve_cost_setcover),
             ):
-                res = solver(instance, start, goal)
-                assert res.value == oracle_value(problem, instance, start, goal), (seed, problem)
+                inst = bundle(instance, start, goal)
+                res = solver(inst)
+                assert res.value == oracle_value(problem, inst), (seed, problem)
                 assert validate_sequence(instance, res.witness, start=start, goal=goal).ok
                 assert sequence_objective(problem, instance, res.witness) == res.value
         assert same and shrunk
@@ -629,7 +634,7 @@ class TestKernel:
 
         monkeypatch.setattr(solve, "_kernel", no_kernel)
         h = Hypergraph(tuple("abc"), (frozenset({0, 1}), frozenset({1, 2})))
-        res = solve_cost_hvc(h, frozenset({0, 2}), frozenset({0, 2}), cap=0)
+        res = solve_cost_hvc(HvcInstance(h, frozenset({0, 2}), frozenset({0, 2})), cap=0)
         assert res.value == 1
         assert (res.witness.states, res.states_explored) == ((frozenset({0, 2}),), 0)
 
@@ -642,8 +647,8 @@ class TestKernel:
 
         for t in range(50):
             inst = checks._cost_instance(seed, t)
-            sc = labelcover_to_setcover(inst.graph, inst.start, inst.goal)
-            hv = labelcover_to_hvc(inst.graph, inst.start, inst.goal)
+            sc = labelcover_to_setcover(inst)
+            hv = labelcover_to_hvc(inst)
             families = transpose(sc.system.sets, sc.system.n_elements)
             sc_kernel = solve._kernel(families, sc.start | sc.goal)
             hv_kernel = solve._kernel(hv.hypergraph.hyperedges, hv.start | hv.goal)
@@ -768,17 +773,17 @@ class TestRawLimit:
 class TestOracleAgreementSpot:
     def test_all_four_problems(self):
         inst = generate_csp(11, n_vertices=2, alphabet_size=2, density=1.0)
-        res = solve_maxpar(inst.graph, inst.start, inst.goal)
-        assert res.value == oracle_value(PROBLEM_MAXPAR, inst.graph, inst.start, inst.goal)
+        res = solve_maxpar(inst)
+        assert res.value == oracle_value(PROBLEM_MAXPAR, inst)
 
         lc = generate_labelcover(12, n_vertices=2, alphabet_size=2, density=1.0)
-        res = solve_minlab(lc.graph, lc.start, lc.goal)
-        assert res.value == oracle_value(PROBLEM_MINLAB, lc.graph, lc.start, lc.goal)
+        res = solve_minlab(lc)
+        assert res.value == oracle_value(PROBLEM_MINLAB, lc)
 
         sc = generate_setcover(13, n_elements=3, n_sets=4)
-        res = solve_cost_setcover(sc.system, sc.start, sc.goal)
-        assert res.value == oracle_value(PROBLEM_SC_COST, sc.system, sc.start, sc.goal)
+        res = solve_cost_setcover(sc)
+        assert res.value == oracle_value(PROBLEM_SC_COST, sc)
 
         hv = generate_hypergraph(14, n_vertices=4, n_edges=3)
-        res = solve_cost_hvc(hv.hypergraph, hv.start, hv.goal)
-        assert res.value == oracle_value(PROBLEM_HVC_COST, hv.hypergraph, hv.start, hv.goal)
+        res = solve_cost_hvc(hv)
+        assert res.value == oracle_value(PROBLEM_HVC_COST, hv)
