@@ -128,12 +128,6 @@ def _normalized(obj):
     return P2cspInstance(normalize_self_loops(obj.graph), obj.start, obj.goal)
 
 
-def _lifted(inst: P2cspInstance) -> LabelCoverInstance:
-    if inst.graph.has_self_loops():
-        raise StructuralError("p2l needs a loop-free graph; run reduce normalize first")
-    return p2csp_to_labelcover(inst)
-
-
 class _Step(NamedTuple):
     """A reduction: the input types it accepts, named in its type error, the reduction and its stage file."""
 
@@ -152,7 +146,10 @@ _STEPS = {
         (ConstraintGraph, P2cspInstance), "a constraint graph or assignment instance", _normalized,
         "03_normalized.json",
     ),
-    "p2l": _Step((P2cspInstance,), "a partial-assignment instance", _lifted, "04_labelcover.json"),
+    "p2l": _Step(
+        (P2cspInstance,), "a partial-assignment instance",
+        lambda inst: p2csp_to_labelcover(inst), "04_labelcover.json",
+    ),
     "l2sc": _Step(
         (LabelCoverInstance,), "a label-cover instance",
         lambda inst: labelcover_to_setcover(inst), "05_setcover.json",

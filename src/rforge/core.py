@@ -18,10 +18,11 @@ State representations are deliberately plain:
 * a proof is a ``str`` of ``'0'``/``'1'`` characters.
 
 ``KINDS`` gives each state kind's instance type, feasibility test, size,
-step metric and canonical form; ``BUNDLES`` gives each instance bundle
-type's instance field and endpoint kind.  A bundle is checked once, when
-built: its start and goal are put in canonical form and must be feasible
-states of its instance, so no consumer checks them again.
+step metric, canonical form and neighbour relation; ``BUNDLES`` gives
+each instance bundle type's instance field and endpoint kind.  A bundle
+is checked once, when built: its start and goal are put in canonical
+form and must be feasible states of its instance, so no consumer checks
+them again.
 """
 
 from __future__ import annotations
@@ -270,14 +271,19 @@ class ReconfigSequence:
 class _Endpoints:
     """Base of the four state bundles, whose instance field and state kind
     ``BUNDLES`` names: ``start`` and ``goal`` are put in the kind's
-    canonical form, and an infeasible one is refused."""
+    canonical form, and an infeasible or malformed one is refused with a
+    message that names it."""
 
     def __post_init__(self):
         part, name = BUNDLES[type(self)]
         kind, instance = KINDS[name], getattr(self, part)
         for end in ("start", "goal"):
             state = kind.canonical(getattr(self, end))
-            if not kind.feasible(instance, state):
+            try:
+                feasible = kind.feasible(instance, state)
+            except StructuralError as exc:
+                raise StructuralError(f"{end}: {exc}") from exc
+            if not feasible:
                 raise StructuralError(f"{end} is not a feasible {name} of its {part}")
             object.__setattr__(self, end, state)
 
@@ -526,29 +532,54 @@ def _is_proof(v: TableVerifier, proof) -> bool:
     return isinstance(proof, str) and len(proof) == v.ell and set(proof) <= {"0", "1"}
 
 
+def _reassignments(g: ConstraintGraph, f: tuple[int, ...]):
+    """Each state that reassigns one vertex: to BOTTOM or to another allowed symbol."""
+    for v, a in enumerate(f):
+        for b in (BOTTOM, *sorted(g.allowed_symbols(v))):
+            if b != a:
+                yield f[:v] + (b,) + f[v + 1 :]
+
+
+def _label_toggles(g: ConstraintGraph, f: tuple[frozenset[int], ...]):
+    """Each state that adds or removes one allowed label at one vertex."""
+    for v, labels in enumerate(f):
+        for a in sorted(g.allowed_symbols(v)):
+            yield f[:v] + (labels ^ {a},) + f[v + 1 :]
+
+
 @dataclass(frozen=True)
 class StateKind:
     """What a state kind means: the instance type its states live on, the
     feasibility test, the size a solver optimizes (none for proofs), the
-    step metric (a legal step has metric at most 1) and the canonical form
-    of a state given as any iterable."""
+    step metric (a legal step has metric at most 1), the canonical form
+    of a state given as any iterable, and the neighbour relation of the
+    reconfiguration graph (none for proofs): every state, feasible or
+    not, one step from a given canonical state, each in canonical form."""
 
     instance_type: type
     feasible: Callable[[object, object], bool]
     size: Callable[[object], int] | None
     step: Callable[[object, object], int]
     canonical: Callable[[object], object]
+    neighbours: Callable[[object, object], Iterable] | None
 
 
 KINDS = {
-    KIND_PROOF: StateKind(TableVerifier, _is_proof, None, hamming, str),
-    KIND_PARTIAL: StateKind(ConstraintGraph, satisfies_partial, partial_size, hamming, tuple),
+    KIND_PROOF: StateKind(TableVerifier, _is_proof, None, hamming, str, None),
+    KIND_PARTIAL: StateKind(ConstraintGraph, satisfies_partial, partial_size, hamming, tuple, _reassignments),
     KIND_MULTI: StateKind(
         ConstraintGraph, satisfies_multi, multi_size, multi_step_size,
-        lambda f: tuple(map(frozenset, f)),
+        lambda f: tuple(map(frozenset, f)), _label_toggles,
     ),
-    KIND_COVER: StateKind(SetSystem, is_cover, len, set_step_size, frozenset),
-    KIND_VERTEX_COVER: StateKind(Hypergraph, is_vertex_cover, len, set_step_size, frozenset),
+    # A cover's neighbours add or remove one set, a vertex cover's one vertex.
+    KIND_COVER: StateKind(
+        SetSystem, is_cover, len, set_step_size, frozenset,
+        lambda s, c: (c ^ {i} for i in range(s.n_sets)),
+    ),
+    KIND_VERTEX_COVER: StateKind(
+        Hypergraph, is_vertex_cover, len, set_step_size, frozenset,
+        lambda h, c: (c ^ {i} for i in range(h.n_vertices)),
+    ),
 }
 
 # Instance bundle type -> (field holding the instance, kind of its endpoints).

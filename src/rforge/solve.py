@@ -35,12 +35,13 @@ reconfiguration core (`_cover_cost`) gives both costs.  The core first
 shrinks the instance to a kernel with the same optimum (`_kernel`, the
 data-reduction rules of Weihe 1998), then runs the threshold scan on it.
 
-A fully materialized bottleneck-path implementation (`oracle_value`) is
-kept deliberately independent of the threshold engine: it enumerates the
-feasible state space outright, derives adjacency from the step metric,
-and runs one heap-based minimax path search (on negated sizes for the
-maxmin problem).  It exists to check the threshold solvers on tiny
-instances.
+A bottleneck-path oracle (`oracle_value`) is kept deliberately
+independent of the threshold engine: it walks the reconfiguration graph
+of core's canonical states by each kind's neighbour relation
+(`core.KINDS`), tests feasibility with core's checks, and runs one
+heap-based minimax path search (on negated sizes for the maxmin
+problem).  It exists to check the threshold solvers, on small draws and
+on the pipeline stages its test budget reaches.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ from .core import (
     ConstraintGraph,
     Hypergraph,
     HvcInstance,
-    KIND_COVER,
     KIND_MULTI,
     KIND_PARTIAL,
-    KIND_VERTEX_COVER,
     LabelCoverInstance,
     P2cspInstance,
     ReconfigSequence,
@@ -643,97 +642,48 @@ def solve_instance(problem: str, inst, cap: int = DEFAULT_CAP, **known) -> Solve
 
 
 # ---------------------------------------------------------------------------
-# Independent materialized oracle
+# Independent oracle
 # ---------------------------------------------------------------------------
 
 
-# Most feasible states the oracle materializes before it refuses.
-ORACLE_STATE_LIMIT = 4096
-
-
-def _assignments(g: ConstraintGraph):
-    options = [[BOTTOM] + sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
-    return math.prod(map(len, options)), itertools.product(*options)
-
-
-def _label_sets(g: ConstraintGraph):
-    symbols = [sorted(g.allowed_symbols(v)) for v in range(g.n_vertices)]
-
-    def states():  # every label subset of every vertex, built only when iterated
-        yield from itertools.product(*(
-            [frozenset(c) for k in range(len(syms) + 1) for c in itertools.combinations(syms, k)]
-            for syms in symbols
-        ))
-
-    return math.prod(2 ** len(syms) for syms in symbols), states()
-
-
-def _subsets(n: int):
-    return 2**n, (frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n))
-
-
-# State kind -> (number of raw states, lazy iterator over them).
-_RAW_STATES = {
-    KIND_PARTIAL: _assignments,
-    KIND_MULTI: _label_sets,
-    KIND_COVER: lambda system: _subsets(system.n_sets),
-    KIND_VERTEX_COVER: lambda h: _subsets(h.n_vertices),
-}
-
-
-def enumerate_feasible_states(problem: str, instance, raw_limit: int = 500_000):
-    """All feasible states of an instance, by brute-force enumeration.
-
-    The raw state space is counted, and refused above ``raw_limit``,
-    before any state is built.
-    """
-    p = _problem(problem)
-    raw, states = _RAW_STATES[p.kind](instance)
-    if raw > raw_limit:
-        raise StructuralError(f"raw state space {raw} exceeds limit {raw_limit}")
-    feasible = KINDS[p.kind].feasible
-    return [state for state in states if feasible(instance, state)]
+# Most feasibility tests the oracle makes before it refuses.
+ORACLE_STATE_LIMIT = 100_000
 
 
 def oracle_value(problem: str, inst) -> Fraction:
-    """Bottleneck-path optimum over the fully materialized state graph.
+    """Bottleneck-path optimum by one Dijkstra over the reconfiguration graph.
 
-    Independent of the threshold solvers: states come from brute
-    enumeration, adjacency from the pairwise step metric, and the optimum
-    from a heap-based minimax path search.  The maxmin problem runs it on
-    negated weights.
+    Independent of the threshold solvers: states are core's canonical
+    tuples and frozensets, moves come from ``KINDS[kind].neighbours``,
+    feasibility from ``KINDS[kind].feasible``, and the optimum from a
+    heap-based minimax path search from the start that stops when it pops
+    the goal.  The maxmin problem runs it on negated sizes.  Pops come in
+    nondecreasing order, so a state's distance is final when it is first
+    reached, and each state reached is tested once.  More than
+    ``ORACLE_STATE_LIMIT`` tests is refused with ``StructuralError``.
     """
     p = _problem(problem)
-    instance = getattr(inst, p.part)
-    states = enumerate_feasible_states(problem, instance)
-    if len(states) > ORACLE_STATE_LIMIT:
-        raise StructuralError(f"{len(states)} feasible states exceed limit {ORACLE_STATE_LIMIT}")
-    kind = KINDS[p.kind]
+    instance, kind = getattr(inst, p.part), KINDS[p.kind]
     sign = -1 if p.maximize else 1
-    weight = [sign * kind.size(state) for state in states]
-    index = {state: i for i, state in enumerate(states)}
-    neighbors: list[list[int]] = [[] for _ in states]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if kind.step(states[i], states[j]) <= 1:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-
-    s_idx, g_idx = index[inst.start], index[inst.goal]
-    dist = [None] * len(states)  # least achievable maximum weight on a path
-    dist[s_idx] = weight[s_idx]
-    heap = [(dist[s_idx], s_idx)]
+    # Each state reached -> least achievable maximum weight on a path to
+    # it, or None when it is infeasible.
+    dist = {inst.start: sign * kind.size(inst.start)}
+    # (distance, order reached, state): the order breaks ties, so states are never compared.
+    heap = [(dist[inst.start], 0, inst.start)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == g_idx:
+        d, _, u = heapq.heappop(heap)
+        if u == inst.goal:
             return Fraction(sign * d, p.denominator(instance))
-        for w_idx in neighbors[u]:
-            cand = max(d, weight[w_idx])
-            if dist[w_idx] is None or cand < dist[w_idx]:
-                dist[w_idx] = cand
-                heapq.heappush(heap, (cand, w_idx))
+        for w in kind.neighbours(instance, u):
+            if w in dist:
+                continue
+            if len(dist) > ORACLE_STATE_LIMIT:  # the start is untested, so this is test len(dist)
+                raise StructuralError(f"oracle refused: more than {ORACLE_STATE_LIMIT} feasibility tests")
+            if not kind.feasible(instance, w):
+                dist[w] = None
+                continue
+            dist[w] = max(d, sign * kind.size(w))
+            heapq.heappush(heap, (dist[w], len(dist), w))
     raise StructuralError("endpoints are not connected")
 
 

@@ -282,33 +282,48 @@ def test_size_measures():
     assert multi_size((frozenset({0, 1}), frozenset())) == 2
 
 
-# Per state bundle: an instance, a feasible state of it, an infeasible one
-# with its payload, and what the refusal names.
+# Per state bundle: an instance, a feasible state of it, an infeasible or
+# malformed one with its payload, and what the refusal says after naming
+# the endpoint.
 BUNDLE_ENDPOINTS = {
-    "p2csp": (P2cspInstance, graph([(0, 1)], [EQ]), (0, 0), (0, 1), [0, 1], "partial-assignment of its graph"),
+    "p2csp": (
+        P2cspInstance, graph([(0, 1)], [EQ]), (0, 0), (0, 1), [0, 1],
+        " is not a feasible partial-assignment of its graph",
+    ),
     "labelcover": (
         LabelCoverInstance, graph([(0, 1)], [EQ]), (frozenset({0}),) * 2, (frozenset({0}), frozenset({1})),
-        [[0], [1]], "multi-assignment of its graph",
+        [[0], [1]], " is not a feasible multi-assignment of its graph",
     ),
     "setcover": (
         SetCoverInstance, SetSystem(("u", "w"), (frozenset({0}), frozenset({1})), ("A", "B")),
-        frozenset({0, 1}), frozenset({0}), [0], "cover of its system",
+        frozenset({0, 1}), frozenset({0}), [0], " is not a feasible cover of its system",
     ),
     "hvc": (
         HvcInstance, Hypergraph(("p", "q"), (frozenset({0}), frozenset({1}))),
-        frozenset({0, 1}), frozenset({1}), [1], "vertex-cover of its hypergraph",
+        frozenset({0, 1}), frozenset({1}), [1], " is not a feasible vertex-cover of its hypergraph",
     ),
 }
+# Malformed endpoints, refused by the feasibility test itself.
+MALFORMED_ENDPOINTS = {
+    "p2csp-symbol": (
+        P2cspInstance, graph([(0, 1)], [EQ]), (0, 0), (0, 5), [0, 5], ": symbol 5 at vertex 1 is out of alphabet range",
+    ),
+    "labelcover-short": (
+        LabelCoverInstance, graph([(0, 1)], [EQ]), (frozenset({0}),) * 2, (frozenset({0}),),
+        [[0]], ": assignment domain must equal the vertex set",
+    ),
+}
+REFUSED_ENDPOINTS = {**BUNDLE_ENDPOINTS, **MALFORMED_ENDPOINTS}
 
 
 class TestBundleEndpoints:
     @pytest.mark.parametrize("end", ["start", "goal"])
     @pytest.mark.parametrize(
-        "bundle, instance, good, bad, bad_payload, what", BUNDLE_ENDPOINTS.values(), ids=BUNDLE_ENDPOINTS.keys()
+        "bundle, instance, good, bad, bad_payload, what", REFUSED_ENDPOINTS.values(), ids=REFUSED_ENDPOINTS.keys()
     )
     def test_an_infeasible_endpoint_is_refused(self, bundle, instance, good, bad, bad_payload, what, end):
         ends = {"start": good, "goal": good, end: bad}
-        message = f"{end} is not a feasible {what}"
+        message = f"^{end}{what}$"
         with pytest.raises(StructuralError, match=message):
             bundle(instance, ends["start"], ends["goal"])
         data = json.dumps({**serialize.payload(bundle(instance, good, good)), end: bad_payload}).encode()

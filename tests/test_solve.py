@@ -1,5 +1,6 @@
 """Exact solvers: frozen examples, oracle agreement, laws, budget errors."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -8,10 +9,14 @@ from fractions import Fraction
 import pytest
 
 from rforge import checks, serialize, solve
-from rforge.cli import main
+from rforge.cli import _STEPS, main
 from rforge.core import (
     BOTTOM,
     KINDS,
+    KIND_COVER,
+    KIND_MULTI,
+    KIND_PARTIAL,
+    KIND_VERTEX_COVER,
     BudgetExhaustedError,
     ConstraintGraph,
     HvcInstance,
@@ -44,7 +49,6 @@ from rforge.solve import (
     PROBLEM_MAXPAR,
     PROBLEM_MINLAB,
     PROBLEM_SC_COST,
-    enumerate_feasible_states,
     min_cover,
     min_vertex_cover,
     oracle_value,
@@ -208,6 +212,21 @@ class TestBudgetBoundary:
             solve.solve_instance(problem, inst, cap=states - 1)
 
 
+def bfs(kind: str, instance, start, obeys) -> dict:
+    """Steps from ``start`` to each state it reaches over the kind's
+    neighbour relation, through feasible states whose size ``obeys``."""
+    k = KINDS[kind]
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in k.neighbours(instance, x):
+            if y not in dist and obeys(k.size(y)) and k.feasible(instance, y):
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 class TestTwoEndedSearch:
     """The threshold engine's witness is a shortest path at its threshold."""
 
@@ -220,23 +239,11 @@ class TestTwoEndedSearch:
 
     @staticmethod
     def distance(problem, inst, theta):
-        """Steps from start to goal by BFS over the enumerated feasible
-        states obeying ``theta``, adjacent when one step apart."""
+        """Steps from start to goal by BFS over the reconfiguration graph,
+        through feasible states obeying ``theta``."""
         p = solve.SOLVERS[problem]
-        kind = KINDS[p.kind]
-        part = getattr(inst, p.part)
         obeys = (lambda k: k >= theta) if p.maximize else (lambda k: k <= theta)
-        states = [x for x in enumerate_feasible_states(problem, part) if obeys(kind.size(x))]
-        start, goal = kind.canonical(inst.start), kind.canonical(inst.goal)
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in states:
-                if y not in dist and kind.step(x, y) == 1:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist[goal]
+        return bfs(p.kind, getattr(inst, p.part), inst.start, obeys)[inst.goal]
 
     @pytest.mark.parametrize("problem", TINY)
     def test_witness_is_a_shortest_path_at_the_threshold(self, problem):
@@ -712,62 +719,113 @@ class TestKernelPipelines:
 class TestThresholdMonotonicity:
     def test_reachability_only_grows_as_threshold_loosens(self):
         g = graph([(0, 1)], [EQ])
-        states = enumerate_feasible_states(PROBLEM_MAXPAR, g)
 
         def reachable(theta):
-            allowed = [f for f in states if partial_size(f) >= theta]
-            frontier = {(0, 0)} if partial_size((0, 0)) >= theta else set()
-            seen = set(frontier)
-            while frontier:
-                nxt = set()
-                for f in frontier:
-                    for h in allowed:
-                        if h not in seen and sum(a != b for a, b in zip(f, h)) == 1:
-                            nxt.add(h)
-                seen |= nxt
-                frontier = nxt
-            return seen
+            if partial_size((0, 0)) < theta:
+                return set()
+            return set(bfs(KIND_PARTIAL, g, (0, 0), lambda k: k >= theta))
 
         for theta in range(2, -1, -1):
             looser = reachable(theta - 1) if theta > 0 else reachable(0)
             assert reachable(theta) <= looser
 
 
-class TestRawLimit:
-    @pytest.mark.parametrize(
-        "problem, instance",
-        [
-            (PROBLEM_MAXPAR, graph([], [], n=12, s=2)),  # 3^12 partial assignments
-            (PROBLEM_MINLAB, graph([], [], n=10, s=2)),  # 4^10 label-set tuples
-            (PROBLEM_SC_COST, SetSystem(("u",), (frozenset({0}),) * 20, tuple(f"S{i}" for i in range(20)))),
-            (PROBLEM_HVC_COST, Hypergraph(tuple(f"w{i}" for i in range(20)), ())),
-        ],
+def raw_states(kind: str, instance) -> list:
+    """Every state of ``kind`` on ``instance``, feasible or not, by a product."""
+    if kind in (KIND_COVER, KIND_VERTEX_COVER):
+        n = instance.n_sets if kind == KIND_COVER else instance.n_vertices
+        return [frozenset(itertools.compress(range(n), bits)) for bits in itertools.product((0, 1), repeat=n)]
+    symbols = [sorted(instance.allowed_symbols(v)) for v in range(instance.n_vertices)]
+    if kind == KIND_PARTIAL:
+        return list(itertools.product(*([BOTTOM, *syms] for syms in symbols)))
+    subsets = (
+        [frozenset(itertools.compress(syms, bits)) for bits in itertools.product((0, 1), repeat=len(syms))]
+        for syms in symbols
     )
-    def test_refused_above_the_limit(self, problem, instance):
-        with pytest.raises(StructuralError, match="raw state space"):
-            enumerate_feasible_states(problem, instance)
+    return list(itertools.product(*subsets))
 
-    def test_limit_is_inclusive(self):
-        system = SetSystem(("u",), (frozenset({0}),) * 4, tuple(f"S{i}" for i in range(4)))
-        assert len(enumerate_feasible_states(PROBLEM_SC_COST, system, raw_limit=16)) == 15
-        with pytest.raises(StructuralError):
-            enumerate_feasible_states(PROBLEM_SC_COST, system, raw_limit=15)
 
-    def test_wide_alphabet_refused_before_building_subsets(self, monkeypatch):
-        built, original = [], itertools.combinations
+class TestOracleWalk:
+    """The oracle walks the reconfiguration graph by each kind's neighbour
+    relation, testing each state it reaches once."""
 
-        def combinations(symbols, k):
-            # Fail fast rather than build the 2^30 label subsets of a vertex.
-            built.append(k)
-            if len(built) > 2:
-                raise AssertionError("label subsets built before the raw-size check")
-            return original(symbols, k)
+    ADMISSIBLE = ConstraintGraph(
+        vertices=("a", "b", "c"),
+        arity=2,
+        alphabet=("0", "1", "2"),
+        edges=((0, 1),),
+        tables=(bytes(9),),
+        admissible=(frozenset({0, 2}), frozenset({1}), frozenset({0, 1, 2})),
+    )
+    TINY = {
+        "partial": (KIND_PARTIAL, graph([(0, 1)], [EQ], n=3)),
+        "partial-admissible": (KIND_PARTIAL, ADMISSIBLE),
+        "multi": (KIND_MULTI, graph([(0, 1)], [EQ], n=3, s=2)),
+        "multi-admissible": (KIND_MULTI, ADMISSIBLE),
+        "cover": (KIND_COVER, SetSystem(("u", "w"), (frozenset({0}), frozenset({0, 1}), frozenset()), tuple("ABC"))),
+        "vertex-cover": (KIND_VERTEX_COVER, Hypergraph(tuple("pqrs"), (frozenset({0, 1}),))),
+    }
 
-        monkeypatch.setattr(itertools, "combinations", combinations)
-        g = graph([(0, 1)], [bytes(30 * 30)], s=30)
-        with pytest.raises(StructuralError, match="raw state space"):
-            enumerate_feasible_states(PROBLEM_MINLAB, g)
-        assert built == []
+    @pytest.mark.parametrize("kind, instance", TINY.values(), ids=TINY.keys())
+    def test_neighbours_are_the_raw_states_one_step_away(self, kind, instance):
+        k = KINDS[kind]
+        raw = raw_states(kind, instance)
+        for x in raw:
+            near = list(k.neighbours(instance, x))
+            assert len(near) == len(set(near)), x
+            assert set(near) == {y for y in raw if k.step(x, y) == 1}, x
+
+    @pytest.fixture(scope="class")
+    def readme_stages(self):
+        """README seed 7's stages, built as the ``reduce`` chain builds them."""
+        fglss = _STEPS["fglss"].reduce(generate_verifier(7))
+        lc = _STEPS["p2l"].reduce(_STEPS["normalize"].reduce(fglss))
+        return {
+            PROBLEM_MAXPAR: fglss,
+            PROBLEM_MINLAB: lc,
+            PROBLEM_SC_COST: _STEPS["l2sc"].reduce(lc),
+            PROBLEM_HVC_COST: _STEPS["l2hvc"].reduce(lc),
+        }
+
+    @pytest.mark.parametrize(
+        "problem, value",
+        [(PROBLEM_MAXPAR, Fraction(3, 4)), (PROBLEM_MINLAB, Fraction(6, 5)), (PROBLEM_SC_COST, Fraction(6, 5))],
+    )
+    def test_readme_seed7_stages_equal_the_solvers(self, readme_stages, problem, value):
+        inst = readme_stages[problem]
+        assert oracle_value(problem, inst) == solve.solve_instance(problem, inst).value == value
+
+    @staticmethod
+    def counted(monkeypatch, kind: str) -> list:
+        """Every state ``KINDS[kind].feasible`` tests from now on, in order."""
+        tested, feasible = [], KINDS[kind].feasible
+
+        def counting(instance, state):
+            tested.append(state)
+            return feasible(instance, state)
+
+        monkeypatch.setitem(KINDS, kind, dataclasses.replace(KINDS[kind], feasible=counting))
+        return tested
+
+    def test_readme_seed7_hvc_cost_is_refused_within_the_limit(self, readme_stages, monkeypatch):
+        # 659 vertices, 640 of them padding: each pop has 659 neighbours.
+        monkeypatch.setattr(solve, "ORACLE_STATE_LIMIT", 2000)
+        tested = self.counted(monkeypatch, KIND_VERTEX_COVER)
+        with pytest.raises(StructuralError, match="more than 2000 feasibility tests"):
+            oracle_value(PROBLEM_HVC_COST, readme_stages[PROBLEM_HVC_COST])
+        assert len(tested) == 2000
+
+    def test_limit_counts_feasibility_tests_and_is_inclusive(self, monkeypatch):
+        inst = generate_setcover(5, n_elements=3, n_sets=4)
+        tested = self.counted(monkeypatch, KIND_COVER)
+        value = oracle_value(PROBLEM_SC_COST, inst)
+        tests = len(tested)
+        assert tests == len(set(tested)) > 1  # each state reached is tested once
+        monkeypatch.setattr(solve, "ORACLE_STATE_LIMIT", tests)
+        assert oracle_value(PROBLEM_SC_COST, inst) == value
+        monkeypatch.setattr(solve, "ORACLE_STATE_LIMIT", tests - 1)
+        with pytest.raises(StructuralError, match="feasibility tests"):
+            oracle_value(PROBLEM_SC_COST, inst)
 
 
 class TestOracleAgreementSpot:
