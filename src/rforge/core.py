@@ -297,9 +297,20 @@ class P2cspInstance(_Endpoints):
 
 @dataclass(frozen=True)
 class LabelCoverInstance(_Endpoints):
+    """Refuses a graph with self-loops before it tests either endpoint:
+    the fault is the graph's, and multi semantics is undefined on loops."""
+
     graph: ConstraintGraph
     start: tuple[frozenset[int], ...]
     goal: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if self.graph.has_self_loops():
+            raise StructuralError(
+                "a label cover needs a loop-free graph: multi-assignment semantics "
+                "is undefined on self-loops; run reduce normalize first"
+            )
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

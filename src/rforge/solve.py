@@ -35,6 +35,20 @@ reconfiguration core (`_cover_cost`) gives both costs.  The core first
 shrinks the instance to a kernel with the same optimum (`_kernel`, the
 data-reduction rules of Weihe 1998), then runs the threshold scan on it.
 
+Both graph solvers shrink their instance too, by neighbourhood
+substitutability (`_substitutions`, Freuder 1991): a symbol is deleted
+at a vertex while another live symbol there is accepted by every edge
+with every live partner symbol that accepts it, so replacing the one by
+the other keeps any state feasible.  It shares no code with `_kernel`,
+so the cost-equality checks still compare two independent solvers.
+minlab keeps every label of its endpoints and searches between them;
+maxpar keeps none, maps each endpoint through the deletions in the order
+they were made, searches between the two images and puts the mapping
+moves on each end of its witness.  The cap counts the kernel search's
+states alone, so for maxpar a cap of 0 admits endpoints whose images are
+equal.  Both solvers return at once when start equals goal, before
+building anything.
+
 A bottleneck-path oracle (`oracle_value`) is kept deliberately
 independent of the threshold engine: it walks the reconfiguration graph
 of core's canonical states by each kind's neighbour relation
@@ -220,6 +234,54 @@ def _graph_links(g: ConstraintGraph):
     return list(zip(range(0, len(allowed) * s, s), allowed, links))
 
 
+def _substitutions(vertices, s: int, keep: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Delete substituted symbols from ``_graph_links`` output until none is left.
+
+    Symbol b substitutes symbol a at vertex v when b is live at v and
+    every edge at v accepts b with each live partner symbol that it accepts
+    with a (neighbourhood substitutability, Freuder 1991): every
+    one-symbol ``_Accepts`` line of a live partner symbol that holds a
+    also holds b.  Bits set in ``keep``, in the packed state layout, are
+    never deleted.  Each sweep visits the vertices whose partners lost a
+    symbol since their last visit and deletes, ascending, every symbol that
+    another live symbol substitutes, so of two that substitute each other
+    the higher stays; the sweeps stop when one deletes nothing.  A deletion
+    is checked against the partner symbols live when it is made, so
+    replacing a by b in a feasible state over the symbols live then gives
+    a feasible state over those live after it, with the same number of
+    assigned vertices and no more labels.  Returns each vertex's mask of
+    live symbols and the deletions in the order made, each as the state
+    bits (v * s + a, v * s + b).
+    """
+    live = [ok for _, ok, _ in vertices]
+    dirty = [True] * len(live)
+    deletions: list[tuple[int, int]] = []
+    while any(dirty):
+        for v, (base, _, edges) in enumerate(vertices):
+            if not dirty[v]:
+                continue
+            dirty[v] = False
+            mine = live[v]
+            if not mine & (mine - 1):  # at most one symbol: nothing to delete
+                continue
+            # Each live symbol -> the live symbols on every line that holds it.
+            subs = dict.fromkeys(_bits(mine), mine)
+            for shift, accepts in edges:
+                for c in _bits(live[shift // s]):
+                    line = accepts[1 << c] & mine
+                    for a in _bits(line):
+                        subs[a] &= line
+            for a, others in subs.items():
+                others &= live[v] ^ 1 << a
+                if others and not keep >> base + a & 1:
+                    live[v] ^= 1 << a
+                    deletions.append((base + a, base + others.bit_length() - 1))
+            if live[v] != mine:
+                for shift, _ in edges:
+                    dirty[shift // s] = True
+    return live, deletions
+
+
 def _satisfying(g: ConstraintGraph, bottom: bool, limit: float = math.inf):
     """Every satisfying assignment of a binary graph, by pruned depth-first search.
 
@@ -290,20 +352,40 @@ def solve_maxpar(inst: P2cspInstance, cap: int = DEFAULT_CAP) -> SolveResult:
     """Max over sequences of (min assigned count) / |V|, by descending threshold.
 
     Neighbors change one vertex to any other symbol or to unassigned.
-    Thresholds descend from min(start, goal) sizes; everything is
-    reachable at threshold 0 through the all-unassigned state, so the scan
-    always terminates (unless the budget runs out first).  A state holds
-    at most one bit per vertex, none for unassigned.  Unassigning needs no
-    test; assigning a symbol at v tests only v's edges to assigned
-    partners.
+    Equal endpoints return at once.  Otherwise the search runs on the
+    substitution kernel (`_substitutions`), which keeps no endpoint symbol:
+    start and goal are mapped through the deletions in the order they were
+    made, each step a move at one vertex that keeps the size, and the
+    search links the two images over kernel symbols.  Replacing a deleted
+    symbol by its substitute maps every feasible state to a feasible one of
+    the same size and every move to at most one move, so the value is
+    exact.  The witness is the start's mapping moves, the kernel path, and
+    the goal's mapping moves reversed; ``states_explored`` and the cap
+    count the kernel search alone, so a cap of 0 admits endpoints whose
+    images are equal.  Thresholds descend from min(start, goal) sizes;
+    everything is reachable at threshold 0 through the all-unassigned
+    state, so the scan always terminates (unless the budget runs out
+    first).  A state holds at most one bit per vertex, none for
+    unassigned.  Unassigning needs no test; assigning a symbol at v tests
+    only v's edges to assigned partners.
     """
     g = inst.graph
     n, s = g.n_vertices, g.n_symbols
+    top = min(partial_size(inst.start), partial_size(inst.goal))
+    if inst.start == inst.goal:
+        return SolveResult(Fraction(top, n), ReconfigSequence(KIND_PARTIAL, (inst.start,)), 0)
     full = (1 << s) - 1
-    vertices = _graph_links(g)
+    links = _graph_links(g)
+    masks, deletions = _substitutions(links, s, 0)
+    vertices = [(base, ok, edges) for (base, _, edges), ok in zip(links, masks)]
 
-    def pack(f) -> int:
-        return sum(1 << (v * s + a) for v, a in enumerate(f) if a != BOTTOM)
+    def mapped(f) -> list[int]:
+        """The packed ``f`` and each state it passes through on the way to its image."""
+        path = [sum(1 << (v * s + a) for v, a in enumerate(f) if a != BOTTOM)]
+        for a, b in deletions:
+            if path[-1] >> a & 1:
+                path.append(path[-1] ^ (1 << a | 1 << b))
+        return path
 
     def expand(state, theta):
         shrink = state.bit_count() > theta
@@ -322,10 +404,9 @@ def solve_maxpar(inst: P2cspInstance, cap: int = DEFAULT_CAP) -> SolveResult:
                 yield rest | low << base
                 ok ^= low
 
-    top = min(partial_size(inst.start), partial_size(inst.goal))
-    theta, path, explored = _threshold_search(
-        range(top, -1, -1), pack(inst.start), pack(inst.goal), expand, cap
-    )
+    head, tail = mapped(inst.start), mapped(inst.goal)
+    theta, path, explored = _threshold_search(range(top, -1, -1), head[-1], tail[-1], expand, cap)
+    path = head[:-1] + path + tail[-2::-1]
     # An empty vertex mask has bit_length 0, which decodes to BOTTOM (-1).
     states = tuple(tuple((m >> b & full).bit_length() - 1 for b in range(0, n * s, s)) for m in path)
     return SolveResult(
@@ -345,21 +426,36 @@ def solve_minlab(inst: LabelCoverInstance, cap: int = DEFAULT_CAP) -> SolveResul
 
     Neighbors add or remove a single symbol at a single vertex.  States
     are satisfying multi assignments; with admissible sets present the
-    per-vertex label sets stay inside them.  Everything is reachable at
-    the threshold equal to the total admissible symbol count (grow both
-    endpoints to the full assignment), so the scan terminates.  Adding a
-    label needs no test.  Removing label a at v tests only v's edges: each
-    must still accept some remaining label at v with a partner's label.
+    per-vertex label sets stay inside them.  Equal endpoints return at
+    once.  Otherwise the search runs on the substitution kernel
+    (`_substitutions`) with every label of start and goal kept, so the
+    endpoints are kernel states.  Replacing a deleted label by its
+    substitute maps every feasible state to a feasible one with no more
+    labels and every move to at most one move, so the value is exact, and
+    kernel states are states of the instance, so the witness needs no
+    mapping; a cap of 0 admits only equal endpoints.  Everything is
+    reachable at the threshold equal to the kernel's symbol count (grow
+    both endpoints to every kernel label), so the scan terminates.  Adding
+    a label needs no test.  Removing label a at v tests only v's edges:
+    each must still accept some remaining label at v with a partner's
+    label.
     """
     g = inst.graph
     n, s = g.n_vertices, g.n_symbols
+    if inst.start == inst.goal:
+        value = Fraction(multi_size(inst.start), n + 1)
+        return SolveResult(value, ReconfigSequence(KIND_MULTI, (inst.start,)), 0)
     full = (1 << s) - 1
-    vertices = _graph_links(g)
     # Admissible sets come from folded self-loops, which forbid an empty set.
     nonempty = g.admissible is not None
 
     def pack(f) -> int:
         return sum(1 << (v * s + a) for v, labels in enumerate(f) for a in labels)
+
+    start, goal = pack(inst.start), pack(inst.goal)
+    links = _graph_links(g)
+    masks, _ = _substitutions(links, s, start | goal)
+    vertices = [(base, ok, edges) for (base, _, edges), ok in zip(links, masks)]
 
     def expand(state, theta):
         grow = state.bit_count() < theta
@@ -367,21 +463,26 @@ def solve_minlab(inst: LabelCoverInstance, cap: int = DEFAULT_CAP) -> SolveResul
             labels = state >> base & full
             # A label is pinned when removing it would empty an admissible
             # set, or when it is the only label at v that an edge accepts
-            # with some label of the partner.
-            pinned = labels if nonempty and not labels & (labels - 1) else 0
-            for shift, accepts in edges:
-                support = accepts[state >> shift & full] & labels
-                if not support & (support - 1):
-                    pinned |= support
+            # with some label of the partner.  Every edge accepts some label
+            # of a feasible state, so a lone label at v is pinned iff v has
+            # an edge or an admissible set, and only wider sets read edges.
+            if labels & (labels - 1):
+                pinned = 0
+                for shift, accepts in edges:
+                    support = accepts[state >> shift & full] & labels
+                    if not support & (support - 1):
+                        pinned |= support
+            else:
+                pinned = labels if nonempty or edges else 0
             moves = (ok if grow else labels) & ~pinned
             while moves:  # add or remove one label, symbols ascending
                 low = moves & -moves
                 yield state ^ low << base
                 moves ^= low
 
-    total = sum(ok.bit_count() for _, ok, _ in vertices)
+    total = sum(ok.bit_count() for ok in masks)
     thetas = range(max(multi_size(inst.start), multi_size(inst.goal)), total + 1)
-    theta, path, explored = _threshold_search(thetas, pack(inst.start), pack(inst.goal), expand, cap)
+    theta, path, explored = _threshold_search(thetas, start, goal, expand, cap)
     states = tuple(tuple(frozenset(_bits(m >> b & full)) for b in range(0, n * s, s)) for m in path)
     return SolveResult(
         value=Fraction(theta, n + 1),

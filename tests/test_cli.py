@@ -56,6 +56,13 @@ def toy_verifier_file(path):
     return path
 
 
+def readme_fglss_file(tmp_path):
+    """The README seed-7 FGLSS instance, whose endpoints' kernel images differ."""
+    run("gen", "--kind", "verifier", "--seed", 7, "--out", tmp_path / "v7.json")
+    run("reduce", "fglss", "--in", tmp_path / "v7.json", "--out", tmp_path / "fglss7.json")
+    return tmp_path / "fglss7.json"
+
+
 class TestGen:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -232,17 +239,15 @@ class TestReduceChain:
         run("reduce", "fglss", "--in", ver, "--out", fglss)
         capsys.readouterr()
         assert run("reduce", "p2l", "--in", fglss, "--out", tmp_path / "x.json") == 2
-        # The label-cover bundle refuses the looped graph when it tests its start.
+        # The label-cover bundle refuses the looped graph once, before it tests either endpoint.
         assert capsys.readouterr().err == (
-            "error: start: multi-assignment semantics is undefined on self-loops; apply normalize_self_loops first\n"
+            "error: a label cover needs a loop-free graph: multi-assignment semantics "
+            "is undefined on self-loops; run reduce normalize first\n"
         )
         assert not (tmp_path / "x.json").exists()
 
     def test_cap_exhaustion_exits_3(self, tmp_path):
-        ver = toy_verifier_file(tmp_path / "v.json")
-        fglss = tmp_path / "fglss.json"
-        run("reduce", "fglss", "--in", ver, "--out", fglss)
-        assert run("solve", "maxpar", "--in", fglss, "--cap", 1) == 3
+        assert run("solve", "maxpar", "--in", readme_fglss_file(tmp_path), "--cap", 1) == 3
 
 
 class TestCap:
@@ -281,14 +286,13 @@ class TestCap:
         self.assert_refused(capsys, "report", "--dir", tmp_path / "s")
 
     def test_cap_zero_is_a_valid_budget(self, tmp_path, capsys):
-        # Zero states admit only equal endpoints.
+        # Zero states admit only endpoints whose kernel images are equal.
         inst = generate_csp(1)
         path = tmp_path / "same.json"
         serialize.save(P2cspInstance(inst.graph, inst.start, inst.start), path)
         assert run("solve", "maxpar", "--in", path, "--cap", 0) == 0
         assert "states explored = 0" in capsys.readouterr().out
-        fglss = tmp_path / "fglss.json"
-        run("reduce", "fglss", "--in", toy_verifier_file(tmp_path / "v.json"), "--out", fglss)
+        fglss = readme_fglss_file(tmp_path)
         capsys.readouterr()
         assert run("solve", "maxpar", "--in", fglss, "--cap", 0) == 3
         assert "visited more than 0 states (raise --cap)" in capsys.readouterr().err

@@ -427,8 +427,8 @@ class TestHvcReduction:
     def test_readme_seed7_solve_bytes_are_pinned(self, tmp_path):
         # sha256 of the `solve maxpar --out` file of the README seed-7 FGLSS
         # instance and of the `solve minlab --out` file of its label cover,
-        # captured when the threshold engine came to search from both
-        # endpoints.  Each pins the value, the witness and states_explored.
+        # captured when both graph solvers came to search substitution
+        # kernels.  Each pins the value, the witness and states_explored.
         path = lambda name: str(tmp_path / name)
         main(["gen", "--kind", "verifier", "--out", path("v.json"), "--seed", "7"])
         for step, src, dst in (("fglss", "v", "fglss"), ("normalize", "fglss", "norm"), ("p2l", "norm", "lc")):
@@ -436,8 +436,8 @@ class TestHvcReduction:
         assert main(["solve", "maxpar", "--in", path("fglss.json"), "--out", path("maxpar.json")]) == 0
         assert main(["solve", "minlab", "--in", path("lc.json"), "--out", path("minlab.json")]) == 0
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest("maxpar.json") == "b2bea478a86d3008071b9eaf38aefa8112f59831aac50a28c2ba5a626e1e92b2"
-        assert digest("minlab.json") == "aeaacab92ec6b29b0caa9fdaf7818273c0ed42fbf707c328c85e91b5f5d9f9be"
+        assert digest("maxpar.json") == "0b439c7eaded300ed681bee6393de2d68fbfe4896d85f226a06cc58265dd1463"
+        assert digest("minlab.json") == "8aed10b91619a46a5fc31263ba0543b46b264f753c8d9628b374af13f80ca5ec"
 
 
 class TestStoredEdgeOrder:

@@ -41,6 +41,7 @@ from rforge.generate import (
     generate_labelcover,
     generate_setcover,
     generate_verifier,
+    generate_verifier_with_accepted_pair,
 )
 from rforge.reductions import labelcover_to_hvc, labelcover_to_setcover
 from rforge.solve import (
@@ -193,11 +194,12 @@ class TestBudgetBoundary:
     # Each instance's states_explored under the two-ended search: both
     # trees' stored states, each seeded endpoint included, count against
     # the budget, so exactly that many is enough and one fewer runs out.
+    # The graph solvers' counts are those of their substitution kernels.
     CASES = {
-        "maxpar-3": (PROBLEM_MAXPAR, lambda: generate_csp(3, n_vertices=4, alphabet_size=3), 11),
-        "maxpar-4": (PROBLEM_MAXPAR, lambda: generate_csp(4, n_vertices=4, alphabet_size=3), 30),
-        "minlab-2": (PROBLEM_MINLAB, lambda: generate_labelcover(2), 12),
-        "minlab-3": (PROBLEM_MINLAB, lambda: generate_labelcover(3), 14),
+        "maxpar-3": (PROBLEM_MAXPAR, lambda: generate_csp(3, n_vertices=4, alphabet_size=3), 4),
+        "maxpar-4": (PROBLEM_MAXPAR, lambda: generate_csp(4, n_vertices=4, alphabet_size=3), 13),
+        "minlab-2": (PROBLEM_MINLAB, lambda: generate_labelcover(2), 10),
+        "minlab-3": (PROBLEM_MINLAB, lambda: generate_labelcover(3), 11),
         "sc-cost-1": (PROBLEM_SC_COST, lambda: generate_setcover(1, n_elements=6), 6),
         "sc-cost-5": (PROBLEM_SC_COST, lambda: generate_setcover(5, n_elements=6), 7),
         "hvc-cost-0": (PROBLEM_HVC_COST, lambda: generate_hypergraph(0, 6, 5, 3), 8),
@@ -227,6 +229,17 @@ def bfs(kind: str, instance, start, obeys) -> dict:
     return dist
 
 
+def mapping_moves(f, deletions, s: int) -> list:
+    """``f`` and each state it passes through as the kernel's deletions,
+    taken in the order made, replace its symbols."""
+    path = [f]
+    for i, j in deletions:
+        v = i // s
+        if path[-1][v] == i % s:
+            path.append(path[-1][:v] + (j % s,) + path[-1][v + 1 :])
+    return path
+
+
 class TestTwoEndedSearch:
     """The threshold engine's witness is a shortest path at its threshold."""
 
@@ -245,7 +258,8 @@ class TestTwoEndedSearch:
         obeys = (lambda k: k >= theta) if p.maximize else (lambda k: k <= theta)
         return bfs(p.kind, getattr(inst, p.part), inst.start, obeys)[inst.goal]
 
-    @pytest.mark.parametrize("problem", TINY)
+    # maxpar's endpoints are mapped onto its kernel first; see the next test.
+    @pytest.mark.parametrize("problem", [PROBLEM_MINLAB, PROBLEM_SC_COST, PROBLEM_HVC_COST])
     def test_witness_is_a_shortest_path_at_the_threshold(self, problem):
         p = solve.SOLVERS[problem]
         moved = 0
@@ -258,6 +272,35 @@ class TestTwoEndedSearch:
             assert len(set(states)) == len(states), seed
             moved += len(states) > 2
         assert moved
+
+    def test_maxpar_witness_is_mapping_moves_around_a_kernel_shortest_path(self):
+        # The witness is the start's mapping moves, then a shortest path at
+        # the threshold between the two images over kernel symbols, then the
+        # goal's mapping moves reversed.  Each mapping move changes one
+        # vertex and keeps the size.
+        partial = KINDS[KIND_PARTIAL]
+        mapped = searched = 0
+        for seed in range(40):
+            inst = self.TINY[PROBLEM_MAXPAR](seed)
+            g = inst.graph
+            masks, deletions = solve._substitutions(solve._graph_links(g), g.n_symbols, 0)
+            head, tail = (mapping_moves(f, deletions, g.n_symbols) for f in (inst.start, inst.goal))
+            res = solve_maxpar(inst)
+            states = res.witness.states
+            if inst.start == inst.goal:
+                assert states == (inst.start,)
+                continue
+            assert states[: len(head)] == tuple(head) and states[len(states) - len(tail) :] == tuple(tail[::-1])
+            for x, y in itertools.chain(itertools.pairwise(head), itertools.pairwise(tail)):
+                assert partial.step(x, y) == 1 and partial_size(x) == partial_size(y), seed
+            path = states[len(head) - 1 : len(states) - len(tail) + 1]
+            kernel = dataclasses.replace(g, admissible=tuple(frozenset(solve._bits(m)) for m in masks))
+            theta = res.value * g.n_vertices
+            assert len(path) - 1 == bfs(KIND_PARTIAL, kernel, head[-1], lambda k: k >= theta)[tail[-1]], seed
+            assert len(set(path)) == len(path), seed
+            mapped += len(head) + len(tail) > 2
+            searched += len(path) > 2
+        assert mapped and searched
 
     @staticmethod
     def engine(edges, weight, start, goal, thetas, cap=DEFAULT_CAP):
@@ -302,6 +345,123 @@ class TestTwoEndedSearch:
         assert [state for t, state in expanded if t == 0] == [0, 9]
         assert (theta, path) == (1, [0, 2, 4, 9])
         assert used == 4 + 6  # theta 0: seeds, 1, 2; theta 1: seeds, 1, 2, 4, then 2 in the goal tree
+
+
+def unreduced(vertices, s, keep):
+    """`solve._substitutions` that deletes nothing."""
+    return [ok for _, ok, _ in vertices], []
+
+
+class TestSubstitutionKernel:
+    """Both graph solvers search a substitution kernel and keep the value
+    of the unreduced search."""
+
+    @staticmethod
+    def generated(first_seed: int, count: int):
+        """(problem, bundle) pairs: generated CSPs and label covers with 3-6
+        vertices and 2-4 symbols, and the FGLSS stages of generated
+        verifiers, looped, normalized (admissible sets) and lifted."""
+        for seed in range(first_seed, first_seed + count):
+            rng = random.Random(seed)
+            n, s = rng.randint(3, 6), rng.randint(2, 4)
+            yield PROBLEM_MAXPAR, generate_csp(seed, n_vertices=n, alphabet_size=s, distinct_endpoints=True)
+            yield PROBLEM_MINLAB, generate_labelcover(seed, n_vertices=n, alphabet_size=s, distinct_endpoints=True)
+            vertices = rng.randint(2, 3)
+            if seed % 2:
+                verifier = generate_verifier_with_accepted_pair(seed, r=1, ell=3)
+            else:
+                verifier = generate_verifier(seed, n_vertices=vertices)
+            fglss = _STEPS["fglss"].reduce(verifier)
+            normalized = _STEPS["normalize"].reduce(fglss)
+            yield PROBLEM_MAXPAR, fglss
+            yield PROBLEM_MAXPAR, normalized
+            yield PROBLEM_MINLAB, _STEPS["p2l"].reduce(normalized)
+
+    @pytest.mark.parametrize("first_seed", range(0, 80, 20))
+    def test_kernel_solvers_match_the_unreduced_search(self, first_seed, monkeypatch):
+        monkeypatch.setattr(solve, "ORACLE_STATE_LIMIT", 3000)
+        solved = differ = searched = shrunk = oracled = admissible = 0
+        for problem, inst in self.generated(first_seed, 20):
+            p = solve.SOLVERS[problem]
+            instance = getattr(inst, p.part)
+            res = solve.solve_instance(problem, inst)
+            with monkeypatch.context() as m:
+                m.setattr(solve, "_substitutions", unreduced)
+                plain = solve.solve_instance(problem, inst)
+            assert res.value == plain.value, (first_seed, problem, inst)
+            assert validate_sequence(instance, res.witness, start=inst.start, goal=inst.goal).ok
+            assert sequence_objective(problem, instance, res.witness) == res.value
+            try:
+                assert res.value == oracle_value(problem, inst)
+                oracled += 1
+            except StructuralError as exc:
+                assert "oracle refused" in str(exc)
+            vertices = solve._graph_links(instance)
+            masks, _ = solve._substitutions(vertices, instance.n_symbols, 0)
+            solved += 1
+            differ += inst.start != inst.goal
+            searched += res.states_explored > 0
+            shrunk += masks != [ok for _, ok, _ in vertices]
+            admissible += instance.admissible is not None
+        assert solved == 100 and admissible == 40
+        assert differ >= 70 and searched >= 20 and shrunk >= 50 and oracled >= 50
+
+    def test_deletions_map_in_the_order_made(self):
+        # Symbol 1 substitutes 0 at v0; once 0 is gone from v0, 1 and 0
+        # substitute each other at v1, and the lower goes.  Mapped in that
+        # order (0, 0) passes through (1, 0); in the other order it would
+        # pass through (0, 1), which the edge rejects.
+        g = graph([(0, 1)], [bytes([1, 0, 1, 1])])
+        masks, deletions = solve._substitutions(solve._graph_links(g), 2, 0)
+        assert (masks, deletions) == ([0b10, 0b10], [(0, 1), (2, 3)])
+        assert not satisfies_partial(g, (0, 1))
+        res = solve_maxpar(P2cspInstance(g, (0, 0), (1, 1)), cap=0)
+        assert res.value == 1 and res.states_explored == 0
+        assert res.witness.states == ((0, 0), (1, 0), (1, 1))
+
+    def test_maxpar_witness_ends_are_the_endpoints(self):
+        # Two isolated vertices: the kernel keeps symbol 1 at each, so the
+        # start maps onto the goal and the witness is the start's mapping
+        # moves alone.
+        inst = P2cspInstance(graph([], [], n=2, s=2), (0, 0), (1, 1))
+        res = solve_maxpar(inst, cap=0)
+        assert res.witness.states == ((0, 0), (1, 0), (1, 1))
+        # Reversed, the goal is already its own image: the witness is the
+        # start's single state, then the goal's mapping moves reversed.
+        res = solve_maxpar(P2cspInstance(inst.graph, (1, 1), (0, 0)), cap=0)
+        assert res.witness.states == ((1, 1), (1, 0), (0, 0))
+
+    def test_minlab_keeps_every_endpoint_label(self):
+        # No edge: every label substitutes every other, but a label of start
+        # or goal is never deleted, so the witness never leaves the instance.
+        g = graph([], [], n=1, s=3)
+        inst = LabelCoverInstance(g, (frozenset({0}),), (frozenset({1}),))
+        vertices = solve._graph_links(g)
+        assert solve._substitutions(vertices, 3, 0b011) == ([0b011], [(2, 1)])
+        res = solve_minlab(inst)
+        assert res.value == Fraction(1, 2) == oracle_value(PROBLEM_MINLAB, inst)
+
+    def test_equal_endpoints_build_nothing(self, monkeypatch):
+        def no_links(g):
+            raise AssertionError("links built for equal endpoints")
+
+        csp = generate_csp(3, n_vertices=4, alphabet_size=3)
+        lc = generate_labelcover(3)
+        monkeypatch.setattr(solve, "_graph_links", no_links)
+        same = {
+            PROBLEM_MAXPAR: P2cspInstance(csp.graph, csp.start, csp.start),
+            PROBLEM_MINLAB: LabelCoverInstance(lc.graph, lc.goal, lc.goal),
+        }
+        for problem, inst in same.items():
+            res = solve.solve_instance(problem, inst, cap=0)
+            assert (res.witness.states, res.states_explored) == ((inst.start,), 0)
+
+    def test_ladder_n5_minlab_is_one(self):
+        # gen --kind verifier --seed 7 --vertices 5, then the --no-amplify
+        # stages: the unreduced search exhausted 200,000 states here.
+        normalized = _STEPS["normalize"].reduce(_STEPS["fglss"].reduce(generate_verifier(7, n_vertices=5)))
+        res = solve_minlab(_STEPS["p2l"].reduce(normalized), cap=2000)
+        assert res.value == 1
 
 
 class TestSatisfying:
