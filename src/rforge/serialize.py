@@ -17,9 +17,14 @@ A verifier file is flat: ``{R, queries, table}`` entries, R running over
 string of the proof length or null; an expander file adds ``ratio``,
 which must equal ``lambda / d``.
 
-All writers emit sorted-key, tight-separator JSON with a trailing
+One writer, ``_pieces``, emits every file, ``report --format json`` and
+each check counterexample: sorted-key, tight-separator JSON with a trailing
 newline, so serializing equal objects always produces identical bytes and
-round trips are byte-stable.
+round trips are byte-stable.  It writes in pieces of bounded size, which
+``save`` streams to the file and ``dump_bytes`` joins: a dict key by key, a
+long list in slices of about ``PIECE_VALUES`` values per encoder call, and
+each 0/1 table straight from its bytes, never as a list of ints.  So no
+encoder call holds the text of a whole file.
 """
 
 from __future__ import annotations
@@ -56,8 +61,76 @@ from .amplify import ExpanderGraph
 from .solve import SolveResult
 
 
-def canonical_dumps(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+# About how many values one encoder call writes when a long list is written
+# in slices.
+PIECE_VALUES = 4096
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The bytes of a 0/1 table as the digits of its JSON list.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _table(table: bytes) -> str:
+    return f"[{','.join(table.translate(_DIGITS).decode())}]"
+
+
+@cache
+def _key(key: str) -> str:
+    return f"{_encode(key)}:"
+
+
+def _whole(node) -> str:
+    """Canonical JSON text of ``node`` in one piece: a dict key by key, a
+    0/1 table from its bytes, and anything else in one encoder call."""
+    if type(node) is dict:
+        return "{" + ",".join([_key(key) + _whole(node[key]) for key in sorted(node)]) + "}"
+    if type(node) is bytes:
+        return _table(node)
+    if type(node) is int:  # as the encoder writes it, without its set-up
+        return int.__repr__(node)
+    return _encode(node)
+
+
+def _pieces(node):
+    """Canonical JSON text of ``node`` in pieces of bounded size.
+
+    A dict is written key by key in sorted order.  A list of dicts or of
+    0/1 tables (``bytes``), or any list longer than one piece, is written
+    in slices of about ``PIECE_VALUES`` values, sized from its first item;
+    a slice's dicts and tables are written by `_whole`.  Anything else is
+    one encoder call.
+    """
+    if type(node) is dict and node:
+        sep = "{"
+        for key in sorted(node):
+            yield sep + _key(key)
+            yield from _pieces(node[key])
+            sep = ","
+        yield "}"
+    elif not isinstance(node, (list, tuple)) or not node:
+        yield _whole(node)
+    else:
+        first = node[0]
+        width = len(first) if isinstance(first, (dict, bytes, list, tuple)) else 1
+        step = PIECE_VALUES // max(width, 1) or 1
+        if type(first) in (dict, bytes):
+            write = lambda items: ",".join(map(_whole, items))
+        elif len(node) <= step:
+            yield _encode(node)
+            return
+        else:
+            write = lambda values: _encode(values)[1:-1]
+        sep = "["
+        for at in range(0, len(node), step):
+            yield sep + write(node[at : at + step])
+            sep = ","
+        yield "]"
+
+
+def canonical_dumps(tree) -> bytes:
+    """Canonical bytes of a plain JSON payload, or of an object's tree."""
+    return ("".join(_pieces(tree)) + "\n").encode()
 
 
 # Type tag of each file type.
@@ -158,11 +231,11 @@ def _codec(ann, field: str) -> tuple:
     if ann is int:
         return _INT
     if ann is bytes:
-        return list, lambda o: bytes(_ints(_list_in(o)))
+        return _same, lambda o: bytes(_ints(_list_in(o)))
     if ann is Fraction:
         return (lambda v: f"{v.numerator}/{v.denominator}"), _fraction_in
     if is_dataclass(ann):
-        return (payload if ann in TAGS else _keys), partial(_read, ann)
+        return (_tree if ann in TAGS else _keys), partial(_read, ann)
     origin, args = get_origin(ann), get_args(ann)
     if origin in (Union, UnionType):
         ((write, read),) = (_codec(a, field) for a in args if a is not NoneType)
@@ -173,10 +246,11 @@ def _codec(ann, field: str) -> tuple:
         if set(items) in ({_INT}, {_STR}):
             make = tuple if origin is tuple else partial(_members, field=field)
             check = _ints if items[0] == _INT else _strs
-            return (list if origin is tuple else sorted), lambda o: make(check(_list_in(o)))
+            return (_same if origin is tuple else sorted), lambda o: make(check(_list_in(o)))
         if args[1:] == (Ellipsis,):
             ((write, read),) = items
-            return (lambda v: [write(x) for x in v]), lambda o: tuple(read(x) for x in _list_in(o))
+            each = _same if write is _same else lambda v: [write(x) for x in v]
+            return each, lambda o: tuple(read(x) for x in _list_in(o))
     raise TypeError(f"no codec for the annotation {ann!r}")
 
 
@@ -227,20 +301,26 @@ def _fields(cls) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Object <-> plain payload
+# Object <-> payload
 # ---------------------------------------------------------------------------
 
 
-def payload(obj) -> dict:
-    """Plain payload of any serializable object."""
+def _tree(obj) -> dict:
+    """What the writer writes for any serializable object: its payload, but
+    with tuples kept as they are and each 0/1 table kept as its bytes."""
     cls = type(obj)
     if cls not in TAGS:
         raise StructuralError(f"cannot serialize {cls.__name__}")
     return {"type": TAGS[cls], **_keys(obj)}
 
 
+def payload(obj) -> dict:
+    """Plain JSON payload of any serializable object, as its file reads."""
+    return json.loads(dump_bytes(obj))
+
+
 def _keys(obj) -> dict:
-    """Payload of ``obj`` without its type tag."""
+    """Tree of ``obj`` without its type tag."""
     cls = type(obj)
     out = {key: write(getattr(obj, name)) for name, key, write, _, _ in _FIELDS[cls]}
     if cls is VerifierInstance:  # flat: the verifier's keys, rows as entries, beside the proofs
@@ -291,7 +371,7 @@ _FIELDS = {cls: _fields(cls) for cls in (TableVerifier, *TAGS)}
 
 def dump_bytes(obj) -> bytes:
     """Canonical bytes of any serializable object."""
-    return canonical_dumps(payload(obj))
+    return canonical_dumps(_tree(obj))
 
 
 # What reading a file that is missing, unreadable or not valid JSON of the
@@ -323,10 +403,12 @@ def parse_bytes(data: bytes):
 
 
 def save(obj, path) -> None:
-    """Write the canonical bytes of ``obj``; an unwritable path raises ``StructuralError``."""
-    data = dump_bytes(obj)
-    with writing(path):
-        Path(path).write_bytes(data)
+    """Write the canonical bytes of ``obj`` piece by piece; an unwritable
+    path raises ``StructuralError``."""
+    tree = _tree(obj)
+    with writing(path), open(path, "wb") as out:
+        out.writelines(map(str.encode, _pieces(tree)))
+        out.write(b"\n")
 
 
 def load(path):

@@ -162,6 +162,21 @@ def _chain(parent: dict, state):
         state = parent[state]
 
 
+def _cut_loops(path: list) -> list:
+    """``path`` with each loop cut back to the first visit of its repeated
+    state: every step is a step of ``path``, and no state repeats."""
+    out, at = [], {}
+    for state in path:
+        if state in at:
+            for dropped in out[at[state] + 1 :]:
+                del at[dropped]
+            del out[at[state] + 1 :]
+        else:
+            at[state] = len(out)
+            out.append(state)
+    return out
+
+
 def _exhausted(cap: int) -> BudgetExhaustedError:
     return BudgetExhaustedError(f"state budget exhausted: visited more than {cap} states (raise --cap)")
 
@@ -360,7 +375,8 @@ def solve_maxpar(inst: P2cspInstance, cap: int = DEFAULT_CAP) -> SolveResult:
     symbol by its substitute maps every feasible state to a feasible one of
     the same size and every move to at most one move, so the value is
     exact.  The witness is the start's mapping moves, the kernel path, and
-    the goal's mapping moves reversed; ``states_explored`` and the cap
+    the goal's mapping moves reversed, with each loop cut back to the first
+    visit of its repeated state (`_cut_loops`); ``states_explored`` and the cap
     count the kernel search alone, so a cap of 0 admits endpoints whose
     images are equal.  Thresholds descend from min(start, goal) sizes;
     everything is reachable at threshold 0 through the all-unassigned
@@ -406,7 +422,7 @@ def solve_maxpar(inst: P2cspInstance, cap: int = DEFAULT_CAP) -> SolveResult:
 
     head, tail = mapped(inst.start), mapped(inst.goal)
     theta, path, explored = _threshold_search(range(top, -1, -1), head[-1], tail[-1], expand, cap)
-    path = head[:-1] + path + tail[-2::-1]
+    path = _cut_loops(head[:-1] + path + tail[-2::-1])
     # An empty vertex mask has bit_length 0, which decodes to BOTTOM (-1).
     states = tuple(tuple((m >> b & full).bit_length() - 1 for b in range(0, n * s, s)) for m in path)
     return SolveResult(
@@ -615,9 +631,11 @@ def _kernel(hitsets, keep: frozenset) -> tuple[list[int], list[frozenset[int]]]:
     return [items[j] for j in _bits(live)], [frozenset(items[j] for j in _bits(t)) for t in sets]
 
 
-def _cover_cost(hitsets, inst, opt: int, cap: int = DEFAULT_CAP) -> SolveResult:
+def _cover_cost(inst, opt: int, cap: int = DEFAULT_CAP) -> SolveResult:
     """Min over sequences of states hitting every hit set, from the start
     to the goal of the cover bundle ``inst``, of (max state size) / (opt + 1).
+    A vertex cover hits every hyperedge, and a cover every element's family
+    of containing sets, built only once the endpoints differ.
 
     The threshold scan runs over the kernel's items.  Adding an item keeps
     a state feasible, and removing item i keeps it feasible iff every hit
@@ -628,6 +646,10 @@ def _cover_cost(hitsets, inst, opt: int, cap: int = DEFAULT_CAP) -> SolveResult:
     start, goal, kind = inst.start, inst.goal, BUNDLES[type(inst)][1]
     if start == goal:
         return SolveResult(Fraction(len(start), opt + 1), ReconfigSequence(kind, (start,)), 0)
+    if isinstance(inst, HvcInstance):
+        hitsets = inst.hypergraph.hyperedges
+    else:
+        hitsets = transpose(inst.system.sets, inst.system.n_elements)
     items, kernel_sets = _kernel(hitsets, start | goal)
     position = {i: j for j, i in enumerate(items)}
 
@@ -667,10 +689,9 @@ def solve_cost_setcover(inst: SetCoverInstance, cap: int = DEFAULT_CAP, opt: int
     A cover hits every element's family of containing sets.  ``opt``, the
     minimum cover size, is computed unless the caller already has it.
     """
-    system = inst.system
     if opt is None:
-        opt = min_cover(system)
-    return _cover_cost(transpose(system.sets, system.n_elements), inst, opt, cap)
+        opt = min_cover(inst.system)
+    return _cover_cost(inst, opt, cap)
 
 
 def solve_cost_hvc(inst: HvcInstance, cap: int = DEFAULT_CAP, opt: int | None = None) -> SolveResult:
@@ -681,7 +702,7 @@ def solve_cost_hvc(inst: HvcInstance, cap: int = DEFAULT_CAP, opt: int | None = 
     """
     if opt is None:
         opt = min_vertex_cover(inst.hypergraph)
-    return _cover_cost(inst.hypergraph.hyperedges, inst, opt, cap)
+    return _cover_cost(inst, opt, cap)
 
 
 # ---------------------------------------------------------------------------

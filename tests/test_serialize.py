@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -612,3 +614,116 @@ def test_verifier_payload_orders_entries():
     payload = serialize.payload(VerifierInstance(v))
     shuffled = dict(payload, entries=list(reversed(payload["entries"])))
     assert serialize.from_payload(shuffled) == VerifierInstance(v)
+
+
+# ---------------------------------------------------------------------------
+# The streaming writer against one json.dumps call
+# ---------------------------------------------------------------------------
+
+
+def plain(node):
+    """``node`` as plain JSON: each table an int list, each tuple a list."""
+    if isinstance(node, bytes):
+        return list(node)
+    if isinstance(node, dict):
+        return {key: plain(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [plain(x) for x in node]
+    return node
+
+
+def one_call(data) -> bytes:
+    """What one ``json.dumps`` call writes for the plain JSON ``data``."""
+    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def parallel_edges(m: int, s: int) -> ConstraintGraph:
+    """Two vertices joined by ``m`` edges, each with an ``s``-symbol equality table."""
+    table = bytes(int(a == b) for a in range(s) for b in range(s))
+    return ConstraintGraph(("x", "y"), 2, tuple(map(str, range(s))), ((0, 1),) * m, (table,) * m)
+
+
+def around_a_piece():
+    """Objects whose lists are just under, at and just over one piece, by
+    the width of their first item, or empty."""
+    k = serialize.PIECE_VALUES
+    for n in (k - 1, k, k + 1):
+        yield SetSystem(tuple(map(str, range(n))), (frozenset(range(n)),), ("A",))
+        yield parallel_edges(n, 1)  # one-entry tables, one value each
+        yield parallel_edges(k // 2 + n - k, 2)  # pairs as edges, 4-entry tables
+    yield parallel_edges(3, 64)  # 4,096-entry tables: one table a piece
+    yield parallel_edges(k // 9 + 1, 3)
+    yield ConstraintGraph(("x",), 2, ("a",), (), ())
+    yield SetSystem((), (frozenset(),), ("A",))
+    yield Hypergraph(("a",), ())
+    yield ReconfigSequence(KIND_PARTIAL, tuple((a, BOTTOM) for a in range(k + 1)))
+    yield build_expander(16, 4, 0.95, seed=0)  # floats
+    yield VerifierInstance(generate_verifier(7).verifier, None, "101")
+
+
+def all_file_types():
+    objects = [inst for inst, _ in PINNED_FILES] + list(around_a_piece())
+    return objects + [
+        part for inst in objects for f in fields(inst) if type(part := getattr(inst, f.name)) in serialize.TAGS
+    ]
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7, serialize.PIECE_VALUES])
+def test_save_and_dump_bytes_equal_one_encoder_call(piece, monkeypatch, tmp_path):
+    monkeypatch.setattr(serialize, "PIECE_VALUES", piece)
+    objects = all_file_types()
+    assert {type(obj) for obj in objects} == set(serialize.TAGS)
+    for obj in objects:
+        expected = one_call(plain(serialize._tree(obj)))
+        serialize.save(obj, tmp_path / "f.json")
+        assert serialize.dump_bytes(obj) == (tmp_path / "f.json").read_bytes() == expected, type(obj)
+        assert serialize.payload(obj) == json.loads(expected)
+
+
+@pytest.mark.parametrize("name", README_FILES)
+def test_each_readme_file_is_one_encoder_call(readme_files, name):
+    data = (readme_files / f"{name}.json").read_bytes()
+    assert one_call(json.loads(data)) == data
+
+
+def test_plain_payloads_equal_one_encoder_call(monkeypatch):
+    # Check counterexamples and report rows: booleans, nulls, floats,
+    # escaped text, empty containers, lists of dicts and nested long lists.
+    data = {
+        "b": [True, None, 1.5, "caf\u00e9 \"q\"", {}, [], {"y": [1] * 5000}] * 3,
+        "a": {"z": [], "y": {}, "x": [[0, 1]] * 2049},
+        "rows": [{"stage": "hvc", "metric": "cost", "value": "6/5"}],
+    }
+    assert serialize.canonical_dumps(data) == one_call(data)
+    monkeypatch.setattr(serialize, "PIECE_VALUES", 3)
+    assert serialize.canonical_dumps(data) == one_call(data)
+    assert serialize.canonical_dumps([]) == b"[]\n" and serialize.canonical_dumps({}) == b"{}\n"
+
+
+def test_a_table_is_written_from_its_bytes():
+    assert "".join(serialize._pieces([b"", bytes([1, 0, 1]), b"\x00"])) == "[[],[1,0,1],[0]]"
+
+
+def test_report_json_is_one_encoder_call(readme_files, capsys):
+    assert main(["report", "--dir", str(readme_files / "plain"), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert one_call(json.loads(out)) == out
+
+
+def test_save_holds_less_than_the_file(tmp_path):
+    # 3,000 edges with 729-entry tables make a 4.4 MB file.  Encoded in one
+    # call, the tables' int lists and their fragments took several times that.
+    rng = random.Random(0)
+    low_bit = bytes.maketrans(bytes(range(256)), bytes(b & 1 for b in range(256)))
+    tables = tuple(rng.randbytes(729).translate(low_bit) for _ in range(3000))
+    edges = tuple((i % 100, (7 * i + 1) % 100) for i in range(3000))
+    g = ConstraintGraph(tuple(f"v{i}" for i in range(100)), 2, tuple(map(str, range(27))), edges, tables)
+    path = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        serialize.save(g, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4_000_000
+    assert peak < path.stat().st_size, peak

@@ -229,6 +229,17 @@ def bfs(kind: str, instance, start, obeys) -> dict:
     return dist
 
 
+def cut_loops(states) -> tuple:
+    """``states`` with each loop cut back to the first visit of its repeated state."""
+    out = []
+    for state in states:
+        if state in out:
+            del out[out.index(state) + 1 :]
+        else:
+            out.append(state)
+    return tuple(out)
+
+
 def mapping_moves(f, deletions, s: int) -> list:
     """``f`` and each state it passes through as the kernel's deletions,
     taken in the order made, replace its symbols."""
@@ -273,34 +284,41 @@ class TestTwoEndedSearch:
             moved += len(states) > 2
         assert moved
 
-    def test_maxpar_witness_is_mapping_moves_around_a_kernel_shortest_path(self):
-        # The witness is the start's mapping moves, then a shortest path at
-        # the threshold between the two images over kernel symbols, then the
-        # goal's mapping moves reversed.  Each mapping move changes one
-        # vertex and keeps the size.
+    def test_maxpar_witness_is_mapping_moves_around_a_kernel_shortest_path(self, monkeypatch):
+        # Before its loops are cut, the witness is the start's mapping moves,
+        # then a shortest path at the threshold between the two images over
+        # kernel symbols, then the goal's mapping moves reversed.  Each
+        # mapping move changes one vertex and keeps the size.  The witness is
+        # that walk with each loop cut back to the first visit of its
+        # repeated state.
         partial = KINDS[KIND_PARTIAL]
-        mapped = searched = 0
+        mapped = searched = cut = 0
         for seed in range(40):
             inst = self.TINY[PROBLEM_MAXPAR](seed)
             g = inst.graph
             masks, deletions = solve._substitutions(solve._graph_links(g), g.n_symbols, 0)
             head, tail = (mapping_moves(f, deletions, g.n_symbols) for f in (inst.start, inst.goal))
-            res = solve_maxpar(inst)
-            states = res.witness.states
+            states = solve_maxpar(inst).witness.states
+            with monkeypatch.context() as patch:
+                patch.setattr(solve, "_cut_loops", list)
+                res = solve_maxpar(inst)
+            walk = res.witness.states
             if inst.start == inst.goal:
-                assert states == (inst.start,)
+                assert states == walk == (inst.start,)
                 continue
-            assert states[: len(head)] == tuple(head) and states[len(states) - len(tail) :] == tuple(tail[::-1])
+            assert walk[: len(head)] == tuple(head) and walk[len(walk) - len(tail) :] == tuple(tail[::-1])
             for x, y in itertools.chain(itertools.pairwise(head), itertools.pairwise(tail)):
                 assert partial.step(x, y) == 1 and partial_size(x) == partial_size(y), seed
-            path = states[len(head) - 1 : len(states) - len(tail) + 1]
+            path = walk[len(head) - 1 : len(walk) - len(tail) + 1]
             kernel = dataclasses.replace(g, admissible=tuple(frozenset(solve._bits(m)) for m in masks))
             theta = res.value * g.n_vertices
             assert len(path) - 1 == bfs(KIND_PARTIAL, kernel, head[-1], lambda k: k >= theta)[tail[-1]], seed
             assert len(set(path)) == len(path), seed
+            assert states == cut_loops(walk), seed
             mapped += len(head) + len(tail) > 2
             searched += len(path) > 2
-        assert mapped and searched
+            cut += states != walk
+        assert mapped and searched and cut
 
     @staticmethod
     def engine(edges, weight, start, goal, thetas, cap=DEFAULT_CAP):
@@ -430,6 +448,24 @@ class TestSubstitutionKernel:
         # start's single state, then the goal's mapping moves reversed.
         res = solve_maxpar(P2cspInstance(inst.graph, (1, 1), (0, 0)), cap=0)
         assert res.witness.states == ((1, 1), (1, 0), (0, 0))
+
+    def test_maxpar_witnesses_visit_each_state_once(self):
+        # The start's mapping moves, the kernel path and the goal's mapping
+        # moves reversed can pass through the same state; 67 of these 400
+        # witnesses did before loops were cut.
+        for seed in range(400):
+            rng = random.Random(seed)
+            n, s = rng.randint(3, 6), rng.randint(2, 4)
+            inst = generate_csp(seed, n_vertices=n, alphabet_size=s, distinct_endpoints=True)
+            res = solve_maxpar(inst)
+            states = res.witness.states
+            assert len(set(states)) == len(states), seed
+            assert validate_sequence(inst.graph, res.witness, start=inst.start, goal=inst.goal).ok, seed
+        # Both endpoints map to (0, 1, 1), and the start's mapping moves pass
+        # through the goal on the way: the walk was (0, 0, 0), (0, 1, 0),
+        # (0, 1, 1), (0, 1, 0).
+        inst = generate_csp(0, n_vertices=3, alphabet_size=2, distinct_endpoints=True)
+        assert solve_maxpar(inst).witness.states == ((0, 0, 0), (0, 1, 0))
 
     def test_minlab_keeps_every_endpoint_label(self):
         # No edge: every label substitutes every other, but a label of start
@@ -674,6 +710,15 @@ class TestCostSetcover:
         ss = SetSystem(("1",), (frozenset({0}), frozenset({0})), ("A", "B"))
         res = solve_cost_setcover(SetCoverInstance(ss, frozenset({0}), frozenset({0})))
         assert res.value == Fraction(1, 2)
+
+    def test_equal_endpoints_build_no_hit_sets(self, monkeypatch):
+        def no_transpose(*args):
+            raise AssertionError("hit sets built for equal endpoints")
+
+        ss = SetSystem(("1",), (frozenset({0}), frozenset({0})), ("A", "B"))
+        monkeypatch.setattr(solve, "transpose", no_transpose)
+        res = solve_cost_setcover(SetCoverInstance(ss, frozenset({1}), frozenset({1})), opt=1, cap=0)
+        assert (res.value, res.witness.states, res.states_explored) == (Fraction(1, 2), (frozenset({1}),), 0)
 
     def test_swap_through_union(self):
         ss = SetSystem(
